@@ -11,12 +11,33 @@ the polytope iff it is constant on that affine subspace, i.e. iff it lies in
 span{1, T_p}.  The witness constructor below is the computational dual: when
 the span test fails it produces an explicit toggle-symmetric distribution
 with a deviating expectation.
+
+Both questions are answered from small integer systems rather than from the
+|J|-row system A (c, kappa) = ddeg, A = [1 | T_p], itself:
+
+* Certificate.  Each column of A is a pair of bitsets over the ideals (its +1
+  and -1 positions), so every entry of the Gram matrix G = A^T A is four
+  popcounts, and A^T ddeg comes from the bit-planes of ddeg.  Since
+  null(A^T A) = null(A), G has the same lex-first independent columns as A;
+  with free variables zero, G x = A^T ddeg therefore has exactly the solution
+  the |J|-row system would have whenever that system is consistent.  The
+  candidate is then checked against ddeg on every ideal in integers; a
+  nonzero residual means ddeg is not in the span, i.e. not tCDE.
+* Witness.  The perturbation v solving [1; T_p; ddeg] v = e_last with free
+  variables zero is supported on the lex-first independent columns of that
+  (n+2) x |J| matrix, one column per ideal in canonical order.  Those
+  columns are found by scanning the ideals with an incremental integer
+  elimination that stops at rank(G) + 1 columns, and v comes from the
+  resulting (n+2) x (rank(G) + 1) system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from math import gcd, lcm
+from operator import sub
 from typing import Optional
 
 from . import linalg
@@ -55,7 +76,7 @@ class CdeReport:
 def _ddeg_stat(X):
     if isinstance(X, IdealLattice):
         return X.ddeg
-    return tuple(X.ddeg(p) for p in range(X.n))
+    return tuple([X.ddeg(p) for p in range(X.n)])
 
 
 def cde_report(X) -> CdeReport:
@@ -67,6 +88,8 @@ def cde_report(X) -> CdeReport:
     from .distributions import chains_ending_at, chains_starting_at
 
     P = X.as_poset() if isinstance(X, IdealLattice) else X
+    if P.n == 0:
+        raise ValueError("the empty poset has no elements to average over")
     ddeg = _ddeg_stat(P)
     density = expectation(uniform(P), ddeg)
     maxexp = expectation(maxchain_dist(P), ddeg)
@@ -141,6 +164,89 @@ class TcdeWitness:
         }
 
 
+def _bitset(flags) -> int:
+    """Int with bit i set iff flags[i] (0 or 1) is 1."""
+    return int("".join(map(str, reversed(flags))), 2)
+
+
+def _empty_full(L: IdealLattice) -> list[int]:
+    """[I = empty] - [I = full] over the ideals in canonical order.
+
+    J(P) starts with the empty ideal and ends with the full one; on the
+    empty poset they coincide and the single ideal counts as full.
+    """
+    values = [0] * L.n
+    values[0] = 1
+    values[-1] = -1
+    return values
+
+
+def _dot(u, v) -> int:
+    """Inner product of two signed columns, each a (plus, minus) bitset pair."""
+    up, um = u
+    vp, vm = v
+    return (
+        (up & vp).bit_count()
+        + (um & vm).bit_count()
+        - (up & vm).bit_count()
+        - (um & vp).bit_count()
+    )
+
+
+def _gram_solve(L: IdealLattice, empty_full: bool):
+    """(x, G): the free-variables-zero solution of G x = A^T ddeg, and G.
+
+    A is [1 | T_p], plus the empty/full column when asked.
+    """
+    cols = [((1 << L.n) - 1, 0)]
+    cols += [(_bitset(L.t_plus[p]), _bitset(L.t_minus[p])) for p in range(L.base.n)]
+    if empty_full:
+        extra = _empty_full(L)
+        cols.append(
+            (_bitset([int(x > 0) for x in extra]), _bitset([int(x < 0) for x in extra]))
+        )
+    planes = [
+        (_bitset([d >> k & 1 for d in L.ddeg]), 0)
+        for k in range(max(L.ddeg).bit_length())
+    ]
+    gram = [[_dot(u, v) for v in cols] for u in cols]
+    rhs = [sum(_dot(u, plane) << k for k, plane in enumerate(planes)) for u in cols]
+    return _solve_consistent(gram, rhs), gram
+
+
+def _clear_denominators(sol) -> tuple[int, list[int]]:
+    """(d, d * sol) with d the lcm of the denominators."""
+    d = lcm(*[x.denominator for x in sol])
+    return d, [x.numerator * (d // x.denominator) for x in sol]
+
+
+def _solve_consistent(matrix, rhs):
+    """linalg.solve on a system known to be consistent, re-checked exactly."""
+    sol = linalg.solve(matrix, rhs)
+    if sol is not None:
+        d, scaled = _clear_denominators(sol)
+        if all(
+            sum(a * x for a, x in zip(row, scaled)) == d * b
+            for row, b in zip(matrix, rhs)
+        ):
+            return sol
+    raise ArithmeticError("exact solve failed on a consistent system")
+
+
+def _fits(L: IdealLattice, sol, empty_full: bool) -> bool:
+    """True iff ddeg = A sol on every ideal, checked in integers."""
+    d, scaled = _clear_denominators(sol)
+    total = [scaled[0] - d * dd for dd in L.ddeg]
+    for p in range(L.base.n):
+        k = scaled[1 + p]
+        if k:
+            plus, minus = L.t_plus[p], L.t_minus[p]
+            total = [t + k * (a - b) for t, a, b in zip(total, plus, minus)]
+    if empty_full:
+        total = [t + scaled[-1] * e for t, e in zip(total, _empty_full(L))]
+    return not any(total)
+
+
 def certify_tcde(
     L: IdealLattice, empty_full_constraint: bool = False
 ) -> Optional[TcdeCertificate]:
@@ -151,28 +257,32 @@ def certify_tcde(
     smaller class of toggle-symmetric distributions that put equal weight on
     the empty and full ideals (the trapezoid trick).
     """
-    nP = L.base.n
-    matrix = []
-    for i in range(L.n):
-        row = [Fraction(1)]
-        row.extend(
-            Fraction(L.t_plus[p][i] - L.t_minus[p][i]) for p in range(nP)
-        )
-        if empty_full_constraint:
-            extra = Fraction(0)
-            if L.ideals[i] == 0:
-                extra = Fraction(1)
-            if i == L.n - 1 and L.ideals[i] == (1 << nP) - 1:
-                extra = Fraction(-1)
-            row.append(extra)
-        matrix.append(row)
-    sol = linalg.solve(matrix, [Fraction(d) for d in L.ddeg])
-    if sol is None:
+    sol, _ = _gram_solve(L, empty_full_constraint)
+    if not _fits(L, sol, empty_full_constraint):
         return None
-    cert = TcdeCertificate(c=sol[0], kappa=tuple(sol[1 : nP + 1]))
-    if not empty_full_constraint:
-        assert cert.validate(L)
-    return cert
+    return TcdeCertificate(c=sol[0], kappa=tuple(sol[1 : L.base.n + 1]))
+
+
+def _lex_first_columns(columns, size: int) -> list[tuple[int, tuple]]:
+    """The first `size` columns, with their indices, independent of all
+    earlier ones, found by incremental fraction-free elimination."""
+    basis = []  # (pivot position, reduced integer vector)
+    chosen = []
+    for i, col in enumerate(columns):
+        v = list(col)
+        for pos, b in basis:
+            if v[pos]:
+                f, g = b[pos], v[pos]
+                v = [f * x - g * y for x, y in zip(v, b)]
+        pos = next((k for k, x in enumerate(v) if x), None)
+        if pos is None:
+            continue
+        g = gcd(*v)
+        basis.append((pos, [x // g for x in v]))
+        chosen.append((i, col))
+        if len(chosen) == size:
+            break
+    return chosen
 
 
 def find_witness(L: IdealLattice) -> Optional[TcdeWitness]:
@@ -182,22 +292,24 @@ def find_witness(L: IdealLattice) -> Optional[TcdeWitness]:
     returns uniform + (eps/2) * v with eps the largest nonnegativity-feasible
     step.  Returns None when the lattice is tCDE (no such v exists).
     """
-    rows = [[Fraction(1)] * L.n]
-    for p in range(L.base.n):
-        rows.append(
-            [Fraction(L.t_plus[p][i] - L.t_minus[p][i]) for i in range(L.n)]
-        )
-    rows.append([Fraction(d) for d in L.ddeg])
-    rhs = [Fraction(0)] * (len(rows) - 1) + [Fraction(1)]
-    v = linalg.solve(rows, rhs)
-    if v is None:
+    sol, gram = _gram_solve(L, False)
+    if _fits(L, sol, False):
         return None
+    rank = len(gram) - len(linalg.nullspace(gram))
+    nP = L.base.n
+    signed = [map(sub, L.t_plus[p], L.t_minus[p]) for p in range(nP)]
+    chosen = _lex_first_columns(zip(repeat(1), *signed, L.ddeg), rank + 1)
+    block = [list(row) for row in zip(*[col for _, col in chosen])]
+    v = _solve_consistent(block, [0] * (nP + 1) + [1])
     base = Fraction(1, L.n)
     eps = min(base / -x for x in v if x < 0)
-    mu = Distribution([base + (eps / 2) * x for x in v])
-    value = expectation(mu, L.ddeg)
-    witness = TcdeWitness(mu=mu, expectation=value)
-    assert witness.validate(L)
+    weights = [base] * L.n
+    for (i, _), x in zip(chosen, v):
+        weights[i] = base + (eps / 2) * x
+    mu = Distribution(weights)
+    witness = TcdeWitness(mu=mu, expectation=expectation(mu, L.ddeg))
+    if not witness.validate(L):
+        raise ArithmeticError("computed tCDE witness failed validation")
     return witness
 
 

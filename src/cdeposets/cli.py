@@ -4,7 +4,11 @@ Verbs: analyze, cert-tcde, witness, orbits, homomesy, count-tableaux, scan,
 family.  Exactly one input source per invocation (--poset FILE, --shape LIT,
 or --family LIT).  Exit codes: 0 success, 1 property refuted (a witness
 exists when certifying, or no witness exists when one was requested),
-2 input error, 3 budget exceeded.
+2 input error (including the empty poset given to ``analyze --poset``, which
+has no edge density), 3 budget exceeded, 4 internal error (any other
+exception, such as a failed self-check).  Codes 2-4 write a JSON object
+{"error": ...}, except for malformed flags, which argparse reports on stderr
+with code 2; an internal error also prints its traceback to stderr.
 
 ``analyze --poset`` reports on the poset in the file itself (the
 counterexample fixtures are studied directly); every other lattice verb, and
@@ -14,6 +18,8 @@ counterexample fixtures are studied directly); every other lattice verb, and
 from __future__ import annotations
 
 import argparse
+import functools
+import io
 import json
 import sys
 from fractions import Fraction
@@ -54,8 +60,10 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cdeposets")
     sub = p.add_subparsers(dest="verb", required=True)
@@ -115,12 +123,15 @@ def _mapping(L, spec: str):
 
 def _emit(report, args) -> None:
     if args.fmt == "csv":
+        import csv
+
         rows = report if isinstance(report, list) else [report]
         cols = sorted({k for r in rows for k in r})
-        lines = [",".join(cols)]
-        for r in rows:
-            lines.append(",".join(str(r.get(c, "")) for c in cols))
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(cols)
+        writer.writerows([r.get(c) for c in cols] for r in rows)
+        text = buf.getvalue()
     else:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -158,7 +169,7 @@ def _ddeg(target):
 
     if isinstance(target, IdealLattice):
         return target.ddeg
-    return tuple(target.ddeg(p) for p in range(target.n))
+    return tuple([target.ddeg(p) for p in range(target.n)])
 
 
 def _cert(args) -> tuple[int, object]:
@@ -307,6 +318,12 @@ def main(argv=None) -> int:
     except (PosetError, ValueError, OSError, json.JSONDecodeError) as exc:
         _emit({"error": str(exc)}, args)
         return EXIT_INPUT
+    except Exception as exc:
+        import traceback
+
+        traceback.print_exc()
+        _emit({"error": f"internal error: {type(exc).__name__}: {exc}"}, args)
+        return EXIT_INTERNAL
     _emit(report, args)
     return code
 

@@ -32,7 +32,7 @@ class Distribution:
     __slots__ = ("weights",)
 
     def __init__(self, weights):
-        ws = tuple(Fraction(w) for w in weights)
+        ws = tuple([Fraction(w) for w in weights])
         if any(w < 0 for w in ws):
             raise ValueError("distribution weights must be nonnegative")
         if sum(ws) != 1:

@@ -123,8 +123,8 @@ def build_lattice(P: Poset, budget: int = DEFAULT_IDEAL_BUDGET) -> IdealLattice:
         index,
         tuple(hasse),
         tuple(ddeg),
-        tuple(tuple(col) for col in t_plus),
-        tuple(tuple(col) for col in t_minus),
+        tuple([tuple(col) for col in t_plus]),
+        tuple([tuple(col) for col in t_minus]),
     )
 
 

@@ -1,81 +1,131 @@
-"""Exact rational Gaussian elimination: solve, rank, nullspace.
+"""Exact linear algebra by fraction-free integer elimination: solve,
+nullspace, det.
 
-Everything works over Fraction; no pivoting heuristics are needed since
-there is no roundoff.  Matrices are lists of row lists.
+Entries may be ints or Fractions.  Each row is first scaled to integers by
+the lcm of its denominators, then reduced with Bareiss's (1968) one-step
+fraction-free elimination: after k pivots every entry below the pivot rows
+is a (k+1)-minor of the scaled matrix, so each update divides exactly by the
+previous pivot and no rational arithmetic or gcds are needed.  The pivot of
+each column is its first nonzero entry at or below the current row; the
+pivot columns are therefore the lex-first independent columns, whatever the
+row order.  Matrices are lists of row lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 
 
-def _echelon(rows):
-    """Row-reduce in place; returns list of (row_index, pivot_col)."""
-    pivots = []
+def _integer_rows(matrix):
+    """Copy of the matrix with each row scaled to integers."""
+    rows = []
+    for row in matrix:
+        d = lcm(*[x.denominator for x in row])
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+    return rows
+
+
+def _echelon(rows, n_cols):
+    """Bareiss forward elimination in place over the first n_cols columns.
+
+    Returns (pivot columns, sign of the row permutation).  Pivot row k is
+    rows[k] and its pivot rows[k][cols[k]] is the k+1 leading minor on the
+    pivot columns.
+    """
+    cols = []
+    sign = 1
+    prev = 1
     r = 0
     n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
     for c in range(n_cols):
-        pivot = None
-        for i in range(r, n_rows):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
         if r == n_rows:
             break
-    return pivots
+        pivot = next((i for i in range(r, n_rows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
+        top = rows[r]
+        pv = top[c]
+        for i in range(r + 1, n_rows):
+            row = rows[i]
+            f = row[c]
+            rows[i] = row[:c] + [
+                (pv * a - f * b) // prev for a, b in zip(row[c:], top[c:])
+            ]
+        cols.append(c)
+        prev = pv
+        r += 1
+    return cols, sign
 
 
-def solve(matrix, rhs):
-    """One solution of A x = b over the rationals, or None if inconsistent."""
-    n_rows = len(matrix)
-    if n_rows == 0:
-        return []
-    n_cols = len(matrix[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    pivots = _echelon(aug)
-    pivot_cols = {c for _, c in pivots}
-    if n_cols in pivot_cols:
-        return None
+def _back_substitute(rows, cols, rhs, n_cols):
+    """The solution with free variables zero of the echelon system rows x = rhs.
+
+    rhs holds one value per pivot row.  With D the last pivot, D * x is an
+    integer vector (Cramer's rule on the pivot block), so every division
+    below is exact.
+    """
     sol = [Fraction(0)] * n_cols
-    for r, c in pivots:
-        sol[c] = aug[r][n_cols]
+    if not cols:
+        return sol
+    det = rows[len(cols) - 1][cols[-1]]
+    y = {}
+    for r in range(len(cols) - 1, -1, -1):
+        row = rows[r]
+        acc = det * rhs[r] - sum(row[c] * y[c] for c in cols[r + 1 :])
+        y[cols[r]] = acc // row[cols[r]]
+    for c, v in y.items():
+        sol[c] = Fraction(v, det)
     return sol
 
 
-def nullspace(matrix):
-    """Basis of the right nullspace of A (list of Fraction vectors)."""
-    n_rows = len(matrix)
-    if n_rows == 0:
+def solve(matrix, rhs):
+    """One solution of A x = b over the rationals, or None if inconsistent.
+
+    Free variables are zero, so the solution is supported on the lex-first
+    independent columns of A.
+    """
+    if not matrix:
         return []
     n_cols = len(matrix[0])
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    pivots = _echelon(rows)
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
+    aug = _integer_rows([list(row) + [b] for row, b in zip(matrix, rhs)])
+    cols, _ = _echelon(aug, n_cols + 1)
+    if cols and cols[-1] == n_cols:
+        return None
+    return _back_substitute(aug, cols, [row[n_cols] for row in aug], n_cols)
+
+
+def nullspace(matrix):
+    """Basis of the right nullspace of A (list of Fraction vectors).
+
+    One vector per free column f: 1 at f, zero at the other free columns.
+    """
+    if not matrix:
+        return []
+    n_cols = len(matrix[0])
+    rows = _integer_rows(matrix)
+    cols, _ = _echelon(rows, n_cols)
+    pivot_set = set(cols)
     basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
-        for r, c in pivots:
-            v[c] = -rows[r][fc]
-        basis.append(v)
+    for f in range(n_cols):
+        if f not in pivot_set:
+            v = _back_substitute(rows, cols, [-row[f] for row in rows], n_cols)
+            v[f] = Fraction(1)
+            basis.append(v)
     return basis
 
 
-def rank(matrix) -> int:
-    if not matrix:
-        return 0
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    return len(_echelon(rows))
+def det(matrix) -> Fraction:
+    """Determinant of a square matrix."""
+    n = len(matrix)
+    if n == 0:
+        return Fraction(1)
+    rows = _integer_rows(matrix)
+    scale = prod(lcm(*[x.denominator for x in row]) for row in matrix)
+    cols, sign = _echelon(rows, n)
+    if len(cols) < n:
+        return Fraction(0)
+    return Fraction(sign * rows[n - 1][n - 1], scale)

@@ -73,8 +73,8 @@ class Poset:
         for p, q in covers:
             up[p].append(q)
             down[q].append(p)
-        self.up_covers = tuple(tuple(u) for u in up)
-        self.down_covers = tuple(tuple(d) for d in down)
+        self.up_covers = tuple([tuple(u) for u in up])
+        self.down_covers = tuple([tuple(d) for d in down])
         self.strict_up = _reachability(n, self.up_covers)
         self.strict_down = _reachability(n, self.down_covers)
 

@@ -24,7 +24,7 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts if p != 0)
+        parts = tuple([int(p) for p in self.parts if p != 0])
         if any(p <= 0 for p in parts):
             raise ValueError("partition parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -57,14 +57,16 @@ class Partition:
             return Partition(())
         return Partition(
             tuple(
-                sum(1 for p in self.parts if p >= j)
-                for j in range(1, self.parts[0] + 1)
+                [
+                    sum(1 for p in self.parts if p >= j)
+                    for j in range(1, self.parts[0] + 1)
+                ]
             )
         )
 
     def __add__(self, other: "Partition") -> "Partition":
         n = max(self.length, other.length)
-        return Partition(tuple(self.part(i) + other.part(i) for i in range(1, n + 1)))
+        return Partition(tuple([self.part(i) + other.part(i) for i in range(1, n + 1)]))
 
     def __str__(self):
         return "(" + ",".join(str(p) for p in self.parts) + ")"
@@ -131,9 +133,13 @@ class SkewShape:
             self.inner_cols = tuple(inner_cols)
             self.b = max(outer_cols)
             self.boxes = tuple(
-                (i, j)
-                for i in range(1, self.a + 1)
-                for j in range(self.inner_cols[i - 1] + 1, self.outer_cols[i - 1] + 1)
+                [
+                    (i, j)
+                    for i in range(1, self.a + 1)
+                    for j in range(
+                        self.inner_cols[i - 1] + 1, self.outer_cols[i - 1] + 1
+                    )
+                ]
             )
         self.box_index = {box: k for k, box in enumerate(self.boxes)}
 
@@ -277,9 +283,11 @@ class ShiftedShape:
         self.strict = strict
         self.n_rows = strict.length
         self.boxes = tuple(
-            (i, j)
-            for i in range(1, self.n_rows + 1)
-            for j in range(i, i + strict.part(i))
+            [
+                (i, j)
+                for i in range(1, self.n_rows + 1)
+                for j in range(i, i + strict.part(i))
+            ]
         )
         self.box_index = {box: k for k, box in enumerate(self.boxes)}
 
@@ -657,7 +665,7 @@ def parse_partition(text: str) -> Partition:
     text = text.strip()
     if not text:
         return EMPTY
-    return Partition(tuple(int(x) for x in text.split(",")))
+    return Partition(tuple([int(x) for x in text.split(",")]))
 
 
 def parse_shape(literal: str):

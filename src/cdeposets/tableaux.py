@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from . import linalg
 from .distributions import expectation, maxchain_dist
 from .ideals import build_lattice
 from .posets import Poset
@@ -55,30 +56,10 @@ def f_aitken(shape: SkewShape) -> int:
             m = lam.part(i) - i - nu.part(j) + j
             row.append(Fraction(0) if m < 0 else Fraction(1, factorial(m)))
         rows.append(row)
-    det = _det(rows)
-    result = factorial(size) * det
-    assert result.denominator == 1
+    result = factorial(size) * linalg.det(rows)
+    if result.denominator != 1:
+        raise ArithmeticError(f"Aitken determinant gave a non-integer count {result}")
     return int(result)
-
-
-def _det(rows) -> Fraction:
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if rows[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for r in range(c + 1, n):
-            if rows[r][c]:
-                f = rows[r][c] * inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
-    return det
 
 
 def hook_lengths(lam: Partition) -> dict[tuple[int, int], int]:
@@ -95,7 +76,8 @@ def f_hook(lam: Partition) -> int:
     prod = 1
     for h in hook_lengths(lam).values():
         prod *= h
-    assert factorial(lam.size) % prod == 0
+    if factorial(lam.size) % prod:
+        raise ArithmeticError(f"hook product {prod} does not divide {lam.size}!")
     return factorial(lam.size) // prod
 
 
@@ -119,7 +101,8 @@ def g_thrall(lam: Partition) -> int:
     prod = 1
     for h in shifted_hook_lengths(lam).values():
         prod *= h
-    assert factorial(lam.size) % prod == 0
+    if factorial(lam.size) % prod:
+        raise ArithmeticError(f"shifted hook product {prod} does not divide {lam.size}!")
     return factorial(lam.size) // prod
 
 

@@ -1,0 +1,87 @@
+"""Reference route for tCDE certificates and witnesses: dense Fraction solves.
+
+This is the straightforward formulation the library's Gram route must agree
+with bit for bit.  ``certify_tcde_dense`` row-reduces the |J| x (n+1) system
+[1 | T_p] (c, kappa) = ddeg, one row per ideal; ``find_witness_dense``
+row-reduces the (n+2) x |J| system [1; T_p; ddeg] v = e_last, one column per
+ideal.  Both use Gauss-Jordan elimination over Fraction with the first
+nonzero entry of each column as pivot and free variables set to zero, so the
+solution is supported on the lex-first independent columns.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from cdeposets import Distribution, expectation
+from cdeposets.cde import TcdeCertificate, TcdeWitness
+
+
+def _echelon(rows):
+    """Row-reduce in place; returns list of (row_index, pivot_col)."""
+    pivots = []
+    r = 0
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    for c in range(n_cols):
+        pivot = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == n_rows:
+            break
+    return pivots
+
+
+def dense_solve(matrix, rhs):
+    """One solution of A x = b over the rationals, or None if inconsistent."""
+    if not matrix:
+        return []
+    n_cols = len(matrix[0])
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    pivots = _echelon(aug)
+    if any(c == n_cols for _, c in pivots):
+        return None
+    sol = [Fraction(0)] * n_cols
+    for r, c in pivots:
+        sol[c] = aug[r][n_cols]
+    return sol
+
+
+def certify_tcde_dense(L, empty_full_constraint=False):
+    nP = L.base.n
+    matrix = []
+    for i in range(L.n):
+        row = [1] + [L.t_plus[p][i] - L.t_minus[p][i] for p in range(nP)]
+        if empty_full_constraint:
+            extra = 1 if L.ideals[i] == 0 else 0
+            if i == L.n - 1 and L.ideals[i] == (1 << nP) - 1:
+                extra = -1
+            row.append(extra)
+        matrix.append(row)
+    sol = dense_solve(matrix, L.ddeg)
+    if sol is None:
+        return None
+    return TcdeCertificate(c=sol[0], kappa=tuple(sol[1 : nP + 1]))
+
+
+def find_witness_dense(L):
+    rows = [[1] * L.n]
+    for p in range(L.base.n):
+        rows.append([L.t_plus[p][i] - L.t_minus[p][i] for i in range(L.n)])
+    rows.append(list(L.ddeg))
+    v = dense_solve(rows, [0] * (len(rows) - 1) + [1])
+    if v is None:
+        return None
+    base = Fraction(1, L.n)
+    eps = min(base / -x for x in v if x < 0)
+    mu = Distribution([base + (eps / 2) * x for x in v])
+    return TcdeWitness(mu=mu, expectation=expectation(mu, L.ddeg))

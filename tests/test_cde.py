@@ -197,3 +197,63 @@ def test_scan_family():
     assert [r["holds"] for r in rows] == [True, True]
     with pytest.raises(ValueError):
         list(scan_family([], "bogus"))
+
+
+OPTIMIZED_CHECKS = """
+import sys
+from fractions import Fraction
+
+from cdeposets import build_lattice, certify_tcde, cli, find_witness, linalg
+from cdeposets.shapes import parse_shape
+from cdeposets.tableaux import f_aitken
+
+print("optimize", sys.flags.optimize)
+real_solve, real_det = linalg.solve, linalg.det
+
+
+def corrupt_solve(matrix, rhs):
+    x = real_solve(matrix, rhs)
+    return None if x is None else [x[0] + 1] + x[1:]
+
+
+linalg.solve = corrupt_solve
+linalg.det = lambda rows: real_det(rows) + Fraction(1, 7)
+for literal in ("shifted:3,2,1", "shifted:4,2"):
+    L = build_lattice(parse_shape(literal).poset())
+    for fn in (certify_tcde, find_witness):
+        try:
+            print(fn.__name__, literal, fn(L))
+        except ArithmeticError:
+            print(fn.__name__, literal, "rejected")
+try:
+    print("f_aitken", f_aitken(parse_shape("skew:3,2/1")))
+except ArithmeticError:
+    print("f_aitken rejected")
+print("exit", cli.main(["cert-tcde", "--shape", "shifted:3,2,1"]))
+"""
+
+
+def test_corrupted_solves_are_rejected_under_python_O():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    ).stdout.splitlines()
+    assert out[0] == "optimize 1"
+    assert out[1:6] == [
+        "certify_tcde shifted:3,2,1 rejected",
+        "find_witness shifted:3,2,1 rejected",
+        "certify_tcde shifted:4,2 rejected",
+        "find_witness shifted:4,2 rejected",
+        "f_aitken rejected",
+    ]
+    assert out[-1] == "exit 4"

@@ -1,7 +1,10 @@
+import csv
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
+from cdeposets import cli
 from cdeposets.cli import main
 from cdeposets import Distribution, build_lattice, expectation, is_toggle_symmetric
 from cdeposets.shapes import parse_shape
@@ -107,6 +110,18 @@ def test_scan_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("edge_density")
     assert len(lines) > 5
+    # multi-part shape names hold commas; nulls are empty cells
+    for family in ("straight-shapes:8", "strict-partitions:8"):
+        for predicate in ("cde", "tcde"):
+            code, out = run(
+                capsys, "scan", "--family", family, "--predicate", predicate,
+                "--format", "csv",
+            )
+            assert code == 0
+            header, *body = csv.reader(io.StringIO(out))
+            assert len(body) > 10
+            assert all(len(row) == len(header) for row in body)
+            assert "None" not in out
 
 
 def test_family_verb(capsys):
@@ -171,3 +186,42 @@ def test_analyze_k_flag(capsys):
     assert json.loads(out)["chain_expectation_k"] == "13/14"
     code, _ = run(capsys, "analyze", "--poset", str(FIXTURES / "fix-a.json"), "--k", "9")
     assert code == 2
+
+
+def test_empty_poset_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"n": 0, "relations": []}')
+    code, out = run(capsys, "analyze", "--poset", str(path))
+    assert code == cli.EXIT_INPUT
+    assert "error" in json.loads(out)
+    # J(empty) has one ideal, which is a fine lattice to analyze
+    code, out = run(capsys, "analyze", "--poset", str(path), "--lattice")
+    assert code == 0 and json.loads(out)["edge_density"] == "0/1"
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(args):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "analyze", broken)
+    code = main(["analyze", "--shape", "straight:2"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert json.loads(captured.out) == {"error": "internal error: ZeroDivisionError: boom"}
+    assert "Traceback" in captured.err
+
+
+def test_back_to_back_calls_share_no_state(capsys):
+    assert cli._parser() is cli._parser()
+    code, out = run(capsys, "cert-tcde", "--shape", "shifted:4,2", "--extra-empty-full")
+    assert code == 0
+    code, out = run(capsys, "cert-tcde", "--shape", "shifted:4,2")
+    assert code == 1 and json.loads(out)["certified"] is False
+    code, out = run(capsys, "analyze", "--shape", "straight:2,2", "--m", "2", "--k", "1")
+    assert {"mchain_expectation", "chain_expectation_k"} <= set(json.loads(out))
+    code, out = run(capsys, "analyze", "--shape", "straight:2,2")
+    assert not {"mchain_expectation", "chain_expectation_k"} & set(json.loads(out))
+    code, out = run(capsys, "scan", "--family", "straight-shapes:3", "--format", "csv")
+    assert out.startswith("edge_density,")
+    code, out = run(capsys, "scan", "--family", "straight-shapes:3")
+    assert isinstance(json.loads(out), list)

@@ -1,0 +1,75 @@
+import random
+from fractions import Fraction
+from itertools import permutations
+
+from cdeposets import linalg
+
+from dense_oracle import _echelon, dense_solve
+
+
+def _random_matrix(rng, m, n):
+    rows = [
+        [
+            Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2, 3)))
+            if rng.random() < 0.6
+            else 0
+            for _ in range(n)
+        ]
+        for _ in range(m)
+    ]
+    if m > 1 and rng.random() < 0.3:  # force a dependent row
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+def _dense_nullspace(matrix):
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    pivots = _echelon(rows)
+    pivot_cols = [c for _, c in pivots]
+    basis = []
+    for f in range(len(matrix[0])):
+        if f not in pivot_cols:
+            v = [Fraction(0)] * len(matrix[0])
+            v[f] = Fraction(1)
+            for r, c in pivots:
+                v[c] = -rows[r][f]
+            basis.append(v)
+    return basis
+
+
+def _leibniz_det(matrix):
+    n = len(matrix)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term *= matrix[i][perm[i]]
+        total += term
+    return total
+
+
+def test_integer_elimination_matches_dense_fraction_route():
+    rng = random.Random(1968)
+    inconsistent = 0
+    for _ in range(1500):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        A = _random_matrix(rng, m, n)
+        b = [rng.randint(-3, 3) for _ in range(m)]
+        got = linalg.solve(A, b)
+        assert got == dense_solve(A, b)
+        inconsistent += got is None
+        assert linalg.nullspace(A) == _dense_nullspace(A)
+        if m == n and m <= 5:
+            assert linalg.det(A) == _leibniz_det(A)
+    assert inconsistent > 100
+
+
+def test_degenerate_shapes():
+    assert linalg.solve([], []) == []
+    assert linalg.solve([[0, 0]], [0]) == [0, 0]
+    assert linalg.solve([[0, 0]], [1]) is None
+    assert linalg.nullspace([[0, 0]]) == [[1, 0], [0, 1]]
+    assert linalg.det([]) == 1
+    assert linalg.det([[1, 2], [2, 4]]) == 0
+    assert linalg.det([[0, 1], [1, 0]]) == -1
