@@ -63,7 +63,6 @@ from .shapes import (
     rectangle,
     rook,
     rook_placement,
-    shifted_rook,
     shifted_rook_placement,
     staircase,
 )
@@ -78,4 +77,12 @@ from .tableaux import (
     g_thrall,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# the submodules are bound as attributes by the imports above; export only
+# the names imported from them
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

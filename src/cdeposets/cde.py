@@ -37,19 +37,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import sub
+from operator import mul, sub
 from typing import Optional
 
 from . import linalg
 from .distributions import (
     Distribution,
+    chain_counts_through,
     expectation,
     longest_chain,
     maxchain_dist,
     uniform,
 )
 from .ideals import IdealLattice
-from .posets import Poset
 from .serialize import rat_str
 
 
@@ -82,30 +82,20 @@ def _ddeg_stat(X):
 def cde_report(X) -> CdeReport:
     """Edge density, maxchain and all k-chain expectations, CDE/mCDE flags.
 
-    The k-chain expectations for every k share one pair of chain-count
-    tables instead of rebuilding them per k.
+    The k-chain expectations for every k read one table of chain counts.
     """
-    from .distributions import chains_ending_at, chains_starting_at
-
     P = X.as_poset() if isinstance(X, IdealLattice) else X
     if P.n == 0:
         raise ValueError("the empty poset has no elements to average over")
     ddeg = _ddeg_stat(P)
     density = expectation(uniform(P), ddeg)
     maxexp = expectation(maxchain_dist(P), ddeg)
-    r = longest_chain(P)
-    down = chains_ending_at(P, r)
-    up = chains_starting_at(P, r)
-    chains = []
-    for k in range(r + 1):
-        total = 0
-        weighted = 0
-        for p in range(P.n):
-            through = sum(down[t][p] * up[k - t][p] for t in range(k + 1))
-            total += through
-            weighted += through * ddeg[p]
-        chains.append(Fraction(weighted, total))
-    chains = tuple(chains)
+    chains = tuple(
+        [
+            Fraction(sum(map(mul, row, ddeg)), sum(row))
+            for row in chain_counts_through(P, longest_chain(P))
+        ]
+    )
     return CdeReport(
         n=P.n,
         edge_density=density,

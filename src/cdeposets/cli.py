@@ -8,7 +8,10 @@ exists when certifying, or no witness exists when one was requested),
 has no edge density), 3 budget exceeded, 4 internal error (any other
 exception, such as a failed self-check).  Codes 2-4 write a JSON object
 {"error": ...}, except for malformed flags, which argparse reports on stderr
-with code 2; an internal error also prints its traceback to stderr.
+with code 2; an internal error also prints its traceback to stderr.  Each
+verb accepts only the flags it reads (see ``_VERB_FLAGS``), spelled out in
+full.  An ``--out`` file that cannot be opened is an input error whose JSON
+goes to standard output.
 
 ``analyze --poset`` reports on the poset in the file itself (the
 counterexample fixtures are studied directly); every other lattice verb, and
@@ -24,7 +27,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .cde import cde_report, certify_tcde, find_witness, scan_family
+from .cde import _ddeg_stat, cde_report, certify_tcde, find_witness, scan_family
 from .distributions import expectation, mchain_dist, mmchain_dist
 from .dynamics import (
     antichain_cardinality,
@@ -36,7 +39,7 @@ from .dynamics import (
 )
 from .ideals import DEFAULT_IDEAL_BUDGET, LatticeBudgetError, build_lattice
 from .minuscule import parse_family
-from .posets import Poset, PosetError, load_poset
+from .posets import PosetError, load_poset
 from .serialize import rat_str
 from .shapes import (
     ShiftedShape,
@@ -63,35 +66,45 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
+_FLAGS = {
+    "--poset": {"metavar": "FILE"},
+    "--shape": {"metavar": "LIT"},
+    "--family": {"metavar": "LIT"},
+    "--map": {"dest": "map_spec", "default": "rowmotion"},
+    "--k": {"type": int, "default": None},
+    "--m": {"type": int, "default": None},
+    "--lattice": {"action": "store_true"},
+    "--extra-empty-full": {"action": "store_true"},
+    "--predicate": {"choices": ("cde", "mcde", "tcde"), "default": "cde"},
+    "--format": {"dest": "fmt", "choices": ("json", "csv"), "default": "json"},
+    "--budget": {"type": int, "default": DEFAULT_IDEAL_BUDGET},
+    "--out": {"metavar": "FILE", "default": None},
+}
+_SOURCES = ("--poset", "--shape", "--family")
+
+# each verb takes only the flags its handler reads, plus --out
+_VERB_FLAGS = {
+    "analyze": (*_SOURCES, "--k", "--m", "--lattice", "--budget"),
+    "cert-tcde": (*_SOURCES, "--extra-empty-full", "--budget"),
+    "witness": (*_SOURCES, "--budget"),
+    "orbits": (*_SOURCES, "--map", "--budget"),
+    "homomesy": (*_SOURCES, "--map", "--budget"),
+    "count-tableaux": ("--shape", "--budget"),
+    "scan": ("--family", "--predicate", "--format", "--budget"),
+    "family": _SOURCES,
+}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cdeposets")
     sub = p.add_subparsers(dest="verb", required=True)
-    for verb in (
-        "analyze",
-        "cert-tcde",
-        "witness",
-        "orbits",
-        "homomesy",
-        "count-tableaux",
-        "scan",
-        "family",
-    ):
-        sp = sub.add_parser(verb)
-        sp.add_argument("--poset", metavar="FILE")
-        sp.add_argument("--shape", metavar="LIT")
-        sp.add_argument("--family", metavar="LIT")
-        sp.add_argument("--map", dest="map_spec", default="rowmotion")
-        sp.add_argument("--k", type=int, default=None)
-        sp.add_argument("--m", type=int, default=None)
-        sp.add_argument("--budget", type=int, default=DEFAULT_IDEAL_BUDGET)
-        sp.add_argument("--out", metavar="FILE", default=None)
-        sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-        sp.add_argument(
-            "--predicate", choices=("cde", "mcde", "tcde"), default="cde"
-        )
-        sp.add_argument("--extra-empty-full", action="store_true")
-        sp.add_argument("--lattice", action="store_true")
+    for verb, flags in _VERB_FLAGS.items():
+        # no prefix matching, or `orbits --m 2` would be read as `--map 2`
+        sp = sub.add_parser(verb, allow_abbrev=False)
+        sp.set_defaults(fmt="json")
+        for flag in (*flags, "--out"):
+            sp.add_argument(flag, **_FLAGS[flag])
     return p
 
 
@@ -121,8 +134,8 @@ def _mapping(L, spec: str):
     raise PosetError(f"unknown map {spec!r}")
 
 
-def _emit(report, args) -> None:
-    if args.fmt == "csv":
+def _render(report, fmt: str) -> str:
+    if fmt == "csv":
         import csv
 
         rows = report if isinstance(report, list) else [report]
@@ -131,14 +144,8 @@ def _emit(report, args) -> None:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(cols)
         writer.writerows([r.get(c) for c in cols] for r in rows)
-        text = buf.getvalue()
-    else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return buf.getvalue()
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def _analyze(args) -> tuple[int, object]:
@@ -155,21 +162,14 @@ def _analyze(args) -> tuple[int, object]:
             raise PosetError(f"--k {args.k} out of range 0..{len(chains) - 1}")
         report["chain_expectation_k"] = chains[args.k]
     if args.m is not None:
+        ddeg = _ddeg_stat(target)
         report["mchain_expectation"] = rat_str(
-            expectation(mchain_dist(target, args.m), _ddeg(target))
+            expectation(mchain_dist(target, args.m), ddeg)
         )
         report["mmchain_expectation"] = rat_str(
-            expectation(mmchain_dist(target, args.m), _ddeg(target))
+            expectation(mmchain_dist(target, args.m), ddeg)
         )
     return EXIT_OK, report
-
-
-def _ddeg(target):
-    from .ideals import IdealLattice
-
-    if isinstance(target, IdealLattice):
-        return target.ddeg
-    return tuple([target.ddeg(p) for p in range(target.n)])
 
 
 def _cert(args) -> tuple[int, object]:
@@ -308,23 +308,33 @@ _HANDLERS = {
 }
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+def _run(args) -> tuple[int, object]:
     try:
-        code, report = _HANDLERS[args.verb](args)
+        return _HANDLERS[args.verb](args)
     except (LatticeBudgetError, TableauBudgetError) as exc:
-        _emit({"error": str(exc)}, args)
-        return EXIT_BUDGET
+        return EXIT_BUDGET, {"error": str(exc)}
     except (PosetError, ValueError, OSError, json.JSONDecodeError) as exc:
-        _emit({"error": str(exc)}, args)
-        return EXIT_INPUT
+        return EXIT_INPUT, {"error": str(exc)}
     except Exception as exc:
         import traceback
 
         traceback.print_exc()
-        _emit({"error": f"internal error: {type(exc).__name__}: {exc}"}, args)
-        return EXIT_INTERNAL
-    _emit(report, args)
+        return EXIT_INTERNAL, {"error": f"internal error: {type(exc).__name__}: {exc}"}
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    code, report = _run(args)
+    text = _render(report, args.fmt)
+    if not args.out:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        sys.stdout.write(_render({"error": str(exc)}, "json"))
+        return EXIT_INPUT
     return code
 
 

@@ -1,10 +1,16 @@
 """Exact probability distributions on finite posets and ideal lattices.
 
 All of the distributions here (uniform, rank, k-chain, maxchain, the two
-multichain flavors) are exact rational weight vectors.  Chain counts through
-an element are computed with two dynamic programs (counting chains ending at
-and starting from each element) rather than enumeration.  Multichain counts
-use zeta-style DPs over the weak order.
+multichain flavors) are exact rational weight vectors, computed by counting
+rather than enumeration.  Every chain and multichain weight reads one table:
+``chain_counts_through(P, k_max)`` gives, for each k, the number of k-chains
+through each element, by gluing a walk table of strict steps down from p to
+one of strict steps up from p.  An m-multichain whose support is a k-chain
+can be formed in C(m, k) ways, so the mchain weight of p is
+sum_k C(m, k) * #{k-chains through p}; counting positions instead gives the
+mmchain weight sum_k C(m+1, k+1) * #{k-chains through p}.  Maximal chains
+come from one saturated-chain sweep over the covers, which
+``tableaux.count_linear_extensions`` shares.
 
 These distributions are defined on any finite poset, not only on lattices:
 the counterexample fixtures need chain/maxchain statistics of a raw poset as
@@ -19,7 +25,7 @@ from itertools import combinations
 from math import comb
 
 from .ideals import IdealLattice
-from .posets import Poset
+from .posets import Poset, _bits
 
 
 def _carrier(X) -> Poset:
@@ -112,44 +118,36 @@ def rank_dist(L: IdealLattice) -> Distribution:
     return Distribution(weights)
 
 
-# --- chain-count dynamic programs -------------------------------------------
+# --- chain counts: one walk table, one saturated-chain sweep ----------------
 
 
-def chains_ending_at(P: Poset, k_max: int):
-    """table[k][p] = number of k-chains whose top element is p."""
-    below = [
-        [q for q in range(P.n) if P.strict_up[q] >> p & 1] for p in range(P.n)
-    ]
-    table = [[1] * P.n]
+def _walk_table(steps, k_max: int):
+    """table[i][p] = number of sequences x_0 -> ... -> x_i = p, where
+    steps[p] lists the x that may precede p."""
+    table = [[1] * len(steps)]
     for _ in range(k_max):
         prev = table[-1]
-        table.append([sum(prev[q] for q in below[p]) for p in range(P.n)])
+        table.append([sum([prev[q] for q in s]) for s in steps])
     return table
 
 
-def chains_starting_at(P: Poset, k_max: int):
-    above = [
-        [q for q in range(P.n) if P.strict_up[p] >> q & 1] for p in range(P.n)
+def chain_counts_through(P: Poset, k_max: int):
+    """rows[k][p] = number of k-chains passing through p, for k = 0..k_max.
+
+    A k-chain through p is a strict walk of t steps down from p glued to one
+    of k - t steps up from p.
+    """
+    down = _walk_table([_bits(m) for m in P.strict_down], k_max)
+    up = _walk_table([_bits(m) for m in P.strict_up], k_max)
+    return [
+        [sum([down[t][p] * up[k - t][p] for t in range(k + 1)]) for p in range(P.n)]
+        for k in range(k_max + 1)
     ]
-    table = [[1] * P.n]
-    for _ in range(k_max):
-        prev = table[-1]
-        table.append([sum(prev[q] for q in above[p]) for p in range(P.n)])
-    return table
 
 
 def chain_count(P: Poset, k: int) -> int:
     """Number of k-chains of P."""
-    return sum(chains_ending_at(P, k)[k])
-
-
-def chain_counts_through(P: Poset, k: int):
-    """Per element: number of k-chains passing through it."""
-    down = chains_ending_at(P, k)
-    up = chains_starting_at(P, k)
-    return [
-        sum(down[t][p] * up[k - t][p] for t in range(k + 1)) for p in range(P.n)
-    ]
+    return sum(chain_counts_through(P, k)[k]) // (k + 1)
 
 
 def longest_chain(P: Poset) -> int:
@@ -164,81 +162,63 @@ def chain_dist(X, k: int) -> Distribution:
     r = longest_chain(P)
     if not 0 <= k <= r:
         raise ValueError(f"k={k} out of range 0..{r} for this poset")
-    through = chain_counts_through(P, k)
-    denom = (k + 1) * chain_count(P, k)
-    return Distribution([Fraction(t, denom) for t in through])
+    through = chain_counts_through(P, k)[k]
+    total = sum(through)
+    return Distribution([Fraction(t, total) for t in through])
+
+
+def _saturated_chains(order, preds) -> list[int]:
+    """counts[x] = number of saturated chains from an element with no preds
+    up to x; ``order`` lists the elements with every x after its preds."""
+    counts = [0] * len(preds)
+    for x in order:
+        counts[x] = sum([counts[y] for y in preds[x]]) if preds[x] else 1
+    return counts
 
 
 def maxchain_dist(X) -> Distribution:
     """Weight proportional to the number of maximal chains through p."""
     P = _carrier(X)
     order = P.topological_order()
-    up = [0] * P.n  # saturated chains from a minimal element up to p
-    for x in order:
-        up[x] = sum(up[y] for y in P.down_covers[x]) if P.down_covers[x] else 1
-    down = [0] * P.n
-    for x in reversed(order):
-        down[x] = sum(down[y] for y in P.up_covers[x]) if P.up_covers[x] else 1
-    through = [up[p] * down[p] for p in range(P.n)]
-    return Distribution([Fraction(t, sum(through)) for t in through])
+    up = _saturated_chains(order, P.down_covers)
+    down = _saturated_chains(order[::-1], P.up_covers)
+    through = [u * d for u, d in zip(up, down)]
+    total = sum(through)
+    return Distribution([Fraction(t, total) for t in through])
 
 
 # --- multichain distributions -----------------------------------------------
 
 
-def _multichain_end_table(P: Poset, m: int, allowed=None):
-    """table[i][p] = number of i-multichains ending at p (within allowed)."""
-    if allowed is None:
-        allowed = list(range(P.n))
-    downeq = {
-        p: [q for q in allowed if q == p or P.strict_up[q] >> p & 1]
-        for p in allowed
-    }
-    table = [{p: 1 for p in allowed}]
-    for _ in range(m):
-        prev = table[-1]
-        table.append({p: sum(prev[q] for q in downeq[p]) for p in allowed})
-    return table
-
-
-def multichain_count(P: Poset, m: int, allowed=None) -> int:
-    return sum(_multichain_end_table(P, m, allowed)[m].values())
+def _multichain_dist(X, m: int, per_chain) -> Distribution:
+    """Weight of p proportional to sum_k per_chain(k) * #{k-chains through p}."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    P = _carrier(X)
+    rows = chain_counts_through(P, min(m, longest_chain(P)))
+    coeffs = [per_chain(k) for k in range(len(rows))]
+    weights = [sum([c * row[p] for c, row in zip(coeffs, rows)]) for p in range(P.n)]
+    total = sum(weights)
+    return Distribution([Fraction(w, total) for w in weights])
 
 
 def mchain_dist(X, m: int) -> Distribution:
-    """Weight proportional to the number of m-multichains through p."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    P = _carrier(X)
-    total = multichain_count(P, m)
-    through = []
-    everyone = list(range(P.n))
-    for p in range(P.n):
-        avoid = [q for q in everyone if q != p]
-        through.append(total - multichain_count(P, m, avoid))
-    return Distribution([Fraction(t, sum(through)) for t in through])
+    """Weight proportional to the number of m-multichains through p.
+
+    An m-multichain x_0 <= ... <= x_m whose support is a k-chain repeats
+    its k+1 elements in one of C(m, k) ways (compositions of m+1 into k+1
+    parts), so p lies on sum_k C(m, k) * #{k-chains through p} of them.
+    """
+    return _multichain_dist(X, m, lambda k: comb(m, k))
 
 
 def mmchain_dist(X, m: int) -> Distribution:
-    """Weight proportional to the number of times p occurs in an m-multichain."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    P = _carrier(X)
-    ends = _multichain_end_table(P, m)
-    upeq = [
-        [q for q in range(P.n) if q == p or P.strict_up[p] >> q & 1]
-        for p in range(P.n)
-    ]
-    starts = [[1] * P.n]
-    for _ in range(m):
-        prev = starts[-1]
-        starts.append([sum(prev[q] for q in upeq[p]) for p in range(P.n)])
-    occ = [
-        sum(ends[i][p] * starts[m - i][p] for i in range(m + 1))
-        for p in range(P.n)
-    ]
-    denom = (m + 1) * multichain_count(P, m)
-    return Distribution([Fraction(o, denom) for o in occ])
+    """Weight proportional to the number of times p occurs in an m-multichain.
+
+    Over the C(m, k) multichains on one k-chain support, each support
+    element fills (m+1)/(k+1) * C(m, k) = C(m+1, k+1) positions in total.
+    """
+    return _multichain_dist(X, m, lambda k: comb(m + 1, k + 1))
 
 
 # --- toggle-symmetry ----------------------------------------------------------

@@ -142,6 +142,3 @@ def toggleability(L: IdealLattice, p: int):
     """(T+_p, T-_p) as 0/1 statistics over the ideals."""
     return L.t_plus[p], L.t_minus[p]
 
-
-def jaggedness(L: IdealLattice, i: int) -> int:
-    return sum(L.t_plus[p][i] + L.t_minus[p][i] for p in range(L.base.n))

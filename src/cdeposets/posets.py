@@ -86,15 +86,8 @@ class Poset:
     def less(self, p: int, q: int) -> bool:
         return bool(self.strict_up[p] >> q & 1)
 
-    def down_set(self, p: int) -> int:
-        """Bitmask of elements strictly below p."""
-        return self.strict_down[p]
-
     def minimals(self) -> list[int]:
         return [p for p in range(self.n) if not self.down_covers[p]]
-
-    def maximals(self) -> list[int]:
-        return [p for p in range(self.n) if not self.up_covers[p]]
 
     def ddeg(self, p: int) -> int:
         return len(self.down_covers[p])

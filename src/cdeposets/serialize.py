@@ -9,6 +9,3 @@ def rat_str(x) -> str:
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 
-
-def parse_rat(s: str) -> Fraction:
-    return Fraction(s)

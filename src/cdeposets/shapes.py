@@ -95,7 +95,35 @@ def stretch(shape: "SkewShape", a: int, b: int) -> "SkewShape":
     return SkewShape(Partition(tuple(outer)), Partition(tuple(inner)))
 
 
-class SkewShape:
+class _Diagram:
+    """What skew and shifted diagrams share: ``boxes`` in row reading order,
+    ``box_index`` (box -> position in ``boxes``), and ``diagonal``, the
+    main-diagonal boxes that the shifted rook statistic treats apart (empty
+    for skew shapes)."""
+
+    boxes: tuple[tuple[int, int], ...]
+    box_index: dict[tuple[int, int], int]
+    diagonal: frozenset[tuple[int, int]] = frozenset()
+
+    @property
+    def n_boxes(self) -> int:
+        return len(self.boxes)
+
+    def __contains__(self, box) -> bool:
+        return box in self.box_index
+
+    def poset(self) -> Poset:
+        """Box poset: u <= v iff v is weakly southeast of u."""
+        rels = []
+        for i, j in self.boxes:
+            if (i, j + 1) in self.box_index:
+                rels.append((self.box_index[(i, j)], self.box_index[(i, j + 1)]))
+            if (i + 1, j) in self.box_index:
+                rels.append((self.box_index[(i, j)], self.box_index[(i + 1, j)]))
+        return build_poset(self.n_boxes, rels)
+
+
+class SkewShape(_Diagram):
     """Skew shape lambda/nu, normalized by translation.
 
     ``outer_cols[i]`` / ``inner_cols[i]`` give the border column counts of
@@ -143,13 +171,6 @@ class SkewShape:
             )
         self.box_index = {box: k for k, box in enumerate(self.boxes)}
 
-    @property
-    def n_boxes(self) -> int:
-        return len(self.boxes)
-
-    def __contains__(self, box) -> bool:
-        return box in self.box_index
-
     def is_connected(self) -> bool:
         if self.n_boxes == 0:
             return False
@@ -163,16 +184,6 @@ class SkewShape:
             if lo + 1 > hi_next or lo_next + 1 > hi:
                 return False
         return True
-
-    def poset(self) -> Poset:
-        """Box poset: u <= v iff v is weakly southeast of u."""
-        rels = []
-        for i, j in self.boxes:
-            if (i, j + 1) in self.box_index:
-                rels.append((self.box_index[(i, j)], self.box_index[(i, j + 1)]))
-            if (i + 1, j) in self.box_index:
-                rels.append((self.box_index[(i, j)], self.box_index[(i + 1, j)]))
-        return build_poset(self.n_boxes, rels)
 
     # --- lattice paths and corners ------------------------------------
 
@@ -273,7 +284,7 @@ def _turns(pts, pattern: str) -> list[tuple[int, int]]:
     return out
 
 
-class ShiftedShape:
+class ShiftedShape(_Diagram):
     """Shifted Young diagram of a strict partition; row i occupies columns
     i .. i + lambda_i - 1."""
 
@@ -290,25 +301,7 @@ class ShiftedShape:
             ]
         )
         self.box_index = {box: k for k, box in enumerate(self.boxes)}
-
-    @property
-    def n_boxes(self) -> int:
-        return len(self.boxes)
-
-    def __contains__(self, box) -> bool:
-        return box in self.box_index
-
-    def diagonal_boxes(self) -> list[tuple[int, int]]:
-        return [(i, i) for i in range(1, self.n_rows + 1)]
-
-    def poset(self) -> Poset:
-        rels = []
-        for i, j in self.boxes:
-            if (i, j + 1) in self.box_index:
-                rels.append((self.box_index[(i, j)], self.box_index[(i, j + 1)]))
-            if (i + 1, j) in self.box_index:
-                rels.append((self.box_index[(i, j)], self.box_index[(i + 1, j)]))
-        return build_poset(self.n_boxes, rels)
+        self.diagonal = frozenset([(i, i) for i in range(1, self.n_rows + 1)])
 
     def border_path(self, nu: Partition) -> list[tuple[int, int]]:
         """Path of the ideal nu: west/north zigzag along the diagonal from
@@ -370,53 +363,29 @@ class ShiftedShape:
         return f"ShiftedShape({self.strict})"
 
 
-def skew_poset(shape: SkewShape) -> Poset:
-    return shape.poset()
-
-
-def shifted_poset(shape: ShiftedShape) -> Poset:
-    return shape.poset()
-
-
 # --- rook statistics ----------------------------------------------------------
 
 
-def rook(shape: SkewShape, L: IdealLattice, i: int, j: int):
-    """The rook statistic R_ij over J(P_{lambda/nu})."""
+def rook(shape, L: IdealLattice, i: int, j: int):
+    """The rook statistic R_ij over J(P) of a skew or shifted shape.
+
+    For a shifted shape this is R^shift_ij: the two negative sums skip the
+    main-diagonal boxes.
+    """
     if (i, j) not in shape:
         raise ValueError(f"[{i},{j}] is not a box of {shape}")
     vals = [Fraction(0)] * L.n
     for k, (x, y) in enumerate(shape.boxes):
+        off_diagonal = (x, y) not in shape.diagonal
         for idx in range(L.n):
             v = 0
             if x <= i and y <= j:
                 v += L.t_plus[k][idx]
             if x >= i and y >= j:
                 v += L.t_minus[k][idx]
-            if x < i and y < j:
+            if x < i and y < j and off_diagonal:
                 v -= L.t_minus[k][idx]
-            if x > i and y > j:
-                v -= L.t_plus[k][idx]
-            if v:
-                vals[idx] += v
-    return tuple(vals)
-
-
-def shifted_rook(shape: ShiftedShape, L: IdealLattice, i: int, j: int):
-    """R^shift_ij; the two negative sums skip main-diagonal boxes."""
-    if (i, j) not in shape:
-        raise ValueError(f"[{i},{j}] is not a box of {shape}")
-    vals = [Fraction(0)] * L.n
-    for k, (x, y) in enumerate(shape.boxes):
-        for idx in range(L.n):
-            v = 0
-            if x <= i and y <= j:
-                v += L.t_plus[k][idx]
-            if x >= i and y >= j:
-                v += L.t_minus[k][idx]
-            if x < i and y < j and x < y:
-                v -= L.t_minus[k][idx]
-            if x > i and y > j and x < y:
+            if x > i and y > j and off_diagonal:
                 v -= L.t_plus[k][idx]
             if v:
                 vals[idx] += v

@@ -1,14 +1,19 @@
 """Standard tableau counting: determinant, hook-length, and Thrall formulas,
 plus brute-force enumerators for standard barely set-valued tableaux.
 
-The enumerators are deliberately independent of the counting formulas: they
-place the values 1..N+1 one at a time into the diagram (one box doubled) and
-check the row/column/primed conditions directly, so they can serve as
-oracles for the formula route, which instead multiplies a standard-tableau
-count by a maxchain expectation on the corresponding ideal lattice.
+The enumerators are deliberately independent of the counting formulas, so
+they can serve as oracles for the formula route, which instead multiplies a
+standard-tableau count by a maxchain expectation on the corresponding ideal
+lattice.  All three (`enumerate_barely`, `barely_fillings` and
+`enumerate_shifted_barely`) run one backtracker, which places the values
+1..N+1 one at a time into the diagram (one box doubled) under the
+row/column placement rule and sums a leaf function over the completed
+fillings: 1 to count, a recorder to list them, and the full shifted
+conditions for the shifted count.
 
 Primed-alphabet encoding for the shifted enumerator: value v unprimed is 2v,
-primed is 2v+1, matching the total order 1 < 1' < 2 < 2' < ...
+primed is 2v+1, matching the total order 1 < 1' < 2 < 2' < ...; a skew box
+holds v as v.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import linalg
-from .distributions import expectation, maxchain_dist
+from .distributions import _saturated_chains, expectation, maxchain_dist
 from .ideals import build_lattice
 from .posets import Poset
 from .shapes import Partition, ShiftedShape, SkewShape
@@ -32,14 +37,9 @@ class TableauBudgetError(RuntimeError):
 
 def count_linear_extensions(P: Poset) -> int:
     """Number of linear extensions, as maximal chains of J(P)."""
-    L = build_lattice(P)
-    lat = L.as_poset()
-    counts = [0] * lat.n
-    counts[0] = 1
-    for x in range(lat.n):  # canonical order is by cardinality, so topological
-        for y in lat.up_covers[x]:
-            counts[y] += counts[x]
-    return counts[lat.n - 1] if lat.n else 1
+    lat = build_lattice(P).as_poset()
+    # canonical order is by cardinality, so topological
+    return _saturated_chains(range(lat.n), lat.down_covers)[-1]
 
 
 def f_aitken(shape: SkewShape) -> int:
@@ -109,53 +109,61 @@ def g_thrall(lam: Partition) -> int:
 # --- brute-force enumerators ----------------------------------------------------
 
 
-def _barely_backtrack(boxes, west, north, capacity):
-    """Count placements of values 1..N+1 into the boxes (one box has
-    capacity 2) so entries increase weakly east and strictly south.
+def _sum_over_fillings(boxes, scale: int, offsets, leaf) -> int:
+    """Sum of leaf(contents) over every standard barely filling of the boxes.
 
-    Placing values in increasing order, a box can receive a value iff its
-    west and north neighbors are complete and its east and south neighbors
-    are still empty; that reproduces exactly the row-weak/column-strict
-    standardness conditions.
+    The values 1..N+1 are placed in increasing order, one box holding two of
+    them.  A box can receive a value iff it has room, its west and north
+    neighbors are complete and its east and south neighbors are still empty;
+    that reproduces exactly the row-weak/column-strict standardness
+    conditions.  Box k holds value v as one of the codes scale*v + o for o
+    in offsets[k], and ``contents[k]`` lists the codes placed in box k.
     """
-    n_boxes = len(boxes)
-    total_values = n_boxes + 1
-    fill = [0] * n_boxes
-    east = [None] * n_boxes
-    south = [None] * n_boxes
+    n = len(boxes)
     index = {box: k for k, box in enumerate(boxes)}
-    for k, (i, j) in enumerate(boxes):
-        east[k] = index.get((i, j + 1))
-        south[k] = index.get((i + 1, j))
-
-    def complete(k):
-        return fill[k] == capacity[k]
+    nbrs = [
+        (
+            k,
+            index.get((i, j - 1)),
+            index.get((i - 1, j)),
+            index.get((i, j + 1)),
+            index.get((i + 1, j)),
+            offsets[k],
+        )
+        for k, (i, j) in enumerate(boxes)
+    ]
+    contents: list[list[int]] = [[] for _ in range(n)]
+    capacity = [1] * n
+    last = n + 1
 
     def rec(v):
-        if v == total_values + 1:
-            return 1
+        if v > last:
+            return leaf(contents)
         total = 0
-        for k in range(n_boxes):
-            if fill[k] >= capacity[k]:
+        for k, w, nn, e, s, offs in nbrs:
+            box = contents[k]
+            if len(box) >= capacity[k]:
                 continue
-            w = west[k]
-            if w is not None and not complete(w):
+            if w is not None and len(contents[w]) < capacity[w]:
                 continue
-            nn = north[k]
-            if nn is not None and not complete(nn):
+            if nn is not None and len(contents[nn]) < capacity[nn]:
                 continue
-            e = east[k]
-            if e is not None and fill[e]:
+            if e is not None and contents[e]:
                 continue
-            s = south[k]
-            if s is not None and fill[s]:
+            if s is not None and contents[s]:
                 continue
-            fill[k] += 1
-            total += rec(v + 1)
-            fill[k] -= 1
+            for o in offs:
+                box.append(scale * v + o)
+                total += rec(v + 1)
+                box.pop()
         return total
 
-    return rec(1)
+    total = 0
+    for dbl in range(n):
+        capacity[dbl] = 2
+        total += rec(1)
+        capacity[dbl] = 1
+    return total
 
 
 def enumerate_barely(shape: SkewShape, budget: int = DEFAULT_SKEW_BUDGET) -> int:
@@ -163,18 +171,7 @@ def enumerate_barely(shape: SkewShape, budget: int = DEFAULT_SKEW_BUDGET) -> int
     n = shape.n_boxes
     if n > budget:
         raise TableauBudgetError(f"{n} boxes exceeds the brute-force budget {budget}")
-    if n == 0:
-        return 0
-    boxes = shape.boxes
-    index = {box: k for k, box in enumerate(boxes)}
-    west = [index.get((i, j - 1)) for i, j in boxes]
-    north = [index.get((i - 1, j)) for i, j in boxes]
-    total = 0
-    for dbl in range(n):
-        capacity = [1] * n
-        capacity[dbl] = 2
-        total += _barely_backtrack(boxes, west, north, capacity)
-    return total
+    return _sum_over_fillings(shape.boxes, 1, [(0,)] * n, lambda contents: 1)
 
 
 def barely_fillings(shape: SkewShape, budget: int = 5):
@@ -184,40 +181,13 @@ def barely_fillings(shape: SkewShape, budget: int = 5):
     n = shape.n_boxes
     if n > budget:
         raise TableauBudgetError(f"{n} boxes exceeds the emission budget {budget}")
-    boxes = shape.boxes
-    index = {box: k for k, box in enumerate(boxes)}
-    west = [index.get((i, j - 1)) for i, j in boxes]
-    north = [index.get((i - 1, j)) for i, j in boxes]
-    contents: list[list[int]] = [[] for _ in range(n)]
     out = []
 
-    def rec(v, capacity):
-        if v == n + 2:
-            out.append(tuple(tuple(c) for c in contents))
-            return
-        for k in range(n):
-            if len(contents[k]) >= capacity[k]:
-                continue
-            w = west[k]
-            if w is not None and len(contents[w]) < capacity[w]:
-                continue
-            nn = north[k]
-            if nn is not None and len(contents[nn]) < capacity[nn]:
-                continue
-            e = index.get((boxes[k][0], boxes[k][1] + 1))
-            if e is not None and contents[e]:
-                continue
-            s = index.get((boxes[k][0] + 1, boxes[k][1]))
-            if s is not None and contents[s]:
-                continue
-            contents[k].append(v)
-            rec(v + 1, capacity)
-            contents[k].pop()
+    def record(contents):
+        out.append(tuple([tuple(c) for c in contents]))
+        return 1
 
-    for dbl in range(n):
-        capacity = [1] * n
-        capacity[dbl] = 2
-        rec(1, capacity)
+    _sum_over_fillings(shape.boxes, 1, [(0,)] * n, record)
     return sorted(out)
 
 
@@ -238,18 +208,11 @@ def enumerate_shifted_barely(
     n = lam.size
     if n > budget:
         raise TableauBudgetError(f"{n} boxes exceeds the brute-force budget {budget}")
-    if n == 0:
-        return 0
     shape = ShiftedShape(lam)
     boxes = shape.boxes
     index = shape.box_index
-    west = [index.get((i, j - 1)) for i, j in boxes]
-    north = [index.get((i - 1, j)) for i, j in boxes]
-    diagonal = [i == j for i, j in boxes]
-    total_values = n + 1
-    contents: list[list[int]] = [[] for _ in range(n)]
 
-    def valid_final():
+    def valid_final(contents):
         # weak increase along covers in the encoded order
         for k, (i, j) in enumerate(boxes):
             hi = max(contents[k])
@@ -274,43 +237,11 @@ def enumerate_shifted_barely(
                     row_seen.add((i, e))
         return True
 
-    count = 0
-
-    def rec(v, capacity):
-        nonlocal count
-        if v == total_values + 1:
-            if valid_final():
-                count += 1
-            return
-        for k in range(n):
-            if len(contents[k]) >= capacity[k]:
-                continue
-            w = west[k]
-            if w is not None and len(contents[w]) < capacity[w]:
-                continue
-            nn = north[k]
-            if nn is not None and len(contents[nn]) < capacity[nn]:
-                continue
-            e = index.get((boxes[k][0], boxes[k][1] + 1))
-            if e is not None and contents[e]:
-                continue
-            s = index.get((boxes[k][0] + 1, boxes[k][1]))
-            if s is not None and contents[s]:
-                continue
-            variants = (2 * v,) if diagonally_unprimed and diagonal[k] else (
-                2 * v,
-                2 * v + 1,
-            )
-            for enc in variants:
-                contents[k].append(enc)
-                rec(v + 1, capacity)
-                contents[k].pop()
-
-    for dbl in range(n):
-        capacity = [1] * n
-        capacity[dbl] = 2
-        rec(1, capacity)
-    return count
+    offsets = [
+        (0,) if diagonally_unprimed and box in shape.diagonal else (0, 1)
+        for box in boxes
+    ]
+    return _sum_over_fillings(boxes, 2, offsets, valid_final)
 
 
 def count_barely_formula(shape: SkewShape, budget: int | None = None) -> int:

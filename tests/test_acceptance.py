@@ -29,8 +29,8 @@ from cdeposets import (
     mmchain_dist,
     rank_dist,
     rank_info,
+    rook,
     rowmotion_map,
-    shifted_rook,
     shifted_rook_placement,
     uniform,
 )
@@ -175,7 +175,7 @@ def test_criterion_04_shifted_theorem():
         ss = ShiftedShape(lam)
         L = build_lattice(ss.poset())
         for i, j in ss.boxes:
-            R = shifted_rook(ss, L, i, j)
+            R = rook(ss, L, i, j)
             attacking = set(ss.corners_attacking(i, j))
             for idx in range(L.n):
                 contained = sum(

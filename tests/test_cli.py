@@ -225,3 +225,33 @@ def test_back_to_back_calls_share_no_state(capsys):
     assert out.startswith("edge_density,")
     code, out = run(capsys, "scan", "--family", "straight-shapes:3")
     assert isinstance(json.loads(out), list)
+
+
+def test_verbs_reject_flags_they_do_not_read(capsys):
+    import pytest
+
+    for argv in (
+        ["orbits", "--family", "minuscule:E6", "--m", "2"],
+        ["family", "--family", "minuscule:E6", "--budget", "5"],
+        ["count-tableaux", "--shape", "straight:2", "--map", "gyration"],
+        ["scan", "--family", "straight-shapes:3", "--lattice"],
+        ["witness", "--shape", "straight:2", "--format", "csv"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == cli.EXIT_INPUT
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_an_input_error(capsys, tmp_path):
+    target = tmp_path / "missing-dir" / "x.json"
+    code, out = run(capsys, "analyze", "--shape", "straight:2", "--out", str(target))
+    assert code == cli.EXIT_INPUT
+    assert "No such file or directory" in json.loads(out)["error"]
+    assert not target.exists()
+    # a CSV report that cannot be written still reports its error as JSON
+    code, out = run(
+        capsys, "scan", "--family", "straight-shapes:3", "--format", "csv",
+        "--out", str(target),
+    )
+    assert code == cli.EXIT_INPUT and "error" in json.loads(out)

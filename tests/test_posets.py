@@ -171,3 +171,14 @@ def test_json_round_trip(fix_b, tmp_path):
 def test_connected_components(fix_b):
     assert fix_b.is_connected()
     assert len(disjoint_union(chain(2), chain(3)).connected_components()) == 2
+
+
+def test_star_import_binds_no_module():
+    from types import ModuleType
+
+    import cdeposets
+
+    namespace = {}
+    exec("from cdeposets import *", namespace)
+    assert not [k for k, v in namespace.items() if isinstance(v, ModuleType)]
+    assert {"cde_report", "rook", "Poset"} <= set(cdeposets.__all__)

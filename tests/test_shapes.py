@@ -11,7 +11,6 @@ from cdeposets import (
     is_isomorphic,
     rook,
     rook_placement,
-    shifted_rook,
     shifted_rook_placement,
 )
 from cdeposets.shapes import (
@@ -137,7 +136,7 @@ def test_shifted_rook_pointwise_identity(parts):
     ss = ShiftedShape(lam)
     L = build_lattice(ss.poset())
     for i, j in ss.boxes:
-        R = shifted_rook(ss, L, i, j)
+        R = rook(ss, L, i, j)
         attacking = set(ss.corners_attacking(i, j))
         for idx in range(L.n):
             contained = sum(
@@ -150,7 +149,7 @@ def test_shifted_rook_reference_ideals():
     lam = Partition((8, 6, 5, 2, 1))
     ss = ShiftedShape(lam)
     L = build_lattice(ss.poset())
-    R = shifted_rook(ss, L, 2, 4)
+    R = rook(ss, L, 2, 4)
 
     def ideal_index(nu_parts):
         mask = 0
@@ -193,7 +192,7 @@ def test_shifted_rook_attack_expectation():
     for _ in range(5):
         mu = random_toggle_symmetric(L, rng)
         for i, j in ss.boxes:
-            lhs = expectation(mu, shifted_rook(ss, L, i, j))
+            lhs = expectation(mu, rook(ss, L, i, j))
             rhs = Fraction(0)
             for x, y in ss.boxes:
                 hits = 0
