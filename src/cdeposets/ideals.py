@@ -141,4 +141,3 @@ def toggle(L: IdealLattice, i: int, p: int) -> int:
 def toggleability(L: IdealLattice, p: int):
     """(T+_p, T-_p) as 0/1 statistics over the ideals."""
     return L.t_plus[p], L.t_minus[p]
-

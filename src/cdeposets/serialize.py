@@ -8,4 +8,3 @@ from fractions import Fraction
 def rat_str(x) -> str:
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
-
