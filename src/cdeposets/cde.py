@@ -37,17 +37,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import mul, sub
+from operator import sub
 from typing import Optional
 
 from . import linalg
 from .distributions import (
     Distribution,
-    chain_counts_through,
+    _chain_moments,
     expectation,
     longest_chain,
     maxchain_dist,
-    uniform,
 )
 from .ideals import IdealLattice
 from .serialize import rat_str
@@ -82,22 +81,30 @@ def _ddeg_stat(X):
 def cde_report(X) -> CdeReport:
     """Edge density, maxchain and all k-chain expectations, CDE/mCDE flags.
 
-    The k-chain expectations for every k read one table of chain counts.
+    The k-chain expectations for every k come from one downward walk that
+    carries, per element, the number of chains topped there and their ddeg
+    totals.  On J(P) every maximal chain is an |P|-chain, so the maxchain
+    expectation is the last of them; a raw poset need not be graded and
+    takes its maxchain distribution.
     """
-    P = X.as_poset() if isinstance(X, IdealLattice) else X
-    if P.n == 0:
+    if X.n == 0:
         raise ValueError("the empty poset has no elements to average over")
-    ddeg = _ddeg_stat(P)
-    density = expectation(uniform(P), ddeg)
-    maxexp = expectation(maxchain_dist(P), ddeg)
+    ddeg = _ddeg_stat(X)
+    density = Fraction(X.edge_count(), X.n)
     chains = tuple(
         [
-            Fraction(sum(map(mul, row, ddeg)), sum(row))
-            for row in chain_counts_through(P, longest_chain(P))
+            Fraction(total, (k + 1) * count)
+            for k, (count, total) in enumerate(
+                _chain_moments(X, ddeg, longest_chain(X))
+            )
         ]
     )
+    if isinstance(X, IdealLattice):
+        maxexp = chains[-1]
+    else:
+        maxexp = expectation(maxchain_dist(X), ddeg)
     return CdeReport(
-        n=P.n,
+        n=X.n,
         edge_density=density,
         maxchain_expectation=maxexp,
         chain_expectations=chains,
@@ -247,10 +254,22 @@ def certify_tcde(
     smaller class of toggle-symmetric distributions that put equal weight on
     the empty and full ideals (the trapezoid trick).
     """
-    sol, _ = _gram_solve(L, empty_full_constraint)
-    if not _fits(L, sol, empty_full_constraint):
-        return None
-    return TcdeCertificate(c=sol[0], kappa=tuple(sol[1 : L.base.n + 1]))
+    return _decide(L, empty_full_constraint)[0]
+
+
+def _decide(L: IdealLattice, empty_full: bool):
+    """(certificate or None, Gram matrix of [1 | T_p]).
+
+    The Gram matrix without the empty/full column is the leading block of
+    the one with it, and it is all a refutation needs besides L.
+    """
+    sol, gram = _gram_solve(L, empty_full)
+    cert = None
+    if _fits(L, sol, empty_full):
+        cert = TcdeCertificate(c=sol[0], kappa=tuple(sol[1 : L.base.n + 1]))
+    if empty_full:
+        gram = [row[:-1] for row in gram[:-1]]
+    return cert, gram
 
 
 def _lex_first_columns(columns, size: int) -> list[tuple[int, tuple]]:
@@ -282,9 +301,13 @@ def find_witness(L: IdealLattice) -> Optional[TcdeWitness]:
     returns uniform + (eps/2) * v with eps the largest nonnegativity-feasible
     step.  Returns None when the lattice is tCDE (no such v exists).
     """
-    sol, gram = _gram_solve(L, False)
-    if _fits(L, sol, False):
-        return None
+    cert, gram = _decide(L, False)
+    return None if cert is not None else _refute(L, gram)
+
+
+def _refute(L: IdealLattice, gram) -> TcdeWitness:
+    """The witness of find_witness for a lattice known not to be tCDE,
+    given the Gram matrix of [1 | T_p]."""
     rank = len(gram) - len(linalg.nullspace(gram))
     nP = L.base.n
     signed = [map(sub, L.t_plus[p], L.t_minus[p]) for p in range(nP)]

@@ -27,7 +27,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .cde import _ddeg_stat, cde_report, certify_tcde, find_witness, scan_family
+from .cde import _ddeg_stat, _decide, _refute, cde_report, find_witness, scan_family
 from .distributions import expectation, mchain_dist, mmchain_dist
 from .dynamics import (
     antichain_cardinality,
@@ -175,17 +175,17 @@ def _analyze(args) -> tuple[int, object]:
 def _cert(args) -> tuple[int, object]:
     name, P, _ = _resolve_input(args)
     L = build_lattice(P, budget=args.budget)
-    cert = certify_tcde(L, empty_full_constraint=args.extra_empty_full)
+    cert, gram = _decide(L, args.extra_empty_full)
     if cert is not None:
         report = cert.to_dict()
         report["input"] = name
         report["certified"] = True
         return EXIT_OK, report
-    witness = find_witness(L)
+    # refuted with the extra column, so refuted without it: a witness exists
     report = {
         "input": name,
         "certified": False,
-        "witness": None if witness is None else witness.to_dict(),
+        "witness": _refute(L, gram).to_dict(),
         "edge_density": rat_str(Fraction(L.edge_count(), L.n)),
     }
     return EXIT_REFUTED, report

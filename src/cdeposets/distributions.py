@@ -2,20 +2,36 @@
 
 All of the distributions here (uniform, rank, k-chain, maxchain, the two
 multichain flavors) are exact rational weight vectors, computed by counting
-rather than enumeration.  Every chain and multichain weight reads one table:
-``chain_counts_through(P, k_max)`` gives, for each k, the number of k-chains
-through each element, by gluing a walk table of strict steps down from p to
-one of strict steps up from p.  An m-multichain whose support is a k-chain
-can be formed in C(m, k) ways, so the mchain weight of p is
-sum_k C(m, k) * #{k-chains through p}; counting positions instead gives the
-mmchain weight sum_k C(m+1, k+1) * #{k-chains through p}.  Maximal chains
-come from one saturated-chain sweep over the covers, which
-``tableaux.count_linear_extensions`` shares.
+rather than enumeration.  Every function takes a raw Poset or an
+IdealLattice J(P); a lattice is never turned into a Poset on its ideals.
 
-These distributions are defined on any finite poset, not only on lattices:
-the counterexample fixtures need chain/maxchain statistics of a raw poset as
-well as of its ideal lattice.  Toggle-symmetry, by contrast, is a lattice
-notion and takes an IdealLattice.
+Chains are counted by walks of one strict step operator, which maps a vector
+g to, for each x, the sum of g over the elements strictly below x (or above
+x, for the upward operator):
+
+* on a raw poset, the sum over the strict down-set (up-set) lists;
+* on J(P), the subset-sum zeta transform trimmed to the ideals, run over the
+  Hasse edges grouped by the element they add, with the elements of P taken
+  in a linear extension (reversed upward), minus the input.  That is
+  O(#Hasse edges) per step instead of O(#comparable pairs of ideals).
+
+``chain_counts_through(X, k_max)`` gives, for each k, the number of k-chains
+through each element, by gluing a walk of strict steps down from p to one of
+strict steps up from p.  An m-multichain whose support is a k-chain can be
+formed in C(m, k) ways, so the mchain weight of p is
+sum_k C(m, k) * #{k-chains through p}; counting positions instead gives the
+mmchain weight sum_k C(m+1, k+1) * #{k-chains through p}.
+
+``cde.cde_report`` needs only the k-chain expectations of ddeg, so
+``_chain_moments`` runs one downward walk carrying, per element p, the count
+a(p) of k-chains topped by p and the total b(p) of ddeg over those chains:
+a' = step(a), b' = step(b) + ddeg * a'.  The k-th expectation is
+sum b / ((k+1) * sum a), with no up walk and no gluing.
+
+Maximal chains come from one saturated-chain sweep over the covers (on J(P)
+the Hasse edges, in the canonical ideal order, which sorts by cardinality),
+which ``tableaux.count_linear_extensions`` shares.  Toggle-symmetry is a
+lattice notion and takes an IdealLattice.
 """
 
 from __future__ import annotations
@@ -25,11 +41,7 @@ from itertools import combinations
 from math import comb
 
 from .ideals import IdealLattice
-from .posets import Poset, _bits
-
-
-def _carrier(X) -> Poset:
-    return X.as_poset() if isinstance(X, IdealLattice) else X
+from .posets import _bits
 
 
 class Distribution:
@@ -87,12 +99,12 @@ def convex_combination(parts) -> Distribution:
 
 
 def uniform(X) -> Distribution:
-    n = _carrier(X).n
+    n = X.n
     return Distribution([Fraction(1, n)] * n)
 
 
 def point_mass(X, i: int) -> Distribution:
-    n = _carrier(X).n
+    n = X.n
     return Distribution([Fraction(1) if j == i else Fraction(0) for j in range(n)])
 
 
@@ -121,48 +133,103 @@ def rank_dist(L: IdealLattice) -> Distribution:
 # --- chain counts: one walk table, one saturated-chain sweep ----------------
 
 
-def _walk_table(steps, k_max: int):
-    """table[i][p] = number of sequences x_0 -> ... -> x_i = p, where
-    steps[p] lists the x that may precede p."""
-    table = [[1] * len(steps)]
+def _zeta_step(L: IdealLattice, upward: bool):
+    """g -> sum of g over the strictly smaller (upward: larger) ideals.
+
+    The subset-sum zeta transform trimmed to J(P): taking the elements of P
+    in a linear extension, add g along every Hasse edge that adds p.  An
+    ideal J below I is reached from I by removing the elements of I - J from
+    the latest to the earliest, and each of those is maximal in what remains,
+    so every such J is summed exactly once.  Upward, the elements go in
+    reverse and each edge adds g of the larger ideal to the smaller one.
+    """
+    edges = [[] for _ in range(L.base.n)]
+    for i, j, p in L.hasse:
+        edges[p].append((j, i) if upward else (i, j))
+    order = L.base.topological_order()
+    if upward:
+        order.reverse()
+    pairs = [e for p in order for e in edges[p]]
+
+    def step(g):
+        h = list(g)
+        for src, dst in pairs:
+            h[dst] += h[src]
+        return [a - b for a, b in zip(h, g)]
+
+    return step
+
+
+def _strict_step(X, upward: bool):
+    """g -> for each x, the sum of g over the elements strictly below x
+    (upward: above x), on a poset or on the ideals of a lattice."""
+    if isinstance(X, IdealLattice):
+        return _zeta_step(X, upward)
+    steps = [_bits(m) for m in (X.strict_up if upward else X.strict_down)]
+    return lambda g: [sum([g[q] for q in s]) for s in steps]
+
+
+def _walk_table(step, size: int, k_max: int):
+    """table[i][p] = number of strict walks x_0 -> ... -> x_i = p, where
+    ``step`` sums a vector over the elements that may precede each p."""
+    table = [[1] * size]
     for _ in range(k_max):
-        prev = table[-1]
-        table.append([sum([prev[q] for q in s]) for s in steps])
+        table.append(step(table[-1]))
     return table
 
 
-def chain_counts_through(P: Poset, k_max: int):
+def chain_counts_through(X, k_max: int):
     """rows[k][p] = number of k-chains passing through p, for k = 0..k_max.
 
     A k-chain through p is a strict walk of t steps down from p glued to one
     of k - t steps up from p.
     """
-    down = _walk_table([_bits(m) for m in P.strict_down], k_max)
-    up = _walk_table([_bits(m) for m in P.strict_up], k_max)
+    down = _walk_table(_strict_step(X, upward=False), X.n, k_max)
+    up = _walk_table(_strict_step(X, upward=True), X.n, k_max)
     return [
-        [sum([down[t][p] * up[k - t][p] for t in range(k + 1)]) for p in range(P.n)]
+        [sum([down[t][p] * up[k - t][p] for t in range(k + 1)]) for p in range(X.n)]
         for k in range(k_max + 1)
     ]
 
 
-def chain_count(P: Poset, k: int) -> int:
-    """Number of k-chains of P."""
-    return sum(chain_counts_through(P, k)[k]) // (k + 1)
+def _chain_moments(X, stat, k_max: int):
+    """[(number of k-chains, sum over the k-chains of stat summed over the
+    chain's elements) for k = 0..k_max], from one downward walk.
+
+    a[p] counts the k-chains with top p and b[p] sums stat over them:
+    a' = step(a) and b' = step(b) + stat * a'.
+    """
+    step = _strict_step(X, upward=False)
+    a = [1] * X.n
+    b = list(stat)
+    out = [(sum(a), sum(b))]
+    for _ in range(k_max):
+        a = step(a)
+        b = [x + s * y for x, s, y in zip(step(b), stat, a)]
+        out.append((sum(a), sum(b)))
+    return out
 
 
-def longest_chain(P: Poset) -> int:
+def chain_count(X, k: int) -> int:
+    """Number of k-chains of a poset or lattice."""
+    return sum(_walk_table(_strict_step(X, upward=False), X.n, k)[k])
+
+
+def longest_chain(X) -> int:
+    """Length of a longest chain; on J(P) that is |P|."""
+    if isinstance(X, IdealLattice):
+        return X.base.n
     from .posets import longest_chain_length
 
-    return longest_chain_length(P)
+    return longest_chain_length(X)
 
 
 def chain_dist(X, k: int) -> Distribution:
     """The k-chain distribution: weight proportional to k-chains through p."""
-    P = _carrier(X)
-    r = longest_chain(P)
+    r = longest_chain(X)
     if not 0 <= k <= r:
         raise ValueError(f"k={k} out of range 0..{r} for this poset")
-    through = chain_counts_through(P, k)[k]
+    through = chain_counts_through(X, k)[k]
     total = sum(through)
     return Distribution([Fraction(t, total) for t in through])
 
@@ -178,11 +245,19 @@ def _saturated_chains(order, preds) -> list[int]:
 
 def maxchain_dist(X) -> Distribution:
     """Weight proportional to the number of maximal chains through p."""
-    P = _carrier(X)
-    order = P.topological_order()
-    up = _saturated_chains(order, P.down_covers)
-    down = _saturated_chains(order[::-1], P.up_covers)
-    through = [u * d for u, d in zip(up, down)]
+    if isinstance(X, IdealLattice):
+        # canonical ideal order is by cardinality, hence a linear extension
+        order = range(X.n)
+        down = [[] for _ in order]
+        up = [[] for _ in order]
+        for i, j, _ in X.hasse:
+            down[j].append(i)
+            up[i].append(j)
+    else:
+        order, down, up = X.topological_order(), X.down_covers, X.up_covers
+    from_bottom = _saturated_chains(order, down)
+    to_top = _saturated_chains(order[::-1], up)
+    through = [u * d for u, d in zip(from_bottom, to_top)]
     total = sum(through)
     return Distribution([Fraction(t, total) for t in through])
 
@@ -194,10 +269,9 @@ def _multichain_dist(X, m: int, per_chain) -> Distribution:
     """Weight of p proportional to sum_k per_chain(k) * #{k-chains through p}."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    P = _carrier(X)
-    rows = chain_counts_through(P, min(m, longest_chain(P)))
+    rows = chain_counts_through(X, min(m, longest_chain(X)))
     coeffs = [per_chain(k) for k in range(len(rows))]
-    weights = [sum([c * row[p] for c, row in zip(coeffs, rows)]) for p in range(P.n)]
+    weights = [sum([c * row[p] for c, row in zip(coeffs, rows)]) for p in range(X.n)]
     total = sum(weights)
     return Distribution([Fraction(w, total) for w in weights])
 
@@ -279,13 +353,11 @@ def convert_chain_to_mchain(X, m: int) -> Distribution:
     The weight on chain(k) is (k+1) * #{k-chains} * C(m, k); this equals
     mchain_dist(X, m) exactly (each side counts m-multichains through p).
     """
-    P = _carrier(X)
-    r = longest_chain(P)
     parts = []
-    for k in range(min(m, r) + 1):
-        nk = chain_count(P, k)
+    for k in range(min(m, longest_chain(X)) + 1):
+        nk = chain_count(X, k)
         if nk:
-            parts.append(((k + 1) * nk * comb(m, k), chain_dist(P, k)))
+            parts.append(((k + 1) * nk * comb(m, k), chain_dist(X, k)))
     return convex_combination(parts)
 
 
@@ -296,11 +368,9 @@ def convert_chain_to_mmchain(X, m: int) -> Distribution:
     p is proportional to sum_k C(m,k)/(k+1) * #{k-chains through p}, which is
     1/(m+1) times the number of (multichain, position) pairs occupied by p.
     """
-    P = _carrier(X)
-    r = longest_chain(P)
     parts = []
-    for k in range(min(m, r) + 1):
-        nk = chain_count(P, k)
+    for k in range(min(m, longest_chain(X)) + 1):
+        nk = chain_count(X, k)
         if nk:
-            parts.append((nk * comb(m, k), chain_dist(P, k)))
+            parts.append((nk * comb(m, k), chain_dist(X, k)))
     return convex_combination(parts)

@@ -165,6 +165,4 @@ def antichain_cardinality(L: IdealLattice):
 
 
 def signed_toggleability(L: IdealLattice, p: int):
-    return tuple(
-        L.t_plus[p][i] - L.t_minus[p][i] for i in range(L.n)
-    )
+    return tuple([a - b for a, b in zip(L.t_plus[p], L.t_minus[p])])

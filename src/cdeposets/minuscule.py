@@ -35,7 +35,7 @@ def exceptional_poset(name: str) -> Poset:
 
 def exceptional_kappa(name: str) -> tuple[Fraction, ...]:
     d = _load_exceptional(name.lower())
-    return tuple(Fraction(k) for k in d["kappa"])
+    return tuple([Fraction(k) for k in d["kappa"]])
 
 
 def propeller_poset(a: int, b: int, c: int, d: int) -> Poset:

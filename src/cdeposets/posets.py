@@ -28,14 +28,8 @@ class CycleError(PosetError):
 
 
 def _bits(mask: int) -> list[int]:
-    out = []
-    p = 0
-    while mask:
-        if mask & 1:
-            out.append(p)
-        mask >>= 1
-        p += 1
-    return out
+    """Positions of the set bits of a nonnegative mask, ascending."""
+    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
 class Poset:
@@ -59,7 +53,7 @@ class Poset:
     )
 
     def __init__(self, n: int, covers: Iterable[tuple[int, int]], labels=None):
-        covers = tuple(sorted((int(p), int(q)) for p, q in covers))
+        covers = tuple(sorted([(int(p), int(q)) for p, q in covers]))
         for p, q in covers:
             if not (0 <= p < n and 0 <= q < n):
                 raise PosetError(f"cover ({p},{q}) out of range for n={n}")

@@ -595,8 +595,8 @@ def iter_connected_skew_shapes(max_boxes: int) -> Iterator[SkewShape]:
     for b in range(1, max_boxes + 1):
         for lo in range(0, b):
             for raw in rec([(lo, b)], b - lo):
-                inner = Partition(tuple(r[0] for r in raw))
-                outer = Partition(tuple(r[1] for r in raw))
+                inner = Partition(tuple([r[0] for r in raw]))
+                outer = Partition(tuple([r[1] for r in raw]))
                 if raw[-1][0] == 0:  # canonical translation
                     yield SkewShape(outer, inner)
 
@@ -625,8 +625,8 @@ def iter_skew_shapes(max_boxes: int, max_width: int | None = None) -> Iterator[S
                 continue
             for raw in rec([(lo, b)], b - lo):
                 if min(r[0] for r in raw) == 0:
-                    inner = Partition(tuple(r[0] for r in raw))
-                    outer = Partition(tuple(r[1] for r in raw))
+                    inner = Partition(tuple([r[0] for r in raw]))
+                    outer = Partition(tuple([r[1] for r in raw]))
                     yield SkewShape(outer, inner)
 
 

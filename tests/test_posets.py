@@ -16,9 +16,24 @@ from cdeposets import (
     is_isomorphic,
     rank_info,
 )
-from cdeposets.posets import PosetError, longest_chain_length, poset_from_dict, poset_to_json
+from cdeposets.posets import (
+    PosetError,
+    _bits,
+    longest_chain_length,
+    poset_from_dict,
+    poset_to_json,
+)
 
 from conftest import random_poset
+
+
+def test_bits_matches_plain_loop():
+    rng = random.Random(7)
+    masks = [0, 1, (1 << 64) - 1]
+    masks += [rng.getrandbits(rng.randrange(1, 7001)) for _ in range(60)]
+    for mask in masks:
+        expected = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        assert _bits(mask) == expected
 
 
 def test_build_reduces_redundant_relations():

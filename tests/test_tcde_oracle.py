@@ -6,6 +6,7 @@ import random
 import pytest
 
 from cdeposets import build_lattice, build_poset, certify_tcde, find_witness
+from cdeposets.cde import _decide, _refute
 from cdeposets.minuscule import parse_family
 from cdeposets.shapes import parse_shape
 
@@ -17,11 +18,16 @@ def _dict(x):
 
 
 def _assert_same(L):
+    witness = _dict(find_witness_dense(L))
     for empty_full in (False, True):
         assert _dict(certify_tcde(L, empty_full)) == _dict(
             certify_tcde_dense(L, empty_full)
         )
-    assert _dict(find_witness(L)) == _dict(find_witness_dense(L))
+        # the CLI's cert-tcde route: one Gram solve, then the witness from it
+        cert, gram = _decide(L, empty_full)
+        if cert is None:
+            assert _refute(L, gram).to_dict() == witness
+    assert _dict(find_witness(L)) == witness
 
 
 @pytest.mark.parametrize(
