@@ -216,7 +216,7 @@ def _orbits(args) -> tuple[int, object]:
         "map": args.map_spec,
         "orbit_sizes": dec.sizes,
         "order": dec.order(),
-        "orbits": [[sorted(L.members(i)) for i in orbit] for orbit in dec.orbits],
+        "orbits": [[L.members(i) for i in orbit] for orbit in dec.orbits],
     }
     return EXIT_OK, report
 

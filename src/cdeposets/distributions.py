@@ -178,18 +178,26 @@ def _walk_table(step, size: int, k_max: int):
     return table
 
 
-def chain_counts_through(X, k_max: int):
-    """rows[k][p] = number of k-chains passing through p, for k = 0..k_max.
-
-    A k-chain through p is a strict walk of t steps down from p glued to one
-    of k - t steps up from p.
-    """
-    down = _walk_table(_strict_step(X, upward=False), X.n, k_max)
-    up = _walk_table(_strict_step(X, upward=True), X.n, k_max)
+def _glue(down, up, k: int) -> list[int]:
+    """Number of k-chains through each p: a strict walk of t steps down from
+    p glued to one of k - t steps up from p."""
     return [
-        [sum([down[t][p] * up[k - t][p] for t in range(k + 1)]) for p in range(X.n)]
-        for k in range(k_max + 1)
+        sum([down[t][p] * up[k - t][p] for t in range(k + 1)]) for p in range(len(down[0]))
     ]
+
+
+def _walks(X, k_max: int):
+    """The downward and upward walk tables of X, rows 0..k_max."""
+    return (
+        _walk_table(_strict_step(X, upward=False), X.n, k_max),
+        _walk_table(_strict_step(X, upward=True), X.n, k_max),
+    )
+
+
+def chain_counts_through(X, k_max: int):
+    """rows[k][p] = number of k-chains passing through p, for k = 0..k_max."""
+    down, up = _walks(X, k_max)
+    return [_glue(down, up, k) for k in range(k_max + 1)]
 
 
 def _chain_moments(X, stat, k_max: int):
@@ -229,9 +237,12 @@ def chain_dist(X, k: int) -> Distribution:
     r = longest_chain(X)
     if not 0 <= k <= r:
         raise ValueError(f"k={k} out of range 0..{r} for this poset")
-    through = chain_counts_through(X, k)[k]
-    total = sum(through)
-    return Distribution([Fraction(t, total) for t in through])
+    return _normalized(_glue(*_walks(X, k), k))
+
+
+def _normalized(weights) -> Distribution:
+    total = sum(weights)
+    return Distribution([Fraction(w, total) for w in weights])
 
 
 def _saturated_chains(order, preds) -> list[int]:
@@ -257,9 +268,7 @@ def maxchain_dist(X) -> Distribution:
         order, down, up = X.topological_order(), X.down_covers, X.up_covers
     from_bottom = _saturated_chains(order, down)
     to_top = _saturated_chains(order[::-1], up)
-    through = [u * d for u, d in zip(from_bottom, to_top)]
-    total = sum(through)
-    return Distribution([Fraction(t, total) for t in through])
+    return _normalized([u * d for u, d in zip(from_bottom, to_top)])
 
 
 # --- multichain distributions -----------------------------------------------
@@ -271,9 +280,7 @@ def _multichain_dist(X, m: int, per_chain) -> Distribution:
         raise ValueError("m must be >= 0")
     rows = chain_counts_through(X, min(m, longest_chain(X)))
     coeffs = [per_chain(k) for k in range(len(rows))]
-    weights = [sum([c * row[p] for c, row in zip(coeffs, rows)]) for p in range(X.n)]
-    total = sum(weights)
-    return Distribution([Fraction(w, total) for w in weights])
+    return _normalized([sum([c * row[p] for c, row in zip(coeffs, rows)]) for p in range(X.n)])
 
 
 def mchain_dist(X, m: int) -> Distribution:
@@ -347,18 +354,25 @@ def necklace_count(n: int, k: int) -> int:
     return orbits
 
 
+def _chain_combination(X, m: int, weight) -> Distribution:
+    """sum_k weight(k, #{k-chains}) * chain(k) over k = 0..min(m, longest
+    chain), normalized; every k-chain has k+1 elements, so the k-chain count
+    is the row sum of the through-counts over k+1."""
+    parts = []
+    for k, through in enumerate(chain_counts_through(X, min(m, longest_chain(X)))):
+        total = sum(through)
+        if total:
+            parts.append((weight(k, total // (k + 1)), _normalized(through)))
+    return convex_combination(parts)
+
+
 def convert_chain_to_mchain(X, m: int) -> Distribution:
     """mchain(m) realized as a convex combination of chain(k) distributions.
 
     The weight on chain(k) is (k+1) * #{k-chains} * C(m, k); this equals
     mchain_dist(X, m) exactly (each side counts m-multichains through p).
     """
-    parts = []
-    for k in range(min(m, longest_chain(X)) + 1):
-        nk = chain_count(X, k)
-        if nk:
-            parts.append(((k + 1) * nk * comb(m, k), chain_dist(X, k)))
-    return convex_combination(parts)
+    return _chain_combination(X, m, lambda k, nk: (k + 1) * nk * comb(m, k))
 
 
 def convert_chain_to_mmchain(X, m: int) -> Distribution:
@@ -368,9 +382,4 @@ def convert_chain_to_mmchain(X, m: int) -> Distribution:
     p is proportional to sum_k C(m,k)/(k+1) * #{k-chains through p}, which is
     1/(m+1) times the number of (multichain, position) pairs occupied by p.
     """
-    parts = []
-    for k in range(min(m, longest_chain(X)) + 1):
-        nk = chain_count(X, k)
-        if nk:
-            parts.append((nk * comb(m, k), chain_dist(X, k)))
-    return convex_combination(parts)
+    return _chain_combination(X, m, lambda k, nk: nk * comb(m, k))

@@ -1,9 +1,24 @@
 """The distributive lattice J(P) of order ideals, toggles, and down-degrees.
 
 Ideals are bitmask ints over the base poset's elements.  The lattice is
-enumerated once, breadth-first from the empty ideal, and indexed in a
-canonical order (cardinality, then lexicographic on the member set) so that
-every report derived from it is byte-stable.
+enumerated once, one cardinality level at a time from the empty ideal, and
+indexed in a canonical order (cardinality, then lexicographic on the member
+set) so that every report derived from it is byte-stable.
+
+Each ideal carries two label masks: ``up`` (the addable elements, the
+minimal elements of the complement) and ``down`` (the removable elements,
+the maximal elements of the ideal).  The child I + p of I has the addable
+set of I minus p, plus those upper covers q of p whose strict down-set now
+lies inside I + p: any q that becomes addable sits above p with nothing in
+between, since p was not in I.  So the enumeration costs O(#Hasse edges *
+cover degree), not O(|P| * |J|).
+
+Within one level every ideal has the same size, and for two member lists of
+equal length the lexicographically smaller one holds the lowest element of
+their symmetric difference.  Reading the binary string of a mask from bit 0
+upward, that list has a '1' where the other has a '0', so sorting the level
+by the reversed binary strings in descending order gives the canonical
+order without building a member list per ideal.
 """
 
 from __future__ import annotations
@@ -18,14 +33,17 @@ class LatticeBudgetError(RuntimeError):
 
 
 class IdealLattice:
-    """Explicit J(P) with Hasse edges, down-degrees, and toggleability tables.
+    """Explicit J(P) with Hasse edges, down-degrees, and label masks.
 
     Attributes:
         base: the underlying poset P.
         ideals: bitmask per ideal, canonical order.
-        hasse: list of (i, j, p) with ideal j = ideal i plus element p.
+        index: ideal bitmask -> its position in ``ideals``.
+        hasse: (i, j, p) with ideal j = ideal i plus element p, sorted.
         ddeg: down-degree (= #max(I)) per ideal.
-        t_plus / t_minus: per base element p, a 0/1 tuple over ideals.
+        up / down: per ideal, the bitmask of addable / removable elements.
+        t_plus / t_minus: per base element p, a 0/1 tuple over ideals; built
+            from ``up`` / ``down`` on first read and cached.
     """
 
     __slots__ = (
@@ -34,24 +52,40 @@ class IdealLattice:
         "index",
         "hasse",
         "ddeg",
-        "t_plus",
-        "t_minus",
+        "up",
+        "down",
+        "_t_plus",
+        "_t_minus",
         "_poset",
     )
 
-    def __init__(self, base, ideals, index, hasse, ddeg, t_plus, t_minus):
+    def __init__(self, base, ideals, index, hasse, ddeg, up, down):
         self.base = base
         self.ideals = ideals
         self.index = index
         self.hasse = hasse
         self.ddeg = ddeg
-        self.t_plus = t_plus
-        self.t_minus = t_minus
+        self.up = up
+        self.down = down
+        self._t_plus = None
+        self._t_minus = None
         self._poset = None
 
     @property
     def n(self) -> int:
         return len(self.ideals)
+
+    @property
+    def t_plus(self):
+        if self._t_plus is None:
+            self._t_plus = _label_table(self.up, self.base.n)
+        return self._t_plus
+
+    @property
+    def t_minus(self):
+        if self._t_minus is None:
+            self._t_minus = _label_table(self.down, self.base.n)
+        return self._t_minus
 
     def edge_count(self) -> int:
         return len(self.hasse)
@@ -83,48 +117,58 @@ class IdealLattice:
         }
 
 
+def _label_table(masks, n: int):
+    """Per element p, the 0/1 tuple of bit p over the per-ideal masks."""
+    return tuple([tuple([m >> p & 1 for m in masks]) for p in range(n)])
+
+
 def build_lattice(P: Poset, budget: int = DEFAULT_IDEAL_BUDGET) -> IdealLattice:
-    """Enumerate J(P) breadth-first from the empty ideal."""
-    seen = {0}
-    frontier = [0]
-    while frontier:
+    """Enumerate J(P) level by level from the empty ideal."""
+    up_of = {0: sum([1 << p for p in range(P.n) if not P.strict_down[p]])}
+    ideals = []
+    level = [0]
+    while level:
+        level.sort(key=lambda m: bin(m)[:1:-1], reverse=True)
+        ideals += level
         nxt = []
-        for mask in frontier:
-            for p in range(P.n):
-                if not mask >> p & 1 and P.strict_down[p] & ~mask == 0:
-                    new = mask | 1 << p
-                    if new not in seen:
-                        seen.add(new)
-                        if len(seen) > budget:
-                            raise LatticeBudgetError(
-                                f"J(P) exceeds the ideal budget of {budget}"
-                            )
-                        nxt.append(new)
-        frontier = nxt
-    ideals = sorted(seen, key=lambda m: (m.bit_count(), _bits(m)))
+        for mask in level:
+            addable = up_of[mask]
+            rest = addable
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                child = mask | low
+                if child in up_of:
+                    continue
+                child_up = addable ^ low
+                for q in P.up_covers[low.bit_length() - 1]:
+                    if P.strict_down[q] & ~child == 0:
+                        child_up |= 1 << q
+                up_of[child] = child_up
+                if len(up_of) > budget:
+                    raise LatticeBudgetError(f"J(P) exceeds the ideal budget of {budget}")
+                nxt.append(child)
+        level = nxt
     index = {m: i for i, m in enumerate(ideals)}
+    up = [up_of[m] for m in ideals]
+    down = [0] * len(ideals)
     hasse = []
-    ddeg = [0] * len(ideals)
-    t_plus = [[0] * len(ideals) for _ in range(P.n)]
-    t_minus = [[0] * len(ideals) for _ in range(P.n)]
     for i, mask in enumerate(ideals):
-        for p in range(P.n):
-            if mask >> p & 1:
-                if P.strict_up[p] & mask == 0:
-                    t_minus[p][i] = 1
-                    ddeg[i] += 1
-            elif P.strict_down[p] & ~mask == 0:
-                t_plus[p][i] = 1
-                hasse.append((i, index[mask | 1 << p], p))
-    hasse.sort()
+        rest = up[i]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = index[mask | low]
+            hasse.append((i, j, low.bit_length() - 1))
+            down[j] |= low
     return IdealLattice(
         P,
         tuple(ideals),
         index,
         tuple(hasse),
-        tuple(ddeg),
-        tuple([tuple(col) for col in t_plus]),
-        tuple([tuple(col) for col in t_minus]),
+        tuple([d.bit_count() for d in down]),
+        tuple(up),
+        tuple(down),
     )
 
 
