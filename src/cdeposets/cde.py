@@ -17,12 +17,14 @@ Both questions are answered from small integer systems rather than from the
 
 * Certificate.  Each column of A is a pair of bitsets over the ideals (its +1
   and -1 positions), so every entry of the Gram matrix G = A^T A is four
-  popcounts, and A^T ddeg comes from the bit-planes of ddeg.  Since
+  popcounts, and A^T ddeg comes from the bit-planes of ddeg; the columns
+  and the planes are the ``up``/``down`` masks and ``ddeg`` transposed.  Since
   null(A^T A) = null(A), G has the same lex-first independent columns as A;
   with free variables zero, G x = A^T ddeg therefore has exactly the solution
   the |J|-row system would have whenever that system is consistent.  The
-  candidate is then checked against ddeg on every ideal in integers; a
-  nonzero residual means ddeg is not in the span, i.e. not tCDE.
+  candidate is then checked against ddeg on every ideal in integers by
+  ``_identity_failure``; a nonzero residual means ddeg is not in the span,
+  i.e. not tCDE.
 * Witness.  The perturbation v solving [1; T_p; ddeg] v = e_last with free
   variables zero is supported on the lex-first independent columns of that
   (n+2) x |J| matrix, one column per ideal in canonical order.  Those
@@ -35,9 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, lcm
-from operator import sub
 from typing import Optional
 
 from . import linalg
@@ -49,6 +49,7 @@ from .distributions import (
     maxchain_dist,
 )
 from .ideals import IdealLattice
+from .posets import _bits
 from .serialize import rat_str
 
 
@@ -121,13 +122,7 @@ class TcdeCertificate:
     kappa: tuple[Fraction, ...]
 
     def validate(self, L: IdealLattice) -> bool:
-        for i in range(L.n):
-            total = self.c
-            for p in range(L.base.n):
-                total += self.kappa[p] * (L.t_plus[p][i] - L.t_minus[p][i])
-            if total != L.ddeg[i]:
-                return False
-        return True
+        return _identity_failure(L, self.c, self.kappa) is None
 
     def to_dict(self) -> dict:
         return {
@@ -161,21 +156,32 @@ class TcdeWitness:
         }
 
 
-def _bitset(flags) -> int:
-    """Int with bit i set iff flags[i] (0 or 1) is 1."""
-    return int("".join(map(str, reversed(flags))), 2)
+def _identity_failure(L: IdealLattice, c, kappa, scale=1, empty_full=0):
+    """Index of the first ideal I where the pointwise identity
+    c + sum_p kappa_p T_p(I) + empty_full ([I = empty] - [I = full])
+    = scale * ddeg(I) fails, or None when it holds on every ideal.
 
-
-def _empty_full(L: IdealLattice) -> list[int]:
-    """[I = empty] - [I = full] over the ideals in canonical order.
-
-    J(P) starts with the empty ideal and ends with the full one; on the
-    empty poset they coincide and the single ideal counts as full.
+    T_p(I) is +1 on the bits of ``up[i]`` and -1 on those of ``down[i]``.
+    J(P) runs from the empty ideal to the full one; on the empty poset they
+    coincide and the single ideal counts as full.
     """
-    values = [0] * L.n
-    values[0] = 1
-    values[-1] = -1
-    return values
+    ends = {0: empty_full, L.n - 1: -empty_full}
+    for i, (u, d, dd) in enumerate(zip(L.up, L.down, L.ddeg)):
+        total = c - scale * dd + ends.get(i, 0)
+        total += sum([kappa[p] for p in _bits(u)]) - sum([kappa[p] for p in _bits(d)])
+        if total:
+            return i
+    return None
+
+
+def _transpose(masks, width: int) -> list[int]:
+    """Bit k of the i-th mask as bit i of the k-th int, for k < width."""
+    top = len(masks) - 1
+    rows = [bytearray(b"0") * (top + 1) for _ in range(width)]
+    for i, m in enumerate(masks):
+        for k in _bits(m):
+            rows[k][top - i] = 49  # ord("1")
+    return [int(r, 2) for r in rows]
 
 
 def _dot(u, v) -> int:
@@ -195,17 +201,13 @@ def _gram_solve(L: IdealLattice, empty_full: bool):
 
     A is [1 | T_p], plus the empty/full column when asked.
     """
+    nP = L.base.n
     cols = [((1 << L.n) - 1, 0)]
-    cols += [(_bitset(L.t_plus[p]), _bitset(L.t_minus[p])) for p in range(L.base.n)]
+    cols += zip(_transpose(L.up, nP), _transpose(L.down, nP))
     if empty_full:
-        extra = _empty_full(L)
-        cols.append(
-            (_bitset([int(x > 0) for x in extra]), _bitset([int(x < 0) for x in extra]))
-        )
-    planes = [
-        (_bitset([d >> k & 1 for d in L.ddeg]), 0)
-        for k in range(max(L.ddeg).bit_length())
-    ]
+        # [I = empty] - [I = full]; a single ideal counts as full
+        cols.append((int(L.n > 1), 1 << (L.n - 1)))
+    planes = [(b, 0) for b in _transpose(L.ddeg, max(L.ddeg).bit_length())]
     gram = [[_dot(u, v) for v in cols] for u in cols]
     rhs = [sum(_dot(u, plane) << k for k, plane in enumerate(planes)) for u in cols]
     return _solve_consistent(gram, rhs), gram
@@ -232,16 +234,8 @@ def _solve_consistent(matrix, rhs):
 
 def _fits(L: IdealLattice, sol, empty_full: bool) -> bool:
     """True iff ddeg = A sol on every ideal, checked in integers."""
-    d, scaled = _clear_denominators(sol)
-    total = [scaled[0] - d * dd for dd in L.ddeg]
-    for p in range(L.base.n):
-        k = scaled[1 + p]
-        if k:
-            plus, minus = L.t_plus[p], L.t_minus[p]
-            total = [t + k * (a - b) for t, a, b in zip(total, plus, minus)]
-    if empty_full:
-        total = [t + scaled[-1] * e for t, e in zip(total, _empty_full(L))]
-    return not any(total)
+    d, x = _clear_denominators(sol)
+    return _identity_failure(L, x[0], x[1:], d, x[-1] if empty_full else 0) is None
 
 
 def certify_tcde(
@@ -310,8 +304,11 @@ def _refute(L: IdealLattice, gram) -> TcdeWitness:
     given the Gram matrix of [1 | T_p]."""
     rank = len(gram) - len(linalg.nullspace(gram))
     nP = L.base.n
-    signed = [map(sub, L.t_plus[p], L.t_minus[p]) for p in range(nP)]
-    chosen = _lex_first_columns(zip(repeat(1), *signed, L.ddeg), rank + 1)
+    columns = (  # [1; T_p; ddeg] at each ideal, from its label masks
+        [1] + [(u >> p & 1) - (d >> p & 1) for p in range(nP)] + [dd]
+        for u, d, dd in zip(L.up, L.down, L.ddeg)
+    )
+    chosen = _lex_first_columns(columns, rank + 1)
     block = [list(row) for row in zip(*[col for _, col in chosen])]
     v = _solve_consistent(block, [0] * (nP + 1) + [1])
     base = Fraction(1, L.n)

@@ -5,7 +5,7 @@ family.  Exactly one input source per invocation (--poset FILE, --shape LIT,
 or --family LIT).  Exit codes: 0 success, 1 property refuted (a witness
 exists when certifying, or no witness exists when one was requested),
 2 input error (including the empty poset given to ``analyze --poset``, which
-has no edge density), 3 budget exceeded, 4 internal error (any other
+has no edge density, and a ``--budget`` below 1), 3 budget exceeded, 4 internal error (any other
 exception, such as a failed self-check).  Codes 2-4 write a JSON object
 {"error": ...}, except for malformed flags, which argparse reports on stderr
 with code 2; an internal error also prints its traceback to stderr.  Each
@@ -246,7 +246,6 @@ def _count_tableaux(args) -> tuple[int, object]:
         except TableauBudgetError:
             pass
     else:
-        assert isinstance(shape, ShiftedShape)
         lam = shape.strict
         report["standard_unprimed"] = g_thrall(lam)
         report["barely_formula"] = count_shifted_barely_formula(lam, budget=args.budget)
@@ -310,6 +309,10 @@ _HANDLERS = {
 
 def _run(args) -> tuple[int, object]:
     try:
+        # J(P) always holds the empty ideal, so no lattice fits a budget below 1
+        budget = getattr(args, "budget", DEFAULT_IDEAL_BUDGET)
+        if budget < 1:
+            raise PosetError(f"--budget must be at least 1, got {budget}")
         return _HANDLERS[args.verb](args)
     except (LatticeBudgetError, TableauBudgetError) as exc:
         return EXIT_BUDGET, {"error": str(exc)}

@@ -254,16 +254,22 @@ def _saturated_chains(order, preds) -> list[int]:
     return counts
 
 
+def _hasse_covers(L: IdealLattice):
+    """(lower covers, upper covers) of each ideal, from the Hasse edges."""
+    down = [[] for _ in range(L.n)]
+    up = [[] for _ in range(L.n)]
+    for i, j, _ in L.hasse:
+        down[j].append(i)
+        up[i].append(j)
+    return down, up
+
+
 def maxchain_dist(X) -> Distribution:
     """Weight proportional to the number of maximal chains through p."""
     if isinstance(X, IdealLattice):
         # canonical ideal order is by cardinality, hence a linear extension
         order = range(X.n)
-        down = [[] for _ in order]
-        up = [[] for _ in order]
-        for i, j, _ in X.hasse:
-            down[j].append(i)
-            up[i].append(j)
+        down, up = _hasse_covers(X)
     else:
         order, down, up = X.topological_order(), X.down_covers, X.up_covers
     from_bottom = _saturated_chains(order, down)
@@ -306,15 +312,18 @@ def mmchain_dist(X, m: int) -> Distribution:
 
 
 def is_toggle_symmetric(L: IdealLattice, mu: Distribution) -> bool:
-    """True iff E(mu; T+_p) = E(mu; T-_p) exactly, for every p."""
+    """True iff E(mu; T+_p) = E(mu; T-_p) exactly, for every p: each weight
+    adds to the balance of the bits of ``up[i]`` and subtracts from ``down[i]``'s."""
     if len(mu) != L.n:
         raise ValueError("distribution length does not match the lattice")
-    for p in range(L.base.n):
-        plus = sum((w for w, t in zip(mu, L.t_plus[p]) if t), Fraction(0))
-        minus = sum((w for w, t in zip(mu, L.t_minus[p]) if t), Fraction(0))
-        if plus != minus:
-            return False
-    return True
+    balance = [0] * L.base.n
+    for w, u, d in zip(mu, L.up, L.down):
+        if w:
+            for p in _bits(u):
+                balance[p] += w
+            for p in _bits(d):
+                balance[p] -= w
+    return not any(balance)
 
 
 # --- necklace counts and the conversion identities ---------------------------

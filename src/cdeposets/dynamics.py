@@ -172,4 +172,5 @@ def antichain_cardinality(L: IdealLattice):
 
 
 def signed_toggleability(L: IdealLattice, p: int):
-    return tuple([a - b for a, b in zip(L.t_plus[p], L.t_minus[p])])
+    """T_p = T+_p - T-_p over the ideals, read off the label masks."""
+    return tuple([(u >> p & 1) - (d >> p & 1) for u, d in zip(L.up, L.down)])

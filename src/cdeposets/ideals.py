@@ -19,6 +19,10 @@ their symmetric difference.  Reading the binary string of a mask from bit 0
 upward, that list has a '1' where the other has a '0', so sorting the level
 by the reversed binary strings in descending order gives the canonical
 order without building a member list per ideal.
+
+The masks are the only storage of the toggleability statistics: T+_p(I) is
+bit p of ``up[i]`` and T-_p(I) is bit p of ``down[i]``.  Readers walk or
+mask those bits directly; ``toggleability`` unpacks one column on request.
 """
 
 from __future__ import annotations
@@ -41,9 +45,8 @@ class IdealLattice:
         index: ideal bitmask -> its position in ``ideals``.
         hasse: (i, j, p) with ideal j = ideal i plus element p, sorted.
         ddeg: down-degree (= #max(I)) per ideal.
-        up / down: per ideal, the bitmask of addable / removable elements.
-        t_plus / t_minus: per base element p, a 0/1 tuple over ideals; built
-            from ``up`` / ``down`` on first read and cached.
+        up / down: per ideal, the bitmask of addable / removable elements;
+            bit p of them is T+_p(I) / T-_p(I).
     """
 
     __slots__ = (
@@ -54,8 +57,6 @@ class IdealLattice:
         "ddeg",
         "up",
         "down",
-        "_t_plus",
-        "_t_minus",
         "_poset",
     )
 
@@ -67,25 +68,11 @@ class IdealLattice:
         self.ddeg = ddeg
         self.up = up
         self.down = down
-        self._t_plus = None
-        self._t_minus = None
         self._poset = None
 
     @property
     def n(self) -> int:
         return len(self.ideals)
-
-    @property
-    def t_plus(self):
-        if self._t_plus is None:
-            self._t_plus = _label_table(self.up, self.base.n)
-        return self._t_plus
-
-    @property
-    def t_minus(self):
-        if self._t_minus is None:
-            self._t_minus = _label_table(self.down, self.base.n)
-        return self._t_minus
 
     def edge_count(self) -> int:
         return len(self.hasse)
@@ -115,11 +102,6 @@ class IdealLattice:
             "edges": [[i, j] for i, j, _ in self.hasse],
             "ddeg": list(self.ddeg),
         }
-
-
-def _label_table(masks, n: int):
-    """Per element p, the 0/1 tuple of bit p over the per-ideal masks."""
-    return tuple([tuple([m >> p & 1 for m in masks]) for p in range(n)])
 
 
 def build_lattice(P: Poset, budget: int = DEFAULT_IDEAL_BUDGET) -> IdealLattice:
@@ -183,5 +165,8 @@ def toggle(L: IdealLattice, i: int, p: int) -> int:
 
 
 def toggleability(L: IdealLattice, p: int):
-    """(T+_p, T-_p) as 0/1 statistics over the ideals."""
-    return L.t_plus[p], L.t_minus[p]
+    """(T+_p, T-_p) as 0/1 statistics over the ideals, read off the masks."""
+    return (
+        tuple([u >> p & 1 for u in L.up]),
+        tuple([d >> p & 1 for d in L.down]),
+    )

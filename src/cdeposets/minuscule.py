@@ -15,7 +15,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
-from .cde import certify_tcde
+from .cde import _identity_failure, certify_tcde
 from .ideals import build_lattice
 from .posets import Poset, build_poset, chain, direct_product, is_isomorphic
 from .serialize import rat_str
@@ -118,24 +118,22 @@ def exceptional_identity_report(name: str) -> dict:
     """Check the pointwise certificate identity on J(P(E6)) or J(P(E7)).
 
     The identity is m * ddeg + sum_p kappa_p (T-_p - T+_p) = t * 1 on every
-    ideal; it implies E(mu; ddeg) = t/m for every toggle-symmetric mu.
+    ideal, i.e. t + sum_p kappa_p T_p = m * ddeg; it implies
+    E(mu; ddeg) = t/m for every toggle-symmetric mu.
     """
     d = _load_exceptional(name.lower())
     P = Poset(d["n"], [tuple(c) for c in d["covers"]])
     kappa = [Fraction(k) for k in d["kappa"]]
     m, t = d["ddeg_multiplier"], d["target"]
     L = build_lattice(P)
-    for i in range(L.n):
-        total = m * L.ddeg[i]
-        for p in range(P.n):
-            total += kappa[p] * (L.t_minus[p][i] - L.t_plus[p][i])
-        if total != t:
-            return {
-                "case": d["name"],
-                "holds": False,
-                "first_failing_ideal": sorted(L.members(i)),
-                "note": "transcription bug: identity fails",
-            }
+    i = _identity_failure(L, t, kappa, m)
+    if i is not None:
+        return {
+            "case": d["name"],
+            "holds": False,
+            "first_failing_ideal": sorted(L.members(i)),
+            "note": "transcription bug: identity fails",
+        }
     return {
         "case": d["name"],
         "holds": True,

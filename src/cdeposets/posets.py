@@ -498,13 +498,20 @@ def poset_to_json(P: Poset) -> str:
 
 
 def poset_from_dict(d: dict) -> Poset:
+    """n and the relation ids must be JSON integers (not floats or booleans)."""
     try:
-        n = int(d["n"])
-        relations = [(int(a), int(b)) for a, b in d["relations"]]
+        n = d["n"]
+        relations = [(a, b) for a, b in d["relations"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise PosetError(f"malformed poset document: {exc}") from exc
-    labels = d.get("labels")
-    return build_poset(n, relations, labels)
+    if type(n) is not int or n < 0:
+        raise PosetError(f"malformed poset document: n must be an integer >= 0, got {n!r}")
+    for a, b in relations:
+        if type(a) is not int or type(b) is not int:
+            raise PosetError(
+                f"malformed poset document: relation ids must be integers, got {[a, b]!r}"
+            )
+    return build_poset(n, relations, d.get("labels"))
 
 
 def load_poset(path) -> Poset:

@@ -370,25 +370,27 @@ def rook(shape, L: IdealLattice, i: int, j: int):
     """The rook statistic R_ij over J(P) of a skew or shifted shape.
 
     For a shifted shape this is R^shift_ij: the two negative sums skip the
-    main-diagonal boxes.
+    main-diagonal boxes.  Each of the four sums is a popcount of the
+    ideal's addable (``up``) or removable (``down``) mask against the boxes
+    it counts.
     """
     if (i, j) not in shape:
         raise ValueError(f"[{i},{j}] is not a box of {shape}")
-    vals = [Fraction(0)] * L.n
+    plus_pos = minus_pos = minus_neg = plus_neg = 0
     for k, (x, y) in enumerate(shape.boxes):
         off_diagonal = (x, y) not in shape.diagonal
-        for idx in range(L.n):
-            v = 0
-            if x <= i and y <= j:
-                v += L.t_plus[k][idx]
-            if x >= i and y >= j:
-                v += L.t_minus[k][idx]
-            if x < i and y < j and off_diagonal:
-                v -= L.t_minus[k][idx]
-            if x > i and y > j and off_diagonal:
-                v -= L.t_plus[k][idx]
-            if v:
-                vals[idx] += v
+        if x <= i and y <= j:
+            plus_pos |= 1 << k
+        if x >= i and y >= j:
+            minus_pos |= 1 << k
+        if x < i and y < j and off_diagonal:
+            minus_neg |= 1 << k
+        if x > i and y > j and off_diagonal:
+            plus_neg |= 1 << k
+    vals = []
+    for u, d in zip(L.up, L.down):
+        v = (u & plus_pos).bit_count() - (u & plus_neg).bit_count()
+        vals.append(Fraction(v + (d & minus_pos).bit_count() - (d & minus_neg).bit_count()))
     return tuple(vals)
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import linalg
-from .distributions import _saturated_chains, expectation, maxchain_dist
+from .distributions import _hasse_covers, _saturated_chains, expectation, maxchain_dist
 from .ideals import build_lattice
 from .posets import Poset
 from .shapes import Partition, ShiftedShape, SkewShape
@@ -37,9 +37,9 @@ class TableauBudgetError(RuntimeError):
 
 def count_linear_extensions(P: Poset) -> int:
     """Number of linear extensions, as maximal chains of J(P)."""
-    lat = build_lattice(P).as_poset()
+    L = build_lattice(P)
     # canonical order is by cardinality, so topological
-    return _saturated_chains(range(lat.n), lat.down_covers)[-1]
+    return _saturated_chains(range(L.n), _hasse_covers(L)[0])[-1]
 
 
 def f_aitken(shape: SkewShape) -> int:
@@ -271,11 +271,8 @@ def count_shifted_barely_formula(
     if not diagonally_unprimed:
         value = (n + 1) * 2 ** (n + 1) * g_thrall(lam) * expectation(mu, L.ddeg)
     else:
-        diag = [shape.box_index[(i, i)] for i in range(1, lam.length + 1)]
-        stat = [
-            2 * L.ddeg[idx] - sum(L.t_minus[p][idx] for p in diag)
-            for idx in range(L.n)
-        ]
+        diag = sum([1 << shape.box_index[(i, i)] for i in range(1, lam.length + 1)])
+        stat = [2 * dd - (d & diag).bit_count() for dd, d in zip(L.ddeg, L.down)]
         value = (
             (n + 1)
             * 2 ** (n - lam.length)

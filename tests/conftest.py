@@ -129,11 +129,11 @@ def random_toggle_symmetric(L, rng: random.Random) -> Distribution:
     scaled to keep all weights nonnegative."""
     from cdeposets import linalg
 
+    from lattice_oracle import toggle_tables
+
     rows = [[Fraction(1)] * L.n]
-    for p in range(L.base.n):
-        rows.append(
-            [Fraction(L.t_plus[p][i] - L.t_minus[p][i]) for i in range(L.n)]
-        )
+    for plus, minus in zip(*toggle_tables(L.base, L.ideals)):
+        rows.append([Fraction(a - b) for a, b in zip(plus, minus)])
     basis = linalg.nullspace(rows)
     if not basis:
         from cdeposets import uniform

@@ -6,7 +6,9 @@ with bit for bit.  ``certify_tcde_dense`` row-reduces the |J| x (n+1) system
 row-reduces the (n+2) x |J| system [1; T_p; ddeg] v = e_last, one column per
 ideal.  Both use Gauss-Jordan elimination over Fraction with the first
 nonzero entry of each column as pivot and free variables set to zero, so the
-solution is supported on the lex-first independent columns.
+solution is supported on the lex-first independent columns.  The T_p rows
+and columns come from ``lattice_oracle.toggle_tables``, not from the
+lattice's label masks.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from fractions import Fraction
 
 from cdeposets import Distribution, expectation
 from cdeposets.cde import TcdeCertificate, TcdeWitness
+
+from lattice_oracle import toggle_tables
 
 
 def _echelon(rows):
@@ -56,11 +60,18 @@ def dense_solve(matrix, rhs):
     return sol
 
 
+def _signed_tables(L):
+    """T_p = T+_p - T-_p per element, from the element-by-element tables."""
+    t_plus, t_minus = toggle_tables(L.base, L.ideals)
+    return [[a - b for a, b in zip(tp, tm)] for tp, tm in zip(t_plus, t_minus)]
+
+
 def certify_tcde_dense(L, empty_full_constraint=False):
     nP = L.base.n
+    signed = _signed_tables(L)
     matrix = []
     for i in range(L.n):
-        row = [1] + [L.t_plus[p][i] - L.t_minus[p][i] for p in range(nP)]
+        row = [1] + [col[i] for col in signed]
         if empty_full_constraint:
             extra = 1 if L.ideals[i] == 0 else 0
             if i == L.n - 1 and L.ideals[i] == (1 << nP) - 1:
@@ -74,10 +85,7 @@ def certify_tcde_dense(L, empty_full_constraint=False):
 
 
 def find_witness_dense(L):
-    rows = [[1] * L.n]
-    for p in range(L.base.n):
-        rows.append([L.t_plus[p][i] - L.t_minus[p][i] for i in range(L.n)])
-    rows.append(list(L.ddeg))
+    rows = [[1] * L.n, *_signed_tables(L), list(L.ddeg)]
     v = dense_solve(rows, [0] * (len(rows) - 1) + [1])
     if v is None:
         return None

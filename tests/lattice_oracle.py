@@ -4,8 +4,9 @@
 level-by-level enumeration must agree with: a breadth-first search that tries
 every element of P on every ideal, a sort keyed on the member lists, and one
 pass over every (ideal, element) pair for the Hasse edges, the down-degrees
-and the toggleability tables.  ``rank_permuted_by_toggles`` applies a
-rank-permuted rowmotion one ``toggle`` call per element.
+and the toggleability tables (``toggle_tables``, which the other test
+oracles read as well).  ``rank_permuted_by_toggles`` applies a rank-permuted
+rowmotion one ``toggle`` call per element.
 """
 
 from __future__ import annotations
@@ -35,28 +36,43 @@ def build_lattice_reference(P, budget: int):
         frontier = nxt
     ideals = sorted(seen, key=lambda m: (m.bit_count(), _bits(m)))
     index = {m: i for i, m in enumerate(ideals)}
-    hasse = []
-    ddeg = [0] * len(ideals)
-    t_plus = [[0] * len(ideals) for _ in range(P.n)]
-    t_minus = [[0] * len(ideals) for _ in range(P.n)]
-    for i, mask in enumerate(ideals):
-        for p in range(P.n):
-            if mask >> p & 1:
-                if P.strict_up[p] & mask == 0:
-                    t_minus[p][i] = 1
-                    ddeg[i] += 1
-            elif P.strict_down[p] & ~mask == 0:
-                t_plus[p][i] = 1
-                hasse.append((i, index[mask | 1 << p], p))
-    hasse.sort()
+    t_plus, t_minus = toggle_tables(P, ideals)
+    hasse = sorted(
+        (i, index[mask | 1 << p], p)
+        for p in range(P.n)
+        for i, mask in enumerate(ideals)
+        if t_plus[p][i]
+    )
+    ddeg = [sum(col[i] for col in t_minus) for i in range(len(ideals))]
     return SimpleNamespace(
         ideals=tuple(ideals),
         index=index,
         hasse=tuple(hasse),
         ddeg=tuple(ddeg),
-        t_plus=tuple([tuple(col) for col in t_plus]),
-        t_minus=tuple([tuple(col) for col in t_minus]),
+        t_plus=t_plus,
+        t_minus=t_minus,
     )
+
+
+def toggle_tables(P, ideals):
+    """(t_plus, t_minus): per element p, the 0/1 tuple over the given ideal
+    masks of "p is addable" / "p is removable", tested element by element
+    against the strict down- and up-sets of P."""
+    t_plus = []
+    t_minus = []
+    for p in range(P.n):
+        t_plus.append(
+            tuple(
+                [
+                    int(not mask >> p & 1 and P.strict_down[p] & ~mask == 0)
+                    for mask in ideals
+                ]
+            )
+        )
+        t_minus.append(
+            tuple([int(mask >> p & 1 and P.strict_up[p] & mask == 0) for mask in ideals])
+        )
+    return tuple(t_plus), tuple(t_minus)
 
 
 def rank_permuted_by_toggles(L, sigma):

@@ -32,6 +32,7 @@ from cdeposets import (
     rook,
     rowmotion_map,
     shifted_rook_placement,
+    toggleability,
     uniform,
 )
 from cdeposets.dynamics import (
@@ -400,7 +401,8 @@ def test_criterion_09_tableaux_oracles():
         shape = ShiftedShape(lam)
         L = build_lattice(shape.poset())
         diag = [shape.box_index[(i, i)] for i in range(1, lam.length + 1)]
-        stat = [sum(L.t_minus[p][idx] for p in diag) for idx in range(L.n)]
+        minus = [toggleability(L, p)[1] for p in diag]
+        stat = [sum(col[idx] for col in minus) for idx in range(L.n)]
         assert expectation(maxchain_dist(L), stat) == Fraction(1, 2), lam
     _passed("criterion 9 (tableau counting formulas vs brute-force oracles)")
 

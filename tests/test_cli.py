@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from cdeposets import cli
 from cdeposets.cli import main
 from cdeposets import Distribution, build_lattice, expectation, is_toggle_symmetric
@@ -151,6 +153,53 @@ def test_input_errors(capsys):
 def test_budget_exit_code(capsys):
     code, _ = run(capsys, "analyze", "--shape", "straight:4,4,4", "--budget", "5")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--shape", "straight:2,1", "--budget", "0"],
+        ["cert-tcde", "--shape", "straight:2,1", "--budget", "-5"],
+        ["witness", "--family", "minuscule:E6", "--budget", "0"],
+        ["count-tableaux", "--shape", "shifted:2,1", "--budget", "-1"],
+        ["scan", "--family", "straight-shapes:2", "--budget", "0"],
+    ],
+)
+def test_budget_below_one_is_an_input_error(capsys, monkeypatch, argv):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("J(P) was enumerated")
+
+    monkeypatch.setattr("cdeposets.ideals.build_lattice", no_enumeration)
+    monkeypatch.setattr(cli, "build_lattice", no_enumeration)
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": f"--budget must be at least 1, got {argv[-1]}"
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n": 2.5, "relations": []}, "n must be an integer >= 0, got 2.5"),
+        ({"n": True, "relations": []}, "n must be an integer >= 0, got True"),
+        ({"n": -1, "relations": []}, "n must be an integer >= 0, got -1"),
+        (
+            {"n": 2, "relations": [[0.9, 1]]},
+            "relation ids must be integers, got [0.9, 1]",
+        ),
+        (
+            {"n": 2, "relations": [[0, False]]},
+            "relation ids must be integers, got [0, False]",
+        ),
+    ],
+)
+def test_poset_file_is_not_coerced(capsys, tmp_path, doc, message):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "analyze", "--poset", str(path))
+    assert code == 2
+    assert json.loads(out) == {"error": f"malformed poset document: {message}"}
 
 
 def test_extra_empty_full_flag(capsys):

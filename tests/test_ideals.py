@@ -80,8 +80,9 @@ def test_toggleability_statistics():
     t_plus, t_minus = toggleability(L, 0)
     assert list(t_plus) == [1 if L.ideals[i] == 0 else 0 for i in range(L.n)]
     # sum of T- over elements is the down-degree
+    minus = [toggleability(L, p)[1] for p in range(P.n)]
     for i in range(L.n):
-        assert sum(L.t_minus[p][i] for p in range(P.n)) == L.ddeg[i]
+        assert sum(col[i] for col in minus) == L.ddeg[i]
 
 
 def test_single_element_toggleability():
@@ -96,11 +97,10 @@ def test_jaggedness_is_hasse_degree():
         P = random_poset(rng)
         L = build_lattice(P)
         lat = L.as_poset()
+        cols = [toggleability(L, p) for p in range(P.n)]
         for i in range(L.n):
             degree = len(lat.up_covers[i]) + len(lat.down_covers[i])
-            jag = sum(
-                L.t_plus[p][i] + L.t_minus[p][i] for p in range(P.n)
-            )
+            jag = sum(plus[i] + minus[i] for plus, minus in cols)
             assert jag == degree
 
 

@@ -1,12 +1,31 @@
-"""J(P) from the level-by-level enumeration with addable masks, and the
-dynamics maps from the per-ideal label masks, against the element-by-element
-reference routes: equal lattices and equal maps."""
+"""J(P) from the level-by-level enumeration with addable masks, the dynamics
+maps from the per-ideal label masks, and every reader of T+-_p from those
+masks, against the element-by-element reference routes and tables: equal
+lattices, equal maps and equal statistics."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from cdeposets import antichain, build_lattice, build_poset
+from cdeposets import (
+    Distribution,
+    antichain,
+    build_lattice,
+    build_poset,
+    certify_tcde,
+    count_shifted_barely_formula,
+    expectation,
+    g_thrall,
+    is_toggle_symmetric,
+    maxchain_dist,
+    rook,
+    toggleability,
+    uniform,
+)
+from cdeposets import tableaux
+from cdeposets.cde import _identity_failure
+from cdeposets.distributions import point_mass
 from cdeposets.dynamics import (
     antichain_cardinality,
     gyration_map,
@@ -17,13 +36,14 @@ from cdeposets.dynamics import (
     rowmotion,
     rowmotion_map,
     rowmotion_via_linear_extension,
+    signed_toggleability,
 )
 from cdeposets.ideals import LatticeBudgetError
 from cdeposets.minuscule import parse_family
 from cdeposets.posets import load_poset, rank_info
-from cdeposets.shapes import parse_shape
+from cdeposets.shapes import ShiftedShape, parse_shape
 
-from conftest import FIXTURES
+from conftest import FIXTURES, random_toggle_symmetric
 from lattice_oracle import build_lattice_reference, rank_permuted_by_toggles
 
 GOLDEN_SHAPES = [
@@ -64,9 +84,7 @@ def _assert_same(P, seed=0):
     for mapping in maps:
         orbit_decomposition(L, mapping)
         homomesy_report(L, mapping, antichain_cardinality(L))
-    assert L._t_plus is None and L._t_minus is None, "the maps built the tables"
-    assert L.t_plus == ref.t_plus
-    assert L.t_minus == ref.t_minus
+    _assert_readers_match_tables(L, ref, random.Random(seed))
 
     row = maps[0]
     assert row == [rowmotion(L, i) for i in range(L.n)]
@@ -86,6 +104,109 @@ def _assert_same(P, seed=0):
     assert not _raises_budget(build_lattice, P, L.n)
     if P.n:
         assert _raises_budget(build_lattice, P, L.n - 1)
+
+
+def _toggle_symmetric_from_tables(ref, mu) -> bool:
+    return all(
+        sum(w for w, t in zip(mu, plus) if t) == sum(w for w, t in zip(mu, minus) if t)
+        for plus, minus in zip(ref.t_plus, ref.t_minus)
+    )
+
+
+def _identity_failure_from_tables(ref, c, kappa, scale, empty_full):
+    n = len(ref.ideals)
+    extra = [0] * n
+    extra[0] = 1
+    extra[-1] = -1
+    for i in range(n):
+        total = c - scale * ref.ddeg[i] + empty_full * extra[i]
+        for p, (plus, minus) in enumerate(zip(ref.t_plus, ref.t_minus)):
+            total += kappa[p] * (plus[i] - minus[i])
+        if total:
+            return i
+    return None
+
+
+def _assert_readers_match_tables(L, ref, rng):
+    """Every reader of T+-_p from the label masks against the oracle tables."""
+    nP = L.base.n
+    for p in range(nP):
+        assert toggleability(L, p) == (ref.t_plus[p], ref.t_minus[p])
+        assert signed_toggleability(L, p) == tuple(
+            [a - b for a, b in zip(ref.t_plus[p], ref.t_minus[p])]
+        )
+
+    weights = [Fraction(rng.randint(0, 3)) for _ in range(L.n)]
+    weights[0] += 1
+    dists = [uniform(L), point_mass(L, 0), point_mass(L, L.n - 1)]
+    dists.append(Distribution([w / sum(weights) for w in weights]))
+    if L.n <= 200:
+        dists.append(random_toggle_symmetric(L, rng))
+    for mu in dists:
+        assert is_toggle_symmetric(L, mu) == _toggle_symmetric_from_tables(ref, mu)
+
+    cert = certify_tcde(L)
+    cases = [] if cert is None else [(cert.c, cert.kappa, 1, 0)]
+    for _ in range(4):
+        kappa = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(nP)]
+        scale, empty_full = rng.randint(1, 3), rng.randint(-2, 2)
+        # hold on the empty ideal, so that a failure, if any, comes later
+        c = -sum(k * plus[0] for k, plus in zip(kappa, ref.t_plus))
+        c -= empty_full * (-1 if L.n == 1 else 1)
+        cases.append((c, kappa, scale, empty_full))
+    for c, kappa, scale, empty_full in cases:
+        assert _identity_failure(L, c, kappa, scale, empty_full) == (
+            _identity_failure_from_tables(ref, c, kappa, scale, empty_full)
+        )
+    if cert is not None:
+        assert _identity_failure(L, cert.c, cert.kappa) is None
+
+
+@pytest.mark.parametrize("literal", GOLDEN_SHAPES)
+def test_shape_readers_match_tables(literal, monkeypatch):
+    """rook, and the diagonal statistic of the shifted barely count, against
+    the same sums over the oracle tables."""
+    shape = parse_shape(literal)
+    L = build_lattice(shape.poset())
+    ref = build_lattice_reference(shape.poset(), budget=1 << 24)
+    diagonal = shape.diagonal
+    for i, j in shape.boxes:
+        vals = [0] * L.n
+        for k, (x, y) in enumerate(shape.boxes):
+            plus, minus = ref.t_plus[k], ref.t_minus[k]
+            on = (x, y) in diagonal
+            for idx in range(L.n):
+                if x <= i and y <= j:
+                    vals[idx] += plus[idx]
+                if x >= i and y >= j:
+                    vals[idx] += minus[idx]
+                if x < i and y < j and not on:
+                    vals[idx] -= minus[idx]
+                if x > i and y > j and not on:
+                    vals[idx] -= plus[idx]
+        assert rook(shape, L, i, j) == tuple([Fraction(v) for v in vals])
+    if isinstance(shape, ShiftedShape):
+        lam, n = shape.strict, shape.n_boxes
+        diag = [shape.box_index[(i, i)] for i in range(1, lam.length + 1)]
+        stat = [
+            2 * L.ddeg[idx] - sum(ref.t_minus[p][idx] for p in diag)
+            for idx in range(L.n)
+        ]
+        expected = (
+            (n + 1) * 2 ** (n - lam.length) * g_thrall(lam)
+            * expectation(maxchain_dist(L), stat)
+        )
+        # the maxchain distribution is toggle-symmetric, so the count alone
+        # would not tell T-_p from T+_p: record the statistic it averages
+        seen = []
+
+        def recording(mu, values):
+            seen.append(list(values))
+            return expectation(mu, values)
+
+        monkeypatch.setattr(tableaux, "expectation", recording)
+        assert count_shifted_barely_formula(lam, diagonally_unprimed=True) == expected
+        assert seen == [stat]
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cdeposets import build_lattice, chain, direct_product, is_isomorphic
+from cdeposets import build_lattice, chain, direct_product, is_isomorphic, toggleability
 from cdeposets.minuscule import (
     build_minuscule,
     exceptional_kappa,
@@ -46,9 +46,10 @@ def test_identity_negative_control():
     kappa = list(exceptional_kappa("e6"))
     kappa[3] = Fraction(0)
     L = build_lattice(P)
+    cols = [toggleability(L, p) for p in range(P.n)]
     holds = all(
         3 * L.ddeg[i]
-        + sum(kappa[p] * (L.t_minus[p][i] - L.t_plus[p][i]) for p in range(P.n))
+        + sum(kappa[p] * (cols[p][1][i] - cols[p][0][i]) for p in range(P.n))
         == 4
         for i in range(L.n)
     )

@@ -183,6 +183,29 @@ def test_json_round_trip(fix_b, tmp_path):
         poset_from_dict({"n": 2})
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 2.5, "relations": []},
+        {"n": True, "relations": []},
+        {"n": -1, "relations": []},
+        {"n": "2", "relations": []},
+        {"n": 2, "relations": [[0.9, 1]]},
+        {"n": 2, "relations": [[True, 1]]},
+        {"n": 2, "relations": [[0, 1, 1]]},
+    ],
+)
+def test_poset_from_dict_rejects_non_integers(doc):
+    with pytest.raises(PosetError, match="malformed poset document"):
+        poset_from_dict(doc)
+
+
+def test_poset_from_dict_reads_integers():
+    P = poset_from_dict({"n": 3, "relations": [[0, 1], [1, 2], [0, 2]]})
+    assert P == chain(3)
+    assert poset_from_dict({"n": 0, "relations": []}).n == 0
+
+
 def test_connected_components(fix_b):
     assert fix_b.is_connected()
     assert len(disjoint_union(chain(2), chain(3)).connected_components()) == 2

@@ -12,6 +12,7 @@ from cdeposets import (
     rook,
     rook_placement,
     shifted_rook_placement,
+    toggleability,
 )
 from cdeposets.shapes import (
     Partition,
@@ -178,7 +179,7 @@ def test_rook_attack_expectation_ordinary():
             # row plus column sums; the rook's own box is attacked twice
             rhs = sum(
                 ((x == i) + (y == j))
-                * expectation(mu, L.t_minus[s.box_index[(x, y)]])
+                * expectation(mu, toggleability(L, s.box_index[(x, y)])[1])
                 for x, y in s.boxes
             )
             assert lhs == rhs
@@ -202,7 +203,7 @@ def test_shifted_rook_attack_expectation():
                     hits += 1
                 if x == y and (x < i or y > j):
                     hits += 1
-                rhs += hits * expectation(mu, L.t_minus[ss.box_index[(x, y)]])
+                rhs += hits * expectation(mu, toggleability(L, ss.box_index[(x, y)])[1])
             assert lhs == rhs
 
 
@@ -213,8 +214,9 @@ def test_diagonal_toggle_identity_type1():
         ss = ShiftedShape(lam)
         L = build_lattice(ss.poset())
         diag = [ss.box_index[(i, i)] for i in range(1, lam.length + 1)]
+        cols = [toggleability(L, p) for p in diag]
         for idx in range(L.n):
-            total = sum(L.t_plus[p][idx] + L.t_minus[p][idx] for p in diag)
+            total = sum(plus[idx] + minus[idx] for plus, minus in cols)
             assert total == 1
 
 

@@ -15,6 +15,7 @@ from cdeposets import (
     f_hook,
     g_thrall,
     maxchain_dist,
+    toggleability,
 )
 from cdeposets.shapes import (
     Partition,
@@ -141,9 +142,8 @@ def test_type1_diagonal_expectation_half():
         shape = ShiftedShape(lam)
         L = build_lattice(shape.poset())
         diag = [shape.box_index[(i, i)] for i in range(1, lam.length + 1)]
-        stat = [
-            sum(L.t_minus[p][idx] for p in diag) for idx in range(L.n)
-        ]
+        minus = [toggleability(L, p)[1] for p in diag]
+        stat = [sum(col[idx] for col in minus) for idx in range(L.n)]
         assert expectation(maxchain_dist(L), stat) == Fraction(1, 2)
 
 
