@@ -2,9 +2,10 @@
 
 The formula route multiplies a standard-tableau count (determinant or hook
 formula) by an exact maxchain expectation on the corresponding interval;
-the oracle route enumerates fillings directly.  They agree -- and for the
-balanced and shifted-balanced shapes the expectation collapses to a clean
-product formula.
+the split-box route doubles one box at a time by splitting it into a
+2-chain and counts the linear extensions of the split posets.  They agree
+-- and for the balanced and shifted-balanced shapes the expectation
+collapses to a clean product formula.
 """
 
 from cdeposets.shapes import Partition, parse_shape
@@ -24,8 +25,8 @@ def main():
     for literal in ("straight:2,2", "straight:3,1", "skew:3,2/1", "straight:3,2,1"):
         shape = parse_shape(literal)
         formula = count_barely_formula(shape)
-        brute = enumerate_barely(shape)
-        print(f"  {literal:16s} f={f_aitken(shape):3d}  barely: {formula} = {brute}")
+        split = enumerate_barely(shape)
+        print(f"  {literal:16s} f={f_aitken(shape):3d}  barely: {formula} = {split}")
     print()
 
     print("Shifted shapes, primed and diagonally unprimed:")
@@ -35,9 +36,9 @@ def main():
         unprimed = count_shifted_barely_formula(lam, diagonally_unprimed=True)
         print(
             f"  shifted {str(parts):10s} g={g_thrall(lam):2d}"
-            f"  barely={primed} (brute {enumerate_shifted_barely(lam)})"
+            f"  barely={primed} (split-box {enumerate_shifted_barely(lam)})"
             f"  diag-unprimed={unprimed}"
-            f" (brute {enumerate_shifted_barely(lam, diagonally_unprimed=True)})"
+            f" (split-box {enumerate_shifted_barely(lam, diagonally_unprimed=True)})"
         )
     print()
 

@@ -106,6 +106,8 @@ class IdealLattice:
 
 def build_lattice(P: Poset, budget: int = DEFAULT_IDEAL_BUDGET) -> IdealLattice:
     """Enumerate J(P) level by level from the empty ideal."""
+    if budget < 1:
+        raise LatticeBudgetError(f"J(P) exceeds the ideal budget of {budget}")
     up_of = {0: sum([1 << p for p in range(P.n) if not P.strict_down[p]])}
     ideals = []
     level = [0]

@@ -29,7 +29,13 @@ class CycleError(PosetError):
 
 def _bits(mask: int) -> list[int]:
     """Positions of the set bits of a nonnegative mask, ascending."""
-    return [i for i, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+    digits = bin(mask)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 class Poset:

@@ -19,6 +19,8 @@ from cdeposets.posets import _bits, rank_info
 
 def build_lattice_reference(P, budget: int):
     seen = {0}
+    if len(seen) > budget:
+        raise LatticeBudgetError(f"J(P) exceeds the ideal budget of {budget}")
     frontier = [0]
     while frontier:
         nxt = []

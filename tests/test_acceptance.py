@@ -71,6 +71,8 @@ from cdeposets.tableaux import (
     g_thrall,
 )
 
+from tableau_oracle import barely_count, shifted_barely_count
+
 from conftest import (
     brute_mchain,
     brute_mmchain,
@@ -360,8 +362,9 @@ def test_criterion_09_tableaux_oracles():
         assert g_thrall(lam) == count_linear_extensions(ShiftedShape(lam).poset())
     assert g_thrall(Partition((3, 2, 1))) == 2
 
-    # barely formula vs brute force for skew shapes <= 7 boxes; shapes with the
-    # same connected-component multiset have equal counts, so dedupe by that key
+    # barely formula vs split-box count vs the backtracker for skew shapes
+    # <= 7 boxes; shapes with the same connected-component multiset have
+    # equal counts, so dedupe by that key
     from cdeposets.shapes import iter_skew_shapes
 
     seen = set()
@@ -374,7 +377,8 @@ def test_criterion_09_tableaux_oracles():
             continue
         seen.add(key)
         checked += 1
-        assert count_barely_formula(shape) == enumerate_barely(shape), (
+        formula = count_barely_formula(shape)
+        assert formula == enumerate_barely(shape) == barely_count(shape), (
             shape.outer.parts,
             shape.inner.parts,
         )
@@ -382,10 +386,12 @@ def test_criterion_09_tableaux_oracles():
     assert enumerate_barely(SkewShape(rectangle(2, 2))) == 10
 
     for lam in iter_strict_partitions(6):
-        assert count_shifted_barely_formula(lam) == enumerate_shifted_barely(lam)
-        assert count_shifted_barely_formula(
-            lam, diagonally_unprimed=True
-        ) == enumerate_shifted_barely(lam, diagonally_unprimed=True)
+        for unprimed in (False, True):
+            assert (
+                count_shifted_barely_formula(lam, diagonally_unprimed=unprimed)
+                == enumerate_shifted_barely(lam, diagonally_unprimed=unprimed)
+                == shifted_barely_count(lam, diagonally_unprimed=unprimed)
+            ), (lam.parts, unprimed)
     assert enumerate_shifted_barely(Partition((2, 1))) == 48
     assert enumerate_shifted_barely(Partition((2, 1)), diagonally_unprimed=True) == 8
     assert count_shifted_barely_formula(Partition((3, 2, 1))) == 1792

@@ -131,6 +131,15 @@ def test_budget_guard():
         build_lattice(antichain(8), budget=10)
 
 
+def test_budget_below_one_counts_the_empty_ideal():
+    # J(P) always holds the empty ideal, so no lattice fits a budget of 0
+    for P in (antichain(0), build_poset(0, [])):
+        assert build_lattice(P, budget=1).n == 1
+        for budget in (0, -1):
+            with pytest.raises(LatticeBudgetError):
+                build_lattice(P, budget=budget)
+
+
 def test_dump_shape():
     L = build_lattice(chain(2))
     d = L.dump()

@@ -102,8 +102,7 @@ def _assert_same(P, seed=0):
             build_lattice_reference, P, budget
         )
     assert not _raises_budget(build_lattice, P, L.n)
-    if P.n:
-        assert _raises_budget(build_lattice, P, L.n - 1)
+    assert _raises_budget(build_lattice, P, L.n - 1)
 
 
 def _toggle_symmetric_from_tables(ref, mu) -> bool:

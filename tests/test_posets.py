@@ -31,6 +31,7 @@ def test_bits_matches_plain_loop():
     rng = random.Random(7)
     masks = [0, 1, (1 << 64) - 1]
     masks += [rng.getrandbits(rng.randrange(1, 7001)) for _ in range(60)]
+    masks += [sum([1 << rng.randrange(7000) for _ in range(30)]) for _ in range(20)]
     for mask in masks:
         expected = [i for i in range(mask.bit_length()) if mask >> i & 1]
         assert _bits(mask) == expected

@@ -5,6 +5,7 @@ import pytest
 
 from cdeposets import (
     build_lattice,
+    build_poset,
     count_barely_formula,
     count_linear_extensions,
     count_shifted_barely_formula,
@@ -27,9 +28,12 @@ from cdeposets.shapes import (
 )
 from cdeposets.tableaux import (
     TableauBudgetError,
+    _split_box_count,
     hook_lengths,
     shifted_hook_lengths,
 )
+
+from tableau_oracle import barely_count, barely_fillings, shifted_barely_count
 
 
 def test_f_values():
@@ -90,7 +94,7 @@ def test_g_matches_shifted_linear_extensions():
 
 def test_barely_2x2():
     shape = SkewShape(Partition((2, 2)))
-    assert enumerate_barely(shape) == 10
+    assert enumerate_barely(shape) == barely_count(shape) == 10
     assert count_barely_formula(shape) == 10
 
 
@@ -102,18 +106,21 @@ def test_barely_budget():
 
 
 def test_shifted_barely_21():
-    assert enumerate_shifted_barely(Partition((2, 1))) == 48
-    assert count_shifted_barely_formula(Partition((2, 1))) == 48
-    assert enumerate_shifted_barely(Partition((2, 1)), diagonally_unprimed=True) == 8
-    assert count_shifted_barely_formula(Partition((2, 1)), diagonally_unprimed=True) == 8
+    lam = Partition((2, 1))
+    assert enumerate_shifted_barely(lam) == shifted_barely_count(lam) == 48
+    assert count_shifted_barely_formula(lam) == 48
+    assert shifted_barely_count(lam, diagonally_unprimed=True) == 8
+    assert enumerate_shifted_barely(lam, diagonally_unprimed=True) == 8
+    assert count_shifted_barely_formula(lam, diagonally_unprimed=True) == 8
 
 
 def test_shifted_barely_321():
     lam = Partition((3, 2, 1))
     assert count_shifted_barely_formula(lam) == 4 * 7 * 32 * 2  # 1792
     assert count_shifted_barely_formula(lam, diagonally_unprimed=True) == 3 * 7 * 4 * 2
-    assert enumerate_shifted_barely(lam) == 1792
+    assert enumerate_shifted_barely(lam) == shifted_barely_count(lam) == 1792
     assert enumerate_shifted_barely(lam, diagonally_unprimed=True) == 168
+    assert shifted_barely_count(lam, diagonally_unprimed=True) == 168
 
 
 def test_barely_formula_matches_brute_force_small():
@@ -125,15 +132,17 @@ def test_barely_formula_matches_brute_force_small():
         SkewShape(Partition((3, 1))),
     ]
     for shape in shapes:
-        assert count_barely_formula(shape) == enumerate_barely(shape)
+        assert count_barely_formula(shape) == enumerate_barely(shape) == barely_count(shape)
 
 
 def test_shifted_barely_small_both_variants():
     for lam in iter_strict_partitions(5):
-        assert count_shifted_barely_formula(lam) == enumerate_shifted_barely(lam)
-        assert count_shifted_barely_formula(
-            lam, diagonally_unprimed=True
-        ) == enumerate_shifted_barely(lam, diagonally_unprimed=True)
+        for unprimed in (False, True):
+            assert (
+                count_shifted_barely_formula(lam, diagonally_unprimed=unprimed)
+                == enumerate_shifted_barely(lam, diagonally_unprimed=unprimed)
+                == shifted_barely_count(lam, diagonally_unprimed=unprimed)
+            )
 
 
 def test_type1_diagonal_expectation_half():
@@ -156,13 +165,63 @@ def test_balanced_barely_product_formula():
 
 
 def test_barely_fillings_golden():
-    from cdeposets.tableaux import barely_fillings
-
     fillings = barely_fillings(SkewShape(Partition((2,))))
     assert fillings == [((1,), (2, 3)), ((1, 2), (3,))]
     # a column of two boxes: strict, so the double always carries a gap
     fillings = barely_fillings(SkewShape(Partition((1, 1))))
     assert fillings == [((1,), (2, 3)), ((1, 2), (3,))]
+    for parts in ((2,), (1, 1), (2, 2), (3, 2), (2, 2, 1)):
+        shape = SkewShape(Partition(parts))
+        assert len(barely_fillings(shape)) == enumerate_barely(shape)
     assert len(barely_fillings(SkewShape(Partition((2, 2))))) == 10
-    with pytest.raises(TableauBudgetError):
-        barely_fillings(SkewShape(Partition((3, 3))))
+
+
+def _split(P, x):
+    """P with x split into a 2-chain x < n, n = P.n: x keeps its lower
+    covers and n takes over its upper covers."""
+    rels = [(P.n if p == x else p, q) for p, q in P.covers]
+    return build_poset(P.n + 1, rels + [(x, P.n)])
+
+
+def test_split_box_count_matches_split_poset_extensions():
+    posets = [
+        parse_shape(literal).poset()
+        for literal in (
+            "skew:3,2/1",
+            "skew:4,3,2/2,1",
+            "skew:3,3,3/1",
+            "skew:4,4/2",
+            "skew:5,3,1/2",
+        )
+    ]
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(0, 8)
+        density = rng.choice((0.15, 0.35, 0.6))
+        rels = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+        posets.append(build_poset(n, rels))
+    for P in posets:
+        per_box = [count_linear_extensions(_split(P, x)) for x in range(P.n)]
+        assert _split_box_count(P, [1] * P.n) == sum(per_box)
+        weight = [rng.randint(0, 5) for _ in range(P.n)]
+        assert _split_box_count(P, weight) == sum([w * e for w, e in zip(weight, per_box)])
+
+
+def test_split_box_count_matches_formula_straight_to_12_boxes():
+    shapes = [SkewShape(lam) for lam in iter_partitions(12)]
+    assert len(shapes) == 271
+    for shape in shapes:
+        assert enumerate_barely(shape, budget=12) == count_barely_formula(shape), shape
+
+
+def test_shifted_split_box_count_matches_formula_to_15_boxes():
+    shapes = list(iter_strict_partitions(15))
+    assert len(shapes) == 136
+    for lam in shapes:
+        for unprimed in (False, True):
+            assert enumerate_shifted_barely(
+                lam, diagonally_unprimed=unprimed, budget=15
+            ) == count_shifted_barely_formula(lam, diagonally_unprimed=unprimed), (
+                lam.parts,
+                unprimed,
+            )
