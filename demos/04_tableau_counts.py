@@ -3,42 +3,34 @@
 The formula route multiplies a standard-tableau count (determinant or hook
 formula) by an exact maxchain expectation on the corresponding interval;
 the split-box route doubles one box at a time by splitting it into a
-2-chain and counts the linear extensions of the split posets.  They agree
--- and for the balanced and shifted-balanced shapes the expectation
-collapses to a clean product formula.
+2-chain and counts the linear extensions of the split posets.  Both run on
+the one J(P) that `tableau_counts` builds per shape.  They agree -- and for
+the balanced and shifted-balanced shapes the expectation collapses to a
+clean product formula.
 """
 
-from cdeposets.shapes import Partition, parse_shape
-from cdeposets.tableaux import (
-    count_barely_formula,
-    count_shifted_barely_formula,
-    enumerate_barely,
-    enumerate_shifted_barely,
-    f_aitken,
-    f_hook,
-    g_thrall,
-)
+from cdeposets.shapes import Partition, ShiftedShape, parse_shape
+from cdeposets.tableaux import f_aitken, f_hook, tableau_counts
 
 
 def main():
     print("Ordinary shapes: (N+1) * f * E(maxchain; ddeg)")
     for literal in ("straight:2,2", "straight:3,1", "skew:3,2/1", "straight:3,2,1"):
-        shape = parse_shape(literal)
-        formula = count_barely_formula(shape)
-        split = enumerate_barely(shape)
-        print(f"  {literal:16s} f={f_aitken(shape):3d}  barely: {formula} = {split}")
+        c = tableau_counts(parse_shape(literal))
+        print(
+            f"  {literal:16s} f={c['standard']:3d}"
+            f"  barely: {c['barely_formula']} = {c['barely_brute_force']}"
+        )
     print()
 
     print("Shifted shapes, primed and diagonally unprimed:")
     for parts in ((2, 1), (3, 1), (3, 2), (3, 2, 1)):
-        lam = Partition(parts)
-        primed = count_shifted_barely_formula(lam)
-        unprimed = count_shifted_barely_formula(lam, diagonally_unprimed=True)
+        c = tableau_counts(ShiftedShape(Partition(parts)))
         print(
-            f"  shifted {str(parts):10s} g={g_thrall(lam):2d}"
-            f"  barely={primed} (split-box {enumerate_shifted_barely(lam)})"
-            f"  diag-unprimed={unprimed}"
-            f" (split-box {enumerate_shifted_barely(lam, diagonally_unprimed=True)})"
+            f"  shifted {str(parts):10s} g={c['standard_unprimed']:2d}"
+            f"  barely={c['barely_formula']} (split-box {c['barely_brute_force']})"
+            f"  diag-unprimed={c['barely_diag_unprimed_formula']}"
+            f" (split-box {c['barely_diag_unprimed_brute_force']})"
         )
     print()
 

@@ -66,16 +66,7 @@ from .shapes import (
     shifted_rook_placement,
     staircase,
 )
-from .tableaux import (
-    count_barely_formula,
-    count_linear_extensions,
-    count_shifted_barely_formula,
-    enumerate_barely,
-    enumerate_shifted_barely,
-    f_aitken,
-    f_hook,
-    g_thrall,
-)
+from .tableaux import count_linear_extensions, f_aitken, f_hook, g_thrall, tableau_counts
 
 from types import ModuleType as _ModuleType
 

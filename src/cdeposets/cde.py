@@ -48,7 +48,7 @@ from .distributions import (
     longest_chain,
     maxchain_dist,
 )
-from .ideals import IdealLattice
+from .ideals import DEFAULT_IDEAL_BUDGET, IdealLattice, build_lattice
 from .posets import _bits
 from .serialize import rat_str
 
@@ -323,20 +323,17 @@ def _refute(L: IdealLattice, gram) -> TcdeWitness:
     return witness
 
 
-def scan_family(items, predicate: str, budget: int | None = None):
+def scan_family(items, predicate: str, budget: int = DEFAULT_IDEAL_BUDGET):
     """Run a CDE/mCDE/tCDE classification over a stream of (name, poset) pairs.
 
     Yields dicts; ``predicate`` picks which property drives ``holds``.  The
     posets are the *base* posets; analysis happens on J(P).
     """
-    from .ideals import build_lattice
-
     predicate = predicate.lower()
     if predicate not in {"cde", "mcde", "tcde"}:
         raise ValueError(f"unknown predicate {predicate!r}")
     for name, P in items:
-        kwargs = {} if budget is None else {"budget": budget}
-        L = build_lattice(P, **kwargs)
+        L = build_lattice(P, budget=budget)
         if predicate == "tcde":
             cert = certify_tcde(L)
             holds = cert is not None

@@ -48,16 +48,7 @@ from .shapes import (
     iter_strict_partitions,
     parse_shape,
 )
-from .tableaux import (
-    TableauBudgetError,
-    count_barely_formula,
-    count_shifted_barely_formula,
-    enumerate_barely,
-    enumerate_shifted_barely,
-    f_aitken,
-    f_hook,
-    g_thrall,
-)
+from .tableaux import tableau_counts
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -234,31 +225,8 @@ def _homomesy(args) -> tuple[int, object]:
 def _count_tableaux(args) -> tuple[int, object]:
     if not args.shape:
         raise PosetError("count-tableaux needs --shape")
-    shape = parse_shape(args.shape)
-    report = {"input": args.shape}
-    if isinstance(shape, SkewShape):
-        report["standard"] = f_aitken(shape)
-        if shape.inner.size == 0:
-            report["standard_hook"] = f_hook(shape.outer)
-        report["barely_formula"] = count_barely_formula(shape, budget=args.budget)
-        try:
-            report["barely_brute_force"] = enumerate_barely(shape)
-        except TableauBudgetError:
-            pass
-    else:
-        lam = shape.strict
-        report["standard_unprimed"] = g_thrall(lam)
-        report["barely_formula"] = count_shifted_barely_formula(lam, budget=args.budget)
-        report["barely_diag_unprimed_formula"] = count_shifted_barely_formula(
-            lam, diagonally_unprimed=True, budget=args.budget
-        )
-        try:
-            report["barely_brute_force"] = enumerate_shifted_barely(lam)
-            report["barely_diag_unprimed_brute_force"] = enumerate_shifted_barely(
-                lam, diagonally_unprimed=True
-            )
-        except TableauBudgetError:
-            pass
+    report = tableau_counts(parse_shape(args.shape), budget=args.budget)
+    report["input"] = args.shape
     return EXIT_OK, report
 
 
@@ -314,7 +282,7 @@ def _run(args) -> tuple[int, object]:
         if budget < 1:
             raise PosetError(f"--budget must be at least 1, got {budget}")
         return _HANDLERS[args.verb](args)
-    except (LatticeBudgetError, TableauBudgetError) as exc:
+    except LatticeBudgetError as exc:
         return EXIT_BUDGET, {"error": str(exc)}
     except (PosetError, ValueError, OSError, json.JSONDecodeError) as exc:
         return EXIT_INPUT, {"error": str(exc)}

@@ -118,17 +118,7 @@ class Poset:
         return len(self.connected_components()) <= 1
 
     def topological_order(self) -> list[int]:
-        order: list[int] = []
-        indeg = [len(self.down_covers[p]) for p in range(self.n)]
-        stack = [p for p in range(self.n) if indeg[p] == 0]
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            for y in self.up_covers[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    stack.append(y)
-        return order
+        return _topological_order(self.n, self.up_covers)
 
     def linear_extensions(self):
         """Yield all linear extensions as tuples of element ids."""
@@ -170,9 +160,8 @@ class Poset:
         return d
 
 
-def _reachability(n: int, succ: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Strict reachability masks over an acyclic successor relation."""
-    reach = [0] * n
+def _topological_order(n: int, succ: Sequence[Sequence[int]]) -> list[int]:
+    """Kahn's algorithm; it leaves out every element on or reachable from a cycle."""
     indeg = [0] * n
     for p in range(n):
         for q in succ[p]:
@@ -186,7 +175,13 @@ def _reachability(n: int, succ: Sequence[Sequence[int]]) -> tuple[int, ...]:
             indeg[y] -= 1
             if indeg[y] == 0:
                 stack.append(y)
-    for x in reversed(order):
+    return order
+
+
+def _reachability(n: int, succ: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Strict reachability masks over an acyclic successor relation."""
+    reach = [0] * n
+    for x in reversed(_topological_order(n, succ)):
         m = 0
         for y in succ[x]:
             m |= 1 << y
@@ -243,20 +238,7 @@ def build_poset(n: int, relations: Iterable[tuple[int, int]], labels=None) -> Po
         succ[p].add(q)
     succ_l = [sorted(s) for s in succ]
     # cycle check before reachability (which assumes acyclicity)
-    indeg = [0] * n
-    for p in range(n):
-        for q in succ_l[p]:
-            indeg[q] += 1
-    stack = [p for p in range(n) if indeg[p] == 0]
-    count = 0
-    while stack:
-        x = stack.pop()
-        count += 1
-        for y in succ_l[x]:
-            indeg[y] -= 1
-            if indeg[y] == 0:
-                stack.append(y)
-    if count != n:
+    if len(_topological_order(n, succ_l)) != n:
         raise CycleError(_find_cycle(n, succ_l))
     closure = _reachability(n, succ_l)
     covers = []

@@ -1,15 +1,17 @@
 """Standard tableau counting: determinant, hook-length, and Thrall formulas,
-and two independent counts of standard barely set-valued tableaux.
+and every count of a ``count-tableaux`` report, from one J(P) per shape.
 
-The formula route (`count_barely_formula`, `count_shifted_barely_formula`)
-multiplies a standard-tableau count by a maxchain expectation on the ideal
-lattice of the shape.  The split-box route (`enumerate_barely`,
-`enumerate_shifted_barely`) counts fillings directly: doubling box x is the
-same as splitting x into a 2-chain, so the tableaux are the linear
-extensions of the split posets P_x, and one integer sweep over J(P) counts
-them for every x at once.  The two routes share only the lattice, so each
-checks the other; the CLI reports the split-box counts under the
-``barely_brute_force`` keys, within the same box budgets as before.
+`tableau_counts` builds the box poset P of a skew or shifted shape and its
+ideal lattice J(P) once, and counts the standard barely set-valued tableaux
+of each family two ways on it.  A family is a power of two 2^k and a box
+weight w: w(x) counts the ways a tableau whose box x holds two values can
+be primed.  The formula route is (N+1) 2^k f E(maxchain; sum of w over the
+maximal elements of I), with f the standard count.  The split-box route is
+2^k sum_x w(x) e(P_x): doubling box x is the same as splitting x into a
+2-chain, so those tableaux are the linear extensions of the split poset
+P_x, and one integer sweep over J(P) counts them for every x at once.  The
+two routes share only the lattice, so each checks the other; the report
+carries the split-box counts under the ``barely_brute_force`` keys.
 """
 
 from __future__ import annotations
@@ -19,16 +21,13 @@ from math import factorial
 
 from . import linalg
 from .distributions import _hasse_covers, _saturated_chains, expectation, maxchain_dist
-from .ideals import build_lattice
+from .ideals import DEFAULT_IDEAL_BUDGET, IdealLattice, build_lattice
 from .posets import Poset, _bits
 from .shapes import Partition, ShiftedShape, SkewShape
 
-DEFAULT_SKEW_BUDGET = 9
-DEFAULT_SHIFTED_BUDGET = 6
-
-
-class TableauBudgetError(RuntimeError):
-    """Split-box count refused: box count above budget."""
+# largest shapes that get the split-box counts unless told otherwise
+SKEW_BOX_BUDGET = 9
+SHIFTED_BOX_BUDGET = 6
 
 
 def count_linear_extensions(P: Poset) -> int:
@@ -102,10 +101,10 @@ def g_thrall(lam: Partition) -> int:
     return factorial(lam.size) // prod
 
 
-# --- split-box counts -----------------------------------------------------------
+# --- barely set-valued counts -------------------------------------------------
 
 
-def _split_box_count(P: Poset, weight) -> int:
+def _split_box_count(L: IdealLattice, weight) -> int:
     """Sum over x of weight[x] * e(P_x), where P_x splits x into a 2-chain.
 
     P_x replaces x by x' < x'', with x' keeping the lower covers of x and x''
@@ -117,11 +116,10 @@ def _split_box_count(P: Poset, weight) -> int:
       a[I]     with no box open yet,
       h[I][x]  with box x open (x is then maximal in I),
       b[I]     with the doubled box already closed.
-    While x is open no p above x may be added, since x'' carries the upper
-    covers of x; for x maximal in I, x < p means x is a lower cover of p.
-    Closing x at I moves weight[x] * h[I][x] to b[I].
+    While x is open nothing above x may be added, since x'' carries the
+    upper covers of x; so x stays open from I to I + p only if it is still
+    maximal there.  Closing x at I moves weight[x] * h[I][x] to b[I].
     """
-    L = build_lattice(P)
     a = [0] * L.n
     b = [0] * L.n
     h = [{} for _ in range(L.n)]
@@ -135,85 +133,55 @@ def _split_box_count(P: Poset, weight) -> int:
             b[j] += b[i]
             nxt = h[j]
             nxt[p] = nxt.get(p, 0) + a[i]
-            below = P.strict_down[p]
+            still = L.down[j]
             for x, c in opened.items():
-                if not below >> x & 1:
+                if still >> x & 1:
                     nxt[x] = nxt.get(x, 0) + c
     return b[-1]
 
 
-def enumerate_barely(shape: SkewShape, budget: int = DEFAULT_SKEW_BUDGET) -> int:
-    """Standard barely set-valued tableaux, counted through the split posets:
-    the tableaux whose box x holds two values are the linear extensions of
-    P_x."""
+def tableau_counts(
+    shape: SkewShape | ShiftedShape,
+    budget: int = DEFAULT_IDEAL_BUDGET,
+    box_budget: int | None = None,
+) -> dict[str, int]:
+    """Standard and barely set-valued tableau counts of a skew or shifted shape.
+
+    The families, as (k, w): a skew shape has one, (0, 1).  A shifted shape
+    takes entries from 1 < 1' < 2 < 2' < ...; standard means every value
+    1..N+1 is used once, so each value may be primed on its own.  Primed:
+    (N+1, 1).  Diagonally unprimed, where the l diagonal boxes hold unprimed
+    values: a filling doubled on the diagonal has N - l free values and any
+    other N + 1 - l, so (N - l, 1 on the diagonal and 2 off it).
+
+    ``budget`` bounds the ideals of J(P) (``LatticeBudgetError`` beyond it).
+    The split-box counts are left out above ``box_budget`` boxes, by default
+    9 for a skew shape and 6 for a shifted one.
+    """
     n = shape.n_boxes
-    if n > budget:
-        raise TableauBudgetError(f"{n} boxes exceeds the split-box budget {budget}")
-    return _split_box_count(shape.poset(), [1] * n)
-
-
-def enumerate_shifted_barely(
-    lam: Partition,
-    diagonally_unprimed: bool = False,
-    budget: int = DEFAULT_SHIFTED_BUDGET,
-) -> int:
-    """Standard shifted barely set-valued tableaux, through the split posets.
-
-    Entries come from 1 < 1' < 2 < 2' < ...; standard means every value
-    1..N+1 is used exactly once, so each value may be primed on its own and
-    the row/column conditions on primes hold by themselves.  The primed
-    count is 2^{N+1} sum_x e(P_x).  When the l diagonal boxes must hold
-    unprimed values, a filling doubled on the diagonal has N - l free
-    values and any other N + 1 - l: 2^{N-l} sum_x w(x) e(P_x) with w = 1
-    on the diagonal and 2 off it.
-    """
-    if not lam.is_strict:
-        raise ValueError(f"{lam} is not strict")
-    n = lam.size
-    if n > budget:
-        raise TableauBudgetError(f"{n} boxes exceeds the split-box budget {budget}")
-    shape = ShiftedShape(lam)
-    if not diagonally_unprimed:
-        return 2 ** (n + 1) * _split_box_count(shape.poset(), [1] * n)
-    weight = [1 if box in shape.diagonal else 2 for box in shape.boxes]
-    return 2 ** (n - lam.length) * _split_box_count(shape.poset(), weight)
-
-
-def count_barely_formula(shape: SkewShape, budget: int | None = None) -> int:
-    """(N+1) * f^{lambda/nu} * E(maxchain; ddeg) on the interval [nu, lambda]."""
-    kwargs = {} if budget is None else {"budget": budget}
-    L = build_lattice(shape.poset(), **kwargs)
-    exp = expectation(maxchain_dist(L), L.ddeg)
-    value = (shape.n_boxes + 1) * f_aitken(shape) * exp
-    if value.denominator != 1:
-        raise ArithmeticError(f"barely count is not an integer: {value}")
-    return int(value)
-
-
-def count_shifted_barely_formula(
-    lam: Partition, diagonally_unprimed: bool = False, budget: int | None = None
-) -> int:
-    """Shifted barely counts from g^lambda and a maxchain expectation.
-
-    Primed variant: (N+1) 2^{N+1} g E(maxchain; ddeg).  Diagonally unprimed:
-    (N+1) 2^{N-l} g E(maxchain; 2 ddeg - sum_i T-_{[i,i]}).
-    """
-    shape = ShiftedShape(lam)
-    kwargs = {} if budget is None else {"budget": budget}
-    L = build_lattice(shape.poset(), **kwargs)
-    mu = maxchain_dist(L)
-    n = lam.size
-    if not diagonally_unprimed:
-        value = (n + 1) * 2 ** (n + 1) * g_thrall(lam) * expectation(mu, L.ddeg)
+    if isinstance(shape, ShiftedShape):
+        lam = shape.strict
+        standard = g_thrall(lam)
+        counts = {"standard_unprimed": standard}
+        unprimed = [1 if box in shape.diagonal else 2 for box in shape.boxes]
+        families = [("barely", n + 1, [1] * n), ("barely_diag_unprimed", n - lam.length, unprimed)]
+        default_box_budget = SHIFTED_BOX_BUDGET
     else:
-        diag = sum([1 << shape.box_index[(i, i)] for i in range(1, lam.length + 1)])
-        stat = [2 * dd - (d & diag).bit_count() for dd, d in zip(L.ddeg, L.down)]
-        value = (
-            (n + 1)
-            * 2 ** (n - lam.length)
-            * g_thrall(lam)
-            * expectation(mu, stat)
-        )
-    if value.denominator != 1:
-        raise ArithmeticError(f"shifted barely count is not an integer: {value}")
-    return int(value)
+        standard = f_aitken(shape)
+        counts = {"standard": standard}
+        if shape.inner.size == 0:
+            counts["standard_hook"] = f_hook(shape.outer)
+        families = [("barely", 0, [1] * n)]
+        default_box_budget = SKEW_BOX_BUDGET
+    L = build_lattice(shape.poset(), budget=budget)
+    mu = maxchain_dist(L)
+    split = n <= (default_box_budget if box_budget is None else box_budget)
+    for name, power, weight in families:
+        stat = [sum([weight[x] for x in _bits(d)]) for d in L.down]
+        value = (n + 1) * 2**power * standard * expectation(mu, stat)
+        if value.denominator != 1:
+            raise ArithmeticError(f"{name} count is not an integer: {value}")
+        counts[f"{name}_formula"] = int(value)
+        if split:
+            counts[f"{name}_brute_force"] = 2**power * _split_box_count(L, weight)
+    return counts

@@ -61,14 +61,11 @@ from cdeposets.shapes import (
     stretch,
 )
 from cdeposets.tableaux import (
-    count_barely_formula,
     count_linear_extensions,
-    count_shifted_barely_formula,
-    enumerate_barely,
-    enumerate_shifted_barely,
     f_aitken,
     f_hook,
     g_thrall,
+    tableau_counts,
 )
 
 from tableau_oracle import barely_count, shifted_barely_count
@@ -377,28 +374,28 @@ def test_criterion_09_tableaux_oracles():
             continue
         seen.add(key)
         checked += 1
-        formula = count_barely_formula(shape)
-        assert formula == enumerate_barely(shape) == barely_count(shape), (
+        counts = tableau_counts(shape)
+        assert counts["barely_formula"] == counts["barely_brute_force"] == barely_count(shape), (
             shape.outer.parts,
             shape.inner.parts,
         )
     assert checked > 400
-    assert enumerate_barely(SkewShape(rectangle(2, 2))) == 10
+    assert tableau_counts(SkewShape(rectangle(2, 2)))["barely_brute_force"] == 10
 
     for lam in iter_strict_partitions(6):
-        for unprimed in (False, True):
+        counts = tableau_counts(ShiftedShape(lam))
+        for name, unprimed in (("barely", False), ("barely_diag_unprimed", True)):
             assert (
-                count_shifted_barely_formula(lam, diagonally_unprimed=unprimed)
-                == enumerate_shifted_barely(lam, diagonally_unprimed=unprimed)
+                counts[f"{name}_formula"]
+                == counts[f"{name}_brute_force"]
                 == shifted_barely_count(lam, diagonally_unprimed=unprimed)
             ), (lam.parts, unprimed)
-    assert enumerate_shifted_barely(Partition((2, 1))) == 48
-    assert enumerate_shifted_barely(Partition((2, 1)), diagonally_unprimed=True) == 8
-    assert count_shifted_barely_formula(Partition((3, 2, 1))) == 1792
-    assert (
-        count_shifted_barely_formula(Partition((3, 2, 1)), diagonally_unprimed=True)
-        == 168
-    )
+    counts = tableau_counts(ShiftedShape(Partition((2, 1))))
+    assert counts["barely_brute_force"] == 48
+    assert counts["barely_diag_unprimed_brute_force"] == 8
+    counts = tableau_counts(ShiftedShape(Partition((3, 2, 1))))
+    assert counts["barely_formula"] == 1792
+    assert counts["barely_diag_unprimed_formula"] == 168
 
     for lam in iter_strict_partitions(10):
         cls = classify_shifted_balanced(lam)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cdeposets import (
+    LatticeBudgetError,
     build_lattice,
     cde_report,
     certify_tcde,
@@ -197,6 +198,10 @@ def test_scan_family():
     assert [r["holds"] for r in rows] == [True, True]
     with pytest.raises(ValueError):
         list(scan_family([], "bogus"))
+    # J(chain(3)) has 4 ideals
+    assert len(list(scan_family([("chain3", chain(3))], "cde", budget=4))) == 1
+    with pytest.raises(LatticeBudgetError):
+        list(scan_family([("chain3", chain(3))], "cde", budget=3))
 
 
 OPTIMIZED_CHECKS = """

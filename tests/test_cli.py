@@ -8,7 +8,14 @@ import pytest
 
 from cdeposets import cli
 from cdeposets.cli import main
-from cdeposets import Distribution, build_lattice, expectation, is_toggle_symmetric
+from cdeposets import (
+    Distribution,
+    IdealLattice,
+    Poset,
+    build_lattice,
+    expectation,
+    is_toggle_symmetric,
+)
 from cdeposets.shapes import parse_shape
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -97,6 +104,28 @@ def test_count_tableaux(capsys):
     assert doc["barely_diag_unprimed_formula"] == 8
 
 
+@pytest.mark.parametrize("literal", ["straight:3,2", "shifted:3,2,1"])
+def test_count_tableaux_builds_one_lattice(capsys, monkeypatch, literal):
+    calls = {"IdealLattice": 0, "Poset": 0}
+    for cls in (IdealLattice, Poset):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            calls[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    code, _ = run(capsys, "count-tableaux", "--shape", literal)
+    assert code == 0
+    assert calls == {"IdealLattice": 1, "Poset": 1}
+
+
+def test_count_tableaux_shifted_budget(capsys):
+    code, out = run(capsys, "count-tableaux", "--shape", "shifted:4,2", "--budget", "5")
+    assert code == 3
+    assert json.loads(out) == {"error": "J(P) exceeds the ideal budget of 5"}
+
+
 def test_scan_csv(capsys):
     code, out = run(
         capsys,
@@ -169,8 +198,8 @@ def test_budget_below_one_is_an_input_error(capsys, monkeypatch, argv):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("J(P) was enumerated")
 
-    monkeypatch.setattr("cdeposets.ideals.build_lattice", no_enumeration)
-    monkeypatch.setattr(cli, "build_lattice", no_enumeration)
+    for module in ("ideals", "cli", "cde", "tableaux"):
+        monkeypatch.setattr(f"cdeposets.{module}.build_lattice", no_enumeration)
     code, out = run(capsys, *argv)
     assert code == 2
     assert json.loads(out) == {

@@ -14,12 +14,12 @@ from cdeposets import (
     build_lattice,
     build_poset,
     certify_tcde,
-    count_shifted_barely_formula,
     expectation,
     g_thrall,
     is_toggle_symmetric,
     maxchain_dist,
     rook,
+    tableau_counts,
     toggleability,
     uniform,
 )
@@ -187,16 +187,19 @@ def test_shape_readers_match_tables(literal, monkeypatch):
     if isinstance(shape, ShiftedShape):
         lam, n = shape.strict, shape.n_boxes
         diag = [shape.box_index[(i, i)] for i in range(1, lam.length + 1)]
+        ddeg = [sum(minus[idx] for minus in ref.t_minus) for idx in range(L.n)]
         stat = [
-            2 * L.ddeg[idx] - sum(ref.t_minus[p][idx] for p in diag)
+            2 * ddeg[idx] - sum(ref.t_minus[p][idx] for p in diag)
             for idx in range(L.n)
         ]
+        mu = maxchain_dist(L)
+        expected_primed = (n + 1) * 2 ** (n + 1) * g_thrall(lam) * expectation(mu, ddeg)
         expected = (
             (n + 1) * 2 ** (n - lam.length) * g_thrall(lam)
-            * expectation(maxchain_dist(L), stat)
+            * expectation(mu, stat)
         )
-        # the maxchain distribution is toggle-symmetric, so the count alone
-        # would not tell T-_p from T+_p: record the statistic it averages
+        # the maxchain distribution is toggle-symmetric, so the counts alone
+        # would not tell T-_p from T+_p: record the statistics they average
         seen = []
 
         def recording(mu, values):
@@ -204,8 +207,10 @@ def test_shape_readers_match_tables(literal, monkeypatch):
             return expectation(mu, values)
 
         monkeypatch.setattr(tableaux, "expectation", recording)
-        assert count_shifted_barely_formula(lam, diagonally_unprimed=True) == expected
-        assert seen == [stat]
+        counts = tableau_counts(shape)
+        assert counts["barely_formula"] == expected_primed
+        assert counts["barely_diag_unprimed_formula"] == expected
+        assert seen == [ddeg, stat]
 
 
 @pytest.mark.parametrize(

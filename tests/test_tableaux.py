@@ -6,16 +6,13 @@ import pytest
 from cdeposets import (
     build_lattice,
     build_poset,
-    count_barely_formula,
     count_linear_extensions,
-    count_shifted_barely_formula,
-    enumerate_barely,
-    enumerate_shifted_barely,
     expectation,
     f_aitken,
     f_hook,
     g_thrall,
     maxchain_dist,
+    tableau_counts,
     toggleability,
 )
 from cdeposets.shapes import (
@@ -26,12 +23,7 @@ from cdeposets.shapes import (
     iter_strict_partitions,
     parse_shape,
 )
-from cdeposets.tableaux import (
-    TableauBudgetError,
-    _split_box_count,
-    hook_lengths,
-    shifted_hook_lengths,
-)
+from cdeposets.tableaux import _split_box_count, hook_lengths, shifted_hook_lengths
 
 from tableau_oracle import barely_count, barely_fillings, shifted_barely_count
 
@@ -94,32 +86,44 @@ def test_g_matches_shifted_linear_extensions():
 
 def test_barely_2x2():
     shape = SkewShape(Partition((2, 2)))
-    assert enumerate_barely(shape) == barely_count(shape) == 10
-    assert count_barely_formula(shape) == 10
+    counts = tableau_counts(shape)
+    assert counts["barely_brute_force"] == barely_count(shape) == 10
+    assert counts["barely_formula"] == 10
 
 
 def test_barely_budget():
-    with pytest.raises(TableauBudgetError):
-        enumerate_barely(SkewShape(Partition((4, 4, 2))), budget=9)
-    with pytest.raises(TableauBudgetError):
-        enumerate_shifted_barely(Partition((5, 4, 3, 2, 1)))
+    # above the box budget the split-box counts are left out, the formulas stay
+    skew = tableau_counts(SkewShape(Partition((4, 4, 2))), box_budget=9)
+    assert set(skew) == {"standard", "standard_hook", "barely_formula"}
+    shifted = tableau_counts(ShiftedShape(Partition((5, 4, 3, 2, 1))))
+    assert set(shifted) == {
+        "standard_unprimed",
+        "barely_formula",
+        "barely_diag_unprimed_formula",
+    }
+    nine = SkewShape(Partition((3, 3, 3)))
+    assert "barely_brute_force" in tableau_counts(nine)
+    assert "barely_brute_force" not in tableau_counts(nine, box_budget=8)
+    assert "barely_brute_force" in tableau_counts(ShiftedShape(Partition((3, 2, 1))))
 
 
 def test_shifted_barely_21():
     lam = Partition((2, 1))
-    assert enumerate_shifted_barely(lam) == shifted_barely_count(lam) == 48
-    assert count_shifted_barely_formula(lam) == 48
+    counts = tableau_counts(ShiftedShape(lam))
+    assert counts["barely_brute_force"] == shifted_barely_count(lam) == 48
+    assert counts["barely_formula"] == 48
     assert shifted_barely_count(lam, diagonally_unprimed=True) == 8
-    assert enumerate_shifted_barely(lam, diagonally_unprimed=True) == 8
-    assert count_shifted_barely_formula(lam, diagonally_unprimed=True) == 8
+    assert counts["barely_diag_unprimed_brute_force"] == 8
+    assert counts["barely_diag_unprimed_formula"] == 8
 
 
 def test_shifted_barely_321():
     lam = Partition((3, 2, 1))
-    assert count_shifted_barely_formula(lam) == 4 * 7 * 32 * 2  # 1792
-    assert count_shifted_barely_formula(lam, diagonally_unprimed=True) == 3 * 7 * 4 * 2
-    assert enumerate_shifted_barely(lam) == shifted_barely_count(lam) == 1792
-    assert enumerate_shifted_barely(lam, diagonally_unprimed=True) == 168
+    counts = tableau_counts(ShiftedShape(lam))
+    assert counts["barely_formula"] == 4 * 7 * 32 * 2  # 1792
+    assert counts["barely_diag_unprimed_formula"] == 3 * 7 * 4 * 2
+    assert counts["barely_brute_force"] == shifted_barely_count(lam) == 1792
+    assert counts["barely_diag_unprimed_brute_force"] == 168
     assert shifted_barely_count(lam, diagonally_unprimed=True) == 168
 
 
@@ -132,15 +136,17 @@ def test_barely_formula_matches_brute_force_small():
         SkewShape(Partition((3, 1))),
     ]
     for shape in shapes:
-        assert count_barely_formula(shape) == enumerate_barely(shape) == barely_count(shape)
+        counts = tableau_counts(shape)
+        assert counts["barely_formula"] == counts["barely_brute_force"] == barely_count(shape)
 
 
 def test_shifted_barely_small_both_variants():
     for lam in iter_strict_partitions(5):
-        for unprimed in (False, True):
+        counts = tableau_counts(ShiftedShape(lam))
+        for name, unprimed in (("barely", False), ("barely_diag_unprimed", True)):
             assert (
-                count_shifted_barely_formula(lam, diagonally_unprimed=unprimed)
-                == enumerate_shifted_barely(lam, diagonally_unprimed=unprimed)
+                counts[f"{name}_formula"]
+                == counts[f"{name}_brute_force"]
                 == shifted_barely_count(lam, diagonally_unprimed=unprimed)
             )
 
@@ -159,9 +165,9 @@ def test_type1_diagonal_expectation_half():
 def test_balanced_barely_product_formula():
     # balanced shapes: count = ab/(a+b) (N+1) f
     shape = SkewShape(Partition((2, 2)))
-    assert count_barely_formula(shape) == Fraction(2 * 2, 2 + 2) * 5 * 2
+    assert tableau_counts(shape)["barely_formula"] == Fraction(2 * 2, 2 + 2) * 5 * 2
     skew = parse_shape("skew:4,3,3,3/2,2")
-    assert count_barely_formula(skew) == Fraction(4 * 4, 4 + 4) * 10 * f_aitken(skew)
+    assert tableau_counts(skew)["barely_formula"] == Fraction(4 * 4, 4 + 4) * 10 * f_aitken(skew)
 
 
 def test_barely_fillings_golden():
@@ -172,7 +178,7 @@ def test_barely_fillings_golden():
     assert fillings == [((1,), (2, 3)), ((1, 2), (3,))]
     for parts in ((2,), (1, 1), (2, 2), (3, 2), (2, 2, 1)):
         shape = SkewShape(Partition(parts))
-        assert len(barely_fillings(shape)) == enumerate_barely(shape)
+        assert len(barely_fillings(shape)) == tableau_counts(shape)["barely_brute_force"]
     assert len(barely_fillings(SkewShape(Partition((2, 2))))) == 10
 
 
@@ -201,27 +207,25 @@ def test_split_box_count_matches_split_poset_extensions():
         rels = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
         posets.append(build_poset(n, rels))
     for P in posets:
+        L = build_lattice(P)
         per_box = [count_linear_extensions(_split(P, x)) for x in range(P.n)]
-        assert _split_box_count(P, [1] * P.n) == sum(per_box)
+        assert _split_box_count(L, [1] * P.n) == sum(per_box)
         weight = [rng.randint(0, 5) for _ in range(P.n)]
-        assert _split_box_count(P, weight) == sum([w * e for w, e in zip(weight, per_box)])
+        assert _split_box_count(L, weight) == sum([w * e for w, e in zip(weight, per_box)])
 
 
 def test_split_box_count_matches_formula_straight_to_12_boxes():
     shapes = [SkewShape(lam) for lam in iter_partitions(12)]
     assert len(shapes) == 271
     for shape in shapes:
-        assert enumerate_barely(shape, budget=12) == count_barely_formula(shape), shape
+        counts = tableau_counts(shape, box_budget=12)
+        assert counts["barely_brute_force"] == counts["barely_formula"], shape
 
 
 def test_shifted_split_box_count_matches_formula_to_15_boxes():
     shapes = list(iter_strict_partitions(15))
     assert len(shapes) == 136
     for lam in shapes:
-        for unprimed in (False, True):
-            assert enumerate_shifted_barely(
-                lam, diagonally_unprimed=unprimed, budget=15
-            ) == count_shifted_barely_formula(lam, diagonally_unprimed=unprimed), (
-                lam.parts,
-                unprimed,
-            )
+        counts = tableau_counts(ShiftedShape(lam), box_budget=15)
+        for name in ("barely", "barely_diag_unprimed"):
+            assert counts[f"{name}_brute_force"] == counts[f"{name}_formula"], (lam.parts, name)
