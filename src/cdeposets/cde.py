@@ -27,10 +27,13 @@ Both questions are answered from small integer systems rather than from the
   i.e. not tCDE.
 * Witness.  The perturbation v solving [1; T_p; ddeg] v = e_last with free
   variables zero is supported on the lex-first independent columns of that
-  (n+2) x |J| matrix, one column per ideal in canonical order.  Those
-  columns are found by scanning the ideals with an incremental integer
-  elimination that stops at rank(G) + 1 columns, and v comes from the
-  resulting (n+2) x (rank(G) + 1) system.
+  (n+2) x |J| matrix, one column per ideal in canonical order.  The ideals
+  are scanned with an incremental integer elimination that also keeps
+  e_last reduced against the columns chosen so far, and the scan stops at
+  the first chosen column that puts e_last in their span.  The solution on
+  that prefix is unique, so padded with zeros it is the free-variables-zero
+  solution on all of the lex-first independent columns, and v comes from
+  the small (n+2) x (prefix length) system.
 """
 
 from __future__ import annotations
@@ -197,7 +200,7 @@ def _dot(u, v) -> int:
 
 
 def _gram_solve(L: IdealLattice, empty_full: bool):
-    """(x, G): the free-variables-zero solution of G x = A^T ddeg, and G.
+    """The free-variables-zero solution of G x = A^T ddeg, G = A^T A.
 
     A is [1 | T_p], plus the empty/full column when asked.
     """
@@ -210,7 +213,7 @@ def _gram_solve(L: IdealLattice, empty_full: bool):
     planes = [(b, 0) for b in _transpose(L.ddeg, max(L.ddeg).bit_length())]
     gram = [[_dot(u, v) for v in cols] for u in cols]
     rhs = [sum(_dot(u, plane) << k for k, plane in enumerate(planes)) for u in cols]
-    return _solve_consistent(gram, rhs), gram
+    return _solve_consistent(gram, rhs)
 
 
 def _clear_denominators(sol) -> tuple[int, list[int]]:
@@ -248,29 +251,20 @@ def certify_tcde(
     smaller class of toggle-symmetric distributions that put equal weight on
     the empty and full ideals (the trapezoid trick).
     """
-    return _decide(L, empty_full_constraint)[0]
+    sol = _gram_solve(L, empty_full_constraint)
+    if not _fits(L, sol, empty_full_constraint):
+        return None
+    return TcdeCertificate(c=sol[0], kappa=tuple(sol[1 : L.base.n + 1]))
 
 
-def _decide(L: IdealLattice, empty_full: bool):
-    """(certificate or None, Gram matrix of [1 | T_p]).
-
-    The Gram matrix without the empty/full column is the leading block of
-    the one with it, and it is all a refutation needs besides L.
-    """
-    sol, gram = _gram_solve(L, empty_full)
-    cert = None
-    if _fits(L, sol, empty_full):
-        cert = TcdeCertificate(c=sol[0], kappa=tuple(sol[1 : L.base.n + 1]))
-    if empty_full:
-        gram = [row[:-1] for row in gram[:-1]]
-    return cert, gram
-
-
-def _lex_first_columns(columns, size: int) -> list[tuple[int, tuple]]:
-    """The first `size` columns, with their indices, independent of all
-    earlier ones, found by incremental fraction-free elimination."""
+def _lex_first_columns(columns, target) -> list[tuple[int, tuple]]:
+    """The lex-first independent columns, with their indices, up to the
+    first one that puts ``target`` in their span, found by incremental
+    fraction-free elimination.  Raises ArithmeticError when the columns run
+    out with ``target`` still outside their span."""
     basis = []  # (pivot position, reduced integer vector)
     chosen = []
+    t = list(target)  # target reduced against the basis
     for i, col in enumerate(columns):
         v = list(col)
         for pos, b in basis:
@@ -281,11 +275,15 @@ def _lex_first_columns(columns, size: int) -> list[tuple[int, tuple]]:
         if pos is None:
             continue
         g = gcd(*v)
-        basis.append((pos, [x // g for x in v]))
+        b = [x // g for x in v]
+        basis.append((pos, b))
         chosen.append((i, col))
-        if len(chosen) == size:
-            break
-    return chosen
+        if t[pos]:
+            f, g = b[pos], t[pos]
+            t = [f * x - g * y for x, y in zip(t, b)]
+            if not any(t):
+                return chosen
+    raise ArithmeticError("target is not in the span of the columns")
 
 
 def find_witness(L: IdealLattice) -> Optional[TcdeWitness]:
@@ -295,22 +293,20 @@ def find_witness(L: IdealLattice) -> Optional[TcdeWitness]:
     returns uniform + (eps/2) * v with eps the largest nonnegativity-feasible
     step.  Returns None when the lattice is tCDE (no such v exists).
     """
-    cert, gram = _decide(L, False)
-    return None if cert is not None else _refute(L, gram)
+    return None if certify_tcde(L) is not None else _refute(L)
 
 
-def _refute(L: IdealLattice, gram) -> TcdeWitness:
-    """The witness of find_witness for a lattice known not to be tCDE,
-    given the Gram matrix of [1 | T_p]."""
-    rank = len(gram) - len(linalg.nullspace(gram))
+def _refute(L: IdealLattice) -> TcdeWitness:
+    """The witness of find_witness for a lattice known not to be tCDE."""
     nP = L.base.n
     columns = (  # [1; T_p; ddeg] at each ideal, from its label masks
         [1] + [(u >> p & 1) - (d >> p & 1) for p in range(nP)] + [dd]
         for u, d, dd in zip(L.up, L.down, L.ddeg)
     )
-    chosen = _lex_first_columns(columns, rank + 1)
+    e_last = [0] * (nP + 1) + [1]
+    chosen = _lex_first_columns(columns, e_last)
     block = [list(row) for row in zip(*[col for _, col in chosen])]
-    v = _solve_consistent(block, [0] * (nP + 1) + [1])
+    v = _solve_consistent(block, e_last)
     base = Fraction(1, L.n)
     eps = min(base / -x for x in v if x < 0)
     weights = [base] * L.n

@@ -5,8 +5,9 @@ family.  Exactly one input source per invocation (--poset FILE, --shape LIT,
 or --family LIT).  Exit codes: 0 success, 1 property refuted (a witness
 exists when certifying, or no witness exists when one was requested),
 2 input error (including the empty poset given to ``analyze --poset``, which
-has no edge density, and a ``--budget`` below 1), 3 budget exceeded, 4 internal error (any other
-exception, such as a failed self-check).  Codes 2-4 write a JSON object
+has no edge density, and a ``--budget`` or ``scan`` bound below 1), 3 budget
+exceeded, 4 internal error (any other exception, such as a failed
+self-check).  Codes 2-4 write a JSON object
 {"error": ...}, except for malformed flags, which argparse reports on stderr
 with code 2; an internal error also prints its traceback to stderr.  Each
 verb accepts only the flags it reads (see ``_VERB_FLAGS``), spelled out in
@@ -27,7 +28,14 @@ import json
 import sys
 from fractions import Fraction
 
-from .cde import _ddeg_stat, _decide, _refute, cde_report, find_witness, scan_family
+from .cde import (
+    _ddeg_stat,
+    _refute,
+    cde_report,
+    certify_tcde,
+    find_witness,
+    scan_family,
+)
 from .distributions import expectation, mchain_dist, mmchain_dist
 from .dynamics import (
     antichain_cardinality,
@@ -166,7 +174,7 @@ def _analyze(args) -> tuple[int, object]:
 def _cert(args) -> tuple[int, object]:
     name, P, _ = _resolve_input(args)
     L = build_lattice(P, budget=args.budget)
-    cert, gram = _decide(L, args.extra_empty_full)
+    cert = certify_tcde(L, args.extra_empty_full)
     if cert is not None:
         report = cert.to_dict()
         report["input"] = name
@@ -176,7 +184,7 @@ def _cert(args) -> tuple[int, object]:
     report = {
         "input": name,
         "certified": False,
-        "witness": _refute(L, gram).to_dict(),
+        "witness": _refute(L).to_dict(),
         "edge_density": rat_str(Fraction(L.edge_count(), L.n)),
     }
     return EXIT_REFUTED, report
@@ -240,6 +248,8 @@ def _scan(args) -> tuple[int, object]:
         max_size = int(bound)
     except ValueError as exc:
         raise PosetError(f"bad scan bound {bound!r}") from exc
+    if max_size < 1:
+        raise PosetError(f"scan bound must be at least 1, got {max_size}")
     if kind == "straight-shapes":
         items = (
             (f"straight:{','.join(map(str, lam.parts))}", SkewShape(lam).poset())

@@ -1,5 +1,4 @@
-"""Exact linear algebra by fraction-free integer elimination: solve,
-nullspace, det.
+"""Exact linear algebra by fraction-free integer elimination: solve, det.
 
 Entries may be ints or Fractions.  Each row is first scaled to integers by
 the lcm of its denominators, then reduced with Bareiss's (1968) one-step
@@ -96,26 +95,6 @@ def solve(matrix, rhs):
     if cols and cols[-1] == n_cols:
         return None
     return _back_substitute(aug, cols, [row[n_cols] for row in aug], n_cols)
-
-
-def nullspace(matrix):
-    """Basis of the right nullspace of A (list of Fraction vectors).
-
-    One vector per free column f: 1 at f, zero at the other free columns.
-    """
-    if not matrix:
-        return []
-    n_cols = len(matrix[0])
-    rows = _integer_rows(matrix)
-    cols, _ = _echelon(rows, n_cols)
-    pivot_set = set(cols)
-    basis = []
-    for f in range(n_cols):
-        if f not in pivot_set:
-            v = _back_substitute(rows, cols, [-row[f] for row in rows], n_cols)
-            v[f] = Fraction(1)
-            basis.append(v)
-    return basis
 
 
 def det(matrix) -> Fraction:

@@ -95,6 +95,8 @@ def build_minuscule(tag: str, *params: int) -> MinusculeCase:
         (a,) = params
         return MinusculeCase("pa11a", (a,), propeller_poset(a, 1, 1, a))
     if tag in {"e6", "e7"}:
+        if params:
+            raise ValueError(f"{tag.upper()} takes no parameters, got {params}")
         return MinusculeCase(tag.upper(), (), exceptional_poset(tag))
     raise ValueError(f"unknown minuscule case {tag!r}")
 
@@ -103,7 +105,7 @@ def parse_family(literal: str) -> MinusculeCase:
     """Family literals: minuscule:axb:3x4, minuscule:b2:4, minuscule:pa11a:3,
     minuscule:E6, minuscule:E7."""
     parts = literal.split(":")
-    if not parts or parts[0].lower() != "minuscule":
+    if len(parts) not in (2, 3) or parts[0].lower() != "minuscule":
         raise ValueError(f"unknown family literal {literal!r}")
     if len(parts) == 2:
         return build_minuscule(parts[1])
@@ -122,7 +124,7 @@ def exceptional_identity_report(name: str) -> dict:
     E(mu; ddeg) = t/m for every toggle-symmetric mu.
     """
     d = _load_exceptional(name.lower())
-    P = Poset(d["n"], [tuple(c) for c in d["covers"]])
+    P = exceptional_poset(name)
     kappa = [Fraction(k) for k in d["kappa"]]
     m, t = d["ddeg_multiplier"], d["target"]
     L = build_lattice(P)
@@ -155,43 +157,27 @@ def _certified_c(P: Poset) -> Optional[Fraction]:
 def verify_minuscule_theorems(max_ab: int = 4, max_b: int = 4, max_a: int = 3) -> dict:
     """Certify tCDE for J(P) over the classified list, and for the minuscule
     posets themselves via their own realizations as ideal lattices."""
+    cases = [
+        (f"axb:{a}x{b}", chain_product_poset(a, b), Fraction(a * b, a + b))
+        for a in range(1, max_ab + 1)
+        for b in range(a, max_ab + 1)
+    ]
+    cases += [
+        (f"b2:{b}", rectangle_interval_poset(b), Fraction(b + 2, 4))
+        for b in range(1, max_b + 1)
+    ]
+    cases += [
+        (f"pa11a:{a}", propeller_poset(a, 1, 1, a), Fraction(1))
+        for a in range(1, max_a + 1)
+    ]
+    cases += [("E6", exceptional_poset("e6"), Fraction(4, 3))]
+    cases += [("E7", exceptional_poset("e7"), Fraction(3, 2))]
     lattice_cases = []
-    for a in range(1, max_ab + 1):
-        for b in range(a, max_ab + 1):
-            c = _certified_c(chain_product_poset(a, b))
-            lattice_cases.append(
-                {
-                    "case": f"J(axb:{a}x{b})",
-                    "certified": c is not None,
-                    "c": None if c is None else rat_str(c),
-                    "expected_c": rat_str(Fraction(a * b, a + b)),
-                }
-            )
-    for b in range(1, max_b + 1):
-        c = _certified_c(rectangle_interval_poset(b))
+    for label, P, expected in cases:
+        c = _certified_c(P)
         lattice_cases.append(
             {
-                "case": f"J(b2:{b})",
-                "certified": c is not None,
-                "c": None if c is None else rat_str(c),
-                "expected_c": rat_str(Fraction(b + 2, 4)),
-            }
-        )
-    for a in range(1, max_a + 1):
-        c = _certified_c(propeller_poset(a, 1, 1, a))
-        lattice_cases.append(
-            {
-                "case": f"J(pa11a:{a})",
-                "certified": c is not None,
-                "c": None if c is None else rat_str(c),
-                "expected_c": "1/1",
-            }
-        )
-    for name, expected in (("e6", Fraction(4, 3)), ("e7", Fraction(3, 2))):
-        c = _certified_c(exceptional_poset(name))
-        lattice_cases.append(
-            {
-                "case": f"J({name.upper()})",
+                "case": f"J({label})",
                 "certified": c is not None,
                 "c": None if c is None else rat_str(c),
                 "expected_c": rat_str(expected),

@@ -334,34 +334,13 @@ def rank_info(P: Poset) -> RankInfo:
             rank[x] -= low
     if not ok:
         return RankInfo(False, False, None, None)
+    # with ranks from 0 in each component, all maximal chains have one
+    # length iff every minimal element has rank 0 and all maximal elements
+    # share one rank
     ranks = tuple(rank)
-    return RankInfo(True, _is_graded(P), ranks, max(ranks) if n else 0)
-
-
-def _is_graded(P: Poset) -> bool:
-    """All maximal chains have the same length."""
-    n = P.n
-    order = P.topological_order()
-    dmin = [0] * n
-    dmax = [0] * n
-    for x in order:
-        lo = [dmin[y] for y in P.down_covers[x]]
-        hi = [dmax[y] for y in P.down_covers[x]]
-        dmin[x] = 1 + min(lo) if lo else 0
-        dmax[x] = 1 + max(hi) if hi else 0
-    umin = [0] * n
-    umax = [0] * n
-    for x in reversed(order):
-        lo = [umin[y] for y in P.up_covers[x]]
-        hi = [umax[y] for y in P.up_covers[x]]
-        umin[x] = 1 + min(lo) if lo else 0
-        umax[x] = 1 + max(hi) if hi else 0
-    totals = set()
-    for x in range(n):
-        if dmin[x] != dmax[x] or umin[x] != umax[x]:
-            return False
-        totals.add(dmin[x] + umin[x])
-    return len(totals) <= 1
+    tops = {ranks[x] for x in range(n) if not P.up_covers[x]}
+    graded = not any(ranks[x] for x in P.minimals()) and len(tops) <= 1
+    return RankInfo(True, graded, ranks, max(ranks) if n else 0)
 
 
 @dataclass(frozen=True)

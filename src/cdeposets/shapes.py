@@ -122,6 +122,16 @@ class _Diagram:
                 rels.append((self.box_index[(i, j)], self.box_index[(i + 1, j)]))
         return build_poset(self.n_boxes, rels)
 
+    def render_ideal(self, L: IdealLattice, idx: int) -> str:
+        """Debug text rendering of an ideal: '#' in-ideal, '.' rest of shape."""
+        mask = L.ideals[idx]
+        height = max([i for i, _ in self.boxes], default=0)
+        width = max([j for _, j in self.boxes], default=0)
+        grid = [[" "] * width for _ in range(height)]
+        for k, (i, j) in enumerate(self.boxes):
+            grid[i - 1][j - 1] = "#" if mask >> k & 1 else "."
+        return "\n".join("".join(row).rstrip() for row in grid)
+
 
 class SkewShape(_Diagram):
     """Skew shape lambda/nu, normalized by translation.
@@ -256,14 +266,6 @@ class SkewShape(_Diagram):
                 out.append((kind, (x, y)))
         return out
 
-    def render_ideal(self, L: IdealLattice, idx: int) -> str:
-        """Debug text rendering of an ideal: '#' in-ideal, '.' rest of shape."""
-        mask = L.ideals[idx]
-        grid = [[" "] * self.b for _ in range(self.a)]
-        for k, (i, j) in enumerate(self.boxes):
-            grid[i - 1][j - 1] = "#" if mask >> k & 1 else "."
-        return "\n".join("".join(row).rstrip() for row in grid)
-
     def __repr__(self):
         return f"SkewShape({self.outer}/{self.inner})"
 
@@ -350,14 +352,6 @@ class ShiftedShape(_Diagram):
             if ((x + 1, y), (x, y)) in steps and ((x, y), (x, y + 1)) in steps:
                 out.append((x, y))
         return out
-
-    def render_ideal(self, L: IdealLattice, idx: int) -> str:
-        width = self.strict.part(1) + self.n_rows
-        mask = L.ideals[idx]
-        grid = [[" "] * width for _ in range(self.n_rows)]
-        for k, (i, j) in enumerate(self.boxes):
-            grid[i - 1][j - 1] = "#" if mask >> k & 1 else "."
-        return "\n".join("".join(row).rstrip() for row in grid)
 
     def __repr__(self):
         return f"ShiftedShape({self.strict})"

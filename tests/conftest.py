@@ -127,14 +127,13 @@ def component_key(shape) -> tuple:
 def random_toggle_symmetric(L, rng: random.Random) -> Distribution:
     """Uniform plus a random perturbation from the toggle-symmetry kernel,
     scaled to keep all weights nonnegative."""
-    from cdeposets import linalg
-
+    from dense_oracle import dense_nullspace
     from lattice_oracle import toggle_tables
 
     rows = [[Fraction(1)] * L.n]
     for plus, minus in zip(*toggle_tables(L.base, L.ideals)):
         rows.append([Fraction(a - b) for a, b in zip(plus, minus)])
-    basis = linalg.nullspace(rows)
+    basis = dense_nullspace(rows)
     if not basis:
         from cdeposets import uniform
 

@@ -60,6 +60,23 @@ def dense_solve(matrix, rhs):
     return sol
 
 
+def dense_nullspace(matrix):
+    """Basis of the right nullspace, one vector per free column f: 1 at f,
+    zero at the other free columns."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    pivots = _echelon(rows)
+    pivot_cols = [c for _, c in pivots]
+    basis = []
+    for f in range(len(matrix[0])):
+        if f not in pivot_cols:
+            v = [Fraction(0)] * len(matrix[0])
+            v[f] = Fraction(1)
+            for r, c in pivots:
+                v[c] = -rows[r][f]
+            basis.append(v)
+    return basis
+
+
 def _signed_tables(L):
     """T_p = T+_p - T-_p per element, from the element-by-element tables."""
     t_plus, t_minus = toggle_tables(L.base, L.ideals)

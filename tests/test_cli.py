@@ -161,6 +161,43 @@ def test_family_verb(capsys):
     assert json.loads(out)["n"] == 4
 
 
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("minuscule:E6:3", "E6 takes no parameters, got (3,)"),
+        ("minuscule:axb:2x3:9", "unknown family literal 'minuscule:axb:2x3:9'"),
+        ("minuscule", "unknown family literal 'minuscule'"),
+    ],
+)
+def test_family_literal_with_extra_or_missing_fields(capsys, literal, message):
+    code, out = run(capsys, "family", "--family", literal)
+    assert code == 2
+    assert json.loads(out) == {"error": message}
+
+
+@pytest.mark.parametrize(
+    "family, fmt",
+    [
+        ("straight-shapes:-1", "json"),
+        ("straight-shapes:0", "csv"),
+        ("strict-partitions:0", "json"),
+    ],
+)
+def test_scan_bound_below_one_is_an_input_error(capsys, monkeypatch, family, fmt):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("shapes were enumerated")
+
+    for name in ("iter_partitions", "iter_strict_partitions"):
+        monkeypatch.setattr(f"cdeposets.cli.{name}", no_enumeration)
+    code, out = run(capsys, "scan", "--family", family, "--format", fmt)
+    assert code == 2
+    message = f"scan bound must be at least 1, got {family.partition(':')[2]}"
+    if fmt == "csv":
+        assert list(csv.reader(io.StringIO(out))) == [["error"], [message]]
+    else:
+        assert json.loads(out) == {"error": message}
+
+
 def test_input_errors(capsys):
     code, _ = run(capsys, "analyze", "--poset", "no-such-file.json")
     assert code == 2

@@ -159,6 +159,31 @@ def test_graded_maximal_chains_start_at_rank_zero():
             assert info.rank[c.elements[0]] == 0
 
 
+def test_graded_iff_all_maximal_chains_have_one_length():
+    rng = random.Random(341)
+    graded = ranked = 0
+    for _ in range(1500):
+        n = rng.randint(0, 9)
+        density = rng.choice((0.15, 0.3, 0.5))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        P = build_poset(
+            n,
+            [
+                (perm[i], perm[j])
+                for i in range(n)
+                for j in range(i + 1, n)
+                if rng.random() < density
+            ],
+        )
+        lengths = {c.length for c in enumerate_chains(P, maximal_only=True)}
+        info = rank_info(P)
+        assert info.is_graded == (len(lengths) <= 1), P
+        ranked += info.is_ranked
+        graded += info.is_graded
+    assert ranked - graded > 300 and graded > 300
+
+
 def test_longest_chain_length(fix_a):
     assert longest_chain_length(fix_a) == 2
     assert longest_chain_length(chain(4)) == 3

@@ -339,3 +339,7 @@ def test_render_ideal():
     L = build_lattice(s.poset())
     assert s.render_ideal(L, L.n - 1).splitlines() == ["##", "#"]
     assert s.render_ideal(L, L.index[0]).splitlines() == ["..", "."]
+    s = parse_shape("shifted:3,1")
+    L = build_lattice(s.poset())
+    assert s.render_ideal(L, L.index[0b0011]).splitlines() == ["##.", " ."]
+    assert s.render_ideal(L, L.n - 1).splitlines() == ["###", " #"]

@@ -2,15 +2,21 @@
 Fraction route in dense_oracle.py: equal to_dict() output, bit for bit."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from cdeposets import build_lattice, build_poset, certify_tcde, find_witness
-from cdeposets.cde import _decide, _refute
+from cdeposets.cde import _lex_first_columns, _refute
 from cdeposets.minuscule import parse_family
 from cdeposets.shapes import parse_shape
 
-from dense_oracle import certify_tcde_dense, find_witness_dense
+from dense_oracle import (
+    _echelon,
+    _signed_tables,
+    certify_tcde_dense,
+    find_witness_dense,
+)
 
 
 def _dict(x):
@@ -20,13 +26,12 @@ def _dict(x):
 def _assert_same(L):
     witness = _dict(find_witness_dense(L))
     for empty_full in (False, True):
-        assert _dict(certify_tcde(L, empty_full)) == _dict(
-            certify_tcde_dense(L, empty_full)
-        )
-        # the CLI's cert-tcde route: one Gram solve, then the witness from it
-        cert, gram = _decide(L, empty_full)
+        cert = certify_tcde(L, empty_full)
+        assert _dict(cert) == _dict(certify_tcde_dense(L, empty_full))
+        # the CLI's cert-tcde route: refuted with the extra column means
+        # refuted without it
         if cert is None:
-            assert _refute(L, gram).to_dict() == witness
+            assert _refute(L).to_dict() == witness
     assert _dict(find_witness(L)) == witness
 
 
@@ -76,3 +81,35 @@ def test_random_relabelled_posets_match_dense_route():
         _assert_same(L)
         refuted += certify_tcde(L) is None
     assert refuted > 50
+
+
+def _dense_columns(L):
+    """The columns of [1; T_p; ddeg], one per ideal, and e_last."""
+    rows = [[1] * L.n, *_signed_tables(L), list(L.ddeg)]
+    return list(zip(*rows)), [0] * (len(rows) - 1) + [1]
+
+
+def test_lex_first_columns_stop_once_the_target_is_in_their_span():
+    L = build_lattice(parse_shape("skew:7,6,5,4/3,1").poset())
+    columns, e_last = _dense_columns(L)
+    read = []
+
+    def counting():
+        for i, col in enumerate(columns):
+            read.append(i)
+            yield col
+
+    chosen = _lex_first_columns(counting(), e_last)
+    assert len(read) < L.n
+    assert chosen[-1][0] == read[-1]
+    pivots = [c for _, c in _echelon([list(map(Fraction, r)) for r in zip(*columns)])]
+    assert [i for i, _ in chosen] == pivots[: len(chosen)]
+    assert [col for _, col in chosen] == [columns[i] for i, _ in chosen]
+
+
+def test_lex_first_columns_raise_when_the_target_is_out_of_reach():
+    L = build_lattice(parse_family("minuscule:axb:2x3").realized)
+    assert certify_tcde(L) is not None
+    columns, e_last = _dense_columns(L)
+    with pytest.raises(ArithmeticError):
+        _lex_first_columns(iter(columns), e_last)
