@@ -117,7 +117,7 @@ def _resolve_input(args):
     if args.shape:
         shape = parse_shape(args.shape)
         return args.shape, shape.poset(), shape
-    case = parse_family(args.family)
+    case = parse_family(args.family, budget=getattr(args, "budget", DEFAULT_IDEAL_BUDGET))
     return case.name, case.realized, None
 
 

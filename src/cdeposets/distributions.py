@@ -5,15 +5,16 @@ multichain flavors) are exact rational weight vectors, computed by counting
 rather than enumeration.  Every function takes a raw Poset or an
 IdealLattice J(P); a lattice is never turned into a Poset on its ideals.
 
-Chains are counted by walks of one strict step operator, which maps a vector
-g to, for each x, the sum of g over the elements strictly below x (or above
-x, for the upward operator):
+Chains are counted by walks of the strict steps, which map a vector g to,
+for each x, the sum of g over the elements strictly below x (or above x,
+for the up step); ``_steps`` returns the pair:
 
-* on a raw poset, the sum over the strict down-set (up-set) lists;
-* on J(P), the subset-sum zeta transform trimmed to the ideals, run over the
-  Hasse edges grouped by the element they add, with the elements of P taken
-  in a linear extension (reversed upward), minus the input.  That is
-  O(#Hasse edges) per step instead of O(#comparable pairs of ideals).
+* on a raw poset, the sums over the strict down-set (up-set) lists;
+* on J(P), the subset-sum zeta transform trimmed to the ideals, run over one
+  list of the Hasse edges (``edges()``) grouped by the element they add, with
+  the elements of P in a linear extension, minus the input; the up step runs
+  the list in reverse.  That is O(#Hasse edges) per step instead of
+  O(#comparable pairs of ideals).
 
 ``chain_counts_through(X, k_max)`` gives, for each k, the number of k-chains
 through each element, by gluing a walk of strict steps down from p to one of
@@ -28,9 +29,10 @@ a(p) of k-chains topped by p and the total b(p) of ddeg over those chains:
 a' = step(a), b' = step(b) + ddeg * a'.  The k-th expectation is
 sum b / ((k+1) * sum a), with no up walk and no gluing.
 
-Maximal chains come from one saturated-chain sweep over the covers (on J(P)
-the Hasse edges, in the canonical ideal order, which sorts by cardinality),
-which ``tableaux.count_linear_extensions`` shares.  Toggle-symmetry is a
+Maximal chains come from a saturated-chain sweep over one cover list, run
+forward and in reverse: on a poset the covers in a linear extension, on J(P)
+``edges()``, whose ideal order sorts by cardinality.
+``tableaux.count_linear_extensions`` shares the sweep.  Toggle-symmetry is a
 lattice notion and takes an IdealLattice.
 """
 
@@ -133,40 +135,42 @@ def rank_dist(L: IdealLattice) -> Distribution:
 # --- chain counts: one walk table, one saturated-chain sweep ----------------
 
 
-def _zeta_step(L: IdealLattice, upward: bool):
-    """g -> sum of g over the strictly smaller (upward: larger) ideals.
+def _steps(X):
+    """(down, up): g -> for each x, the sum of g over the elements strictly
+    below x (up: above x), on a poset or on the ideals of a lattice.
 
-    The subset-sum zeta transform trimmed to J(P): taking the elements of P
-    in a linear extension, add g along every Hasse edge that adds p.  An
-    ideal J below I is reached from I by removing the elements of I - J from
-    the latest to the earliest, and each of those is maximal in what remains,
-    so every such J is summed exactly once.  Upward, the elements go in
-    reverse and each edge adds g of the larger ideal to the smaller one.
+    On J(P), taking the elements of P in a linear extension, add g along
+    every Hasse edge that adds p.  An ideal J below I is reached from I by
+    removing the elements of I - J from the latest to the earliest, each
+    maximal in what remains, so every such J is summed exactly once.  The up
+    step runs the edges in reverse, adding g of the larger ideal to the
+    smaller one.
     """
-    edges = [[] for _ in range(L.base.n)]
-    for i, j, p in L.hasse:
-        edges[p].append((j, i) if upward else (i, j))
-    order = L.base.topological_order()
-    if upward:
-        order.reverse()
-    pairs = [e for p in order for e in edges[p]]
+    if not isinstance(X, IdealLattice):
+        below = [_bits(m) for m in X.strict_down]
+        above = [_bits(m) for m in X.strict_up]
+        return (
+            lambda g: [sum([g[q] for q in s]) for s in below],
+            lambda g: [sum([g[q] for q in s]) for s in above],
+        )
+    by_element = [[] for _ in range(X.base.n)]
+    for i, j, p in X.edges():
+        by_element[p].append((i, j))
+    pairs = [e for p in X.base.topological_order() for e in by_element[p]]
 
-    def step(g):
+    def down(g):
         h = list(g)
-        for src, dst in pairs:
-            h[dst] += h[src]
+        for i, j in pairs:
+            h[j] += h[i]
         return [a - b for a, b in zip(h, g)]
 
-    return step
+    def up(g):
+        h = list(g)
+        for i, j in reversed(pairs):
+            h[i] += h[j]
+        return [a - b for a, b in zip(h, g)]
 
-
-def _strict_step(X, upward: bool):
-    """g -> for each x, the sum of g over the elements strictly below x
-    (upward: above x), on a poset or on the ideals of a lattice."""
-    if isinstance(X, IdealLattice):
-        return _zeta_step(X, upward)
-    steps = [_bits(m) for m in (X.strict_up if upward else X.strict_down)]
-    return lambda g: [sum([g[q] for q in s]) for s in steps]
+    return down, up
 
 
 def _walk_table(step, size: int, k_max: int):
@@ -188,10 +192,7 @@ def _glue(down, up, k: int) -> list[int]:
 
 def _walks(X, k_max: int):
     """The downward and upward walk tables of X, rows 0..k_max."""
-    return (
-        _walk_table(_strict_step(X, upward=False), X.n, k_max),
-        _walk_table(_strict_step(X, upward=True), X.n, k_max),
-    )
+    return tuple([_walk_table(step, X.n, k_max) for step in _steps(X)])
 
 
 def chain_counts_through(X, k_max: int):
@@ -207,7 +208,7 @@ def _chain_moments(X, stat, k_max: int):
     a[p] counts the k-chains with top p and b[p] sums stat over them:
     a' = step(a) and b' = step(b) + stat * a'.
     """
-    step = _strict_step(X, upward=False)
+    step = _steps(X)[0]
     a = [1] * X.n
     b = list(stat)
     out = [(sum(a), sum(b))]
@@ -220,7 +221,7 @@ def _chain_moments(X, stat, k_max: int):
 
 def chain_count(X, k: int) -> int:
     """Number of k-chains of a poset or lattice."""
-    return sum(_walk_table(_strict_step(X, upward=False), X.n, k)[k])
+    return sum(_walk_table(_steps(X)[0], X.n, k)[k])
 
 
 def longest_chain(X) -> int:
@@ -245,35 +246,27 @@ def _normalized(weights) -> Distribution:
     return Distribution([Fraction(w, total) for w in weights])
 
 
-def _saturated_chains(order, preds) -> list[int]:
-    """counts[x] = number of saturated chains from an element with no preds
-    up to x; ``order`` lists the elements with every x after its preds."""
-    counts = [0] * len(preds)
-    for x in order:
-        counts[x] = sum([counts[y] for y in preds[x]]) if preds[x] else 1
+def _saturated_chains(n: int, edges) -> list[int]:
+    """counts[x] = number of saturated chains up to x from an element with no
+    lower cover; ``edges`` lists the covers (y, x) with every edge into an
+    element before any edge out of it."""
+    counts = [1] * n
+    for _, x in edges:
+        counts[x] = 0
+    for y, x in edges:
+        counts[x] += counts[y]
     return counts
-
-
-def _hasse_covers(L: IdealLattice):
-    """(lower covers, upper covers) of each ideal, from the Hasse edges."""
-    down = [[] for _ in range(L.n)]
-    up = [[] for _ in range(L.n)]
-    for i, j, _ in L.hasse:
-        down[j].append(i)
-        up[i].append(j)
-    return down, up
 
 
 def maxchain_dist(X) -> Distribution:
     """Weight proportional to the number of maximal chains through p."""
     if isinstance(X, IdealLattice):
-        # canonical ideal order is by cardinality, hence a linear extension
-        order = range(X.n)
-        down, up = _hasse_covers(X)
+        # edges() runs in canonical ideal order, which sorts by cardinality
+        edges = [(i, j) for i, j, _ in X.edges()]
     else:
-        order, down, up = X.topological_order(), X.down_covers, X.up_covers
-    from_bottom = _saturated_chains(order, down)
-    to_top = _saturated_chains(order[::-1], up)
+        edges = [(p, q) for p in X.topological_order() for q in X.up_covers[p]]
+    from_bottom = _saturated_chains(X.n, edges)
+    to_top = _saturated_chains(X.n, [(q, p) for p, q in reversed(edges)])
     return _normalized([u * d for u, d in zip(from_bottom, to_top)])
 
 

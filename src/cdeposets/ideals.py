@@ -20,9 +20,16 @@ upward, that list has a '1' where the other has a '0', so sorting the level
 by the reversed binary strings in descending order gives the canonical
 order without building a member list per ideal.
 
-The masks are the only storage of the toggleability statistics: T+_p(I) is
-bit p of ``up[i]`` and T-_p(I) is bit p of ``down[i]``.  Readers walk or
-mask those bits directly; ``toggleability`` unpacks one column on request.
+The removable set of I + p is that of I minus the elements below p, plus
+p: an element of I below p that is maximal in I is covered by p, since
+everything below p lies in I.  So each ideal's ``down`` mask is set once,
+when the ideal is first reached.
+
+The masks are the only storage of the cover relation of J(P) and of the
+toggleability statistics: the Hasse edges out of ideal i add the bits of
+``up[i]`` (``edges()`` yields them), T+_p(I) is bit p of ``up[i]`` and
+T-_p(I) is bit p of ``down[i]``.  Readers walk or mask those bits directly;
+``toggleability`` unpacks one column on request.
 """
 
 from __future__ import annotations
@@ -37,13 +44,12 @@ class LatticeBudgetError(RuntimeError):
 
 
 class IdealLattice:
-    """Explicit J(P) with Hasse edges, down-degrees, and label masks.
+    """Explicit J(P) with down-degrees and label masks.
 
     Attributes:
         base: the underlying poset P.
         ideals: bitmask per ideal, canonical order.
         index: ideal bitmask -> its position in ``ideals``.
-        hasse: (i, j, p) with ideal j = ideal i plus element p, sorted.
         ddeg: down-degree (= #max(I)) per ideal.
         up / down: per ideal, the bitmask of addable / removable elements;
             bit p of them is T+_p(I) / T-_p(I).
@@ -53,18 +59,16 @@ class IdealLattice:
         "base",
         "ideals",
         "index",
-        "hasse",
         "ddeg",
         "up",
         "down",
         "_poset",
     )
 
-    def __init__(self, base, ideals, index, hasse, ddeg, up, down):
+    def __init__(self, base, ideals, index, ddeg, up, down):
         self.base = base
         self.ideals = ideals
         self.index = index
-        self.hasse = hasse
         self.ddeg = ddeg
         self.up = up
         self.down = down
@@ -75,12 +79,23 @@ class IdealLattice:
         return len(self.ideals)
 
     def edge_count(self) -> int:
-        return len(self.hasse)
+        return sum(self.ddeg)
+
+    def edges(self):
+        """Yield the Hasse edges (i, j, p), ideal j = ideal i plus element p,
+        by i and then by p (which also sorts j)."""
+        index = self.index
+        for i, mask in enumerate(self.ideals):
+            rest = self.up[i]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                yield i, index[mask | low], low.bit_length() - 1
 
     def as_poset(self) -> Poset:
         """The lattice itself as a Poset on ideal indices."""
         if self._poset is None:
-            self._poset = Poset(self.n, [(i, j) for i, j, _ in self.hasse])
+            self._poset = Poset(self.n, [(i, j) for i, j, _ in self.edges()])
         return self._poset
 
     def members(self, i: int) -> list[int]:
@@ -99,7 +114,7 @@ class IdealLattice:
         return {
             "n_ideals": self.n,
             "ideals": [self.members(i) for i in range(self.n)],
-            "edges": [[i, j] for i, j, _ in self.hasse],
+            "edges": [[i, j] for i, j, _ in self.edges()],
             "ddeg": list(self.ddeg),
         }
 
@@ -109,6 +124,7 @@ def build_lattice(P: Poset, budget: int = DEFAULT_IDEAL_BUDGET) -> IdealLattice:
     if budget < 1:
         raise LatticeBudgetError(f"J(P) exceeds the ideal budget of {budget}")
     up_of = {0: sum([1 << p for p in range(P.n) if not P.strict_down[p]])}
+    down_of = {0: 0}
     ideals = []
     level = [0]
     while level:
@@ -117,6 +133,7 @@ def build_lattice(P: Poset, budget: int = DEFAULT_IDEAL_BUDGET) -> IdealLattice:
         nxt = []
         for mask in level:
             addable = up_of[mask]
+            removable = down_of[mask]
             rest = addable
             while rest:
                 low = rest & -rest
@@ -124,35 +141,25 @@ def build_lattice(P: Poset, budget: int = DEFAULT_IDEAL_BUDGET) -> IdealLattice:
                 child = mask | low
                 if child in up_of:
                     continue
+                p = low.bit_length() - 1
                 child_up = addable ^ low
-                for q in P.up_covers[low.bit_length() - 1]:
+                for q in P.up_covers[p]:
                     if P.strict_down[q] & ~child == 0:
                         child_up |= 1 << q
                 up_of[child] = child_up
+                down_of[child] = removable & ~P.strict_down[p] | low
                 if len(up_of) > budget:
                     raise LatticeBudgetError(f"J(P) exceeds the ideal budget of {budget}")
                 nxt.append(child)
         level = nxt
-    index = {m: i for i, m in enumerate(ideals)}
-    up = [up_of[m] for m in ideals]
-    down = [0] * len(ideals)
-    hasse = []
-    for i, mask in enumerate(ideals):
-        rest = up[i]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            j = index[mask | low]
-            hasse.append((i, j, low.bit_length() - 1))
-            down[j] |= low
+    down = tuple([down_of[m] for m in ideals])
     return IdealLattice(
         P,
         tuple(ideals),
-        index,
-        tuple(hasse),
+        {m: i for i, m in enumerate(ideals)},
         tuple([d.bit_count() for d in down]),
-        tuple(up),
-        tuple(down),
+        tuple([up_of[m] for m in ideals]),
+        down,
     )
 
 

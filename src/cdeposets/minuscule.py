@@ -16,7 +16,7 @@ from importlib import resources
 from typing import Optional
 
 from .cde import _identity_failure, certify_tcde
-from .ideals import build_lattice
+from .ideals import DEFAULT_IDEAL_BUDGET, build_lattice
 from .posets import Poset, build_poset, chain, direct_product, is_isomorphic
 from .serialize import rat_str
 from .shapes import ShiftedShape, SkewShape, rectangle, staircase
@@ -63,11 +63,12 @@ def chain_product_poset(a: int, b: int) -> Poset:
     return direct_product(chain(a), chain(b))
 
 
-def rectangle_interval_poset(b: int) -> Poset:
-    """[empty, b^2] in Young's lattice, i.e. J(P_{b^2}) as a poset."""
+def rectangle_interval_poset(b: int, budget: int = DEFAULT_IDEAL_BUDGET) -> Poset:
+    """[empty, b^2] in Young's lattice, i.e. J(P_{b^2}) as a poset; ``budget``
+    bounds the ideals of J(P_{b^2})."""
     if b < 1:
         raise ValueError("b must be >= 1")
-    return build_lattice(SkewShape(rectangle(2, b)).poset()).as_poset()
+    return build_lattice(SkewShape(rectangle(2, b)).poset(), budget=budget).as_poset()
 
 
 @dataclass(frozen=True)
@@ -83,17 +84,28 @@ class MinusculeCase:
         return self.tag
 
 
-def build_minuscule(tag: str, *params: int) -> MinusculeCase:
+def _check_params(case: str, names: tuple[str, ...], params) -> None:
+    if len(params) != len(names):
+        s = "" if len(names) == 1 else "s"
+        raise ValueError(
+            f"minuscule case {case} takes {len(names)} parameter{s} "
+            f"({', '.join(names)}), got {len(params)}"
+        )
+
+
+def build_minuscule(tag: str, *params: int, budget: int = DEFAULT_IDEAL_BUDGET) -> MinusculeCase:
+    """``budget`` bounds the ideals of the lattice that realizes case b2."""
     tag = tag.lower()
     if tag in {"axb", "chainproduct"}:
-        a, b = params
-        return MinusculeCase("axb", (a, b), chain_product_poset(a, b))
+        _check_params("axb", ("a", "b"), params)
+        return MinusculeCase("axb", params, chain_product_poset(*params))
     if tag in {"b2", "shiftedstaircasej"}:
-        (b,) = params
-        return MinusculeCase("b2", (b,), rectangle_interval_poset(b))
+        _check_params("b2", ("b",), params)
+        return MinusculeCase("b2", params, rectangle_interval_poset(*params, budget=budget))
     if tag in {"pa11a", "propeller"}:
+        _check_params("pa11a", ("a",), params)
         (a,) = params
-        return MinusculeCase("pa11a", (a,), propeller_poset(a, 1, 1, a))
+        return MinusculeCase("pa11a", params, propeller_poset(a, 1, 1, a))
     if tag in {"e6", "e7"}:
         if params:
             raise ValueError(f"{tag.upper()} takes no parameters, got {params}")
@@ -101,19 +113,18 @@ def build_minuscule(tag: str, *params: int) -> MinusculeCase:
     raise ValueError(f"unknown minuscule case {tag!r}")
 
 
-def parse_family(literal: str) -> MinusculeCase:
+def parse_family(literal: str, budget: int = DEFAULT_IDEAL_BUDGET) -> MinusculeCase:
     """Family literals: minuscule:axb:3x4, minuscule:b2:4, minuscule:pa11a:3,
-    minuscule:E6, minuscule:E7."""
+    minuscule:E6, minuscule:E7.  ``budget`` is passed to ``build_minuscule``."""
     parts = literal.split(":")
     if len(parts) not in (2, 3) or parts[0].lower() != "minuscule":
         raise ValueError(f"unknown family literal {literal!r}")
     if len(parts) == 2:
-        return build_minuscule(parts[1])
+        return build_minuscule(parts[1], budget=budget)
     tag, arg = parts[1], parts[2]
     if tag.lower() == "axb":
-        a, b = (int(x) for x in arg.lower().split("x"))
-        return build_minuscule("axb", a, b)
-    return build_minuscule(tag, int(arg))
+        return build_minuscule("axb", *[int(x) for x in arg.lower().split("x")], budget=budget)
+    return build_minuscule(tag, int(arg), budget=budget)
 
 
 def exceptional_identity_report(name: str) -> dict:

@@ -597,11 +597,9 @@ def iter_connected_skew_shapes(max_boxes: int) -> Iterator[SkewShape]:
                     yield SkewShape(outer, inner)
 
 
-def iter_skew_shapes(max_boxes: int, max_width: int | None = None) -> Iterator[SkewShape]:
-    """Skew shapes (possibly disconnected) with at most max_boxes boxes and
-    bounded width, canonicalized so some row starts at column 1."""
-    if max_width is None:
-        max_width = max_boxes
+def iter_skew_shapes(max_boxes: int) -> Iterator[SkewShape]:
+    """Skew shapes (possibly disconnected) with at most max_boxes boxes,
+    canonicalized so some row starts at column 1."""
 
     def rec(rows, used):
         yield tuple(rows)
@@ -615,10 +613,8 @@ def iter_skew_shapes(max_boxes: int, max_width: int | None = None) -> Iterator[S
                 yield from rec(rows, used + size)
                 rows.pop()
 
-    for b in range(1, max_width + 1):
+    for b in range(1, max_boxes + 1):
         for lo in range(0, b):
-            if b - lo > max_boxes:
-                continue
             for raw in rec([(lo, b)], b - lo):
                 if min(r[0] for r in raw) == 0:
                     inner = Partition(tuple([r[0] for r in raw]))

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import linalg
-from .distributions import _hasse_covers, _saturated_chains, expectation, maxchain_dist
+from .distributions import _saturated_chains, expectation, maxchain_dist
 from .ideals import DEFAULT_IDEAL_BUDGET, IdealLattice, build_lattice
 from .posets import Poset, _bits
 from .shapes import Partition, ShiftedShape, SkewShape
@@ -33,8 +33,8 @@ SHIFTED_BOX_BUDGET = 6
 def count_linear_extensions(P: Poset) -> int:
     """Number of linear extensions, as maximal chains of J(P)."""
     L = build_lattice(P)
-    # canonical order is by cardinality, so topological
-    return _saturated_chains(range(L.n), _hasse_covers(L)[0])[-1]
+    # edges() runs in canonical ideal order, which sorts by cardinality
+    return _saturated_chains(L.n, [(i, j) for i, j, _ in L.edges()])[-1]
 
 
 def f_aitken(shape: SkewShape) -> int:

@@ -1,12 +1,16 @@
 """Chain statistics of J(P) from the zeta walk over the Hasse edges against
 the same functions run on L.as_poset(), which walk the comparable pairs of
-ideals: every Fraction equal."""
+ideals: every Fraction equal.  The maxchain distribution and the linear
+extension count share one saturated-chain sweep on both routes, so they are
+also checked against brute-force enumeration."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from cdeposets import build_lattice, build_poset, cde_report
+from cdeposets import antichain, build_lattice, build_poset, cde_report, disjoint_union
+from cdeposets.tableaux import count_linear_extensions
 from cdeposets.distributions import (
     chain_count,
     chain_counts_through,
@@ -16,7 +20,7 @@ from cdeposets.distributions import (
     mmchain_dist,
 )
 from cdeposets.minuscule import parse_family
-from cdeposets.posets import load_poset
+from cdeposets.posets import enumerate_chains, load_poset
 from cdeposets.shapes import parse_shape
 
 from conftest import FIXTURES
@@ -74,17 +78,55 @@ def test_fixture_lattices_match_poset_route(name):
     _assert_same(build_lattice(load_poset(FIXTURES / f"{name}.json")))
 
 
+def _random_poset(rng, n):
+    density = rng.choice((0.2, 0.35, 0.5))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rels = [
+        (perm[i], perm[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    ]
+    return build_poset(n, rels)
+
+
 def test_random_posets_match_poset_route():
     rng = random.Random(4)
     for _ in range(100):
-        n = rng.randint(0, 8)
-        density = rng.choice((0.2, 0.35, 0.5))
-        perm = list(range(n))
-        rng.shuffle(perm)
-        rels = [
-            (perm[i], perm[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < density
-        ]
-        _assert_same(build_lattice(build_poset(n, rels)))
+        _assert_same(build_lattice(_random_poset(rng, rng.randint(0, 8))))
+
+
+def _maxchain_brute(X):
+    """Weight of p proportional to the maximal chains that contain p."""
+    through = [0] * X.n
+    for c in enumerate_chains(X, maximal_only=True):
+        for p in c.elements:
+            through[p] += 1
+    total = sum(through)
+    return [Fraction(t, total) for t in through]
+
+
+def test_maxchain_dist_matches_brute_force_on_raw_posets():
+    rng = random.Random(12)
+    for _ in range(150):
+        P = _random_poset(rng, rng.randint(1, 9))
+        if rng.random() < 0.5:
+            P = disjoint_union(P, _random_poset(rng, rng.randint(1, 5)))
+        if rng.random() < 0.3:
+            P = disjoint_union(P, antichain(rng.randint(1, 3)))
+        assert list(maxchain_dist(P)) == _maxchain_brute(P)
+
+
+def test_maxchain_dist_matches_brute_force_on_lattices():
+    rng = random.Random(13)
+    for _ in range(40):
+        L = build_lattice(_random_poset(rng, rng.randint(0, 6)))
+        assert list(maxchain_dist(L)) == _maxchain_brute(L.as_poset())
+
+
+def test_linear_extension_count_matches_enumeration():
+    rng = random.Random(14)
+    for _ in range(150):
+        P = _random_poset(rng, rng.randint(0, 7))
+        assert count_linear_extensions(P) == len(list(P.linear_extensions()))

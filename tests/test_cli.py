@@ -167,6 +167,10 @@ def test_family_verb(capsys):
         ("minuscule:E6:3", "E6 takes no parameters, got (3,)"),
         ("minuscule:axb:2x3:9", "unknown family literal 'minuscule:axb:2x3:9'"),
         ("minuscule", "unknown family literal 'minuscule'"),
+        ("minuscule:b2", "minuscule case b2 takes 1 parameter (b), got 0"),
+        ("minuscule:pa11a", "minuscule case pa11a takes 1 parameter (a), got 0"),
+        ("minuscule:axb:2x3x4", "minuscule case axb takes 2 parameters (a, b), got 3"),
+        ("minuscule:axb:3", "minuscule case axb takes 2 parameters (a, b), got 1"),
     ],
 )
 def test_family_literal_with_extra_or_missing_fields(capsys, literal, message):

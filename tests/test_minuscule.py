@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cdeposets import build_lattice, chain, direct_product, is_isomorphic, toggleability
+from cdeposets.ideals import LatticeBudgetError
 from cdeposets.minuscule import (
     build_minuscule,
     exceptional_kappa,
@@ -54,6 +55,13 @@ def test_identity_negative_control():
         for i in range(L.n)
     )
     assert not holds
+
+
+def test_parse_family_bounds_the_b2_lattice_by_the_budget():
+    # J(2x200) has 20,301 ideals; the budget stops it before they are built
+    with pytest.raises(LatticeBudgetError, match="ideal budget of 5"):
+        parse_family("minuscule:b2:200", budget=5)
+    assert parse_family("minuscule:b2:3", budget=10).realized.n == 10
 
 
 def test_parse_family():

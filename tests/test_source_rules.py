@@ -1,6 +1,7 @@
 """Rules on the library source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cdeposets"
@@ -17,3 +18,25 @@ def test_library_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in src/cdeposets: {found}"
+
+
+def test_library_imports_only_the_standard_library():
+    """The library stays stdlib-only: every import is relative or names a
+    top-level module of the standard library."""
+    files = sorted(SRC.glob("*.py"))
+    found = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}:{name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert files
+    assert not found, f"non-stdlib imports in src/cdeposets: {found}"
