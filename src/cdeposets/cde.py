@@ -38,9 +38,9 @@ Both questions are answered from small integer systems rather than from the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Optional
 
 from . import linalg
@@ -48,6 +48,7 @@ from .distributions import (
     Distribution,
     _chain_moments,
     expectation,
+    is_toggle_symmetric,
     longest_chain,
     maxchain_dist,
 )
@@ -64,6 +65,9 @@ class CdeReport:
     chain_expectations: tuple[Fraction, ...]
     is_cde: bool
     is_mcde: bool
+    # (A_k, B_k) for k = 0..r: the number of k-chains and the sum over them
+    # of ddeg summed along the chain
+    chain_moments: tuple[tuple[int, int], ...] = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -75,6 +79,22 @@ class CdeReport:
             "is_mcde": self.is_mcde,
         }
 
+    def multichain_expectations(self, m: int) -> tuple[Fraction, Fraction]:
+        """(E(mchain_m; ddeg), E(mmchain_m; ddeg)): sum_k c_k B_k over
+        sum_k c_k (k+1) A_k for k <= min(m, r), with c_k = C(m, k) for mchain
+        and C(m+1, k+1) for mmchain."""
+        if m < 0:
+            raise ValueError("m must be >= 0")
+        rows = list(enumerate(self.chain_moments[: m + 1]))
+
+        def mean(coeff) -> Fraction:
+            return Fraction(
+                sum([coeff(k) * b for k, (_, b) in rows]),
+                sum([coeff(k) * (k + 1) * a for k, (a, _) in rows]),
+            )
+
+        return mean(lambda k: comb(m, k)), mean(lambda k: comb(m + 1, k + 1))
+
 
 def _ddeg_stat(X):
     if isinstance(X, IdealLattice):
@@ -85,24 +105,19 @@ def _ddeg_stat(X):
 def cde_report(X) -> CdeReport:
     """Edge density, maxchain and all k-chain expectations, CDE/mCDE flags.
 
-    The k-chain expectations for every k come from one downward walk that
-    carries, per element, the number of chains topped there and their ddeg
-    totals.  On J(P) every maximal chain is an |P|-chain, so the maxchain
-    expectation is the last of them; a raw poset need not be graded and
-    takes its maxchain distribution.
+    Every chain statistic comes from one downward walk, ``_chain_moments``,
+    which carries, per element, the number of chains topped there and their
+    ddeg totals; the report keeps its rows for the multichain expectations.
+    On J(P) every maximal chain is an |P|-chain, so the maxchain expectation
+    is the last k-chain one; a raw poset need not be graded and takes its
+    maxchain distribution.
     """
     if X.n == 0:
         raise ValueError("the empty poset has no elements to average over")
     ddeg = _ddeg_stat(X)
     density = Fraction(X.edge_count(), X.n)
-    chains = tuple(
-        [
-            Fraction(total, (k + 1) * count)
-            for k, (count, total) in enumerate(
-                _chain_moments(X, ddeg, longest_chain(X))
-            )
-        ]
-    )
+    moments = tuple(_chain_moments(X, ddeg, longest_chain(X)))
+    chains = tuple([Fraction(b, (k + 1) * a) for k, (a, b) in enumerate(moments)])
     if isinstance(X, IdealLattice):
         maxexp = chains[-1]
     else:
@@ -114,6 +129,7 @@ def cde_report(X) -> CdeReport:
         chain_expectations=chains,
         is_cde=maxexp == density,
         is_mcde=all(x == density for x in chains),
+        chain_moments=moments,
     )
 
 
@@ -143,8 +159,6 @@ class TcdeWitness:
     expectation: Fraction
 
     def validate(self, L: IdealLattice) -> bool:
-        from .distributions import is_toggle_symmetric
-
         if not is_toggle_symmetric(L, self.mu):
             return False
         got = expectation(self.mu, L.ddeg)
@@ -330,25 +344,18 @@ def scan_family(items, predicate: str, budget: int = DEFAULT_IDEAL_BUDGET):
         raise ValueError(f"unknown predicate {predicate!r}")
     for name, P in items:
         L = build_lattice(P, budget=budget)
+        entry = {
+            "input": name,
+            "predicate": predicate,
+            "edge_density": rat_str(Fraction(L.edge_count(), L.n)),
+        }
         if predicate == "tcde":
             cert = certify_tcde(L)
-            holds = cert is not None
-            entry = {
-                "input": name,
-                "predicate": predicate,
-                "holds": holds,
-                "edge_density": rat_str(Fraction(L.edge_count(), L.n)),
-            }
+            entry["holds"] = cert is not None
             if cert is not None:
                 entry["c"] = rat_str(cert.c)
         else:
             report = cde_report(L)
-            holds = report.is_cde if predicate == "cde" else report.is_mcde
-            entry = {
-                "input": name,
-                "predicate": predicate,
-                "holds": holds,
-                "edge_density": rat_str(report.edge_density),
-                "maxchain_expectation": rat_str(report.maxchain_expectation),
-            }
+            entry["holds"] = report.is_cde if predicate == "cde" else report.is_mcde
+            entry["maxchain_expectation"] = rat_str(report.maxchain_expectation)
         yield entry

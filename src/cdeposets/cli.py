@@ -6,13 +6,13 @@ or --family LIT).  Exit codes: 0 success, 1 property refuted (a witness
 exists when certifying, or no witness exists when one was requested),
 2 input error (including the empty poset given to ``analyze --poset``, which
 has no edge density, and a ``--budget`` or ``scan`` bound below 1), 3 budget
-exceeded, 4 internal error (any other exception, such as a failed
-self-check).  Codes 2-4 write a JSON object
-{"error": ...}, except for malformed flags, which argparse reports on stderr
-with code 2; an internal error also prints its traceback to stderr.  Each
-verb accepts only the flags it reads (see ``_VERB_FLAGS``), spelled out in
-full.  An ``--out`` file that cannot be opened is an input error whose JSON
-goes to standard output.
+exceeded (also by a poset file of n >= budget elements, as J(P) has at least
+n + 1 ideals), 4 internal error (any other exception, such as a failed
+self-check).  Codes 2-4 write a JSON object {"error": ...}, except for
+malformed flags, which argparse reports on stderr with code 2; an internal
+error also prints its traceback to stderr.  Each verb accepts only the flags
+it reads (see ``_VERB_FLAGS``), spelled out in full.  An ``--out`` file that
+cannot be opened is an input error whose JSON goes to standard output.
 
 ``analyze --poset`` reports on the poset in the file itself (the
 counterexample fixtures are studied directly); every other lattice verb, and
@@ -28,15 +28,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .cde import (
-    _ddeg_stat,
-    _refute,
-    cde_report,
-    certify_tcde,
-    find_witness,
-    scan_family,
-)
-from .distributions import expectation, mchain_dist, mmchain_dist
+from .cde import _refute, cde_report, certify_tcde, find_witness, scan_family
 from .dynamics import (
     antichain_cardinality,
     gyration_map,
@@ -47,7 +39,7 @@ from .dynamics import (
 )
 from .ideals import DEFAULT_IDEAL_BUDGET, LatticeBudgetError, build_lattice
 from .minuscule import parse_family
-from .posets import PosetError, load_poset
+from .posets import PosetError, poset_from_dict
 from .serialize import rat_str
 from .shapes import (
     ShiftedShape,
@@ -112,12 +104,19 @@ def _resolve_input(args):
     sources = [s for s in (args.poset, args.shape, args.family) if s]
     if len(sources) != 1:
         raise PosetError("exactly one of --poset/--shape/--family is required")
+    budget = getattr(args, "budget", DEFAULT_IDEAL_BUDGET)
     if args.poset:
-        return f"poset:{args.poset}", load_poset(args.poset), None
+        with open(args.poset, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        # J(P) has at least n + 1 ideals; refuse before anything per element
+        n = doc.get("n") if isinstance(doc, dict) else None
+        if type(n) is int and n >= budget:
+            raise LatticeBudgetError(f"J(P) exceeds the ideal budget of {budget}")
+        return f"poset:{args.poset}", poset_from_dict(doc), None
     if args.shape:
         shape = parse_shape(args.shape)
         return args.shape, shape.poset(), shape
-    case = parse_family(args.family, budget=getattr(args, "budget", DEFAULT_IDEAL_BUDGET))
+    case = parse_family(args.family, budget=budget)
     return case.name, case.realized, None
 
 
@@ -128,7 +127,13 @@ def _mapping(L, spec: str):
     if spec == "gyration":
         return gyration_map(L)
     if spec.startswith("sigma:"):
-        sigma = [int(x) for x in spec[len("sigma:") :].split(",")]
+        ranks = spec[len("sigma:") :]
+        try:
+            sigma = [int(x) for x in ranks.split(",")]
+        except ValueError:
+            raise PosetError(
+                f"map sigma takes comma-separated integer ranks, got {ranks!r}"
+            ) from None
         return rank_permuted_rowmotion_map(L, sigma)
     raise PosetError(f"unknown map {spec!r}")
 
@@ -153,7 +158,8 @@ def _analyze(args) -> tuple[int, object]:
         target = P
     else:
         target = build_lattice(P, budget=args.budget)
-    report = cde_report(target).to_dict()
+    result = cde_report(target)
+    report = result.to_dict()
     report["input"] = name
     if args.k is not None:
         chains = report["chain_expectations"]
@@ -161,13 +167,9 @@ def _analyze(args) -> tuple[int, object]:
             raise PosetError(f"--k {args.k} out of range 0..{len(chains) - 1}")
         report["chain_expectation_k"] = chains[args.k]
     if args.m is not None:
-        ddeg = _ddeg_stat(target)
-        report["mchain_expectation"] = rat_str(
-            expectation(mchain_dist(target, args.m), ddeg)
-        )
-        report["mmchain_expectation"] = rat_str(
-            expectation(mmchain_dist(target, args.m), ddeg)
-        )
+        mchain, mmchain = result.multichain_expectations(args.m)
+        report["mchain_expectation"] = rat_str(mchain)
+        report["mmchain_expectation"] = rat_str(mmchain)
     return EXIT_OK, report
 
 

@@ -16,18 +16,16 @@ for the up step); ``_steps`` returns the pair:
   the list in reverse.  That is O(#Hasse edges) per step instead of
   O(#comparable pairs of ideals).
 
-``chain_counts_through(X, k_max)`` gives, for each k, the number of k-chains
-through each element, by gluing a walk of strict steps down from p to one of
-strict steps up from p.  An m-multichain whose support is a k-chain can be
+``_chain_moments`` is the one walk behind ``cde.cde_report``: a downward
+walk carrying, per element p, the count a(p) of k-chains topped by p and the
+total b(p) of stat over them, a' = step(a), b' = step(b) + stat * a'.  Their
+sums A_k, B_k give the k-chain expectation B_k / ((k+1) A_k) and, weighted
+by C(m, k) or C(m+1, k+1), the multichain ones (``CdeReport``).  The
+per-element distributions glue a walk down from p to one up from p in
+``chain_counts_through``: an m-multichain whose support is a k-chain can be
 formed in C(m, k) ways, so the mchain weight of p is
-sum_k C(m, k) * #{k-chains through p}; counting positions instead gives the
-mmchain weight sum_k C(m+1, k+1) * #{k-chains through p}.
-
-``cde.cde_report`` needs only the k-chain expectations of ddeg, so
-``_chain_moments`` runs one downward walk carrying, per element p, the count
-a(p) of k-chains topped by p and the total b(p) of ddeg over those chains:
-a' = step(a), b' = step(b) + ddeg * a'.  The k-th expectation is
-sum b / ((k+1) * sum a), with no up walk and no gluing.
+sum_k C(m, k) * #{k-chains through p}, and the mmchain weight (positions)
+sum_k C(m+1, k+1) * #{k-chains through p}.
 
 Maximal chains come from a saturated-chain sweep over one cover list, run
 forward and in reverse: on a poset the covers in a linear extension, on J(P)
@@ -43,7 +41,7 @@ from itertools import combinations
 from math import comb
 
 from .ideals import IdealLattice
-from .posets import _bits
+from .posets import _bits, longest_chain_length, rank_info
 
 
 class Distribution:
@@ -115,8 +113,6 @@ def rank_dist(L: IdealLattice) -> Distribution:
 
     Requires the base poset to be graded of rank r.
     """
-    from .posets import rank_info
-
     info = rank_info(L.base)
     if not info.is_graded:
         raise ValueError("rank_dist requires a graded base poset")
@@ -132,7 +128,7 @@ def rank_dist(L: IdealLattice) -> Distribution:
     return Distribution(weights)
 
 
-# --- chain counts: one walk table, one saturated-chain sweep ----------------
+# --- chain counts: strict walks, one saturated-chain sweep -----------------
 
 
 def _steps(X):
@@ -173,15 +169,6 @@ def _steps(X):
     return down, up
 
 
-def _walk_table(step, size: int, k_max: int):
-    """table[i][p] = number of strict walks x_0 -> ... -> x_i = p, where
-    ``step`` sums a vector over the elements that may precede each p."""
-    table = [[1] * size]
-    for _ in range(k_max):
-        table.append(step(table[-1]))
-    return table
-
-
 def _glue(down, up, k: int) -> list[int]:
     """Number of k-chains through each p: a strict walk of t steps down from
     p glued to one of k - t steps up from p."""
@@ -191,8 +178,16 @@ def _glue(down, up, k: int) -> list[int]:
 
 
 def _walks(X, k_max: int):
-    """The downward and upward walk tables of X, rows 0..k_max."""
-    return tuple([_walk_table(step, X.n, k_max) for step in _steps(X)])
+    """The downward and upward walk tables of X, rows 0..k_max: row i of the
+    downward table counts, for each p, the strict walks x_0 < ... < x_i = p
+    (the upward table, x_0 > ... > x_i = p)."""
+    tables = []
+    for step in _steps(X):
+        table = [[1] * X.n]
+        for _ in range(k_max):
+            table.append(step(table[-1]))
+        tables.append(table)
+    return tables
 
 
 def chain_counts_through(X, k_max: int):
@@ -219,17 +214,10 @@ def _chain_moments(X, stat, k_max: int):
     return out
 
 
-def chain_count(X, k: int) -> int:
-    """Number of k-chains of a poset or lattice."""
-    return sum(_walk_table(_steps(X)[0], X.n, k)[k])
-
-
 def longest_chain(X) -> int:
     """Length of a longest chain; on J(P) that is |P|."""
     if isinstance(X, IdealLattice):
         return X.base.n
-    from .posets import longest_chain_length
-
     return longest_chain_length(X)
 
 

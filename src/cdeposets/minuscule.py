@@ -85,12 +85,15 @@ class MinusculeCase:
 
 
 def _check_params(case: str, names: tuple[str, ...], params) -> None:
+    """``params`` are ints; a family literal passes a field that is not one
+    as its string."""
+    takes = f"minuscule case {case} takes {len(names)}"
+    s = "" if len(names) == 1 else "s"
+    listed = f"parameter{s} ({', '.join(names)})"
     if len(params) != len(names):
-        s = "" if len(names) == 1 else "s"
-        raise ValueError(
-            f"minuscule case {case} takes {len(names)} parameter{s} "
-            f"({', '.join(names)}), got {len(params)}"
-        )
+        raise ValueError(f"{takes} {listed}, got {len(params)}")
+    if not all(isinstance(p, int) for p in params):
+        raise ValueError(f"{takes} integer {listed}, got {'x'.join(map(str, params))!r}")
 
 
 def build_minuscule(tag: str, *params: int, budget: int = DEFAULT_IDEAL_BUDGET) -> MinusculeCase:
@@ -122,9 +125,12 @@ def parse_family(literal: str, budget: int = DEFAULT_IDEAL_BUDGET) -> MinusculeC
     if len(parts) == 2:
         return build_minuscule(parts[1], budget=budget)
     tag, arg = parts[1], parts[2]
-    if tag.lower() == "axb":
-        return build_minuscule("axb", *[int(x) for x in arg.lower().split("x")], budget=budget)
-    return build_minuscule(tag, int(arg), budget=budget)
+    fields = arg.lower().split("x") if tag.lower() == "axb" else [arg]
+    try:
+        params = [int(x) for x in fields]
+    except ValueError:
+        params = fields  # build_minuscule names the case and what it takes
+    return build_minuscule(tag, *params, budget=budget)
 
 
 def exceptional_identity_report(name: str) -> dict:

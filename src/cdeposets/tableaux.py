@@ -25,7 +25,7 @@ from .ideals import DEFAULT_IDEAL_BUDGET, IdealLattice, build_lattice
 from .posets import Poset, _bits
 from .shapes import Partition, ShiftedShape, SkewShape
 
-# largest shapes that get the split-box counts unless told otherwise
+# largest shapes that get the split-box counts
 SKEW_BOX_BUDGET = 9
 SHIFTED_BOX_BUDGET = 6
 
@@ -143,7 +143,6 @@ def _split_box_count(L: IdealLattice, weight) -> int:
 def tableau_counts(
     shape: SkewShape | ShiftedShape,
     budget: int = DEFAULT_IDEAL_BUDGET,
-    box_budget: int | None = None,
 ) -> dict[str, int]:
     """Standard and barely set-valued tableau counts of a skew or shifted shape.
 
@@ -155,8 +154,8 @@ def tableau_counts(
     other N + 1 - l, so (N - l, 1 on the diagonal and 2 off it).
 
     ``budget`` bounds the ideals of J(P) (``LatticeBudgetError`` beyond it).
-    The split-box counts are left out above ``box_budget`` boxes, by default
-    9 for a skew shape and 6 for a shifted one.
+    The split-box counts are left out above ``SKEW_BOX_BUDGET`` boxes for a
+    skew shape and ``SHIFTED_BOX_BUDGET`` for a shifted one.
     """
     n = shape.n_boxes
     if isinstance(shape, ShiftedShape):
@@ -165,17 +164,17 @@ def tableau_counts(
         counts = {"standard_unprimed": standard}
         unprimed = [1 if box in shape.diagonal else 2 for box in shape.boxes]
         families = [("barely", n + 1, [1] * n), ("barely_diag_unprimed", n - lam.length, unprimed)]
-        default_box_budget = SHIFTED_BOX_BUDGET
+        box_budget = SHIFTED_BOX_BUDGET
     else:
         standard = f_aitken(shape)
         counts = {"standard": standard}
         if shape.inner.size == 0:
             counts["standard_hook"] = f_hook(shape.outer)
         families = [("barely", 0, [1] * n)]
-        default_box_budget = SKEW_BOX_BUDGET
+        box_budget = SKEW_BOX_BUDGET
     L = build_lattice(shape.poset(), budget=budget)
     mu = maxchain_dist(L)
-    split = n <= (default_box_budget if box_budget is None else box_budget)
+    split = n <= box_budget
     for name, power, weight in families:
         stat = [sum([weight[x] for x in _bits(d)]) for d in L.down]
         value = (n + 1) * 2**power * standard * expectation(mu, stat)

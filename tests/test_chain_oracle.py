@@ -1,8 +1,10 @@
 """Chain statistics of J(P) from the zeta walk over the Hasse edges against
 the same functions run on L.as_poset(), which walk the comparable pairs of
-ideals: every Fraction equal.  The maxchain distribution and the linear
-extension count share one saturated-chain sweep on both routes, so they are
-also checked against brute-force enumeration."""
+ideals: every Fraction equal.  The multichain expectations read off
+``cde_report``'s chain moments are checked against the expectations of the
+per-element mchain/mmchain distributions.  The maxchain distribution and the
+linear extension count share one saturated-chain sweep on both routes, so
+they are also checked against brute-force enumeration."""
 
 import random
 from fractions import Fraction
@@ -10,11 +12,13 @@ from fractions import Fraction
 import pytest
 
 from cdeposets import antichain, build_lattice, build_poset, cde_report, disjoint_union
+from cdeposets.cde import _ddeg_stat
 from cdeposets.tableaux import count_linear_extensions
 from cdeposets.distributions import (
-    chain_count,
     chain_counts_through,
     chain_dist,
+    expectation,
+    longest_chain,
     maxchain_dist,
     mchain_dist,
     mmchain_dist,
@@ -30,13 +34,28 @@ from conftest import FIXTURES
 ALL_K_MAX_IDEALS = 200
 
 
+def _assert_moments_route(X, report, ms):
+    """The multichain expectations from the chain moments equal those of the
+    mchain/mmchain distributions."""
+    ddeg = _ddeg_stat(X)
+    for m in ms:
+        assert report.multichain_expectations(m) == (
+            expectation(mchain_dist(X, m), ddeg),
+            expectation(mmchain_dist(X, m), ddeg),
+        ), m
+
+
 def _assert_same(L):
     report = cde_report(L)
     assert L._poset is None, "cde_report(J(P)) must not build the lattice poset"
     P = L.as_poset()
     assert report == cde_report(P)
     n = L.base.n
-    assert chain_counts_through(L, n + 1) == chain_counts_through(P, n + 1)
+    through = chain_counts_through(L, n + 1)
+    assert through == chain_counts_through(P, n + 1)
+    # the k-chain counts of the moments, from the through-counts
+    counts = [sum(row) // (k + 1) for k, row in enumerate(through)]
+    assert [a for a, _ in report.chain_moments] + [0] == counts
     if L.n <= ALL_K_MAX_IDEALS:
         ks = range(n + 1)
     else:
@@ -44,12 +63,11 @@ def _assert_same(L):
     for k in ks:
         assert chain_counts_through(L, k) == chain_counts_through(P, k)
         assert chain_dist(L, k) == chain_dist(P, k)
-    for k in range(n + 2):
-        assert chain_count(L, k) == chain_count(P, k)
     assert maxchain_dist(L) == maxchain_dist(P)
     for m in range(4):
         assert mchain_dist(L, m) == mchain_dist(P, m)
         assert mmchain_dist(L, m) == mmchain_dist(P, m)
+    _assert_moments_route(L, report, range(4))
 
 
 @pytest.mark.parametrize(
@@ -95,6 +113,18 @@ def test_random_posets_match_poset_route():
     rng = random.Random(4)
     for _ in range(100):
         _assert_same(build_lattice(_random_poset(rng, rng.randint(0, 8))))
+
+
+def test_multichain_moments_match_distributions_on_random_posets():
+    rng = random.Random(15)
+    raw = [load_poset(FIXTURES / f"fix-{c}.json") for c in "abcd"]
+    raw += [_random_poset(rng, rng.randint(1, 7)) for _ in range(60)]
+    for P in raw:
+        for X in (P, build_lattice(P)):
+            r = longest_chain(X)
+            _assert_moments_route(X, cde_report(X), [*range(6), r + 1, r + 3])
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        cde_report(P).multichain_expectations(-1)
 
 
 def _maxchain_brute(X):

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -171,6 +174,12 @@ def test_family_verb(capsys):
         ("minuscule:pa11a", "minuscule case pa11a takes 1 parameter (a), got 0"),
         ("minuscule:axb:2x3x4", "minuscule case axb takes 2 parameters (a, b), got 3"),
         ("minuscule:axb:3", "minuscule case axb takes 2 parameters (a, b), got 1"),
+        ("minuscule:b2:3x4", "minuscule case b2 takes 1 integer parameter (b), got '3x4'"),
+        (
+            "minuscule:axb:3xq",
+            "minuscule case axb takes 2 integer parameters (a, b), got '3xq'",
+        ),
+        ("minuscule:pa11a:", "minuscule case pa11a takes 1 integer parameter (a), got ''"),
     ],
 )
 def test_family_literal_with_extra_or_missing_fields(capsys, literal, message):
@@ -286,6 +295,85 @@ def test_analyze_multichain_expectations(capsys):
     doc = json.loads(out)
     assert doc["mchain_expectation"] == "1/1"
     assert doc["mmchain_expectation"] == "1/1"
+
+
+def test_analyze_runs_one_chain_walk(capsys, monkeypatch):
+    from cdeposets import distributions
+
+    calls = {"_steps": 0, "chain_counts_through": 0, "edges": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_steps", "chain_counts_through"):
+        monkeypatch.setattr(distributions, name, counted(name, getattr(distributions, name)))
+    monkeypatch.setattr(IdealLattice, "edges", counted("edges", IdealLattice.edges))
+    code, out = run(capsys, "analyze", "--family", "minuscule:axb:3x6", "--m", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert {"mchain_expectation", "mmchain_expectation"} <= set(doc)
+    assert calls == {"_steps": 1, "chain_counts_through": 0, "edges": 1}
+
+
+def test_analyze_negative_m_is_an_input_error(capsys):
+    code, out = run(capsys, "analyze", "--shape", "straight:2,1", "--m", "-1")
+    assert code == 2
+    assert json.loads(out) == {"error": "m must be >= 0"}
+
+
+def test_malformed_sigma_is_an_input_error(capsys):
+    code, out = run(capsys, "orbits", "--shape", "straight:2,1", "--map", "sigma:0,x")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "map sigma takes comma-separated integer ranks, got '0,x'"
+    }
+
+
+def test_poset_file_over_the_budget_exits_3_before_building(capsys, monkeypatch, tmp_path):
+    # J(P) has at least n + 1 ideals, so n = 5 cannot fit a budget of 5
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"n": 5, "relations": [[0, 1]]}))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the poset was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("cdeposets.posets.build_poset", no_build)
+        for verb in ("analyze", "cert-tcde", "orbits"):
+            code, out = run(capsys, verb, "--poset", str(path), "--budget", "5")
+            assert code == 3, verb
+            assert json.loads(out) == {"error": "J(P) exceeds the ideal budget of 5"}
+    code, _ = run(capsys, "analyze", "--poset", str(path), "--budget", "6")
+    assert code == 0
+
+
+def test_huge_poset_file_exits_3_in_a_capped_process(tmp_path):
+    # run in a process whose address space is capped, so that allocating per
+    # element of n = 10**9 fails fast instead of exhausting memory
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 10**9, "relations": []}))
+    cap = 256 << 20
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "from cdeposets.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["analyze", "--poset", str(path)], ["family", "--poset", str(path)]):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "error": "J(P) exceeds the ideal budget of 16777216"
+        }
 
 
 def test_analyze_lattice_of_poset_file(capsys):

@@ -249,7 +249,10 @@ def _projection_weights(JX, JY, k):
     """
     from math import comb
 
-    from cdeposets.distributions import chain_count, longest_chain
+    from cdeposets.distributions import chain_counts_through, longest_chain
+
+    def chain_count(X, k):
+        return sum(chain_counts_through(X, k)[k]) // (k + 1)
 
     weights = {}
     for i in range(min(k, longest_chain(JX)) + 1):

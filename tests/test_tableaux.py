@@ -91,9 +91,9 @@ def test_barely_2x2():
     assert counts["barely_formula"] == 10
 
 
-def test_barely_budget():
+def test_barely_budget(monkeypatch):
     # above the box budget the split-box counts are left out, the formulas stay
-    skew = tableau_counts(SkewShape(Partition((4, 4, 2))), box_budget=9)
+    skew = tableau_counts(SkewShape(Partition((4, 4, 2))))
     assert set(skew) == {"standard", "standard_hook", "barely_formula"}
     shifted = tableau_counts(ShiftedShape(Partition((5, 4, 3, 2, 1))))
     assert set(shifted) == {
@@ -103,7 +103,8 @@ def test_barely_budget():
     }
     nine = SkewShape(Partition((3, 3, 3)))
     assert "barely_brute_force" in tableau_counts(nine)
-    assert "barely_brute_force" not in tableau_counts(nine, box_budget=8)
+    monkeypatch.setattr("cdeposets.tableaux.SKEW_BOX_BUDGET", 8)
+    assert "barely_brute_force" not in tableau_counts(nine)
     assert "barely_brute_force" in tableau_counts(ShiftedShape(Partition((3, 2, 1))))
 
 
@@ -214,18 +215,20 @@ def test_split_box_count_matches_split_poset_extensions():
         assert _split_box_count(L, weight) == sum([w * e for w, e in zip(weight, per_box)])
 
 
-def test_split_box_count_matches_formula_straight_to_12_boxes():
+def test_split_box_count_matches_formula_straight_to_12_boxes(monkeypatch):
+    monkeypatch.setattr("cdeposets.tableaux.SKEW_BOX_BUDGET", 12)
     shapes = [SkewShape(lam) for lam in iter_partitions(12)]
     assert len(shapes) == 271
     for shape in shapes:
-        counts = tableau_counts(shape, box_budget=12)
+        counts = tableau_counts(shape)
         assert counts["barely_brute_force"] == counts["barely_formula"], shape
 
 
-def test_shifted_split_box_count_matches_formula_to_15_boxes():
+def test_shifted_split_box_count_matches_formula_to_15_boxes(monkeypatch):
+    monkeypatch.setattr("cdeposets.tableaux.SHIFTED_BOX_BUDGET", 15)
     shapes = list(iter_strict_partitions(15))
     assert len(shapes) == 136
     for lam in shapes:
-        counts = tableau_counts(ShiftedShape(lam), box_budget=15)
+        counts = tableau_counts(ShiftedShape(lam))
         for name in ("barely", "barely_diag_unprimed"):
             assert counts[f"{name}_brute_force"] == counts[f"{name}_formula"], (lam.parts, name)
