@@ -40,7 +40,7 @@ from .dynamics import (
 from .ideals import DEFAULT_IDEAL_BUDGET, LatticeBudgetError, build_lattice
 from .minuscule import parse_family
 from .posets import PosetError, poset_from_dict
-from .serialize import rat_str
+from .serialize import Bitsets, dumps, rat_str
 from .shapes import (
     ShiftedShape,
     SkewShape,
@@ -149,7 +149,7 @@ def _render(report, fmt: str) -> str:
         writer.writerow(cols)
         writer.writerows([r.get(c) for c in cols] for r in rows)
         return buf.getvalue()
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return dumps(report) + "\n"
 
 
 def _analyze(args) -> tuple[int, object]:
@@ -212,12 +212,13 @@ def _orbits(args) -> tuple[int, object]:
     name, P, _ = _resolve_input(args)
     L = build_lattice(P, budget=args.budget)
     dec = orbit_decomposition(L, _mapping(L, args.map_spec))
+    ideals = L.ideals
     report = {
         "input": name,
         "map": args.map_spec,
         "orbit_sizes": dec.sizes,
         "order": dec.order(),
-        "orbits": [[L.members(i) for i in orbit] for orbit in dec.orbits],
+        "orbits": [Bitsets([ideals[i] for i in orbit]) for orbit in dec.orbits],
     }
     return EXIT_OK, report
 

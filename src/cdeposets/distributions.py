@@ -103,11 +103,6 @@ def uniform(X) -> Distribution:
     return Distribution([Fraction(1, n)] * n)
 
 
-def point_mass(X, i: int) -> Distribution:
-    n = X.n
-    return Distribution([Fraction(1) if j == i else Fraction(0) for j in range(n)])
-
-
 def rank_dist(L: IdealLattice) -> Distribution:
     """Weight 1/(r+2) on each of the ideals P_{<=i}, i = -1..r.
 

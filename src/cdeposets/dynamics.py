@@ -18,7 +18,8 @@ element by element:
   #ranks such index arrays composed.
 
 ``rowmotion``, ``toggle`` and ``apply_toggle_word`` stay as the per-element
-routes that the tests check these maps against.
+routes that the tests check these maps against; rowmotion as the toggle word
+of a linear extension lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -54,11 +55,6 @@ def apply_toggle_word(L: IdealLattice, word: Sequence[int], i: int) -> int:
 def rowmotion_map(L: IdealLattice) -> list[int]:
     by_max = {d: j for j, d in enumerate(L.down)}
     return [by_max[u] for u in L.up]
-
-
-def rowmotion_via_linear_extension(L: IdealLattice, extension: Sequence[int]) -> list[int]:
-    """Rowmotion as the toggle word of a linear extension (for cross-checks)."""
-    return [apply_toggle_word(L, extension, i) for i in range(L.n)]
 
 
 def _rank_masks(L: IdealLattice) -> list[int]:

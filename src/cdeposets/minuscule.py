@@ -96,10 +96,14 @@ def _check_params(case: str, names: tuple[str, ...], params) -> None:
         raise ValueError(f"{takes} integer {listed}, got {'x'.join(map(str, params))!r}")
 
 
+# the tags that name the chain product a x b, whose literal is "AxB"
+_AXB_TAGS = ("axb", "chainproduct")
+
+
 def build_minuscule(tag: str, *params: int, budget: int = DEFAULT_IDEAL_BUDGET) -> MinusculeCase:
     """``budget`` bounds the ideals of the lattice that realizes case b2."""
     tag = tag.lower()
-    if tag in {"axb", "chainproduct"}:
+    if tag in _AXB_TAGS:
         _check_params("axb", ("a", "b"), params)
         return MinusculeCase("axb", params, chain_product_poset(*params))
     if tag in {"b2", "shiftedstaircasej"}:
@@ -118,14 +122,15 @@ def build_minuscule(tag: str, *params: int, budget: int = DEFAULT_IDEAL_BUDGET) 
 
 def parse_family(literal: str, budget: int = DEFAULT_IDEAL_BUDGET) -> MinusculeCase:
     """Family literals: minuscule:axb:3x4, minuscule:b2:4, minuscule:pa11a:3,
-    minuscule:E6, minuscule:E7.  ``budget`` is passed to ``build_minuscule``."""
+    minuscule:E6, minuscule:E7, and the aliases of ``build_minuscule`` (such
+    as minuscule:chainproduct:3x4).  ``budget`` is passed to ``build_minuscule``."""
     parts = literal.split(":")
     if len(parts) not in (2, 3) or parts[0].lower() != "minuscule":
         raise ValueError(f"unknown family literal {literal!r}")
     if len(parts) == 2:
         return build_minuscule(parts[1], budget=budget)
     tag, arg = parts[1], parts[2]
-    fields = arg.lower().split("x") if tag.lower() == "axb" else [arg]
+    fields = arg.lower().split("x") if tag.lower() in _AXB_TAGS else [arg]
     try:
         params = [int(x) for x in fields]
     except ValueError:

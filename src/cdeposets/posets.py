@@ -14,6 +14,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .serialize import dumps
+
 
 class PosetError(ValueError):
     """Invalid poset input."""
@@ -461,7 +463,7 @@ def is_isomorphic(P: Poset, Q: Poset) -> bool:
 
 
 def poset_to_json(P: Poset) -> str:
-    return json.dumps(P.to_dict(), indent=2, sort_keys=True) + "\n"
+    return dumps(P.to_dict()) + "\n"
 
 
 def poset_from_dict(d: dict) -> Poset:

@@ -124,6 +124,11 @@ def component_key(shape) -> tuple:
     return tuple(sorted(normed))
 
 
+def point_mass(X, i: int) -> Distribution:
+    """Weight 1 on element i of X (a poset or an ideal lattice)."""
+    return Distribution([Fraction(1) if j == i else Fraction(0) for j in range(X.n)])
+
+
 def random_toggle_symmetric(L, rng: random.Random) -> Distribution:
     """Uniform plus a random perturbation from the toggle-symmetry kernel,
     scaled to keep all weights nonnegative."""

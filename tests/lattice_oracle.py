@@ -6,13 +6,16 @@ every element of P on every ideal, a sort keyed on the member lists, and one
 pass over every (ideal, element) pair for the Hasse edges, the down-degrees
 and the toggleability tables (``toggle_tables``, which the other test
 oracles read as well).  ``rank_permuted_by_toggles`` applies a rank-permuted
-rowmotion one ``toggle`` call per element.
+rowmotion one ``toggle`` call per element, and
+``rowmotion_via_linear_extension`` applies rowmotion as the toggle word of a
+linear extension.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
 
+from cdeposets.dynamics import apply_toggle_word
 from cdeposets.ideals import LatticeBudgetError, toggle
 from cdeposets.posets import _bits, rank_info
 
@@ -89,3 +92,8 @@ def rank_permuted_by_toggles(L, sigma):
                     i = toggle(L, i, p)
         out.append(i)
     return out
+
+
+def rowmotion_via_linear_extension(L, extension):
+    """Rowmotion as the toggle word of a linear extension of the base poset."""
+    return [apply_toggle_word(L, extension, i) for i in range(L.n)]

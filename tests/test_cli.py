@@ -164,6 +164,14 @@ def test_family_verb(capsys):
     assert json.loads(out)["n"] == 4
 
 
+def test_family_chainproduct_alias_reads_axb(capsys):
+    """Every alias of the chain product takes the "AxB" literal."""
+    code, out = run(capsys, "family", "--family", "minuscule:chainproduct:3x4")
+    assert code == 0
+    assert (code, out) == run(capsys, "family", "--family", "minuscule:axb:3x4")
+    assert json.loads(out)["n"] == 12
+
+
 @pytest.mark.parametrize(
     "literal, message",
     [

@@ -22,7 +22,7 @@ from cdeposets import (
     rank_dist,
     uniform,
 )
-from cdeposets.distributions import longest_chain, point_mass
+from cdeposets.distributions import longest_chain
 from cdeposets.shapes import Partition, ShiftedShape, SkewShape
 
 from conftest import (
@@ -31,6 +31,7 @@ from conftest import (
     brute_mmchain,
     brute_multichains,
     load_witness_table,
+    point_mass,
     random_poset,
 )
 

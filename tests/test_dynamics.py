@@ -23,12 +23,12 @@ from cdeposets.dynamics import (
     orbit_decomposition,
     orbit_uniform,
     rank_permuted_rowmotion_map,
-    rowmotion_via_linear_extension,
     signed_toggleability,
 )
 from cdeposets.shapes import Partition, ShiftedShape, SkewShape
 
 from conftest import random_poset
+from lattice_oracle import rowmotion_via_linear_extension
 
 
 def shifted_lattice(parts):

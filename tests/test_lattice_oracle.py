@@ -25,7 +25,6 @@ from cdeposets import (
 )
 from cdeposets import tableaux
 from cdeposets.cde import _identity_failure
-from cdeposets.distributions import point_mass
 from cdeposets.dynamics import (
     antichain_cardinality,
     gyration_map,
@@ -35,7 +34,6 @@ from cdeposets.dynamics import (
     rank_permuted_rowmotion_map,
     rowmotion,
     rowmotion_map,
-    rowmotion_via_linear_extension,
     signed_toggleability,
 )
 from cdeposets.ideals import LatticeBudgetError
@@ -43,8 +41,12 @@ from cdeposets.minuscule import parse_family
 from cdeposets.posets import load_poset, rank_info
 from cdeposets.shapes import ShiftedShape, parse_shape
 
-from conftest import FIXTURES, random_toggle_symmetric
-from lattice_oracle import build_lattice_reference, rank_permuted_by_toggles
+from conftest import FIXTURES, point_mass, random_toggle_symmetric
+from lattice_oracle import (
+    build_lattice_reference,
+    rank_permuted_by_toggles,
+    rowmotion_via_linear_extension,
+)
 
 GOLDEN_SHAPES = [
     "shifted:2,1",

@@ -40,3 +40,20 @@ def test_library_imports_only_the_standard_library():
             ]
     assert files
     assert not found, f"non-stdlib imports in src/cdeposets: {found}"
+
+
+def test_reports_are_written_by_the_one_emitter():
+    """No ``json.dump``/``json.dumps`` with an ``indent`` outside ``serialize.py``:
+    every indented report goes through ``serialize.dumps``."""
+    files = sorted(p for p in SRC.glob("*.py") if p.name != "serialize.py")
+    found = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("dump", "dumps") and any(kw.arg == "indent" for kw in node.keywords):
+                found.append(f"{path.name}:{node.lineno}")
+    assert files
+    assert not found, f"indented json.dumps outside serialize.py: {found}"
