@@ -14,8 +14,11 @@ element by element:
   one lookup of ``up[i]`` among the ``down`` masks per ideal;
 * elements of one rank are pairwise incomparable, so toggling a whole rank
   r flips exactly the addable and removable elements of rank r at once,
-  ``mask ^ ((up | down) & rank_mask[r])``; a rank-permuted rowmotion is
-  #ranks such index arrays composed.
+  ``mask ^ ((up | down) & rank_mask[r])``.  Every cover of a ranked poset
+  joins two adjacent ranks, so the toggles of non-adjacent ranks commute
+  and a run of pairwise non-adjacent ranks in the word flips at once under
+  the union of their masks: a rank-permuted rowmotion is one index array per
+  such run, composed (gyration, evens then odds, takes two).
 
 ``rowmotion``, ``toggle`` and ``apply_toggle_word`` stay as the per-element
 routes that the tests check these maps against; rowmotion as the toggle word
@@ -74,17 +77,27 @@ def rank_permuted_rowmotion_map(L: IdealLattice, sigma: Sequence[int]) -> list[i
     sigma = (0, 1, ..., r) gives rowmotion; sigma = (1, 3, 5, ..., 0, 2, 4, ...)
     gives gyration.
     """
-    masks = _rank_masks(L)
+    return _rank_permuted(L, _rank_masks(L), sigma)
+
+
+def _rank_permuted(L: IdealLattice, masks: list[int], sigma: Sequence[int]) -> list[int]:
     r = len(masks) - 1
     if sorted(sigma) != list(range(r + 1)):
         raise ValueError(f"sigma must be a permutation of 0..{r}")
+    # read right to left, each run of pairwise non-adjacent ranks is one flip
+    runs = []
+    for s in reversed(list(sigma)):
+        if runs and not any(abs(s - t) == 1 for t in runs[-1]):
+            runs[-1].append(s)
+        else:
+            runs.append([s])
     flips = [u | d for u, d in zip(L.up, L.down)]
     index = L.index
-    out = list(range(L.n))
-    for s in reversed(list(sigma)):
-        rank = masks[s]
-        step = [index[m ^ (f & rank)] for m, f in zip(L.ideals, flips)]
-        out = [step[j] for j in out]
+    out = None
+    for run in runs:
+        toggled = sum([masks[s] for s in run])
+        step = [index[m ^ (f & toggled)] for m, f in zip(L.ideals, flips)]
+        out = step if out is None else [step[j] for j in out]
     return out
 
 
@@ -96,7 +109,8 @@ def gyration_sigma(num_ranks: int) -> tuple[int, ...]:
 
 def gyration_map(L: IdealLattice) -> list[int]:
     """Toggle all even ranks, then all odd ranks."""
-    return rank_permuted_rowmotion_map(L, gyration_sigma(len(_rank_masks(L))))
+    masks = _rank_masks(L)
+    return _rank_permuted(L, masks, gyration_sigma(len(masks)))
 
 
 @dataclass(frozen=True)

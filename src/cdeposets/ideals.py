@@ -13,17 +13,24 @@ lies inside I + p: any q that becomes addable sits above p with nothing in
 between, since p was not in I.  So the enumeration costs O(#Hasse edges *
 cover degree), not O(|P| * |J|).
 
-Within one level every ideal has the same size, and for two member lists of
-equal length the lexicographically smaller one holds the lowest element of
-their symmetric difference.  Reading the binary string of a mask from bit 0
-upward, that list has a '1' where the other has a '0', so sorting the level
-by the reversed binary strings in descending order gives the canonical
-order without building a member list per ideal.
-
 The removable set of I + p is that of I minus the elements below p, plus
 p: an element of I below p that is maximal in I is covered by p, since
-everything below p lies in I.  So each ideal's ``down`` mask is set once,
-when the ideal is first reached.
+everything below p lies in I.  Every nonempty ideal J has one canonical
+parent, J minus its highest removable element, and the child I + p is made
+only from that parent: when the removable set of I minus the elements below
+p has no bit above p.  So each ideal is reached exactly once, with its
+``up`` and ``down`` masks, and no table of the ideals seen so far is kept;
+the ideal budget is checked as each child is stored.  If h is the highest
+removable element of I, that rule holds only for a p with a higher bit than
+h or with h below p, so the other addable elements are not tried at all.
+
+Within one level every ideal has the same size, and for two member lists of
+equal length the lexicographically smaller one holds the lowest element of
+their symmetric difference.  Each ideal of a level travels with its mask
+bit-reversed over the n elements (bit p moved to bit n - 1 - p), so that
+element is the highest bit of the reversed difference: sorting the level's
+(reversed mask, mask, up, down) tuples in descending order gives the
+canonical order with no sort key.
 
 The masks are the only storage of the cover relation of J(P) and of the
 toggleability statistics: the Hasse edges out of ideal i add the bits of
@@ -120,46 +127,57 @@ class IdealLattice:
 
 
 def build_lattice(P: Poset, budget: int = DEFAULT_IDEAL_BUDGET) -> IdealLattice:
-    """Enumerate J(P) level by level from the empty ideal."""
+    """Enumerate J(P) level by level from the empty ideal, reaching each
+    ideal from its canonical parent only."""
     if budget < 1:
         raise LatticeBudgetError(f"J(P) exceeds the ideal budget of {budget}")
-    up_of = {0: sum([1 << p for p in range(P.n) if not P.strict_down[p]])}
-    down_of = {0: 0}
-    ideals = []
-    level = [0]
+    n = P.n
+    sd = P.strict_down
+    # bit of p -> (bit of p in the reversed mask, strict down-set of p,
+    # (bit, strict down-set) of each upper cover of p)
+    grow = {
+        1 << p: (1 << n - 1 - p, sd[p], [(1 << q, sd[q]) for q in P.up_covers[p]])
+        for p in range(n)
+    }
+    # room[h + 1], for h the highest removable element of I (room[0] when I
+    # is empty): the elements p that can be the highest removable element of
+    # I + p, those with a higher bit than h and those above h in P
+    room = [-1] + [-1 << h + 1 | P.strict_up[h] for h in range(n)]
+    ideals, ups, downs = [], [], []
+    size = 1
+    level = [(0, 0, sum([1 << p for p in range(n) if not sd[p]]), 0)]
     while level:
-        level.sort(key=lambda m: bin(m)[:1:-1], reverse=True)
-        ideals += level
+        level.sort(reverse=True)
         nxt = []
-        for mask in level:
-            addable = up_of[mask]
-            removable = down_of[mask]
-            rest = addable
+        for rev, mask, addable, removable in level:
+            ideals.append(mask)
+            ups.append(addable)
+            downs.append(removable)
+            rest = addable & room[removable.bit_length()]
             while rest:
                 low = rest & -rest
                 rest ^= low
-                child = mask | low
-                if child in up_of:
+                rlow, below, covers = grow[low]
+                kept = removable & ~below
+                if kept > low:  # p is not the highest removable element of I + p
                     continue
-                p = low.bit_length() - 1
-                child_up = addable ^ low
-                for q in P.up_covers[p]:
-                    if P.strict_down[q] & ~child == 0:
-                        child_up |= 1 << q
-                up_of[child] = child_up
-                down_of[child] = removable & ~P.strict_down[p] | low
-                if len(up_of) > budget:
+                size += 1
+                if size > budget:
                     raise LatticeBudgetError(f"J(P) exceeds the ideal budget of {budget}")
-                nxt.append(child)
+                child = mask | low
+                child_up = addable ^ low
+                for bit, down_set in covers:
+                    if down_set & ~child == 0:
+                        child_up |= bit
+                nxt.append((rev | rlow, child, child_up, kept | low))
         level = nxt
-    down = tuple([down_of[m] for m in ideals])
     return IdealLattice(
         P,
         tuple(ideals),
         {m: i for i, m in enumerate(ideals)},
-        tuple([d.bit_count() for d in down]),
-        tuple([up_of[m] for m in ideals]),
-        down,
+        tuple([d.bit_count() for d in downs]),
+        tuple(ups),
+        tuple(downs),
     )
 
 

@@ -14,6 +14,7 @@ from cdeposets import (
     rowmotion,
     rowmotion_map,
 )
+from cdeposets import dynamics
 from cdeposets.dynamics import (
     antichain_cardinality,
     apply_toggle_word,
@@ -25,6 +26,7 @@ from cdeposets.dynamics import (
     rank_permuted_rowmotion_map,
     signed_toggleability,
 )
+from cdeposets.posets import rank_info
 from cdeposets.shapes import Partition, ShiftedShape, SkewShape
 
 from conftest import random_poset
@@ -67,8 +69,6 @@ def test_identity_sigma_is_rowmotion():
         ShiftedShape(Partition((3, 2, 1))).poset(),
     ):
         L = build_lattice(P)
-        from cdeposets.posets import rank_info
-
         r = rank_info(P).top_rank
         assert rank_permuted_rowmotion_map(L, tuple(range(r + 1))) == rowmotion_map(L)
 
@@ -172,8 +172,6 @@ def test_orbit_uniform_toggle_symmetric_fixtures():
         direct_product(chain(2), chain(2)),
     ):
         L = build_lattice(P)
-        from cdeposets.posets import rank_info
-
         r = rank_info(P).top_rank
         for sigma in permutations(range(r + 1)):
             mapping = rank_permuted_rowmotion_map(L, sigma)
@@ -195,3 +193,43 @@ def test_signed_toggleability_zero_mesic_under_rowmotion():
 
 def test_gyration_sigma_shape():
     assert gyration_sigma(5) == (1, 3, 0, 2, 4)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda n: [0] + list(range(1, n - 1)) + [0],  # a repeated value
+        lambda n: list(range(n - 1)),  # too short
+        lambda n: list(range(n + 1)),  # too long
+        lambda n: list(range(n - 1)) + [n],  # out of range
+        lambda n: [-1] + list(range(1, n)),  # negative
+    ],
+)
+def test_orbit_decomposition_rejects_a_non_bijection(bad):
+    L = build_lattice(direct_product(chain(2), chain(3)))
+    with pytest.raises(ValueError, match="mapping is not a bijection on the ideals"):
+        orbit_decomposition(L, bad(L.n))
+
+
+def test_gyration_reads_the_ranks_once_and_flips_twice(monkeypatch):
+    L = build_lattice(direct_product(chain(4), chain(5)))
+    expected = rank_permuted_rowmotion_map(L, gyration_sigma(8))
+    calls = []
+
+    def counting_rank_info(P):
+        calls.append(P)
+        return rank_info(P)
+
+    class CountingIndex(dict):
+        lookups = 0
+
+        def __getitem__(self, mask):
+            CountingIndex.lookups += 1
+            return dict.__getitem__(self, mask)
+
+    monkeypatch.setattr(dynamics, "rank_info", counting_rank_info)
+    L.index = CountingIndex(L.index)
+    assert gyration_map(L) == expected
+    assert len(calls) == 1
+    # evens, then odds: one index pass each, not one per rank
+    assert CountingIndex.lookups == 2 * L.n

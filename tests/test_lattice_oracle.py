@@ -5,6 +5,7 @@ lattices, equal maps and equal statistics."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -14,6 +15,8 @@ from cdeposets import (
     build_lattice,
     build_poset,
     certify_tcde,
+    chain,
+    disjoint_union,
     expectation,
     g_thrall,
     is_toggle_symmetric,
@@ -37,7 +40,7 @@ from cdeposets.dynamics import (
     signed_toggleability,
 )
 from cdeposets.ideals import LatticeBudgetError
-from cdeposets.minuscule import parse_family
+from cdeposets.minuscule import exceptional_poset, parse_family
 from cdeposets.posets import load_poset, rank_info
 from cdeposets.shapes import ShiftedShape, parse_shape
 
@@ -61,12 +64,13 @@ GOLDEN_SHAPES = [
 ]
 
 
-def _raises_budget(build, P, budget) -> bool:
+def _budget_message(build, P, budget):
+    """The LatticeBudgetError message of build(P, budget), or None."""
     try:
         build(P, budget)
-    except LatticeBudgetError:
-        return True
-    return False
+    except LatticeBudgetError as exc:
+        return str(exc)
+    return None
 
 
 def _assert_same(P, seed=0):
@@ -101,11 +105,11 @@ def _assert_same(P, seed=0):
             gyration_map(L)
 
     for budget in (L.n - 1, L.n):
-        assert _raises_budget(build_lattice, P, budget) == _raises_budget(
+        assert _budget_message(build_lattice, P, budget) == _budget_message(
             build_lattice_reference, P, budget
         )
-    assert not _raises_budget(build_lattice, P, L.n)
-    assert _raises_budget(build_lattice, P, L.n - 1)
+    assert _budget_message(build_lattice, P, L.n) is None
+    assert _budget_message(build_lattice, P, L.n - 1) is not None
 
 
 def _toggle_symmetric_from_tables(ref, mu) -> bool:
@@ -249,17 +253,99 @@ def test_antichains_match_reference(n):
     _assert_same(antichain(n), seed=n)
 
 
+def _shuffled_random_poset(rng, max_n):
+    """A random poset on shuffled labels, which need not follow the order."""
+    n = rng.randint(0, max_n)
+    density = rng.choice((0.2, 0.35, 0.5))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rels = [
+        (perm[i], perm[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    ]
+    return build_poset(n, rels)
+
+
 def test_random_posets_match_reference():
     rng = random.Random(5)
     for seed in range(100):
-        n = rng.randint(0, 8)
-        density = rng.choice((0.2, 0.35, 0.5))
-        perm = list(range(n))
-        rng.shuffle(perm)
-        rels = [
-            (perm[i], perm[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < density
-        ]
-        _assert_same(build_poset(n, rels), seed=seed)
+        _assert_same(_shuffled_random_poset(rng, 8), seed=seed)
+
+
+def test_budget_sweep_raises_exactly_below_the_ideal_count():
+    """Every budget from 1 to |J| + 1: the error, with the reference's
+    message, exactly when the budget is below |J|."""
+    rng = random.Random(13)
+    posets = [_shuffled_random_poset(rng, 7) for _ in range(25)]
+    posets += [antichain(5), parse_family("minuscule:axb:3x3").realized]
+    for P in posets:
+        size = len(build_lattice_reference(P, budget=1 << 24).ideals)
+        for budget in range(1, size + 2):
+            message = _budget_message(build_lattice, P, budget)
+            assert message == _budget_message(build_lattice_reference, P, budget)
+            if budget < size:
+                assert message == f"J(P) exceeds the ideal budget of {budget}"
+            else:
+                assert message is None
+
+
+def _words_with_runs(num_ranks, rng, count):
+    """Rank words for the merged-run check: gyration, its reverse (evens then
+    odds), words made of long runs of pairwise non-adjacent ranks, and
+    shuffles."""
+    gyration = gyration_sigma(num_ranks)
+    evens_odds = tuple(range(0, num_ranks, 2)) + tuple(range(1, num_ranks, 2))
+    words = [gyration, gyration[::-1], evens_odds]
+    for stride in (3, 4):
+        words.append(tuple(r for start in range(stride) for r in range(start, num_ranks, stride)))
+    while len(words) < count:
+        ranks = list(range(num_ranks))
+        rng.shuffle(ranks)
+        if len(words) % 2:
+            # split into non-adjacent runs, each sorted, runs in random order
+            runs = []
+            for r in ranks:
+                run = next((g for g in runs if all(abs(r - t) > 1 for t in g)), None)
+                if run is None:
+                    runs.append([r])
+                else:
+                    run.append(r)
+            rng.shuffle(runs)
+            ranks = [r for run in runs for r in sorted(run, reverse=rng.random() < 0.5)]
+        if tuple(ranks) not in words:
+            words.append(tuple(ranks))
+    return words
+
+
+def _assert_rank_words_match_toggles(P, words):
+    L = build_lattice(P)
+    for sigma in words:
+        assert rank_permuted_rowmotion_map(L, sigma) == rank_permuted_by_toggles(L, sigma)
+
+
+@pytest.mark.parametrize("literal", ["shifted:3,2,1", "minuscule:axb:2x3"])
+def test_every_rank_word_matches_toggles(literal):
+    if literal.startswith("minuscule:"):
+        P = parse_family(literal).realized
+    else:
+        P = parse_shape(literal).poset()
+    num_ranks = rank_info(P).top_rank + 1
+    _assert_rank_words_match_toggles(P, permutations(range(num_ranks)))
+
+
+@pytest.mark.parametrize("name", ["minuscule:axb:4x5", "E6"])
+def test_seeded_rank_words_match_toggles(name):
+    P = exceptional_poset(name) if name == "E6" else parse_family(name).realized
+    num_ranks = rank_info(P).top_rank + 1
+    words = _words_with_runs(num_ranks, random.Random(name), 30)
+    assert len(set(words)) == 30 and all(sorted(w) == list(range(num_ranks)) for w in words)
+    _assert_rank_words_match_toggles(P, words)
+
+
+def test_rank_words_on_a_ranked_but_not_graded_poset():
+    P = disjoint_union(chain(2), chain(4))
+    info = rank_info(P)
+    assert info.is_ranked and not info.is_graded
+    _assert_rank_words_match_toggles(P, permutations(range(info.top_rank + 1)))
