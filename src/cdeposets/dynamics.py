@@ -154,12 +154,8 @@ def orbit_uniform(L: IdealLattice, orbit: Sequence[int]) -> Distribution:
     return Distribution(w)
 
 
-def homomesy_report(L: IdealLattice, mapping: Sequence[int], stat, expected=None) -> dict:
-    """Per-orbit exact averages of a statistic; homomesic iff all agree.
-
-    ``expected`` (e.g. a tCDE certificate constant) adds a matches_expected
-    flag asserting that every orbit average equals it.
-    """
+def homomesy_report(L: IdealLattice, mapping: Sequence[int], stat) -> dict:
+    """Per-orbit exact averages of a statistic; homomesic iff all agree."""
     dec = orbit_decomposition(L, mapping)
     averages = [Fraction(sum([stat[i] for i in orbit]), len(orbit)) for orbit in dec.orbits]
     homomesic = len(set(averages)) <= 1
@@ -170,9 +166,6 @@ def homomesy_report(L: IdealLattice, mapping: Sequence[int], stat, expected=None
     }
     if homomesic and averages:
         report["constant"] = rat_str(averages[0])
-    if expected is not None:
-        report["expected"] = rat_str(expected)
-        report["matches_expected"] = all(a == Fraction(expected) for a in averages)
     return report
 
 

@@ -57,7 +57,6 @@ class Poset:
         "down_covers",
         "strict_up",
         "strict_down",
-        "_as_dict",
     )
 
     def __init__(self, n: int, covers: Iterable[tuple[int, int]], labels=None):

@@ -2,10 +2,18 @@
 
 Matrix coordinates throughout: lattice point (i, j) has i growing south and
 j growing east, the bounding box's northwest point is (0, 0), and box [i, j]
-is the unit box whose southeast corner is the point (i, j).  Order ideals of
-a shape's box poset correspond to monotone lattice paths from (a, 0) to
-(0, b) (with an extra west/north zigzag along the diagonal in the shifted
-case), and outward corners of the borders are read off those paths.
+is the unit box whose southeast corner is the point (i, j).
+
+A diagram is stored as the column interval (lo_r, hi_r] of each row r: a
+skew shape's row r runs (inner_r, outer_r] after translation, and a shifted
+shape's runs (r - 1, r - 1 + lambda_r].  Outward corners are read off those
+intervals.  The southeast corners are the points (r, hi_{r+1}) with
+hi_{r+1} < hi_r.  The northwest corners of a skew shape are the points
+(r, lo_r) with lo_r > lo_{r+1}; the shifted inner border, the diagonal, has
+none.  An order ideal I of the box poset fills an initial segment of each
+row, so its border ends row r at c_r = lo_r + |I & row r|.  An SE corner
+(x, y) lies on that border iff c_{x+1} = y < c_x, an NW corner iff
+c_{x+1} < y = c_x.
 """
 
 from __future__ import annotations
@@ -24,12 +32,13 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple([int(p) for p in self.parts if p != 0])
-        if any(p <= 0 for p in parts):
+        parts = tuple([int(p) for p in self.parts])
+        if any(p < 0 for p in parts):
             raise ValueError("partition parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be weakly decreasing: {parts}")
-        object.__setattr__(self, "parts", parts)
+        # weakly decreasing and nonnegative: only trailing parts can be zero
+        object.__setattr__(self, "parts", tuple([p for p in parts if p]))
 
     @property
     def size(self) -> int:
@@ -96,14 +105,22 @@ def stretch(shape: "SkewShape", a: int, b: int) -> "SkewShape":
 
 
 class _Diagram:
-    """What skew and shifted diagrams share: ``boxes`` in row reading order,
-    ``box_index`` (box -> position in ``boxes``), and ``diagonal``, the
-    main-diagonal boxes that the shifted rook statistic treats apart (empty
-    for skew shapes)."""
+    """What skew and shifted diagrams share, built from the column interval
+    (lo, hi] of each row: ``boxes`` in row reading order, ``box_index``
+    (box -> position in ``boxes``), and ``diagonal``, the main-diagonal boxes
+    that the shifted rook statistic treats apart (empty for skew shapes)."""
 
     boxes: tuple[tuple[int, int], ...]
     box_index: dict[tuple[int, int], int]
     diagonal: frozenset[tuple[int, int]] = frozenset()
+
+    def __init__(self, rows):
+        self._lo = tuple([lo for lo, _ in rows])
+        self._hi = tuple([hi for _, hi in rows])
+        self.boxes = tuple(
+            [(i, j) for i, (lo, hi) in enumerate(rows, 1) for j in range(lo + 1, hi + 1)]
+        )
+        self.box_index = {box: k for k, box in enumerate(self.boxes)}
 
     @property
     def n_boxes(self) -> int:
@@ -125,19 +142,40 @@ class _Diagram:
     def render_ideal(self, L: IdealLattice, idx: int) -> str:
         """Debug text rendering of an ideal: '#' in-ideal, '.' rest of shape."""
         mask = L.ideals[idx]
-        height = max([i for i, _ in self.boxes], default=0)
-        width = max([j for _, j in self.boxes], default=0)
-        grid = [[" "] * width for _ in range(height)]
+        grid = [[" "] * max(self._hi, default=0) for _ in self._hi]
         for k, (i, j) in enumerate(self.boxes):
             grid[i - 1][j - 1] = "#" if mask >> k & 1 else "."
         return "\n".join("".join(row).rstrip() for row in grid)
+
+    def _ideal_cols(self, L: IdealLattice, idx: int) -> list[int]:
+        """c_r = lo_r + |I & row r| for ideal idx, row r at position r - 1.
+
+        A row's boxes are consecutive bits of the ideal's mask."""
+        mask = L.ideals[idx]
+        cols = []
+        for lo, hi in zip(self._lo, self._hi):
+            cols.append(lo + (mask & ((1 << (hi - lo)) - 1)).bit_count())
+            mask >>= hi - lo
+        return cols
+
+    def _se_corners(self) -> list[tuple[int, int]]:
+        """Points (r, hi_{r+1}) with hi_{r+1} < hi_r, from the bottom row up."""
+        hi = self._hi
+        return [(r, hi[r]) for r in range(len(hi) - 1, 0, -1) if hi[r] < hi[r - 1]]
+
+
+def _attacks(kind: str, pt: tuple[int, int], i: int, j: int) -> bool:
+    """Corner pt is in C_ij: an NW corner strictly northwest of box [i,j]'s
+    center, an SE corner strictly southeast of it."""
+    x, y = pt
+    return (x < i and y < j) if kind == "NW" else (x >= i and y >= j)
 
 
 class SkewShape(_Diagram):
     """Skew shape lambda/nu, normalized by translation.
 
-    ``outer_cols[i]`` / ``inner_cols[i]`` give the border column counts of
-    row i (1-indexed) inside the normalized a x b bounding box.
+    ``inner_cols[i]`` / ``outer_cols[i]`` give the interval (lo, hi] of
+    columns of row i + 1 inside the normalized a x b bounding box.
     """
 
     def __init__(self, outer: Partition, inner: Partition = EMPTY):
@@ -149,87 +187,33 @@ class SkewShape(_Diagram):
         occupied = [
             i for i in range(1, outer.length + 1) if outer.part(i) > inner.part(i)
         ]
-        if not occupied:
-            self.a = 0
-            self.b = 0
-            self.outer_cols = ()
-            self.inner_cols = ()
-            self.boxes = ()
-        else:
-            row_off = occupied[0] - 1
-            col_off = min(inner.part(i) for i in occupied)
-            last = occupied[-1]
-            self.a = last - row_off
-            outer_cols = []
-            inner_cols = []
-            for i in range(row_off + 1, last + 1):
-                o = max(outer.part(i) - col_off, 0)
-                n = max(inner.part(i) - col_off, 0)
-                outer_cols.append(o)
-                inner_cols.append(max(min(n, o), 0))
-            self.outer_cols = tuple(outer_cols)
-            self.inner_cols = tuple(inner_cols)
-            self.b = max(outer_cols)
-            self.boxes = tuple(
-                [
-                    (i, j)
-                    for i in range(1, self.a + 1)
-                    for j in range(
-                        self.inner_cols[i - 1] + 1, self.outer_cols[i - 1] + 1
-                    )
-                ]
-            )
-        self.box_index = {box: k for k, box in enumerate(self.boxes)}
+        rows = []
+        if occupied:
+            # the last occupied row has the smallest inner part
+            shift = inner.part(occupied[-1])
+            rows = [
+                (inner.part(i) - shift, outer.part(i) - shift)
+                for i in range(occupied[0], occupied[-1] + 1)
+            ]
+        super().__init__(rows)
+        self.inner_cols, self.outer_cols = self._lo, self._hi
+        self.a = len(rows)
+        self.b = rows[0][1] if rows else 0
 
     def is_connected(self) -> bool:
-        if self.n_boxes == 0:
-            return False
-        for i in range(self.a - 1):
-            lo_next = self.inner_cols[i + 1]
-            hi_next = self.outer_cols[i + 1]
-            lo, hi = self.inner_cols[i], self.outer_cols[i]
-            if hi_next <= lo_next or hi <= lo:
-                return False
-            # rows i+1 and i+2 must share a column
-            if lo + 1 > hi_next or lo_next + 1 > hi:
-                return False
-        return True
+        """Nonempty, and every row shares a column with the row below it."""
+        return bool(self.boxes) and all(lo < hi for lo, hi in zip(self._lo, self._hi[1:]))
 
-    # --- lattice paths and corners ------------------------------------
-
-    def border_path(self, cols) -> list[tuple[int, int]]:
-        """Monotone path from (a,0) to (0,b) tracing the SE boundary of cols."""
-        cols = list(cols)
-        pts = [(self.a, 0)]
-        y = 0
-        for i in range(self.a, 0, -1):
-            target = cols[i - 1]
-            while y < target:
-                y += 1
-                pts.append((i, y))
-            pts.append((i - 1, y))
-        while y < self.b:
-            y += 1
-            pts.append((0, y))
-        return pts
-
-    def ideal_cols(self, L: IdealLattice, idx: int) -> list[int]:
-        """Column counts of the partition rho for lattice ideal idx."""
-        mask = L.ideals[idx]
-        cols = list(self.inner_cols)
-        for k, (i, _) in enumerate(self.boxes):
-            if mask >> k & 1:
-                cols[i - 1] += 1
-        return cols
+    # the partition rho of ideal idx, as column counts
+    ideal_cols = _Diagram._ideal_cols
 
     def corners(self) -> list[tuple[str, tuple[int, int]]]:
-        """Outward corners: ("NW", pt) on the inner border, ("SE", pt) on the outer."""
-        out = []
-        for pt in _turns(self.border_path(self.inner_cols), "EN"):
-            out.append(("NW", pt))
-        for pt in _turns(self.border_path(self.outer_cols), "NE"):
-            out.append(("SE", pt))
-        return out
+        """Outward corners: ("NW", pt) on the inner border, ("SE", pt) on the
+        outer, each from the bottom row up.  The NW corners are the points
+        (r, lo_r) with lo_r > lo_{r+1}."""
+        lo = self._lo
+        nw = [(r, lo[r - 1]) for r in range(len(lo) - 1, 0, -1) if lo[r] < lo[r - 1]]
+        return [("NW", pt) for pt in nw] + [("SE", pt) for pt in self._se_corners()]
 
     def is_balanced(self) -> bool:
         """All outward corners on the main anti-diagonal (connected shapes only)."""
@@ -243,47 +227,22 @@ class SkewShape(_Diagram):
         plus outer-border corners strictly southeast of it.
 
         These are exactly the corners whose missing toggleability terms skew
-        the rook sum: R_ij(I) = 1 + #(corners of C_ij on I's path).
+        the rook sum: R_ij(I) = 1 + #(corners of C_ij on I's border).
         """
-        out = []
-        for kind, (x, y) in self.corners():
-            if kind == "NW" and x <= i - 1 and y <= j - 1:
-                out.append((kind, (x, y)))
-            elif kind == "SE" and x >= i and y >= j:
-                out.append((kind, (x, y)))
-        return out
+        return [(kind, pt) for kind, pt in self.corners() if _attacks(kind, pt, i, j)]
 
     def contained_corners(self, L: IdealLattice, idx: int):
-        """Outward corners whose two steps both lie on ideal idx's path."""
-        steps = _step_set(self.border_path(self.ideal_cols(L, idx)))
-        out = []
-        for kind, (x, y) in self.corners():
-            if kind == "SE":
-                need = (((x + 1, y), (x, y)), ((x, y), (x, y + 1)))
-            else:
-                need = (((x, y - 1), (x, y)), ((x, y), (x - 1, y)))
-            if all(s in steps for s in need):
-                out.append((kind, (x, y)))
-        return out
+        """Outward corners on ideal idx's border: with c its column counts,
+        SE (x, y) iff c_{x+1} = y < c_x and NW (x, y) iff c_{x+1} < y = c_x."""
+        c = self.ideal_cols(L, idx)
+        return [
+            (kind, (x, y))
+            for kind, (x, y) in self.corners()
+            if (c[x] == y < c[x - 1] if kind == "SE" else c[x] < y == c[x - 1])
+        ]
 
     def __repr__(self):
         return f"SkewShape({self.outer}/{self.inner})"
-
-
-def _step_set(pts):
-    return {(pts[k], pts[k + 1]) for k in range(len(pts) - 1)}
-
-
-def _turns(pts, pattern: str) -> list[tuple[int, int]]:
-    """Lattice points where a 'NE' (north-then-east) or 'EN' turn happens."""
-    out = []
-    for k in range(1, len(pts) - 1):
-        (x0, y0), (x1, y1), (x2, y2) = pts[k - 1], pts[k], pts[k + 1]
-        first = "N" if x1 == x0 - 1 and y1 == y0 else ("E" if y1 == y0 + 1 else "?")
-        second = "N" if x2 == x1 - 1 and y2 == y1 else ("E" if y2 == y1 + 1 else "?")
-        if first + second == pattern:
-            out.append((x1, y1))
-    return out
 
 
 class ShiftedShape(_Diagram):
@@ -295,63 +254,25 @@ class ShiftedShape(_Diagram):
             raise ValueError(f"{strict} is not strict")
         self.strict = strict
         self.n_rows = strict.length
-        self.boxes = tuple(
-            [
-                (i, j)
-                for i in range(1, self.n_rows + 1)
-                for j in range(i, i + strict.part(i))
-            ]
-        )
-        self.box_index = {box: k for k, box in enumerate(self.boxes)}
+        super().__init__([(i, i + p) for i, p in enumerate(strict.parts)])
         self.diagonal = frozenset([(i, i) for i in range(1, self.n_rows + 1)])
 
-    def border_path(self, nu: Partition) -> list[tuple[int, int]]:
-        """Path of the ideal nu: west/north zigzag along the diagonal from
-        (n, n) up to (m, m) with m = len(nu), then the usual staircase, ending
-        with an east run to (0, lambda_1)."""
-        n = self.n_rows
-        m = nu.length
-        pts = [(n, n)]
-        for i in range(n, m, -1):
-            pts.append((i, i - 1))
-            pts.append((i - 1, i - 1))
-        y = m
-        for i in range(m, 0, -1):
-            target = i + nu.part(i) - 1
-            while y < target:
-                y += 1
-                pts.append((i, y))
-            pts.append((i - 1, y))
-        lam1 = self.strict.part(1)
-        while y < lam1:
-            y += 1
-            pts.append((0, y))
-        return pts
-
     def ideal_partition(self, L: IdealLattice, idx: int) -> Partition:
-        mask = L.ideals[idx]
-        counts = [0] * self.n_rows
-        for k, (i, _) in enumerate(self.boxes):
-            if mask >> k & 1:
-                counts[i - 1] += 1
-        return Partition(tuple(counts))
+        cols = self._ideal_cols(L, idx)
+        return Partition(tuple([c - lo for c, lo in zip(cols, self._lo)]))
 
     def corners(self) -> list[tuple[int, int]]:
-        """Southeast outward corners (north-then-east turns on the SE border)."""
-        return _turns(self.border_path(self.strict), "NE")
+        """Southeast outward corners; the diagonal inner border has none."""
+        return self._se_corners()
 
     def corners_attacking(self, i: int, j: int) -> list[tuple[int, int]]:
         """C^shift_ij: corners strictly southeast of box [i,j]'s center."""
         return [(x, y) for x, y in self.corners() if x >= i and y >= j]
 
     def contained_corners(self, L: IdealLattice, idx: int) -> list[tuple[int, int]]:
-        nu = self.ideal_partition(L, idx)
-        steps = _step_set(self.border_path(nu))
-        out = []
-        for x, y in self.corners():
-            if ((x + 1, y), (x, y)) in steps and ((x, y), (x, y + 1)) in steps:
-                out.append((x, y))
-        return out
+        """Corners (x, y) on ideal idx's border: c_{x+1} = y < c_x."""
+        c = self._ideal_cols(L, idx)
+        return [(x, y) for x, y in self.corners() if c[x] == y < c[x - 1]]
 
     def __repr__(self):
         return f"ShiftedShape({self.strict})"
@@ -459,29 +380,17 @@ def rook_placement(shape: SkewShape) -> dict[tuple[int, int], Fraction]:
     if not shape.is_connected():
         raise ValueError("rook placement needs a connected shape")
     boxes = shape.boxes
-    col_of = {box: k for k, box in enumerate(boxes)}
-    rows_sys = []
-    rhs = []
-    for i in range(1, shape.a + 1):
-        rows_sys.append(
-            [1 if x == i else 0 for x, _ in boxes]
-        )
-        rhs.append(shape.b)
-    for j in range(1, shape.b + 1):
-        rows_sys.append([1 if y == j else 0 for _, y in boxes])
-        rhs.append(shape.a)
+    rows_sys = [[int(x == i) for x, _ in boxes] for i in range(1, shape.a + 1)]
+    rows_sys += [[int(y == j) for _, y in boxes] for j in range(1, shape.b + 1)]
+    rhs = [shape.b] * shape.a + [shape.a] * shape.b
     if shape.is_balanced():
-        for corner in shape.corners():
-            row = [0] * len(boxes)
-            for i, j in boxes:
-                if corner in shape.corners_attacking(i, j):
-                    row[col_of[(i, j)]] = 1
-            rows_sys.append(row)
+        for kind, pt in shape.corners():
+            rows_sys.append([int(_attacks(kind, pt, i, j)) for i, j in boxes])
             rhs.append(0)
     sol = linalg.solve(rows_sys, rhs)
     if sol is None:
         raise ValueError(f"no rook placement exists for {shape}")
-    return {box: sol[col_of[box]] for box in boxes}
+    return dict(zip(boxes, sol))
 
 
 def shifted_rook_placement(
@@ -525,108 +434,90 @@ def _check_shifted_placement(shape: ShiftedShape, r) -> None:
             row = sum(v for (x, y), v in r.items() if x == i)
             if col != 2 or row != 2:
                 raise AssertionError(f"condition (a) fails at box [{i},{j}]")
-    for corner in shape.corners():
-        agg = sum(
-            r[(i, j)]
-            for i, j in shape.boxes
-            if corner in shape.corners_attacking(i, j)
-        )
-        if agg != 0:
-            raise AssertionError(f"condition (c) fails at corner {corner}")
+    for x, y in shape.corners():
+        if sum(r[(i, j)] for i, j in shape.boxes if x >= i and y >= j) != 0:
+            raise AssertionError(f"condition (c) fails at corner {(x, y)}")
 
 
 # --- generators and literals ----------------------------------------------------
 
 
-def iter_partitions(max_size: int, min_size: int = 1) -> Iterator[Partition]:
+def _partitions(max_size: int, gap: int) -> Iterator[Partition]:
+    """Partitions of 1..max_size boxes whose parts each fall at least gap
+    below the one before: all partitions for gap 0, strict ones for gap 1."""
+
     def rec(remaining, max_part, acc):
         if remaining == 0:
             yield Partition(tuple(acc))
             return
         for p in range(min(remaining, max_part), 0, -1):
             acc.append(p)
-            yield from rec(remaining - p, p, acc)
+            yield from rec(remaining - p, p - gap, acc)
             acc.pop()
 
-    for n in range(min_size, max_size + 1):
+    for n in range(1, max_size + 1):
         yield from rec(n, n, [])
 
 
-def iter_strict_partitions(max_size: int, min_size: int = 1) -> Iterator[Partition]:
-    def rec(remaining, max_part, acc):
-        if remaining == 0:
-            yield Partition(tuple(acc))
-            return
-        for p in range(min(remaining, max_part), 0, -1):
-            acc.append(p)
-            yield from rec(remaining - p, p - 1, acc)
-            acc.pop()
-
-    for n in range(min_size, max_size + 1):
-        yield from rec(n, n, [])
+def iter_partitions(max_size: int) -> Iterator[Partition]:
+    yield from _partitions(max_size, 0)
 
 
-def iter_connected_skew_shapes(max_boxes: int) -> Iterator[SkewShape]:
-    """Connected skew shapes with at most max_boxes boxes, up to translation.
+def iter_strict_partitions(max_size: int) -> Iterator[Partition]:
+    yield from _partitions(max_size, 1)
 
-    Rows are built top-down as column intervals [lo+1, hi] with lo and hi
-    weakly decreasing and consecutive rows overlapping; normalization makes
-    the last row start at column 1.
+
+def _skew_shapes(max_boxes: int, connected: bool) -> Iterator[SkewShape]:
+    """Skew shapes with at most max_boxes boxes, up to translation.
+
+    Rows are built top-down as column intervals (lo, hi] with lo and hi
+    weakly decreasing; ``connected`` prunes a row that shares no column with
+    the row above.  Since lo is weakly decreasing, a shape is canonical when
+    its last row starts at column 1.
     """
 
     def rec(rows, used):
+        yield rows
         lo, hi = rows[-1]
-        yield tuple(rows)
         for hi2 in range(hi, 0, -1):
+            if connected and hi2 <= lo:
+                break
             for lo2 in range(min(lo, hi2 - 1), -1, -1):
-                size = hi2 - lo2
-                if used + size > max_boxes:
-                    continue
-                if hi2 <= lo:  # must overlap previous row
-                    continue
+                if used + hi2 - lo2 > max_boxes:
+                    break
                 rows.append((lo2, hi2))
-                yield from rec(rows, used + size)
+                yield from rec(rows, used + hi2 - lo2)
                 rows.pop()
 
     for b in range(1, max_boxes + 1):
         for lo in range(0, b):
-            for raw in rec([(lo, b)], b - lo):
-                inner = Partition(tuple([r[0] for r in raw]))
-                outer = Partition(tuple([r[1] for r in raw]))
-                if raw[-1][0] == 0:  # canonical translation
-                    yield SkewShape(outer, inner)
+            for rows in rec([(lo, b)], b - lo):
+                if rows[-1][0] == 0:
+                    inner = Partition(tuple([r[0] for r in rows]))
+                    yield SkewShape(Partition(tuple([r[1] for r in rows])), inner)
 
 
 def iter_skew_shapes(max_boxes: int) -> Iterator[SkewShape]:
-    """Skew shapes (possibly disconnected) with at most max_boxes boxes,
-    canonicalized so some row starts at column 1."""
+    """Skew shapes, possibly disconnected, with at most max_boxes boxes."""
+    yield from _skew_shapes(max_boxes, False)
 
-    def rec(rows, used):
-        yield tuple(rows)
-        lo, hi = rows[-1]
-        for hi2 in range(hi, 0, -1):
-            for lo2 in range(min(lo, hi2 - 1), -1, -1):
-                size = hi2 - lo2
-                if used + size > max_boxes:
-                    continue
-                rows.append((lo2, hi2))
-                yield from rec(rows, used + size)
-                rows.pop()
 
-    for b in range(1, max_boxes + 1):
-        for lo in range(0, b):
-            for raw in rec([(lo, b)], b - lo):
-                if min(r[0] for r in raw) == 0:
-                    inner = Partition(tuple([r[0] for r in raw]))
-                    outer = Partition(tuple([r[1] for r in raw]))
-                    yield SkewShape(outer, inner)
+def iter_connected_skew_shapes(max_boxes: int) -> Iterator[SkewShape]:
+    """Connected skew shapes with at most max_boxes boxes."""
+    yield from _skew_shapes(max_boxes, True)
 
 
 def parse_partition(text: str) -> Partition:
     text = text.strip()
     if not text:
         return EMPTY
-    return Partition(tuple([int(x) for x in text.split(",")]))
+    try:
+        parts = tuple([int(x) for x in text.split(",")])
+    except ValueError:
+        raise ValueError(
+            f"bad partition {text!r}: parts are comma-separated integers"
+        ) from None
+    return Partition(parts)
 
 
 def parse_shape(literal: str):

@@ -197,6 +197,30 @@ def test_family_literal_with_extra_or_missing_fields(capsys, literal, message):
 
 
 @pytest.mark.parametrize(
+    "verb, literal, message",
+    [
+        ("family", "skew:3,3/0,1", "parts must be weakly decreasing: (0, 1)"),
+        ("family", "straight:2,0,1", "parts must be weakly decreasing: (2, 0, 1)"),
+        ("family", "shifted:3,0,1", "parts must be weakly decreasing: (3, 0, 1)"),
+        ("analyze", "straight:3,,1", "bad partition '3,,1': parts are comma-separated integers"),
+    ],
+)
+def test_malformed_partition_is_an_input_error(capsys, verb, literal, message):
+    """A zero part is dropped only at the end, and int()'s message never leaks."""
+    code, out = run(capsys, verb, "--shape", literal)
+    assert (code, json.loads(out)) == (2, {"error": message})
+
+
+def test_trailing_zero_parts_are_accepted(capsys):
+    code, out = run(capsys, "family", "--shape", "straight:2,1,0")
+    assert code == 0
+    report = json.loads(out)
+    assert report.pop("input") == "straight:2,1,0"
+    code, out = run(capsys, "family", "--shape", "straight:2,1")
+    assert report == {k: v for k, v in json.loads(out).items() if k != "input"}
+
+
+@pytest.mark.parametrize(
     "family, fmt",
     [
         ("straight-shapes:-1", "json"),

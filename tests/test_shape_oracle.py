@@ -1,0 +1,81 @@
+"""The corners read off row intervals against the lattice-path oracle, and
+the rook identity R_ij(I) = 1 + #(corners of C_ij on I's border) swept over
+small shapes."""
+
+import pytest
+
+from cdeposets import build_lattice, rook
+from cdeposets.shapes import (
+    ShiftedShape,
+    iter_connected_skew_shapes,
+    iter_skew_shapes,
+    iter_strict_partitions,
+)
+
+import shape_oracle as oracle
+
+
+def _skew_shapes(max_boxes):
+    return [s for s in iter_skew_shapes(max_boxes) if s.n_boxes]
+
+
+def test_skew_corners_match_the_path_oracle():
+    shapes = _skew_shapes(6)
+    assert any(not s.is_connected() for s in shapes)
+    for s in shapes:
+        assert s.corners() == oracle.skew_corners(s), s
+        for i, j in s.boxes:
+            assert s.corners_attacking(i, j) == oracle.skew_corners_attacking(s, i, j), s
+        L = build_lattice(s.poset())
+        for idx in range(L.n):
+            assert s.contained_corners(L, idx) == oracle.skew_contained_corners(s, L, idx), (
+                s,
+                idx,
+            )
+
+
+def test_shifted_corners_match_the_path_oracle():
+    for lam in iter_strict_partitions(10):
+        ss = ShiftedShape(lam)
+        assert ss.corners() == oracle.shifted_corners(ss), lam
+        for i, j in ss.boxes:
+            assert ss.corners_attacking(i, j) == oracle.shifted_corners_attacking(ss, i, j)
+        L = build_lattice(ss.poset())
+        for idx in range(L.n):
+            assert ss.contained_corners(L, idx) == oracle.shifted_contained_corners(
+                ss, L, idx
+            ), (lam, idx)
+
+
+def _assert_rook_identity(shape):
+    L = build_lattice(shape.poset())
+    contained = [set(shape.contained_corners(L, idx)) for idx in range(L.n)]
+    for i, j in shape.boxes:
+        attacking = set(shape.corners_attacking(i, j))
+        R = rook(shape, L, i, j)
+        for idx in range(L.n):
+            assert R[idx] - len(contained[idx] & attacking) == 1, (shape, (i, j), idx)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        pytest.param(lambda: iter_connected_skew_shapes(7), id="skew<=7"),
+        pytest.param(
+            lambda: (ShiftedShape(lam) for lam in iter_strict_partitions(10)),
+            id="shifted<=10",
+        ),
+    ],
+)
+def test_rook_identity_sweep(shapes):
+    for shape in shapes():
+        _assert_rook_identity(shape)
+
+
+def test_connected_generator_is_the_filtered_one():
+    def key(s):
+        return s.outer, s.inner
+
+    for n in range(1, 8):
+        connected = [key(s) for s in iter_connected_skew_shapes(n)]
+        assert connected == [key(s) for s in iter_skew_shapes(n) if s.is_connected()], n

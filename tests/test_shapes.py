@@ -39,6 +39,9 @@ def test_partition_basics():
     assert Partition((3, 2)).is_strict
     with pytest.raises(ValueError):
         Partition((2, 3))
+    with pytest.raises(ValueError):
+        Partition((2, 0, 1))
+    assert Partition((2, 1, 0, 0)).parts == (2, 1)
     assert (Partition((2, 1)) + Partition((1, 1))).parts == (3, 2)
 
 

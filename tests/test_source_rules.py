@@ -57,3 +57,36 @@ def test_reports_are_written_by_the_one_emitter():
                 found.append(f"{path.name}:{node.lineno}")
     assert files
     assert not found, f"indented json.dumps outside serialize.py: {found}"
+
+
+def _identifiers(path: Path) -> set[str]:
+    """Every name a file reads, imports or looks up as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_every_public_name_is_reached():
+    """Nothing ships that no test, demo or CLI verb reaches: every public
+    top-level function or class of the library is named somewhere besides its
+    own definition and ``__init__.py``: in library code, a test or a demo."""
+    library = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    root = SRC.parent.parent
+    users = sorted(root.joinpath("tests").glob("*.py")) + sorted(root.joinpath("demos").glob("*.py"))
+    reached = set().union(*[_identifiers(path) for path in library + users])
+    found = [
+        f"{path.name}:{node.lineno}:{node.name}"
+        for path in library
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in reached
+    ]
+    assert library and users
+    assert not found, f"public names that nothing reaches: {found}"
