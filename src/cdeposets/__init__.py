@@ -44,7 +44,6 @@ from .posets import (
     PosetError,
     RankInfo,
     antichain,
-    build_poset,
     chain,
     direct_product,
     disjoint_union,

@@ -6,8 +6,9 @@ or --family LIT).  Exit codes: 0 success, 1 property refuted (a witness
 exists when certifying, or no witness exists when one was requested),
 2 input error (including the empty poset given to ``analyze --poset``, which
 has no edge density, and a ``--budget`` or ``scan`` bound below 1), 3 budget
-exceeded (also by a poset file of n >= budget elements, as J(P) has at least
-n + 1 ideals), 4 internal error (any other exception, such as a failed
+exceeded (also by a poset file of n >= budget elements or a shape of
+n >= budget boxes, refused before P is built, as J(P) has at least n + 1
+ideals), 4 internal error (any other exception, such as a failed
 self-check).  Codes 2-4 write a JSON object {"error": ...}, except for
 malformed flags, which argparse reports on stderr with code 2; an internal
 error also prints its traceback to stderr.  Each verb accepts only the flags
@@ -99,8 +100,20 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_size(n: int, budget: int) -> None:
+    """J(P) has at least n + 1 ideals: refuse before anything per element."""
+    if n >= budget:
+        raise LatticeBudgetError(f"J(P) exceeds the ideal budget of {budget}")
+
+
+def _shape(lit: str, budget: int):
+    shape = parse_shape(lit)
+    _check_size(shape.n_boxes, budget)
+    return shape
+
+
 def _resolve_input(args):
-    """Returns (description, base poset or None, shape or None)."""
+    """Returns (description, base poset)."""
     sources = [s for s in (args.poset, args.shape, args.family) if s]
     if len(sources) != 1:
         raise PosetError("exactly one of --poset/--shape/--family is required")
@@ -108,16 +121,14 @@ def _resolve_input(args):
     if args.poset:
         with open(args.poset, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        # J(P) has at least n + 1 ideals; refuse before anything per element
         n = doc.get("n") if isinstance(doc, dict) else None
-        if type(n) is int and n >= budget:
-            raise LatticeBudgetError(f"J(P) exceeds the ideal budget of {budget}")
-        return f"poset:{args.poset}", poset_from_dict(doc), None
+        if type(n) is int:
+            _check_size(n, budget)
+        return f"poset:{args.poset}", poset_from_dict(doc)
     if args.shape:
-        shape = parse_shape(args.shape)
-        return args.shape, shape.poset(), shape
+        return args.shape, _shape(args.shape, budget).poset()
     case = parse_family(args.family, budget=budget)
-    return case.name, case.realized, None
+    return case.name, case.realized
 
 
 def _mapping(L, spec: str):
@@ -153,7 +164,7 @@ def _render(report, fmt: str) -> str:
 
 
 def _analyze(args) -> tuple[int, object]:
-    name, P, shape = _resolve_input(args)
+    name, P = _resolve_input(args)
     if args.poset and not args.lattice:
         target = P
     else:
@@ -174,7 +185,7 @@ def _analyze(args) -> tuple[int, object]:
 
 
 def _cert(args) -> tuple[int, object]:
-    name, P, _ = _resolve_input(args)
+    name, P = _resolve_input(args)
     L = build_lattice(P, budget=args.budget)
     cert = certify_tcde(L, args.extra_empty_full)
     if cert is not None:
@@ -193,7 +204,7 @@ def _cert(args) -> tuple[int, object]:
 
 
 def _witness(args) -> tuple[int, object]:
-    name, P, _ = _resolve_input(args)
+    name, P = _resolve_input(args)
     L = build_lattice(P, budget=args.budget)
     witness = find_witness(L)
     if witness is None:
@@ -209,7 +220,7 @@ def _witness(args) -> tuple[int, object]:
 
 
 def _orbits(args) -> tuple[int, object]:
-    name, P, _ = _resolve_input(args)
+    name, P = _resolve_input(args)
     L = build_lattice(P, budget=args.budget)
     dec = orbit_decomposition(L, _mapping(L, args.map_spec))
     ideals = L.ideals
@@ -224,7 +235,7 @@ def _orbits(args) -> tuple[int, object]:
 
 
 def _homomesy(args) -> tuple[int, object]:
-    name, P, _ = _resolve_input(args)
+    name, P = _resolve_input(args)
     L = build_lattice(P, budget=args.budget)
     report = homomesy_report(L, _mapping(L, args.map_spec), antichain_cardinality(L))
     report["input"] = name
@@ -236,7 +247,7 @@ def _homomesy(args) -> tuple[int, object]:
 def _count_tableaux(args) -> tuple[int, object]:
     if not args.shape:
         raise PosetError("count-tableaux needs --shape")
-    report = tableau_counts(parse_shape(args.shape), budget=args.budget)
+    report = tableau_counts(_shape(args.shape, args.budget), budget=args.budget)
     report["input"] = args.shape
     return EXIT_OK, report
 
@@ -270,7 +281,7 @@ def _scan(args) -> tuple[int, object]:
 
 
 def _family(args) -> tuple[int, object]:
-    name, P, _ = _resolve_input(args)
+    name, P = _resolve_input(args)
     report = P.to_dict()
     report["input"] = name
     return EXIT_OK, report

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .cde import _identity_failure, certify_tcde
 from .ideals import DEFAULT_IDEAL_BUDGET, build_lattice
-from .posets import Poset, build_poset, chain, direct_product, is_isomorphic
+from .posets import Poset, chain, direct_product, is_isomorphic
 from .serialize import rat_str
 from .shapes import ShiftedShape, SkewShape, rectangle, staircase
 
@@ -54,7 +54,7 @@ def propeller_poset(a: int, b: int, c: int, d: int) -> Poset:
     rels.append((w[-1], y[0]))
     rels.append((x[-1], z[0]))
     rels.append((y[-1], z[0]))
-    return build_poset(n, rels)
+    return Poset(n, rels)
 
 
 def chain_product_poset(a: int, b: int) -> Poset:

@@ -1,8 +1,9 @@
 """Finite posets: construction, validation, combination, ranks and chains.
 
-Elements are always the integers 0..n-1.  A poset is stored by its cover
-relation (Hasse digraph); arbitrary order relations fed to ``build_poset``
-are transitively closed and then reduced, so sloppy input is fine.  Order
+Elements are always the integers 0..n-1.  ``Poset(n, relations)`` is the
+one constructor: it checks the ids, rejects a cycle with ``CycleError``, and
+closes and reduces arbitrary order relations to the cover relation (Hasse
+digraph) in one topological pass, so sloppy input is fine.  Order
 comparisons are kept as bitmask ints (bit q of ``strict_up[p]`` means p < q),
 which keeps everything exact and reasonably fast for the lattice sizes this
 library targets (a few thousand elements at most).
@@ -41,7 +42,12 @@ def _bits(mask: int) -> list[int]:
 
 
 class Poset:
-    """Immutable finite poset given by its cover relation.
+    """Immutable finite poset, built from any acyclic order relations.
+
+    The relations are closed and reduced to covers in one topological pass:
+    q covers p iff q is a direct successor of p that lies above no other
+    successor of p (Aho, Garey and Ullman, SIAM J. Comput. 1972).  A cyclic
+    relation raises ``CycleError`` with the cycle found.
 
     Attributes:
         n: number of elements (ids 0..n-1).
@@ -59,25 +65,47 @@ class Poset:
         "strict_down",
     )
 
-    def __init__(self, n: int, covers: Iterable[tuple[int, int]], labels=None):
-        covers = tuple(sorted([(int(p), int(q)) for p, q in covers]))
-        for p, q in covers:
-            if not (0 <= p < n and 0 <= q < n):
-                raise PosetError(f"cover ({p},{q}) out of range for n={n}")
-        self.n = n
-        self.covers = covers
+    def __init__(self, n: int, relations: Iterable[tuple[int, int]], labels=None):
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != n:
             raise PosetError("labels must have one entry per element")
-        up = [[] for _ in range(n)]
+        succ = [set() for _ in range(n)]
+        for p, q in relations:
+            p, q = int(p), int(q)
+            if not (0 <= p < n and 0 <= q < n):
+                raise PosetError(f"relation ({p},{q}) references an id >= n={n}")
+            if p == q:
+                raise CycleError([p, p])
+            succ[p].add(q)
+        order = _topological_order(n, succ)
+        if len(order) < n:
+            raise CycleError(_cycle(n, succ, order))
+        up = [()] * n
+        strict_up = [0] * n
+        for p in reversed(order):
+            implied = 0
+            for q in succ[p]:
+                implied |= strict_up[q]
+            up[p] = tuple(sorted([q for q in succ[p] if not implied >> q & 1]))
+            for q in up[p]:
+                implied |= 1 << q
+            strict_up[p] = implied
         down = [[] for _ in range(n)]
-        for p, q in covers:
-            up[p].append(q)
-            down[q].append(p)
-        self.up_covers = tuple([tuple(u) for u in up])
+        for p in range(n):
+            for q in up[p]:
+                down[q].append(p)
+        strict_down = [0] * n
+        for q in order:
+            below = 0
+            for p in down[q]:
+                below |= 1 << p | strict_down[p]
+            strict_down[q] = below
+        self.n = n
+        self.covers = tuple([(p, q) for p in range(n) for q in up[p]])
+        self.up_covers = tuple(up)
         self.down_covers = tuple([tuple(d) for d in down])
-        self.strict_up = _reachability(n, self.up_covers)
-        self.strict_down = _reachability(n, self.down_covers)
+        self.strict_up = tuple(strict_up)
+        self.strict_down = tuple(strict_down)
 
     # --- order queries ------------------------------------------------
 
@@ -161,7 +189,7 @@ class Poset:
         return d
 
 
-def _topological_order(n: int, succ: Sequence[Sequence[int]]) -> list[int]:
+def _topological_order(n: int, succ: Sequence[Iterable[int]]) -> list[int]:
     """Kahn's algorithm; it leaves out every element on or reachable from a cycle."""
     indeg = [0] * n
     for p in range(n):
@@ -179,78 +207,19 @@ def _topological_order(n: int, succ: Sequence[Sequence[int]]) -> list[int]:
     return order
 
 
-def _reachability(n: int, succ: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Strict reachability masks over an acyclic successor relation."""
-    reach = [0] * n
-    for x in reversed(_topological_order(n, succ)):
-        m = 0
-        for y in succ[x]:
-            m |= 1 << y
-            m |= reach[y]
-        reach[x] = m
-    return tuple(reach)
+def _cycle(n: int, succ: Sequence[Iterable[int]], order: list[int]) -> list[int]:
+    """A cycle [x, ..., x] among the elements that ``order`` left out.
 
-
-def _find_cycle(n: int, succ: Sequence[Sequence[int]]) -> list[int]:
-    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    parent: dict[int, int] = {}
-    for s in range(n):
-        if color[s]:
-            continue
-        stack = [(s, iter(succ[s]))]
-        color[s] = 1
-        while stack:
-            x, it = stack[-1]
-            advanced = False
-            for y in it:
-                if color[y] == 0:
-                    color[y] = 1
-                    parent[y] = x
-                    stack.append((y, iter(succ[y])))
-                    advanced = True
-                    break
-                if color[y] == 1:
-                    cycle = [y, x]
-                    z = x
-                    while z != y:
-                        z = parent[z]
-                        cycle.append(z)
-                    cycle.reverse()
-                    return cycle
-            if not advanced:
-                color[x] = 2
-                stack.pop()
-    return []
-
-
-def build_poset(n: int, relations: Iterable[tuple[int, int]], labels=None) -> Poset:
-    """Build a poset from arbitrary order relations.
-
-    The relations are transitively closed, checked for cycles, and reduced
-    to covers.
+    Each of them keeps a left-out predecessor, so walking back from one of
+    them revisits an element; the walk from there, reversed, is the cycle.
     """
-    succ = [set() for _ in range(n)]
-    for p, q in relations:
-        p, q = int(p), int(q)
-        if not (0 <= p < n and 0 <= q < n):
-            raise PosetError(f"relation ({p},{q}) references an id >= n={n}")
-        if p == q:
-            raise CycleError([p, p])
-        succ[p].add(q)
-    succ_l = [sorted(s) for s in succ]
-    # cycle check before reachability (which assumes acyclicity)
-    if len(_topological_order(n, succ_l)) != n:
-        raise CycleError(_find_cycle(n, succ_l))
-    closure = _reachability(n, succ_l)
-    covers = []
-    for p in range(n):
-        reach_p = closure[p]
-        implied = 0
-        for r in _bits(reach_p):
-            implied |= closure[r]
-        for q in _bits(reach_p & ~implied):
-            covers.append((p, q))
-    return Poset(n, covers, labels)
+    left = set(range(n)).difference(order)
+    pred = {q: p for p in left for q in succ[p]}
+    x, seen = min(left), {}
+    while x not in seen:
+        seen[x] = len(seen)
+        x = pred[x]
+    return [x, *reversed(list(seen)[seen[x] :])]
 
 
 def dual(P: Poset) -> Poset:
@@ -299,41 +268,22 @@ def rank_info(P: Poset) -> RankInfo:
     """Rank/gradedness flags; ranks are normalized to start at 0 per component."""
     n = P.n
     rank = [None] * n
-    ok = True
+    # spread ranks over each component from its first element; the spread
+    # only proposes ranks, the cover check below decides
     for comp in P.connected_components():
-        start = comp[0]
-        rank[start] = 0
-        queue = [start]
-        while queue and ok:
-            x = queue.pop()
-            for y in P.up_covers[x]:
-                if rank[y] is None:
-                    rank[y] = rank[x] + 1
-                    queue.append(y)
-                elif rank[y] != rank[x] + 1:
-                    ok = False
-                    break
-            for y in P.down_covers[x]:
-                if rank[y] is None:
-                    rank[y] = rank[x] - 1
-                    queue.append(y)
-                elif rank[y] != rank[x] - 1:
-                    ok = False
-                    break
-        if not ok:
-            break
-        # the BFS seed is arbitrary; re-verify every cover inside the component
-        comp_set = set(comp)
-        for p, q in P.covers:
-            if p in comp_set and rank[q] != rank[p] + 1:
-                ok = False
-                break
-        if not ok:
-            break
-        low = min(rank[x] for x in comp)
+        rank[comp[0]] = 0
+        stack = [comp[0]]
+        while stack:
+            x = stack.pop()
+            for step, near in ((1, P.up_covers[x]), (-1, P.down_covers[x])):
+                for y in near:
+                    if rank[y] is None:
+                        rank[y] = rank[x] + step
+                        stack.append(y)
+        low = min([rank[x] for x in comp])
         for x in comp:
             rank[x] -= low
-    if not ok:
+    if any(rank[q] != rank[p] + 1 for p, q in P.covers):
         return RankInfo(False, False, None, None)
     # with ranks from 0 in each component, all maximal chains have one
     # length iff every minimal element has rank 0 and all maximal elements
@@ -479,7 +429,7 @@ def poset_from_dict(d: dict) -> Poset:
             raise PosetError(
                 f"malformed poset document: relation ids must be integers, got {[a, b]!r}"
             )
-    return build_poset(n, relations, d.get("labels"))
+    return Poset(n, relations, d.get("labels"))
 
 
 def load_poset(path) -> Poset:

@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 
 from . import linalg
 from .ideals import IdealLattice
-from .posets import Poset, build_poset
+from .posets import Poset
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ class _Diagram:
                 rels.append((self.box_index[(i, j)], self.box_index[(i, j + 1)]))
             if (i + 1, j) in self.box_index:
                 rels.append((self.box_index[(i, j)], self.box_index[(i + 1, j)]))
-        return build_poset(self.n_boxes, rels)
+        return Poset(self.n_boxes, rels)
 
     def render_ideal(self, L: IdealLattice, idx: int) -> str:
         """Debug text rendering of an ideal: '#' in-ideal, '.' rest of shape."""

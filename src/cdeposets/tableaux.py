@@ -158,6 +158,9 @@ def tableau_counts(
     skew shape and ``SHIFTED_BOX_BUDGET`` for a shifted one.
     """
     n = shape.n_boxes
+    # the budget bounds J(P) before the standard counts, whose determinant
+    # grows with the number of rows
+    L = build_lattice(shape.poset(), budget=budget)
     if isinstance(shape, ShiftedShape):
         lam = shape.strict
         standard = g_thrall(lam)
@@ -172,7 +175,6 @@ def tableau_counts(
             counts["standard_hook"] = f_hook(shape.outer)
         families = [("barely", 0, [1] * n)]
         box_budget = SKEW_BOX_BUDGET
-    L = build_lattice(shape.poset(), budget=budget)
     mu = maxchain_dist(L)
     split = n <= box_budget
     for name, power, weight in families:

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from cdeposets import Distribution, build_poset
-from cdeposets.posets import Poset, load_poset
+from cdeposets import Distribution, Poset
+from cdeposets.posets import load_poset
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -48,7 +48,7 @@ def random_poset(rng: random.Random, max_n: int = 6, density: float = 0.35) -> P
         for j in range(i + 1, n)
         if rng.random() < density
     ]
-    return build_poset(n, rels)
+    return Poset(n, rels)
 
 
 # --- brute-force oracles (independent of the library's DP routes) -------------

@@ -337,9 +337,9 @@ def test_criterion_08_dynamics():
 
     # negative control: a promotion-style word on the 3-element V poset
     from cdeposets.dynamics import apply_toggle_word, signed_toggleability
-    from cdeposets.posets import build_poset
+    from cdeposets.posets import Poset
 
-    V = build_poset(3, [(0, 2), (1, 2)])
+    V = Poset(3, [(0, 2), (1, 2)])
     LV = build_lattice(V)
     mapping = [apply_toggle_word(LV, (1, 2, 0), i) for i in range(LV.n)]
     orbits = orbit_decomposition(LV, mapping).orbits

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from cdeposets import antichain, build_lattice, build_poset, cde_report, disjoint_union
+from cdeposets import Poset, antichain, build_lattice, cde_report, disjoint_union
 from cdeposets.cde import _ddeg_stat
 from cdeposets.tableaux import count_linear_extensions
 from cdeposets.distributions import (
@@ -106,7 +106,7 @@ def _random_poset(rng, n):
         for j in range(i + 1, n)
         if rng.random() < density
     ]
-    return build_poset(n, rels)
+    return Poset(n, rels)
 
 
 def test_random_posets_match_poset_route():

@@ -374,13 +374,47 @@ def test_poset_file_over_the_budget_exits_3_before_building(capsys, monkeypatch,
         raise AssertionError("the poset was built")
 
     with monkeypatch.context() as patch:
-        patch.setattr("cdeposets.posets.build_poset", no_build)
+        patch.setattr("cdeposets.posets.Poset", no_build)
         for verb in ("analyze", "cert-tcde", "orbits"):
             code, out = run(capsys, verb, "--poset", str(path), "--budget", "5")
             assert code == 3, verb
             assert json.loads(out) == {"error": "J(P) exceeds the ideal budget of 5"}
     code, _ = run(capsys, "analyze", "--poset", str(path), "--budget", "6")
     assert code == 0
+
+
+def test_shape_over_the_budget_exits_3_before_building(capsys, monkeypatch):
+    # a shape of 5 boxes has at least 6 ideals, so it cannot fit a budget of 5;
+    # J(3,2) has 9
+    def no_build(*args, **kwargs):
+        raise AssertionError("the shape poset was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("cdeposets.shapes._Diagram.poset", no_build)
+        for verb in ("analyze", "cert-tcde", "orbits", "count-tableaux"):
+            code, out = run(capsys, verb, "--shape", "straight:3,2", "--budget", "5")
+            assert code == 3, verb
+            assert json.loads(out) == {"error": "J(P) exceeds the ideal budget of 5"}
+    code, _ = run(capsys, "analyze", "--shape", "straight:3,2", "--budget", "9")
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--shape", "straight:3000", "--budget", "5"],
+        ["count-tableaux", "--shape", "straight:" + ",".join(["1"] * 150), "--budget", "5"],
+    ],
+    ids=["analyze-long-row", "count-tableaux-long-column"],
+)
+def test_large_shape_over_the_budget_exits_3_quickly(argv):
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cdeposets.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=30,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout) == {"error": "J(P) exceeds the ideal budget of 5"}
 
 
 def test_huge_poset_file_exits_3_in_a_capped_process(tmp_path):

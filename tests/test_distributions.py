@@ -6,8 +6,8 @@ import pytest
 
 from cdeposets import (
     Distribution,
+    Poset,
     build_lattice,
-    build_poset,
     chain,
     chain_dist,
     convert_chain_to_mchain,
@@ -115,7 +115,7 @@ def test_maxchain_equals_top_chain_on_graded_lattices():
 
 
 def test_mchain_zero_is_uniform():
-    P = build_poset(4, [(0, 1), (1, 2), (0, 3)])
+    P = Poset(4, [(0, 1), (1, 2), (0, 3)])
     assert mchain_dist(P, 0) == uniform(P)
     assert mmchain_dist(P, 0) == uniform(P)
 
@@ -216,7 +216,7 @@ def test_necklace_lower_bound():
 
 
 def test_conversion_identities_zero():
-    P = build_poset(3, [(0, 2), (1, 2)])
+    P = Poset(3, [(0, 2), (1, 2)])
     assert convert_chain_to_mchain(P, 0) == uniform(P)
     assert convert_chain_to_mmchain(P, 0) == uniform(P)
 
@@ -232,7 +232,7 @@ def test_conversion_identities_exact():
 
 def test_occurrence_counts_brute_force():
     # spot-check the occurrence DP against raw enumeration
-    P = build_poset(4, [(0, 1), (1, 2), (0, 3)])
+    P = Poset(4, [(0, 1), (1, 2), (0, 3)])
     mcs = brute_multichains(P, 3)
     occ = [sum(c.count(p) for c in mcs) for p in range(P.n)]
     mu = mmchain_dist(P, 3)

@@ -5,8 +5,8 @@ from itertools import permutations
 import pytest
 
 from cdeposets import (
+    Poset,
     build_lattice,
-    build_poset,
     chain,
     direct_product,
     expectation,
@@ -102,7 +102,7 @@ def test_sigma_validation():
     L = build_lattice(SkewShape(Partition((4, 2))).poset())
     with pytest.raises(ValueError):
         rank_permuted_rowmotion_map(L, (0, 1))
-    P = build_poset(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])  # not ranked
+    P = Poset(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])  # not ranked
     with pytest.raises(ValueError):
         gyration_map(build_lattice(P))
 
@@ -152,7 +152,7 @@ def test_homomesy_all_sigma_shifted_321():
 
 def test_promotion_word_negative_control():
     # V poset a, b < c with the promotion-style word tau_b tau_c tau_a
-    P = build_poset(3, [(0, 2), (1, 2)])
+    P = Poset(3, [(0, 2), (1, 2)])
     L = build_lattice(P)
     mapping = [apply_toggle_word(L, (1, 2, 0), i) for i in range(L.n)]
     dec = orbit_decomposition(L, mapping)

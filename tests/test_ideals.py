@@ -3,9 +3,9 @@ import random
 import pytest
 
 from cdeposets import (
+    Poset,
     antichain,
     build_lattice,
-    build_poset,
     chain,
     direct_product,
     disjoint_union,
@@ -133,7 +133,7 @@ def test_budget_guard():
 
 def test_budget_below_one_counts_the_empty_ideal():
     # J(P) always holds the empty ideal, so no lattice fits a budget of 0
-    for P in (antichain(0), build_poset(0, [])):
+    for P in (antichain(0), Poset(0, [])):
         assert build_lattice(P, budget=1).n == 1
         for budget in (0, -1):
             with pytest.raises(LatticeBudgetError):

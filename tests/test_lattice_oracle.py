@@ -11,9 +11,9 @@ import pytest
 
 from cdeposets import (
     Distribution,
+    Poset,
     antichain,
     build_lattice,
-    build_poset,
     certify_tcde,
     chain,
     disjoint_union,
@@ -265,7 +265,7 @@ def _shuffled_random_poset(rng, max_n):
         for j in range(i + 1, n)
         if rng.random() < density
     ]
-    return build_poset(n, rels)
+    return Poset(n, rels)
 
 
 def test_random_posets_match_reference():

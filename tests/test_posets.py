@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,7 @@ from cdeposets import (
     CycleError,
     Poset,
     antichain,
-    build_poset,
+    cde_report,
     chain,
     direct_product,
     disjoint_union,
@@ -25,6 +26,7 @@ from cdeposets.posets import (
 )
 
 from conftest import random_poset
+from poset_oracle import brute_order, random_relations, rank_info_reference
 
 
 def test_bits_matches_plain_loop():
@@ -38,12 +40,14 @@ def test_bits_matches_plain_loop():
 
 
 def test_build_reduces_redundant_relations():
-    P = build_poset(3, [(0, 1), (1, 2), (0, 2)])
+    P = Poset(3, [(0, 1), (1, 2), (0, 2)])
     assert P.covers == ((0, 1), (1, 2))
+    # the implied relation (0, 2) is no Hasse edge: a 3-chain has 2 edges
+    assert cde_report(P).edge_density == Fraction(2, 3)
 
 
 def test_singleton():
-    P = build_poset(1, [])
+    P = Poset(1, [])
     assert P.n == 1 and P.covers == ()
 
 
@@ -54,23 +58,56 @@ def test_fix_a_construction(fix_a):
 
 def test_cycle_rejected_with_cycle():
     with pytest.raises(CycleError) as info:
-        build_poset(3, [(0, 1), (1, 2), (2, 0)])
+        Poset(3, [(0, 1), (1, 2), (2, 0)])
     cyc = info.value.cycle
     assert len(cyc) >= 3 and set(cyc) <= {0, 1, 2}
     with pytest.raises(CycleError):
-        build_poset(2, [(0, 0)])
+        Poset(2, [(0, 0)])
+    with pytest.raises(CycleError) as info:
+        Poset(2, [(0, 1), (1, 0)])
+    assert info.value.cycle == [0, 1, 0]
+
+
+def test_construction_matches_brute_force_closure():
+    rng = random.Random(2024)
+    for _ in range(400):
+        n = rng.randint(0, 9)
+        rels = random_relations(rng, n, acyclic=True)
+        covers, strict_up, strict_down = brute_order(n, rels)
+        P = Poset(n, rels)
+        assert (P.covers, P.strict_up, P.strict_down) == (covers, strict_up, strict_down)
+        assert P.up_covers == tuple(tuple(q for a, q in covers if a == p) for p in range(n))
+        assert P.down_covers == tuple(tuple(a for a, q in covers if q == p) for p in range(n))
+
+
+def test_reported_cycle_is_a_real_cycle():
+    rng = random.Random(77)
+    cyclic = 0
+    for _ in range(600):
+        n = rng.randint(1, 9)
+        rels = random_relations(rng, n, acyclic=False)
+        if brute_order(n, rels) is not None:
+            assert Poset(n, rels).n == n
+            continue
+        cyclic += 1
+        with pytest.raises(CycleError) as info:
+            Poset(n, rels)
+        cycle = info.value.cycle
+        assert len(cycle) >= 3 and cycle[0] == cycle[-1]
+        assert all(pair in rels for pair in zip(cycle, cycle[1:]))
+    assert cyclic > 200
 
 
 def test_out_of_range_relation():
     with pytest.raises(PosetError):
-        build_poset(2, [(0, 5)])
+        Poset(2, [(0, 5)])
 
 
 def test_transitive_reduction_idempotent():
     rng = random.Random(3)
     for _ in range(30):
         P = random_poset(rng)
-        again = build_poset(P.n, P.covers)
+        again = Poset(P.n, P.covers)
         assert again.covers == P.covers
 
 
@@ -80,7 +117,7 @@ def test_dual_involution(fix_a):
 
 
 def test_dual_reverses_covers():
-    P = build_poset(3, [(0, 1), (1, 2)])
+    P = Poset(3, [(0, 1), (1, 2)])
     assert dual(P).covers == ((1, 0), (2, 1))
 
 
@@ -131,8 +168,21 @@ def test_rank_info_fix_d(fix_d):
 
 def test_rank_info_unrankable():
     # a diamond with sides of different lengths cannot carry a rank function
-    P = build_poset(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
+    P = Poset(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
     assert not rank_info(P).is_ranked
+
+
+def test_rank_info_matches_reference_route():
+    rng = random.Random(4096)
+    ranked = unranked = 0
+    for _ in range(1200):
+        n = rng.randint(0, 10)
+        P = Poset(n, random_relations(rng, n, acyclic=True))
+        info = rank_info(P)
+        assert info == rank_info_reference(P), P
+        ranked += info.is_ranked
+        unranked += not info.is_ranked
+    assert ranked > 500 and unranked > 100
 
 
 def test_enumerate_chains_fix_a(fix_a):
@@ -167,7 +217,7 @@ def test_graded_iff_all_maximal_chains_have_one_length():
         density = rng.choice((0.15, 0.3, 0.5))
         perm = list(range(n))
         rng.shuffle(perm)
-        P = build_poset(
+        P = Poset(
             n,
             [
                 (perm[i], perm[j])
@@ -195,7 +245,7 @@ def test_isomorphism_relabeling():
         P = random_poset(rng, 6)
         perm = list(range(P.n))
         rng.shuffle(perm)
-        Q = build_poset(P.n, [(perm[a], perm[b]) for a, b in P.covers])
+        Q = Poset(P.n, [(perm[a], perm[b]) for a, b in P.covers])
         assert is_isomorphic(P, Q)
     assert not is_isomorphic(chain(3), disjoint_union(chain(2), chain(1)))
     assert not is_isomorphic(chain(3), chain(4))

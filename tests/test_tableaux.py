@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from cdeposets import (
+    LatticeBudgetError,
+    Poset,
     build_lattice,
-    build_poset,
     count_linear_extensions,
     expectation,
     f_aitken,
@@ -187,7 +188,7 @@ def _split(P, x):
     """P with x split into a 2-chain x < n, n = P.n: x keeps its lower
     covers and n takes over its upper covers."""
     rels = [(P.n if p == x else p, q) for p, q in P.covers]
-    return build_poset(P.n + 1, rels + [(x, P.n)])
+    return Poset(P.n + 1, rels + [(x, P.n)])
 
 
 def test_split_box_count_matches_split_poset_extensions():
@@ -206,7 +207,7 @@ def test_split_box_count_matches_split_poset_extensions():
         n = rng.randint(0, 8)
         density = rng.choice((0.15, 0.35, 0.6))
         rels = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
-        posets.append(build_poset(n, rels))
+        posets.append(Poset(n, rels))
     for P in posets:
         L = build_lattice(P)
         per_box = [count_linear_extensions(_split(P, x)) for x in range(P.n)]
@@ -232,3 +233,14 @@ def test_shifted_split_box_count_matches_formula_to_15_boxes(monkeypatch):
         counts = tableau_counts(ShiftedShape(lam))
         for name in ("barely", "barely_diag_unprimed"):
             assert counts[f"{name}_brute_force"] == counts[f"{name}_formula"], (lam.parts, name)
+
+
+def test_tableau_counts_checks_the_budget_before_the_standard_counts(monkeypatch):
+    # a column of 150 boxes: J(P) has 151 ideals, and the Aitken determinant
+    # would be 150 x 150
+    def no_count(*args, **kwargs):
+        raise AssertionError("the standard count ran before the budget check")
+
+    monkeypatch.setattr("cdeposets.tableaux.f_aitken", no_count)
+    with pytest.raises(LatticeBudgetError):
+        tableau_counts(parse_shape("straight:" + ",".join(["1"] * 150)), budget=5)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cdeposets import build_lattice, build_poset, certify_tcde, find_witness
+from cdeposets import Poset, build_lattice, certify_tcde, find_witness
 from cdeposets.cde import _lex_first_columns, _refute
 from cdeposets.minuscule import parse_family
 from cdeposets.shapes import parse_shape
@@ -58,7 +58,7 @@ def test_named_lattices_match_dense_route(literal):
 
 def test_empty_poset_matches_dense_route():
     # the single ideal is both empty and full
-    L = build_lattice(build_poset(0, []))
+    L = build_lattice(Poset(0, []))
     _assert_same(L)
     assert certify_tcde(L, empty_full_constraint=True).c == 0
 
@@ -77,7 +77,7 @@ def test_random_relabelled_posets_match_dense_route():
             for j in range(i + 1, n)
             if rng.random() < density
         ]
-        L = build_lattice(build_poset(n, rels))
+        L = build_lattice(Poset(n, rels))
         _assert_same(L)
         refuted += certify_tcde(L) is None
     assert refuted > 50
