@@ -1,12 +1,14 @@
 """Counting standard barely set-valued tableaux two ways.
 
-The formula route multiplies a standard-tableau count (determinant or hook
-formula) by an exact maxchain expectation on the corresponding interval;
-the split-box route doubles one box at a time by splitting it into a
-2-chain and counts the linear extensions of the split posets.  Both run on
-the one J(P) that `tableau_counts` builds per shape.  They agree -- and for
-the balanced and shifted-balanced shapes the expectation collapses to a
-clean product formula.
+The formula route weights each ideal of J(P) by the number of maximal
+chains through it: the weight of the empty ideal is the standard count f,
+and the weighted sum of a statistic is (N+1) * f times its exact maxchain
+expectation.  The split-box route doubles one box at a time by splitting
+it into a 2-chain and counts the linear extensions of the split posets.
+Both run on the one J(P) that `tableau_counts` builds per shape.  They
+agree -- and for the balanced and shifted-balanced shapes the expectation
+collapses to a clean product formula.  The hook-length formula and the
+Aitken determinant give f independently.
 """
 
 from cdeposets.shapes import Partition, ShiftedShape, parse_shape

@@ -47,10 +47,10 @@ from . import linalg
 from .distributions import (
     Distribution,
     _chain_moments,
+    _maxchain_weights,
     expectation,
     is_toggle_symmetric,
     longest_chain,
-    maxchain_dist,
 )
 from .ideals import DEFAULT_IDEAL_BUDGET, IdealLattice, build_lattice
 from .posets import _bits
@@ -109,8 +109,8 @@ def cde_report(X) -> CdeReport:
     which carries, per element, the number of chains topped there and their
     ddeg totals; the report keeps its rows for the multichain expectations.
     On J(P) every maximal chain is an |P|-chain, so the maxchain expectation
-    is the last k-chain one; a raw poset need not be graded and takes its
-    maxchain distribution.
+    is the last k-chain one; a raw poset need not be graded and weights ddeg
+    by the number of maximal chains through each element.
     """
     if X.n == 0:
         raise ValueError("the empty poset has no elements to average over")
@@ -121,7 +121,8 @@ def cde_report(X) -> CdeReport:
     if isinstance(X, IdealLattice):
         maxexp = chains[-1]
     else:
-        maxexp = expectation(maxchain_dist(X), ddeg)
+        w = _maxchain_weights(X)
+        maxexp = Fraction(sum([c * d for c, d in zip(w, ddeg)]), sum(w))
     return CdeReport(
         n=X.n,
         edge_density=density,

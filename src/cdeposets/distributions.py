@@ -29,8 +29,8 @@ sum_k C(m+1, k+1) * #{k-chains through p}.
 
 Maximal chains come from a saturated-chain sweep over one cover list, run
 forward and in reverse: on a poset the covers in a linear extension, on J(P)
-``edges()``, whose ideal order sorts by cardinality.
-``tableaux.count_linear_extensions`` shares the sweep.  Toggle-symmetry is a
+``edges()``, whose ideal order sorts by cardinality.  ``tableaux`` reads
+every tableau count off ``_maxchain_weights``.  Toggle-symmetry is a
 lattice notion and takes an IdealLattice.
 """
 
@@ -241,8 +241,8 @@ def _saturated_chains(n: int, edges) -> list[int]:
     return counts
 
 
-def maxchain_dist(X) -> Distribution:
-    """Weight proportional to the number of maximal chains through p."""
+def _maxchain_weights(X) -> list[int]:
+    """Number of maximal chains through each p."""
     if isinstance(X, IdealLattice):
         # edges() runs in canonical ideal order, which sorts by cardinality
         edges = [(i, j) for i, j, _ in X.edges()]
@@ -250,7 +250,12 @@ def maxchain_dist(X) -> Distribution:
         edges = [(p, q) for p in X.topological_order() for q in X.up_covers[p]]
     from_bottom = _saturated_chains(X.n, edges)
     to_top = _saturated_chains(X.n, [(q, p) for p, q in reversed(edges)])
-    return _normalized([u * d for u, d in zip(from_bottom, to_top)])
+    return [u * d for u, d in zip(from_bottom, to_top)]
+
+
+def maxchain_dist(X) -> Distribution:
+    """Weight proportional to the number of maximal chains through p."""
+    return _normalized(_maxchain_weights(X))
 
 
 # --- multichain distributions -----------------------------------------------

@@ -66,6 +66,8 @@ class Poset:
     )
 
     def __init__(self, n: int, relations: Iterable[tuple[int, int]], labels=None):
+        if n < 0:
+            raise PosetError(f"a poset has n >= 0 elements, got n={n}")
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != n:
             raise PosetError("labels must have one entry per element")

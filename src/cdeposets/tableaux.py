@@ -1,17 +1,15 @@
 """Standard tableau counting: determinant, hook-length, and Thrall formulas,
 and every count of a ``count-tableaux`` report, from one J(P) per shape.
 
-`tableau_counts` builds the box poset P of a skew or shifted shape and its
-ideal lattice J(P) once, and counts the standard barely set-valued tableaux
-of each family two ways on it.  A family is a power of two 2^k and a box
-weight w: w(x) counts the ways a tableau whose box x holds two values can
-be primed.  The formula route is (N+1) 2^k f E(maxchain; sum of w over the
-maximal elements of I), with f the standard count.  The split-box route is
-2^k sum_x w(x) e(P_x): doubling box x is the same as splitting x into a
-2-chain, so those tableaux are the linear extensions of the split poset
-P_x, and one integer sweep over J(P) counts them for every x at once.  The
-two routes share only the lattice, so each checks the other; the report
-carries the split-box counts under the ``barely_brute_force`` keys.
+`tableau_counts` builds the box poset P of a skew or shifted shape and J(P)
+once.  One integer sweep gives w_I, the number of maximal chains of J(P)
+through each ideal I.  At the empty ideal that is the standard count f, and
+as every chain has N+1 ideals, sum_I w_I = (N+1) f.  So a barely family
+(2^k, stat) has 2^k sum_I w_I stat(I) = (N+1) 2^k f E(maxchain; stat)
+tableaux, counted in integers.  The split-box route counts them again as
+the linear extensions of the posets P_x that split a box x into a 2-chain;
+the two routes share only J(P) and check each other.  The hook-length and
+Thrall formulas check f; `f_aitken` is a test oracle off the report path.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import linalg
-from .distributions import _saturated_chains, expectation, maxchain_dist
+from .distributions import _maxchain_weights
 from .ideals import DEFAULT_IDEAL_BUDGET, IdealLattice, build_lattice
 from .posets import Poset, _bits
 from .shapes import Partition, ShiftedShape, SkewShape
@@ -31,10 +29,8 @@ SHIFTED_BOX_BUDGET = 6
 
 
 def count_linear_extensions(P: Poset) -> int:
-    """Number of linear extensions, as maximal chains of J(P)."""
-    L = build_lattice(P)
-    # edges() runs in canonical ideal order, which sorts by cardinality
-    return _saturated_chains(L.n, [(i, j) for i, j, _ in L.edges()])[-1]
+    """Number of linear extensions: maximal chains of J(P) through the empty ideal."""
+    return _maxchain_weights(build_lattice(P))[0]
 
 
 def f_aitken(shape: SkewShape) -> int:
@@ -146,43 +142,39 @@ def tableau_counts(
 ) -> dict[str, int]:
     """Standard and barely set-valued tableau counts of a skew or shifted shape.
 
-    The families, as (k, w): a skew shape has one, (0, 1).  A shifted shape
-    takes entries from 1 < 1' < 2 < 2' < ...; standard means every value
-    1..N+1 is used once, so each value may be primed on its own.  Primed:
-    (N+1, 1).  Diagonally unprimed, where the l diagonal boxes hold unprimed
-    values: a filling doubled on the diagonal has N - l free values and any
-    other N + 1 - l, so (N - l, 1 on the diagonal and 2 off it).
+    The families, as (k, box weight v): a skew shape has (0, 1).  A shifted
+    shape takes entries from 1 < 1' < 2 < 2' < ...; standard means every
+    value 1..N+1 is used once, so each value may be primed on its own.
+    Primed: (N+1, 1).  Diagonally unprimed, where the l diagonal boxes hold
+    unprimed values: a filling doubled on the diagonal has N - l free values
+    and any other N + 1 - l, so (N - l, 1 on the diagonal and 2 off it).
 
     ``budget`` bounds the ideals of J(P) (``LatticeBudgetError`` beyond it).
     The split-box counts are left out above ``SKEW_BOX_BUDGET`` boxes for a
     skew shape and ``SHIFTED_BOX_BUDGET`` for a shifted one.
     """
     n = shape.n_boxes
-    # the budget bounds J(P) before the standard counts, whose determinant
-    # grows with the number of rows
     L = build_lattice(shape.poset(), budget=budget)
+    w = _maxchain_weights(L)
     if isinstance(shape, ShiftedShape):
         lam = shape.strict
-        standard = g_thrall(lam)
-        counts = {"standard_unprimed": standard}
+        product = g_thrall(lam)
+        counts = {"standard_unprimed": w[0]}
         unprimed = [1 if box in shape.diagonal else 2 for box in shape.boxes]
         families = [("barely", n + 1, [1] * n), ("barely_diag_unprimed", n - lam.length, unprimed)]
-        box_budget = SHIFTED_BOX_BUDGET
+        split = n <= SHIFTED_BOX_BUDGET
     else:
-        standard = f_aitken(shape)
-        counts = {"standard": standard}
+        product = w[0]
+        counts = {"standard": w[0]}
         if shape.inner.size == 0:
-            counts["standard_hook"] = f_hook(shape.outer)
+            product = counts["standard_hook"] = f_hook(shape.outer)
         families = [("barely", 0, [1] * n)]
-        box_budget = SKEW_BOX_BUDGET
-    mu = maxchain_dist(L)
-    split = n <= box_budget
+        split = n <= SKEW_BOX_BUDGET
+    if product != w[0]:
+        raise ArithmeticError(f"J(P) has {w[0]} maximal chains, the product formula {product}")
     for name, power, weight in families:
         stat = [sum([weight[x] for x in _bits(d)]) for d in L.down]
-        value = (n + 1) * 2**power * standard * expectation(mu, stat)
-        if value.denominator != 1:
-            raise ArithmeticError(f"{name} count is not an integer: {value}")
-        counts[f"{name}_formula"] = int(value)
+        counts[f"{name}_formula"] = 2**power * sum([c * s for c, s in zip(w, stat)])
         if split:
             counts[f"{name}_brute_force"] = 2**power * _split_box_count(L, weight)
     return counts

@@ -103,6 +103,14 @@ def test_out_of_range_relation():
         Poset(2, [(0, 5)])
 
 
+def test_negative_size_rejected():
+    # left to later code, a negative n builds a J(P) of one ideal
+    for n in (-1, -2):
+        with pytest.raises(PosetError, match="n >= 0"):
+            Poset(n, [])
+    assert Poset(0, []).n == 0
+
+
 def test_transitive_reduction_idempotent():
     rng = random.Random(3)
     for _ in range(30):

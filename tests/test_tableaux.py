@@ -21,6 +21,7 @@ from cdeposets.shapes import (
     ShiftedShape,
     SkewShape,
     iter_partitions,
+    iter_skew_shapes,
     iter_strict_partitions,
     parse_shape,
 )
@@ -236,11 +237,40 @@ def test_shifted_split_box_count_matches_formula_to_15_boxes(monkeypatch):
 
 
 def test_tableau_counts_checks_the_budget_before_the_standard_counts(monkeypatch):
-    # a column of 150 boxes: J(P) has 151 ideals, and the Aitken determinant
-    # would be 150 x 150
+    # a column of 150 boxes: J(P) has 151 ideals
     def no_count(*args, **kwargs):
         raise AssertionError("the standard count ran before the budget check")
 
-    monkeypatch.setattr("cdeposets.tableaux.f_aitken", no_count)
+    monkeypatch.setattr("cdeposets.tableaux._maxchain_weights", no_count)
     with pytest.raises(LatticeBudgetError):
         tableau_counts(parse_shape("straight:" + ",".join(["1"] * 150)), budget=5)
+
+
+def test_tableau_counts_runs_no_determinant(monkeypatch):
+    # on a column of k boxes the Aitken determinant is k x k
+    def no_det(*args, **kwargs):
+        raise AssertionError("a determinant ran on the report path")
+
+    monkeypatch.setattr("cdeposets.linalg.det", no_det)
+    monkeypatch.setattr("cdeposets.tableaux.f_aitken", no_det)
+    for k in (80, 150):
+        counts = tableau_counts(parse_shape("straight:" + ",".join(["1"] * k)))
+        assert counts["standard"] == 1
+        assert counts["barely_formula"] == k
+
+
+def test_standard_counts_match_the_determinant_and_thrall():
+    for shape in iter_skew_shapes(7):
+        assert tableau_counts(shape)["standard"] == f_aitken(shape), shape
+    for lam in iter_strict_partitions(15):
+        assert tableau_counts(ShiftedShape(lam))["standard_unprimed"] == g_thrall(lam), lam
+
+
+@pytest.mark.parametrize(
+    "literal, formula", [("shifted:3,2,1", g_thrall), ("straight:3,2", f_hook)]
+)
+def test_product_formula_mismatch_raises(literal, formula, monkeypatch):
+    # the product formula checks the standard count of the maxchain sweep
+    monkeypatch.setattr(f"cdeposets.tableaux.{formula.__name__}", lambda lam: formula(lam) + 1)
+    with pytest.raises(ArithmeticError):
+        tableau_counts(parse_shape(literal))
