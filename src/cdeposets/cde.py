@@ -27,20 +27,20 @@ Both questions are answered from small integer systems rather than from the
   i.e. not tCDE.
 * Witness.  The perturbation v solving [1; T_p; ddeg] v = e_last with free
   variables zero is supported on the lex-first independent columns of that
-  (n+2) x |J| matrix, one column per ideal in canonical order.  The ideals
-  are scanned with an incremental integer elimination that also keeps
-  e_last reduced against the columns chosen so far, and the scan stops at
-  the first chosen column that puts e_last in their span.  The solution on
-  that prefix is unique, so padded with zeros it is the free-variables-zero
-  solution on all of the lex-first independent columns, and v comes from
-  the small (n+2) x (prefix length) system.
+  (n+2) x |J| matrix, one column per ideal in canonical order.
+  ``linalg._eliminate`` reads the ideals' columns in that order, keeps
+  e_last reduced against the columns chosen so far, and stops at the first
+  chosen column that puts e_last in their span.  The solution on that
+  prefix is unique, so padded with zeros it is the free-variables-zero
+  solution on all of the lex-first independent columns; v is read off the
+  same elimination and re-checked in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, lcm
 from typing import Optional
 
 from . import linalg
@@ -272,35 +272,6 @@ def certify_tcde(
     return TcdeCertificate(c=sol[0], kappa=tuple(sol[1 : L.base.n + 1]))
 
 
-def _lex_first_columns(columns, target) -> list[tuple[int, tuple]]:
-    """The lex-first independent columns, with their indices, up to the
-    first one that puts ``target`` in their span, found by incremental
-    fraction-free elimination.  Raises ArithmeticError when the columns run
-    out with ``target`` still outside their span."""
-    basis = []  # (pivot position, reduced integer vector)
-    chosen = []
-    t = list(target)  # target reduced against the basis
-    for i, col in enumerate(columns):
-        v = list(col)
-        for pos, b in basis:
-            if v[pos]:
-                f, g = b[pos], v[pos]
-                v = [f * x - g * y for x, y in zip(v, b)]
-        pos = next((k for k, x in enumerate(v) if x), None)
-        if pos is None:
-            continue
-        g = gcd(*v)
-        b = [x // g for x in v]
-        basis.append((pos, b))
-        chosen.append((i, col))
-        if t[pos]:
-            f, g = b[pos], t[pos]
-            t = [f * x - g * y for x, y in zip(t, b)]
-            if not any(t):
-                return chosen
-    raise ArithmeticError("target is not in the span of the columns")
-
-
 def find_witness(L: IdealLattice) -> Optional[TcdeWitness]:
     """Constructive tCDE refutation: uniform plus a kernel perturbation.
 
@@ -319,10 +290,14 @@ def _refute(L: IdealLattice) -> TcdeWitness:
         for u, d, dd in zip(L.up, L.down, L.ddeg)
     )
     e_last = [0] * (nP + 1) + [1]
-    chosen = _lex_first_columns(columns, e_last)
-    block = [list(row) for row in zip(*[col for _, col in chosen])]
-    v = _solve_consistent(block, e_last)
+    chosen, d, y, _ = linalg._eliminate(columns, e_last)
+    # sum_i y_i col_i = d e_last, checked in integers
+    if y is None or [
+        sum([col[r] * x for (_, col), x in zip(chosen, y)]) for r in range(nP + 2)
+    ] != [0] * (nP + 1) + [d]:
+        raise ArithmeticError("exact elimination failed on a consistent system")
     base = Fraction(1, L.n)
+    v = [Fraction(x, d) for x in y]
     eps = min(base / -x for x in v if x < 0)
     weights = [base] * L.n
     for (i, _), x in zip(chosen, v):

@@ -1,13 +1,14 @@
 """Exact linear algebra by fraction-free integer elimination: solve, det.
 
 Entries may be ints or Fractions.  Each row is first scaled to integers by
-the lcm of its denominators, then reduced with Bareiss's (1968) one-step
-fraction-free elimination: after k pivots every entry below the pivot rows
-is a (k+1)-minor of the scaled matrix, so each update divides exactly by the
-previous pivot and no rational arithmetic or gcds are needed.  The pivot of
-each column is its first nonzero entry at or below the current row; the
-pivot columns are therefore the lex-first independent columns, whatever the
-row order.  Matrices are lists of row lists.
+the lcm of its denominators.  One routine, ``_eliminate``, then does all the
+work: Bareiss's (1968) one-step fraction-free elimination, run column by
+column.  After k pivots every entry below the pivot rows is a (k+1)-minor of
+the scaled matrix, so each update divides exactly by the previous pivot and
+no rational arithmetic or gcds are needed.  A column is a pivot when it has
+a nonzero entry at or below the next pivot row; the pivot columns are
+therefore the lex-first independent columns, whatever the row order.
+Matrices are lists of row lists.
 """
 
 from __future__ import annotations
@@ -25,76 +26,92 @@ def _integer_rows(matrix):
     return rows
 
 
-def _echelon(rows, n_cols):
-    """Bareiss forward elimination in place over the first n_cols columns.
+def _eliminate(columns, target=None):
+    """Fraction-free elimination of integer columns, read in order.
 
-    Returns (pivot columns, sign of the row permutation).  Pivot row k is
-    rows[k] and its pivot rows[k][cols[k]] is the k+1 leading minor on the
-    pivot columns.
+    Each new column gets, lazily, the Bareiss steps of the pivots found so
+    far: the arithmetic of the row-wise algorithm, except that a run of
+    steps whose multiplier is 0 (each a pure rescale) is folded into the
+    next step that has a nonzero one.  ``target`` is reduced alongside, and
+    reading stops at the first chosen column that puts it in the span of
+    the chosen ones; a zero target stops before any column is read.
+    Without a target every column is read until the rows run out.
+
+    Returns (chosen, d, y, sign).  ``chosen`` lists the (index, column)
+    pairs of the pivot columns read; d is the last pivot, the determinant of
+    the chosen block on the pivot rows (1 if none); y holds the integers
+    with d * x = y for the unique x such that the chosen columns times x
+    give the target, or is None when there is no target or it is out of
+    reach; sign is the sign of the row permutation.
     """
-    cols = []
+    t = None if target is None else list(target)
+    pivots = []  # (reduced column, pivot), rows in the current order
+    chosen = []
+    perm = None  # perm[r] is the input row now at row r
     sign = 1
-    prev = 1
-    r = 0
-    n_rows = len(rows)
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pivot = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if pivot is None:
+    reached = t is not None and not any(t)
+    for i, col in enumerate([] if reached else columns):
+        if perm is None:
+            perm = list(range(len(col)))
+        x = [col[r] for r in perm]
+        prev = last = 1  # the divisor of the next applied step; the last pivot
+        for j, (f, pv) in enumerate(pivots):
+            a = x[j]
+            if a:
+                if prev != last:
+                    x[j] = a * last // prev
+                x[j + 1 :] = [(pv * u - g * a) // prev for u, g in zip(x[j + 1 :], f[j + 1 :])]
+                prev = pv
+            last = pv
+        k = len(pivots)
+        r = next((r for r in range(k, len(x)) if x[r]), None)
+        if r is None:
             continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
+        if prev != last:
+            x[k:] = [u * last // prev for u in x[k:]]
+        if r != k:
             sign = -sign
-        top = rows[r]
-        pv = top[c]
-        for i in range(r + 1, n_rows):
-            row = rows[i]
-            f = row[c]
-            rows[i] = row[:c] + [
-                (pv * a - f * b) // prev for a, b in zip(row[c:], top[c:])
-            ]
-        cols.append(c)
-        prev = pv
-        r += 1
-    return cols, sign
-
-
-def _back_substitute(rows, cols, rhs, n_cols):
-    """The solution with free variables zero of the echelon system rows x = rhs.
-
-    rhs holds one value per pivot row.  With D the last pivot, D * x is an
-    integer vector (Cramer's rule on the pivot block), so every division
-    below is exact.
-    """
-    sol = [Fraction(0)] * n_cols
-    if not cols:
-        return sol
-    det = rows[len(cols) - 1][cols[-1]]
-    y = {}
-    for r in range(len(cols) - 1, -1, -1):
-        row = rows[r]
-        acc = det * rhs[r] - sum(row[c] * y[c] for c in cols[r + 1 :])
-        y[cols[r]] = acc // row[cols[r]]
-    for c, v in y.items():
-        sol[c] = Fraction(v, det)
-    return sol
+            for v in [perm, x, *[f for f, _ in pivots]] + ([] if t is None else [t]):
+                v[k], v[r] = v[r], v[k]
+        pivots.append((x, x[k]))
+        chosen.append((i, col))
+        if t is not None:
+            a = t[k]
+            t[k + 1 :] = [(x[k] * u - g * a) // last for u, g in zip(t[k + 1 :], x[k + 1 :])]
+            reached = not any(t[k + 1 :])
+        if reached or k + 1 == len(x):
+            break
+    d = pivots[-1][1] if pivots else 1
+    if not reached:
+        return chosen, d, None, sign
+    # back substitution: d * x is an integer vector (Cramer's rule on the
+    # pivot block), so every division is exact
+    y = [0] * len(pivots)
+    for r in range(len(pivots) - 1, -1, -1):
+        acc = d * t[r] - sum([pivots[j][0][r] * y[j] for j in range(r + 1, len(y))])
+        y[r] = acc // pivots[r][1]
+    return chosen, d, y, sign
 
 
 def solve(matrix, rhs):
     """One solution of A x = b over the rationals, or None if inconsistent.
 
     Free variables are zero, so the solution is supported on the lex-first
-    independent columns of A.
+    independent columns of A.  Columns are read only until b lies in their
+    span: the solution on that prefix is unique, so the rest stay zero.
     """
     if not matrix:
         return []
     n_cols = len(matrix[0])
     aug = _integer_rows([list(row) + [b] for row, b in zip(matrix, rhs)])
-    cols, _ = _echelon(aug, n_cols + 1)
-    if cols and cols[-1] == n_cols:
+    columns = list(zip(*aug))
+    chosen, d, y, _ = _eliminate(columns[:n_cols], columns[n_cols])
+    if y is None:
         return None
-    return _back_substitute(aug, cols, [row[n_cols] for row in aug], n_cols)
+    sol = [Fraction(0)] * n_cols
+    for (c, _), v in zip(chosen, y):
+        sol[c] = Fraction(v, d)
+    return sol
 
 
 def det(matrix) -> Fraction:
@@ -104,7 +121,7 @@ def det(matrix) -> Fraction:
         return Fraction(1)
     rows = _integer_rows(matrix)
     scale = prod(lcm(*[x.denominator for x in row]) for row in matrix)
-    cols, sign = _echelon(rows, n)
-    if len(cols) < n:
+    chosen, d, _, sign = _eliminate(zip(*rows))
+    if len(chosen) < n:
         return Fraction(0)
-    return Fraction(sign * rows[n - 1][n - 1], scale)
+    return Fraction(sign * d, scale)

@@ -418,7 +418,8 @@ def poset_to_json(P: Poset) -> str:
 
 
 def poset_from_dict(d: dict) -> Poset:
-    """n and the relation ids must be JSON integers (not floats or booleans)."""
+    """n and the relation ids must be JSON integers (not floats or booleans);
+    labels, when given, a list of strings."""
     try:
         n = d["n"]
         relations = [(a, b) for a, b in d["relations"]]
@@ -431,7 +432,12 @@ def poset_from_dict(d: dict) -> Poset:
             raise PosetError(
                 f"malformed poset document: relation ids must be integers, got {[a, b]!r}"
             )
-    return Poset(n, relations, d.get("labels"))
+    labels = d.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+    ):
+        raise PosetError(f"malformed poset document: labels must be strings, got {labels!r}")
+    return Poset(n, relations, labels)
 
 
 def load_poset(path) -> Poset:

@@ -56,3 +56,27 @@ def test_degenerate_shapes():
     assert linalg.det([]) == 1
     assert linalg.det([[1, 2], [2, 4]]) == 0
     assert linalg.det([[0, 1], [1, 0]]) == -1
+
+
+def test_solve_reads_no_column_once_the_rhs_is_spanned(monkeypatch):
+    real = linalg._eliminate
+    read = []
+
+    def counting(columns, target=None):
+        def gen():
+            for i, col in enumerate(columns):
+                read.append(i)
+                yield col
+
+        return real(gen(), target)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    A = [[1, 0, 2, 0], [0, 1, 3, 0], [0, 0, 0, 1]]
+    assert linalg.solve(A, [0, 2, 0]) == [0, 2, 0, 0]
+    assert read == [0, 1]
+    read.clear()
+    assert linalg.solve(A, [0, 0, 0]) == [0, 0, 0, 0]
+    assert read == []
+    read.clear()
+    assert linalg.solve(A, [1, 1, 1]) == [1, 1, 0, 1]
+    assert read == [0, 1, 2, 3]

@@ -277,6 +277,8 @@ def test_json_round_trip(fix_b, tmp_path):
         {"n": 2, "relations": [[0.9, 1]]},
         {"n": 2, "relations": [[True, 1]]},
         {"n": 2, "relations": [[0, 1, 1]]},
+        {"n": 2, "relations": [], "labels": 5},
+        {"n": 2, "relations": [], "labels": ["a", 1]},
     ],
 )
 def test_poset_from_dict_rejects_non_integers(doc):

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from cdeposets import Poset, build_lattice, certify_tcde, find_witness
-from cdeposets.cde import _lex_first_columns, _refute
+from cdeposets import Poset, build_lattice, certify_tcde, find_witness, linalg
+from cdeposets.cde import _refute
 from cdeposets.minuscule import parse_family
 from cdeposets.shapes import parse_shape
 
@@ -90,6 +90,8 @@ def _dense_columns(L):
 
 
 def test_lex_first_columns_stop_once_the_target_is_in_their_span():
+    """The eliminator behind the witness reads the ideals' columns only up to
+    the first chosen one that puts e_last in their span."""
     L = build_lattice(parse_shape("skew:7,6,5,4/3,1").poset())
     columns, e_last = _dense_columns(L)
     read = []
@@ -99,17 +101,24 @@ def test_lex_first_columns_stop_once_the_target_is_in_their_span():
             read.append(i)
             yield col
 
-    chosen = _lex_first_columns(counting(), e_last)
+    chosen, d, y, _ = linalg._eliminate(counting(), e_last)
+    assert y is not None
     assert len(read) < L.n
     assert chosen[-1][0] == read[-1]
     pivots = [c for _, c in _echelon([list(map(Fraction, r)) for r in zip(*columns)])]
     assert [i for i, _ in chosen] == pivots[: len(chosen)]
     assert [col for _, col in chosen] == [columns[i] for i, _ in chosen]
+    # d * v = y solves the chosen block exactly
+    assert [sum(col[r] * x for (_, col), x in zip(chosen, y)) for r in range(len(e_last))] == [
+        d * e for e in e_last
+    ]
 
 
 def test_lex_first_columns_raise_when_the_target_is_out_of_reach():
     L = build_lattice(parse_family("minuscule:axb:2x3").realized)
     assert certify_tcde(L) is not None
     columns, e_last = _dense_columns(L)
+    _, _, y, _ = linalg._eliminate(iter(columns), e_last)
+    assert y is None
     with pytest.raises(ArithmeticError):
-        _lex_first_columns(iter(columns), e_last)
+        _refute(L)
