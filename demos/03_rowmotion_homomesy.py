@@ -34,7 +34,10 @@ def main():
     i = lattice.index[0]
     steps = []
     while True:
-        steps.append(tuple(c for c in shape.ideal_cols(lattice, i) if c) or "empty")
+        # the ideal as a partition: its boxes in each row of (4,2)
+        boxes = [shape.boxes[k] for k in lattice.members(i)]
+        rows = [sum(1 for r, _ in boxes if r == row) for row in (1, 2)]
+        steps.append(tuple(c for c in rows if c) or "empty")
         i = g[i]
         if i == lattice.index[0]:
             break

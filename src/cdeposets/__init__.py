@@ -1,7 +1,7 @@
 """Exact-arithmetic combinatorics of finite posets and their ideal lattices:
-chain/multichain/maxchain distributions, CDE/mCDE decisions, tCDE
-certificates and witnesses, rowmotion/gyration homomesy, and standard
-(barely) set-valued tableau counting."""
+chain/maxchain distributions, CDE/mCDE decisions, tCDE certificates and
+witnesses, rowmotion/gyration homomesy, and standard (barely) set-valued
+tableau counting."""
 
 from .cde import (
     CdeReport,
@@ -15,15 +15,9 @@ from .cde import (
 from .distributions import (
     Distribution,
     chain_dist,
-    convert_chain_to_mchain,
-    convert_chain_to_mmchain,
     expectation,
     is_toggle_symmetric,
     maxchain_dist,
-    mchain_dist,
-    mmchain_dist,
-    necklace_count,
-    rank_dist,
     uniform,
 )
 from .dynamics import (
@@ -33,22 +27,17 @@ from .dynamics import (
     homomesy_report,
     orbit_decomposition,
     rank_permuted_rowmotion_map,
-    rowmotion,
     rowmotion_map,
 )
-from .ideals import IdealLattice, LatticeBudgetError, build_lattice, toggle, toggleability
+from .ideals import IdealLattice, LatticeBudgetError, build_lattice
 from .posets import (
-    Chain,
     CycleError,
     Poset,
     PosetError,
     RankInfo,
-    antichain,
     chain,
     direct_product,
-    disjoint_union,
     dual,
-    enumerate_chains,
     is_isomorphic,
     load_poset,
     rank_info,
@@ -60,12 +49,9 @@ from .shapes import (
     classify_shifted_balanced,
     parse_shape,
     rectangle,
-    rook,
-    rook_placement,
-    shifted_rook_placement,
     staircase,
 )
-from .tableaux import count_linear_extensions, f_aitken, f_hook, g_thrall, tableau_counts
+from .tableaux import f_aitken, f_hook, g_thrall, tableau_counts
 
 from types import ModuleType as _ModuleType
 

@@ -9,11 +9,13 @@ has no edge density, and a ``--budget`` or ``scan`` bound below 1), 3 budget
 exceeded (also by a poset file of n >= budget elements or a shape of
 n >= budget boxes, refused before P is built, as J(P) has at least n + 1
 ideals), 4 internal error (any other exception, such as a failed
-self-check).  Codes 2-4 write a JSON object {"error": ...}, except for
-malformed flags, which argparse reports on stderr with code 2; an internal
-error also prints its traceback to stderr.  Each verb accepts only the flags
-it reads (see ``_VERB_FLAGS``), spelled out in full.  An ``--out`` file that
-cannot be opened is an input error whose JSON goes to standard output.
+self-check).  Codes 2-4 write the object {"error": ...} as JSON, or, for
+``scan --format csv``, as a one-column CSV (the header ``error``, then the
+message).  Malformed flags are the exception: argparse reports them on
+stderr with code 2.  An internal error also prints its traceback to stderr.
+Each verb accepts only the flags it reads (see ``_VERB_FLAGS``), spelled out
+in full.  An ``--out`` file that cannot be opened is an input error whose
+JSON goes to standard output.
 
 ``analyze --poset`` reports on the poset in the file itself (the
 counterexample fixtures are studied directly); every other lattice verb, and

@@ -1,9 +1,9 @@
 """Exact probability distributions on finite posets and ideal lattices.
 
-All of the distributions here (uniform, rank, k-chain, maxchain, the two
-multichain flavors) are exact rational weight vectors, computed by counting
-rather than enumeration.  Every function takes a raw Poset or an
-IdealLattice J(P); a lattice is never turned into a Poset on its ideals.
+All of the distributions here (uniform, k-chain, maxchain) are exact
+rational weight vectors, computed by counting rather than enumeration.
+Every function takes a raw Poset or an IdealLattice J(P); a lattice is never
+turned into a Poset on its ideals.
 
 Chains are counted by walks of the strict steps, which map a vector g to,
 for each x, the sum of g over the elements strictly below x (or above x,
@@ -21,11 +21,8 @@ walk carrying, per element p, the count a(p) of k-chains topped by p and the
 total b(p) of stat over them, a' = step(a), b' = step(b) + stat * a'.  Their
 sums A_k, B_k give the k-chain expectation B_k / ((k+1) A_k) and, weighted
 by C(m, k) or C(m+1, k+1), the multichain ones (``CdeReport``).  The
-per-element distributions glue a walk down from p to one up from p in
-``chain_counts_through``: an m-multichain whose support is a k-chain can be
-formed in C(m, k) ways, so the mchain weight of p is
-sum_k C(m, k) * #{k-chains through p}, and the mmchain weight (positions)
-sum_k C(m+1, k+1) * #{k-chains through p}.
+k-chain distribution glues a walk down from p to one up from p in
+``chain_counts_through``.
 
 Maximal chains come from a saturated-chain sweep over one cover list, run
 forward and in reverse: on a poset the covers in a linear extension, on J(P)
@@ -37,11 +34,9 @@ lattice notion and takes an IdealLattice.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import comb
 
 from .ideals import IdealLattice
-from .posets import _bits, longest_chain_length, rank_info
+from .posets import _bits, longest_chain_length
 
 
 class Distribution:
@@ -84,43 +79,9 @@ def expectation(mu: Distribution, stat) -> Fraction:
     return sum((Fraction(f) * w for f, w in zip(stat, mu)), Fraction(0))
 
 
-def convex_combination(parts) -> Distribution:
-    """Normalized nonnegative combination sum w_i * mu_i / sum w_i."""
-    parts = [(Fraction(w), mu) for w, mu in parts]
-    total = sum(w for w, _ in parts)
-    if total <= 0:
-        raise ValueError("combination needs positive total weight")
-    size = len(parts[0][1])
-    acc = [Fraction(0)] * size
-    for w, mu in parts:
-        for i, x in enumerate(mu):
-            acc[i] += w * x
-    return Distribution([x / total for x in acc])
-
-
 def uniform(X) -> Distribution:
     n = X.n
     return Distribution([Fraction(1, n)] * n)
-
-
-def rank_dist(L: IdealLattice) -> Distribution:
-    """Weight 1/(r+2) on each of the ideals P_{<=i}, i = -1..r.
-
-    Requires the base poset to be graded of rank r.
-    """
-    info = rank_info(L.base)
-    if not info.is_graded:
-        raise ValueError("rank_dist requires a graded base poset")
-    r = info.top_rank
-    weights = [Fraction(0)] * L.n
-    share = Fraction(1, r + 2)
-    for i in range(-1, r + 1):
-        mask = 0
-        for p in range(L.base.n):
-            if info.rank[p] <= i:
-                mask |= 1 << p
-        weights[L.index[mask]] += share
-    return Distribution(weights)
 
 
 # --- chain counts: strict walks, one saturated-chain sweep -----------------
@@ -221,7 +182,7 @@ def chain_dist(X, k: int) -> Distribution:
     r = longest_chain(X)
     if not 0 <= k <= r:
         raise ValueError(f"k={k} out of range 0..{r} for this poset")
-    return _normalized(_glue(*_walks(X, k), k))
+    return _normalized(chain_counts_through(X, k)[k])
 
 
 def _normalized(weights) -> Distribution:
@@ -258,37 +219,6 @@ def maxchain_dist(X) -> Distribution:
     return _normalized(_maxchain_weights(X))
 
 
-# --- multichain distributions -----------------------------------------------
-
-
-def _multichain_dist(X, m: int, per_chain) -> Distribution:
-    """Weight of p proportional to sum_k per_chain(k) * #{k-chains through p}."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    rows = chain_counts_through(X, min(m, longest_chain(X)))
-    coeffs = [per_chain(k) for k in range(len(rows))]
-    return _normalized([sum([c * row[p] for c, row in zip(coeffs, rows)]) for p in range(X.n)])
-
-
-def mchain_dist(X, m: int) -> Distribution:
-    """Weight proportional to the number of m-multichains through p.
-
-    An m-multichain x_0 <= ... <= x_m whose support is a k-chain repeats
-    its k+1 elements in one of C(m, k) ways (compositions of m+1 into k+1
-    parts), so p lies on sum_k C(m, k) * #{k-chains through p} of them.
-    """
-    return _multichain_dist(X, m, lambda k: comb(m, k))
-
-
-def mmchain_dist(X, m: int) -> Distribution:
-    """Weight proportional to the number of times p occurs in an m-multichain.
-
-    Over the C(m, k) multichains on one k-chain support, each support
-    element fills (m+1)/(k+1) * C(m, k) = C(m+1, k+1) positions in total.
-    """
-    return _multichain_dist(X, m, lambda k: comb(m + 1, k + 1))
-
-
 # --- toggle-symmetry ----------------------------------------------------------
 
 
@@ -305,71 +235,3 @@ def is_toggle_symmetric(L: IdealLattice, mu: Distribution) -> bool:
             for p in _bits(d):
                 balance[p] -= w
     return not any(balance)
-
-
-# --- necklace counts and the conversion identities ---------------------------
-
-
-def necklace_count(n: int, k: int) -> int:
-    """Number of rotation-orbits of k-subsets of [n].
-
-    The rotation sends S = {s_1 < ... < s_k} to
-    {n+1-s_k} u {n+1-s_k+s_i : i < k}; it corresponds to cyclically rotating
-    the composition of n+1 into k+1 parts attached to S.  Computed by
-    explicit orbit enumeration (intended for desk-scale n).
-    """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    if k == 0:
-        return 1
-
-    def zeta(S):
-        s = sorted(S)
-        base = n + 1 - s[-1]
-        return frozenset([base] + [base + x for x in s[:-1]])
-
-    seen = set()
-    orbits = 0
-    for tup in combinations(range(1, n + 1), k):
-        S = frozenset(tup)
-        if S in seen:
-            continue
-        orbits += 1
-        T = S
-        while True:
-            seen.add(T)
-            T = zeta(T)
-            if T == S:
-                break
-    return orbits
-
-
-def _chain_combination(X, m: int, weight) -> Distribution:
-    """sum_k weight(k, #{k-chains}) * chain(k) over k = 0..min(m, longest
-    chain), normalized; every k-chain has k+1 elements, so the k-chain count
-    is the row sum of the through-counts over k+1."""
-    parts = []
-    for k, through in enumerate(chain_counts_through(X, min(m, longest_chain(X)))):
-        total = sum(through)
-        if total:
-            parts.append((weight(k, total // (k + 1)), _normalized(through)))
-    return convex_combination(parts)
-
-
-def convert_chain_to_mchain(X, m: int) -> Distribution:
-    """mchain(m) realized as a convex combination of chain(k) distributions.
-
-    The weight on chain(k) is (k+1) * #{k-chains} * C(m, k); this equals
-    mchain_dist(X, m) exactly (each side counts m-multichains through p).
-    """
-    return _chain_combination(X, m, lambda k, nk: (k + 1) * nk * comb(m, k))
-
-
-def convert_chain_to_mmchain(X, m: int) -> Distribution:
-    """mmchain(m) realized as a convex combination of chain(k) distributions.
-
-    The weight on chain(k) is #{k-chains} * C(m, k): expanding, the weight of
-    p is proportional to sum_k C(m,k)/(k+1) * #{k-chains through p}, which is
-    1/(m+1) times the number of (multichain, position) pairs occupied by p.
-    """
-    return _chain_combination(X, m, lambda k, nk: nk * comb(m, k))

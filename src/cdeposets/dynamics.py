@@ -20,9 +20,9 @@ element by element:
   the union of their masks: a rank-permuted rowmotion is one index array per
   such run, composed (gyration, evens then odds, takes two).
 
-``rowmotion``, ``toggle`` and ``apply_toggle_word`` stay as the per-element
-routes that the tests check these maps against; rowmotion as the toggle word
-of a linear extension lives with the test oracles.
+The per-element routes that the tests check these maps against (rowmotion
+as the down-closure of the minimal elements of the complement, single
+toggles and toggle words) live with the test oracles.
 """
 
 from __future__ import annotations
@@ -31,28 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .distributions import Distribution
-from .ideals import IdealLattice, toggle
+from .ideals import IdealLattice
 from .posets import rank_info
 from .serialize import rat_str
-
-
-def rowmotion(L: IdealLattice, i: int) -> int:
-    """Down-closure of the minimal elements of the complement."""
-    P = L.base
-    mask = L.ideals[i]
-    new = 0
-    for p in range(P.n):
-        if not mask >> p & 1 and P.strict_down[p] & ~mask == 0:
-            new |= 1 << p | P.strict_down[p]
-    return L.index[new]
-
-
-def apply_toggle_word(L: IdealLattice, word: Sequence[int], i: int) -> int:
-    """Apply toggles right-to-left: the last letter acts first."""
-    for p in reversed(word):
-        i = toggle(L, i, p)
-    return i
 
 
 def rowmotion_map(L: IdealLattice) -> list[int]:
@@ -145,15 +126,6 @@ def orbit_decomposition(L: IdealLattice, mapping: Sequence[int]) -> OrbitDecompo
     return OrbitDecomposition(tuple(orbits))
 
 
-def orbit_uniform(L: IdealLattice, orbit: Sequence[int]) -> Distribution:
-    """Uniform on the orbit, zero outside."""
-    w = [Fraction(0)] * L.n
-    share = Fraction(1, len(orbit))
-    for i in orbit:
-        w[i] += share
-    return Distribution(w)
-
-
 def homomesy_report(L: IdealLattice, mapping: Sequence[int], stat) -> dict:
     """Per-orbit exact averages of a statistic; homomesic iff all agree."""
     dec = orbit_decomposition(L, mapping)
@@ -172,8 +144,3 @@ def homomesy_report(L: IdealLattice, mapping: Sequence[int], stat) -> dict:
 def antichain_cardinality(L: IdealLattice):
     """#max(I), which equals the down-degree in J(P)."""
     return L.ddeg
-
-
-def signed_toggleability(L: IdealLattice, p: int):
-    """T_p = T+_p - T-_p over the ideals, read off the label masks."""
-    return tuple([(u >> p & 1) - (d >> p & 1) for u, d in zip(L.up, L.down)])

@@ -35,8 +35,7 @@ canonical order with no sort key.
 The masks are the only storage of the cover relation of J(P) and of the
 toggleability statistics: the Hasse edges out of ideal i add the bits of
 ``up[i]`` (``edges()`` yields them), T+_p(I) is bit p of ``up[i]`` and
-T-_p(I) is bit p of ``down[i]``.  Readers walk or mask those bits directly;
-``toggleability`` unpacks one column on request.
+T-_p(I) is bit p of ``down[i]``.  Readers walk or mask those bits directly.
 """
 
 from __future__ import annotations
@@ -108,23 +107,6 @@ class IdealLattice:
     def members(self, i: int) -> list[int]:
         return _bits(self.ideals[i])
 
-    def addable(self, mask: int, p: int) -> bool:
-        P = self.base
-        return not mask >> p & 1 and P.strict_down[p] & ~mask == 0
-
-    def removable(self, mask: int, p: int) -> bool:
-        P = self.base
-        return bool(mask >> p & 1) and P.strict_up[p] & mask == 0
-
-    def dump(self) -> dict:
-        """Debug dump: ideal member lists, edges, ddeg array."""
-        return {
-            "n_ideals": self.n,
-            "ideals": [self.members(i) for i in range(self.n)],
-            "edges": [[i, j] for i, j, _ in self.edges()],
-            "ddeg": list(self.ddeg),
-        }
-
 
 def build_lattice(P: Poset, budget: int = DEFAULT_IDEAL_BUDGET) -> IdealLattice:
     """Enumerate J(P) level by level from the empty ideal, reaching each
@@ -178,22 +160,4 @@ def build_lattice(P: Poset, budget: int = DEFAULT_IDEAL_BUDGET) -> IdealLattice:
         tuple([d.bit_count() for d in downs]),
         tuple(ups),
         tuple(downs),
-    )
-
-
-def toggle(L: IdealLattice, i: int, p: int) -> int:
-    """Index of tau_p applied to ideal i (fixed point when p is stuck)."""
-    mask = L.ideals[i]
-    if L.addable(mask, p):
-        return L.index[mask | 1 << p]
-    if L.removable(mask, p):
-        return L.index[mask & ~(1 << p)]
-    return i
-
-
-def toggleability(L: IdealLattice, p: int):
-    """(T+_p, T-_p) as 0/1 statistics over the ideals, read off the masks."""
-    return (
-        tuple([u >> p & 1 for u in L.up]),
-        tuple([d >> p & 1 for d in L.down]),
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
+from pathlib import Path
 from typing import Optional
 
 from .cde import _identity_failure, certify_tcde
@@ -23,19 +23,14 @@ from .shapes import ShiftedShape, SkewShape, rectangle, staircase
 
 
 def _load_exceptional(name: str) -> dict:
-    text = resources.files("cdeposets.data").joinpath(f"{name}.json").read_text()
-    return json.loads(text)
+    with open(Path(__file__).with_name("data") / f"{name}.json", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def exceptional_poset(name: str) -> Poset:
     """P(E6) or P(E7), from the transcribed data file."""
     d = _load_exceptional(name.lower())
     return Poset(d["n"], [tuple(c) for c in d["covers"]])
-
-
-def exceptional_kappa(name: str) -> tuple[Fraction, ...]:
-    d = _load_exceptional(name.lower())
-    return tuple([Fraction(k) for k in d["kappa"]])
 
 
 def propeller_poset(a: int, b: int, c: int, d: int) -> Poset:

@@ -12,10 +12,10 @@ library targets (a few thousand elements at most).
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .serialize import dumps
 
 
 class PosetError(ValueError):
@@ -66,6 +66,10 @@ class Poset:
     )
 
     def __init__(self, n: int, relations: Iterable[tuple[int, int]], labels=None):
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise PosetError(f"a poset has an integer number of elements, got n={n!r}") from None
         if n < 0:
             raise PosetError(f"a poset has n >= 0 elements, got n={n}")
         self.labels = tuple(labels) if labels is not None else None
@@ -73,7 +77,10 @@ class Poset:
             raise PosetError("labels must have one entry per element")
         succ = [set() for _ in range(n)]
         for p, q in relations:
-            p, q = int(p), int(q)
+            try:
+                p, q = operator.index(p), operator.index(q)
+            except TypeError:
+                raise PosetError(f"relation ids must be integers, got ({p!r},{q!r})") from None
             if not (0 <= p < n and 0 <= q < n):
                 raise PosetError(f"relation ({p},{q}) references an id >= n={n}")
             if p == q:
@@ -111,9 +118,6 @@ class Poset:
 
     # --- order queries ------------------------------------------------
 
-    def leq(self, p: int, q: int) -> bool:
-        return p == q or bool(self.strict_up[p] >> q & 1)
-
     def less(self, p: int, q: int) -> bool:
         return bool(self.strict_up[p] >> q & 1)
 
@@ -150,26 +154,6 @@ class Poset:
 
     def topological_order(self) -> list[int]:
         return _topological_order(self.n, self.up_covers)
-
-    def linear_extensions(self):
-        """Yield all linear extensions as tuples of element ids."""
-        n = self.n
-        ext: list[int] = []
-        placed = [0]  # bitmask of placed elements
-
-        def rec():
-            if len(ext) == n:
-                yield tuple(ext)
-                return
-            for p in range(n):
-                if not placed[0] >> p & 1 and self.strict_down[p] & ~placed[0] == 0:
-                    placed[0] |= 1 << p
-                    ext.append(p)
-                    yield from rec()
-                    ext.pop()
-                    placed[0] &= ~(1 << p)
-
-        yield from rec()
 
     def __repr__(self):
         return f"Poset(n={self.n}, covers={list(self.covers)})"
@@ -229,14 +213,6 @@ def dual(P: Poset) -> Poset:
     return Poset(P.n, [(q, p) for p, q in P.covers], P.labels)
 
 
-def disjoint_union(P: Poset, Q: Poset) -> Poset:
-    covers = list(P.covers) + [(p + P.n, q + P.n) for p, q in Q.covers]
-    labels = None
-    if P.labels is not None and Q.labels is not None:
-        labels = P.labels + Q.labels
-    return Poset(P.n + Q.n, covers, labels)
-
-
 def direct_product(P: Poset, Q: Poset) -> Poset:
     """Direct product; element (p, q) gets id p*Q.n + q (lexicographic)."""
     covers = []
@@ -252,10 +228,6 @@ def direct_product(P: Poset, Q: Poset) -> Poset:
 def chain(a: int) -> Poset:
     """The chain poset on a elements."""
     return Poset(a, [(i, i + 1) for i in range(a - 1)])
-
-
-def antichain(a: int) -> Poset:
-    return Poset(a, [])
 
 
 @dataclass(frozen=True)
@@ -294,52 +266,6 @@ def rank_info(P: Poset) -> RankInfo:
     tops = {ranks[x] for x in range(n) if not P.up_covers[x]}
     graded = not any(ranks[x] for x in P.minimals()) and len(tops) <= 1
     return RankInfo(True, graded, ranks, max(ranks) if n else 0)
-
-
-@dataclass(frozen=True)
-class Chain:
-    elements: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.elements) - 1
-
-
-def enumerate_chains(P: Poset, k: int = 0, maximal_only: bool = False) -> list[Chain]:
-    """All k-chains (strictly increasing (k+1)-sequences), or all maximal chains."""
-    if maximal_only:
-        out = []
-        seq: list[int] = []
-
-        def rec(x):
-            seq.append(x)
-            if not P.up_covers[x]:
-                out.append(Chain(tuple(seq)))
-            else:
-                for y in P.up_covers[x]:
-                    rec(y)
-            seq.pop()
-
-        for s in P.minimals():
-            rec(s)
-        return out
-    if k < 0:
-        raise PosetError("chain length k must be >= 0")
-    out = []
-    seq = []
-
-    def rec_k(x):
-        seq.append(x)
-        if len(seq) == k + 1:
-            out.append(Chain(tuple(seq)))
-        else:
-            for y in _bits(P.strict_up[x]):
-                rec_k(y)
-        seq.pop()
-
-    for s in range(P.n):
-        rec_k(s)
-    return out
 
 
 def longest_chain_length(P: Poset) -> int:
@@ -411,10 +337,6 @@ def is_isomorphic(P: Poset, Q: Poset) -> bool:
 
 
 # --- JSON poset file format -------------------------------------------------
-
-
-def poset_to_json(P: Poset) -> str:
-    return dumps(P.to_dict()) + "\n"
 
 
 def poset_from_dict(d: dict) -> Poset:

@@ -1,4 +1,5 @@
-"""Partitions, skew and shifted shapes, balancedness, rooks, and placements.
+"""Partitions, skew and shifted shapes, outward corners, balancedness, and
+the shifted-balanced classification.
 
 Matrix coordinates throughout: lattice point (i, j) has i growing south and
 j growing east, the bounding box's northwest point is (0, 0), and box [i, j]
@@ -10,10 +11,7 @@ shape's runs (r - 1, r - 1 + lambda_r].  Outward corners are read off those
 intervals.  The southeast corners are the points (r, hi_{r+1}) with
 hi_{r+1} < hi_r.  The northwest corners of a skew shape are the points
 (r, lo_r) with lo_r > lo_{r+1}; the shifted inner border, the diagonal, has
-none.  An order ideal I of the box poset fills an initial segment of each
-row, so its border ends row r at c_r = lo_r + |I & row r|.  An SE corner
-(x, y) lies on that border iff c_{x+1} = y < c_x, an NW corner iff
-c_{x+1} < y = c_x.
+none.
 """
 
 from __future__ import annotations
@@ -22,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from . import linalg
-from .ideals import IdealLattice
 from .posets import Poset
 
 
@@ -34,7 +30,7 @@ class Partition:
     def __post_init__(self):
         parts = tuple([int(p) for p in self.parts])
         if any(p < 0 for p in parts):
-            raise ValueError("partition parts must be positive")
+            raise ValueError("partition parts must be nonnegative")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be weakly decreasing: {parts}")
         # weakly decreasing and nonnegative: only trailing parts can be zero
@@ -94,21 +90,11 @@ def staircase(d: int) -> Partition:
     return Partition(tuple(range(d, 0, -1)))
 
 
-def stretch(shape: "SkewShape", a: int, b: int) -> "SkewShape":
-    """Replace each box by an a x b rectangle ((lambda/nu) o b^a)."""
-    outer = []
-    inner = []
-    for i in range(1, shape.raw_rows + 1):
-        outer.extend([shape.outer.part(i) * b] * a)
-        inner.extend([shape.inner.part(i) * b] * a)
-    return SkewShape(Partition(tuple(outer)), Partition(tuple(inner)))
-
-
 class _Diagram:
     """What skew and shifted diagrams share, built from the column interval
     (lo, hi] of each row: ``boxes`` in row reading order, ``box_index``
     (box -> position in ``boxes``), and ``diagonal``, the main-diagonal boxes
-    that the shifted rook statistic treats apart (empty for skew shapes)."""
+    that the shifted statistics treat apart (empty for skew shapes)."""
 
     boxes: tuple[tuple[int, int], ...]
     box_index: dict[tuple[int, int], int]
@@ -139,36 +125,10 @@ class _Diagram:
                 rels.append((self.box_index[(i, j)], self.box_index[(i + 1, j)]))
         return Poset(self.n_boxes, rels)
 
-    def render_ideal(self, L: IdealLattice, idx: int) -> str:
-        """Debug text rendering of an ideal: '#' in-ideal, '.' rest of shape."""
-        mask = L.ideals[idx]
-        grid = [[" "] * max(self._hi, default=0) for _ in self._hi]
-        for k, (i, j) in enumerate(self.boxes):
-            grid[i - 1][j - 1] = "#" if mask >> k & 1 else "."
-        return "\n".join("".join(row).rstrip() for row in grid)
-
-    def _ideal_cols(self, L: IdealLattice, idx: int) -> list[int]:
-        """c_r = lo_r + |I & row r| for ideal idx, row r at position r - 1.
-
-        A row's boxes are consecutive bits of the ideal's mask."""
-        mask = L.ideals[idx]
-        cols = []
-        for lo, hi in zip(self._lo, self._hi):
-            cols.append(lo + (mask & ((1 << (hi - lo)) - 1)).bit_count())
-            mask >>= hi - lo
-        return cols
-
     def _se_corners(self) -> list[tuple[int, int]]:
         """Points (r, hi_{r+1}) with hi_{r+1} < hi_r, from the bottom row up."""
         hi = self._hi
         return [(r, hi[r]) for r in range(len(hi) - 1, 0, -1) if hi[r] < hi[r - 1]]
-
-
-def _attacks(kind: str, pt: tuple[int, int], i: int, j: int) -> bool:
-    """Corner pt is in C_ij: an NW corner strictly northwest of box [i,j]'s
-    center, an SE corner strictly southeast of it."""
-    x, y = pt
-    return (x < i and y < j) if kind == "NW" else (x >= i and y >= j)
 
 
 class SkewShape(_Diagram):
@@ -183,7 +143,6 @@ class SkewShape(_Diagram):
             raise ValueError(f"inner {inner} not contained in outer {outer}")
         self.outer = outer
         self.inner = inner
-        self.raw_rows = outer.length
         occupied = [
             i for i in range(1, outer.length + 1) if outer.part(i) > inner.part(i)
         ]
@@ -204,9 +163,6 @@ class SkewShape(_Diagram):
         """Nonempty, and every row shares a column with the row below it."""
         return bool(self.boxes) and all(lo < hi for lo, hi in zip(self._lo, self._hi[1:]))
 
-    # the partition rho of ideal idx, as column counts
-    ideal_cols = _Diagram._ideal_cols
-
     def corners(self) -> list[tuple[str, tuple[int, int]]]:
         """Outward corners: ("NW", pt) on the inner border, ("SE", pt) on the
         outer, each from the bottom row up.  The NW corners are the points
@@ -221,25 +177,6 @@ class SkewShape(_Diagram):
             raise ValueError("balancedness is defined for connected shapes")
         a, b = self.a, self.b
         return all(b * x + a * y == a * b for _, (x, y) in self.corners())
-
-    def corners_attacking(self, i: int, j: int):
-        """C_ij: inner-border corners strictly northwest of box [i,j]'s center
-        plus outer-border corners strictly southeast of it.
-
-        These are exactly the corners whose missing toggleability terms skew
-        the rook sum: R_ij(I) = 1 + #(corners of C_ij on I's border).
-        """
-        return [(kind, pt) for kind, pt in self.corners() if _attacks(kind, pt, i, j)]
-
-    def contained_corners(self, L: IdealLattice, idx: int):
-        """Outward corners on ideal idx's border: with c its column counts,
-        SE (x, y) iff c_{x+1} = y < c_x and NW (x, y) iff c_{x+1} < y = c_x."""
-        c = self.ideal_cols(L, idx)
-        return [
-            (kind, (x, y))
-            for kind, (x, y) in self.corners()
-            if (c[x] == y < c[x - 1] if kind == "SE" else c[x] < y == c[x - 1])
-        ]
 
     def __repr__(self):
         return f"SkewShape({self.outer}/{self.inner})"
@@ -257,56 +194,12 @@ class ShiftedShape(_Diagram):
         super().__init__([(i, i + p) for i, p in enumerate(strict.parts)])
         self.diagonal = frozenset([(i, i) for i in range(1, self.n_rows + 1)])
 
-    def ideal_partition(self, L: IdealLattice, idx: int) -> Partition:
-        cols = self._ideal_cols(L, idx)
-        return Partition(tuple([c - lo for c, lo in zip(cols, self._lo)]))
-
     def corners(self) -> list[tuple[int, int]]:
         """Southeast outward corners; the diagonal inner border has none."""
         return self._se_corners()
 
-    def corners_attacking(self, i: int, j: int) -> list[tuple[int, int]]:
-        """C^shift_ij: corners strictly southeast of box [i,j]'s center."""
-        return [(x, y) for x, y in self.corners() if x >= i and y >= j]
-
-    def contained_corners(self, L: IdealLattice, idx: int) -> list[tuple[int, int]]:
-        """Corners (x, y) on ideal idx's border: c_{x+1} = y < c_x."""
-        c = self._ideal_cols(L, idx)
-        return [(x, y) for x, y in self.corners() if c[x] == y < c[x - 1]]
-
     def __repr__(self):
         return f"ShiftedShape({self.strict})"
-
-
-# --- rook statistics ----------------------------------------------------------
-
-
-def rook(shape, L: IdealLattice, i: int, j: int):
-    """The rook statistic R_ij over J(P) of a skew or shifted shape.
-
-    For a shifted shape this is R^shift_ij: the two negative sums skip the
-    main-diagonal boxes.  Each of the four sums is a popcount of the
-    ideal's addable (``up``) or removable (``down``) mask against the boxes
-    it counts.
-    """
-    if (i, j) not in shape:
-        raise ValueError(f"[{i},{j}] is not a box of {shape}")
-    plus_pos = minus_pos = minus_neg = plus_neg = 0
-    for k, (x, y) in enumerate(shape.boxes):
-        off_diagonal = (x, y) not in shape.diagonal
-        if x <= i and y <= j:
-            plus_pos |= 1 << k
-        if x >= i and y >= j:
-            minus_pos |= 1 << k
-        if x < i and y < j and off_diagonal:
-            minus_neg |= 1 << k
-        if x > i and y > j and off_diagonal:
-            plus_neg |= 1 << k
-    vals = []
-    for u, d in zip(L.up, L.down):
-        v = (u & plus_pos).bit_count() - (u & plus_neg).bit_count()
-        vals.append(Fraction(v + (d & minus_pos).bit_count() - (d & minus_neg).bit_count()))
-    return tuple(vals)
 
 
 # --- shifted-balanced classification ------------------------------------------
@@ -371,74 +264,6 @@ def classify_shifted_balanced(lam: Partition) -> Optional[ShiftedClass]:
     return None
 
 
-# --- rook placements -----------------------------------------------------------
-
-
-def rook_placement(shape: SkewShape) -> dict[tuple[int, int], Fraction]:
-    """Coefficients with row sums b, column sums a, and (for balanced shapes)
-    zero aggregate over every corner's attack set; found by exact linear solve."""
-    if not shape.is_connected():
-        raise ValueError("rook placement needs a connected shape")
-    boxes = shape.boxes
-    rows_sys = [[int(x == i) for x, _ in boxes] for i in range(1, shape.a + 1)]
-    rows_sys += [[int(y == j) for _, y in boxes] for j in range(1, shape.b + 1)]
-    rhs = [shape.b] * shape.a + [shape.a] * shape.b
-    if shape.is_balanced():
-        for kind, pt in shape.corners():
-            rows_sys.append([int(_attacks(kind, pt, i, j)) for i, j in boxes])
-            rhs.append(0)
-    sol = linalg.solve(rows_sys, rhs)
-    if sol is None:
-        raise ValueError(f"no rook placement exists for {shape}")
-    return dict(zip(boxes, sol))
-
-
-def shifted_rook_placement(
-    lam: Partition, cls: Optional[ShiftedClass] = None
-) -> dict[tuple[int, int], Fraction]:
-    """The explicit Type1/Type2 placement; conditions (a),(b),(c) are
-    re-verified before returning."""
-    if cls is None:
-        cls = classify_shifted_balanced(lam)
-    if cls is None or cls.kind not in {"type1", "type2"}:
-        raise ValueError(f"{lam} is not shifted-balanced of Type 1 or 2")
-    shape = ShiftedShape(lam)
-    n, k = cls.n, cls.k
-    lam1 = lam.part(1)
-    r = {box: Fraction(0) for box in shape.boxes}
-    for i in range(1, k + 1):
-        r[(i, i)] = Fraction(1 + 2 * i - lam1)
-        r[(i, i + 1)] = Fraction(lam1 - 1 - 2 * i)
-    for i in range(k + 1, n):
-        r[(i, i)] = Fraction(3 + 2 * k - lam1)
-        r[(i, i + 1)] = Fraction(lam1 - 1 - 2 * k)
-    r[(n, n)] = Fraction(3 + 2 * k - lam1)
-    if cls.kind == "type2":
-        for t in range(1, n - k):
-            r[(n, n + t)] = Fraction(2)
-    for i in range(1, k + 1):
-        r[(i, lam1 + 1 - i)] = Fraction(2)
-    _check_shifted_placement(shape, r)
-    return r
-
-
-def _check_shifted_placement(shape: ShiftedShape, r) -> None:
-    for i, j in shape.boxes:
-        if i == j:
-            nw = sum(v for (x, y), v in r.items() if x <= i and y <= j)
-            se = sum(v for (x, y), v in r.items() if x >= i and y >= j)
-            if nw + se != 4:
-                raise AssertionError(f"condition (b) fails at diagonal box [{i},{i}]")
-        else:
-            col = sum(v for (x, y), v in r.items() if y == j)
-            row = sum(v for (x, y), v in r.items() if x == i)
-            if col != 2 or row != 2:
-                raise AssertionError(f"condition (a) fails at box [{i},{j}]")
-    for x, y in shape.corners():
-        if sum(r[(i, j)] for i, j in shape.boxes if x >= i and y >= j) != 0:
-            raise AssertionError(f"condition (c) fails at corner {(x, y)}")
-
-
 # --- generators and literals ----------------------------------------------------
 
 
@@ -495,11 +320,6 @@ def _skew_shapes(max_boxes: int, connected: bool) -> Iterator[SkewShape]:
                 if rows[-1][0] == 0:
                     inner = Partition(tuple([r[0] for r in rows]))
                     yield SkewShape(Partition(tuple([r[1] for r in rows])), inner)
-
-
-def iter_skew_shapes(max_boxes: int) -> Iterator[SkewShape]:
-    """Skew shapes, possibly disconnected, with at most max_boxes boxes."""
-    yield from _skew_shapes(max_boxes, False)
 
 
 def iter_connected_skew_shapes(max_boxes: int) -> Iterator[SkewShape]:

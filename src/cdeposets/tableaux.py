@@ -20,17 +20,12 @@ from math import factorial
 from . import linalg
 from .distributions import _maxchain_weights
 from .ideals import DEFAULT_IDEAL_BUDGET, IdealLattice, build_lattice
-from .posets import Poset, _bits
+from .posets import _bits
 from .shapes import Partition, ShiftedShape, SkewShape
 
 # largest shapes that get the split-box counts
 SKEW_BOX_BUDGET = 9
 SHIFTED_BOX_BUDGET = 6
-
-
-def count_linear_extensions(P: Poset) -> int:
-    """Number of linear extensions: maximal chains of J(P) through the empty ideal."""
-    return _maxchain_weights(build_lattice(P))[0]
 
 
 def f_aitken(shape: SkewShape) -> int:
@@ -62,14 +57,20 @@ def hook_lengths(lam: Partition) -> dict[tuple[int, int], int]:
     }
 
 
+def _hook_quotient(hooks, size: int, name: str) -> int:
+    """size! over the product of the hooks; an ArithmeticError names the
+    product when it does not divide."""
+    prod = 1
+    for h in hooks:
+        prod *= h
+    if factorial(size) % prod:
+        raise ArithmeticError(f"{name} {prod} does not divide {size}!")
+    return factorial(size) // prod
+
+
 def f_hook(lam: Partition) -> int:
     """Hook-length formula for a straight shape."""
-    prod = 1
-    for h in hook_lengths(lam).values():
-        prod *= h
-    if factorial(lam.size) % prod:
-        raise ArithmeticError(f"hook product {prod} does not divide {lam.size}!")
-    return factorial(lam.size) // prod
+    return _hook_quotient(hook_lengths(lam).values(), lam.size, "hook product")
 
 
 def shifted_hook_lengths(lam: Partition) -> dict[tuple[int, int], int]:
@@ -89,12 +90,7 @@ def g_thrall(lam: Partition) -> int:
     """Unprimed standard shifted tableaux of a strict shape."""
     if not lam.is_strict:
         raise ValueError(f"{lam} is not strict")
-    prod = 1
-    for h in shifted_hook_lengths(lam).values():
-        prod *= h
-    if factorial(lam.size) % prod:
-        raise ArithmeticError(f"shifted hook product {prod} does not divide {lam.size}!")
-    return factorial(lam.size) // prod
+    return _hook_quotient(shifted_hook_lengths(lam).values(), lam.size, "shifted hook product")
 
 
 # --- barely set-valued counts -------------------------------------------------

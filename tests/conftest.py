@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -71,7 +72,7 @@ def brute_multichains(P: Poset, m: int) -> list[tuple[int, ...]]:
             out.append(tuple(seq))
             return
         for x in range(P.n):
-            if not seq or P.leq(seq[-1], x):
+            if not seq or seq[-1] == x or P.less(seq[-1], x):
                 rec(seq + [x])
 
     rec([])
@@ -103,6 +104,30 @@ def brute_kchains(P: Poset, k: int) -> list[tuple[int, ...]]:
 
     rec([])
     return out
+
+
+def maximal_chains(P: Poset) -> list[tuple[int, ...]]:
+    """Every maximal chain: from a minimal element up covers to a maximal one."""
+    out = []
+
+    def rec(seq):
+        if not P.up_covers[seq[-1]]:
+            out.append(tuple(seq))
+        for y in P.up_covers[seq[-1]]:
+            rec(seq + [y])
+
+    for s in P.minimals():
+        rec([s])
+    return out
+
+
+def linear_extensions(P: Poset) -> list[tuple[int, ...]]:
+    """Every linear extension: the orders of the elements that keep each cover."""
+    return [
+        order
+        for order in permutations(range(P.n))
+        if all(order.index(p) < order.index(q) for p, q in P.covers)
+    ]
 
 
 def component_key(shape) -> tuple:

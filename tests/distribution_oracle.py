@@ -1,0 +1,153 @@
+"""Per-element distributions and identities that the tests check the library
+against: the rank and multichain distributions, the conversion identities
+between the chain and multichain families, and necklace counts.
+
+The library answers the multichain questions from the chain moments of one
+walk (``CdeReport.multichain_expectations``).  Here the mchain and mmchain
+distributions are built element by element from the k-chain through-counts
+of ``chain_counts_through``: an m-multichain whose support is a k-chain can
+be formed in C(m, k) ways, so the mchain weight of p is
+sum_k C(m, k) * #{k-chains through p}, and the mmchain weight (positions)
+sum_k C(m+1, k+1) * #{k-chains through p}.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+from math import comb
+
+from cdeposets.distributions import (
+    Distribution,
+    _normalized,
+    chain_counts_through,
+    longest_chain,
+)
+from cdeposets.posets import rank_info
+
+
+def convex_combination(parts) -> Distribution:
+    """Normalized nonnegative combination sum w_i * mu_i / sum w_i."""
+    parts = [(Fraction(w), mu) for w, mu in parts]
+    total = sum(w for w, _ in parts)
+    if total <= 0:
+        raise ValueError("combination needs positive total weight")
+    size = len(parts[0][1])
+    acc = [Fraction(0)] * size
+    for w, mu in parts:
+        for i, x in enumerate(mu):
+            acc[i] += w * x
+    return Distribution([x / total for x in acc])
+
+
+def rank_dist(L) -> Distribution:
+    """Weight 1/(r+2) on each of the ideals P_{<=i}, i = -1..r.
+
+    Requires the base poset to be graded of rank r.
+    """
+    info = rank_info(L.base)
+    if not info.is_graded:
+        raise ValueError("rank_dist requires a graded base poset")
+    r = info.top_rank
+    weights = [Fraction(0)] * L.n
+    share = Fraction(1, r + 2)
+    for i in range(-1, r + 1):
+        mask = 0
+        for p in range(L.base.n):
+            if info.rank[p] <= i:
+                mask |= 1 << p
+        weights[L.index[mask]] += share
+    return Distribution(weights)
+
+
+def _multichain_dist(X, m: int, per_chain) -> Distribution:
+    """Weight of p proportional to sum_k per_chain(k) * #{k-chains through p}."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    rows = chain_counts_through(X, min(m, longest_chain(X)))
+    coeffs = [per_chain(k) for k in range(len(rows))]
+    return _normalized([sum([c * row[p] for c, row in zip(coeffs, rows)]) for p in range(X.n)])
+
+
+def mchain_dist(X, m: int) -> Distribution:
+    """Weight proportional to the number of m-multichains through p.
+
+    An m-multichain x_0 <= ... <= x_m whose support is a k-chain repeats
+    its k+1 elements in one of C(m, k) ways (compositions of m+1 into k+1
+    parts), so p lies on sum_k C(m, k) * #{k-chains through p} of them.
+    """
+    return _multichain_dist(X, m, lambda k: comb(m, k))
+
+
+def mmchain_dist(X, m: int) -> Distribution:
+    """Weight proportional to the number of times p occurs in an m-multichain.
+
+    Over the C(m, k) multichains on one k-chain support, each support
+    element fills (m+1)/(k+1) * C(m, k) = C(m+1, k+1) positions in total.
+    """
+    return _multichain_dist(X, m, lambda k: comb(m + 1, k + 1))
+
+
+def necklace_count(n: int, k: int) -> int:
+    """Number of rotation-orbits of k-subsets of [n].
+
+    The rotation sends S = {s_1 < ... < s_k} to
+    {n+1-s_k} u {n+1-s_k+s_i : i < k}; it corresponds to cyclically rotating
+    the composition of n+1 into k+1 parts attached to S.  Computed by
+    explicit orbit enumeration (intended for desk-scale n).
+    """
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    if k == 0:
+        return 1
+
+    def zeta(S):
+        s = sorted(S)
+        base = n + 1 - s[-1]
+        return frozenset([base] + [base + x for x in s[:-1]])
+
+    seen = set()
+    orbits = 0
+    for tup in combinations(range(1, n + 1), k):
+        S = frozenset(tup)
+        if S in seen:
+            continue
+        orbits += 1
+        T = S
+        while True:
+            seen.add(T)
+            T = zeta(T)
+            if T == S:
+                break
+    return orbits
+
+
+def _chain_combination(X, m: int, weight) -> Distribution:
+    """sum_k weight(k, #{k-chains}) * chain(k) over k = 0..min(m, longest
+    chain), normalized; every k-chain has k+1 elements, so the k-chain count
+    is the row sum of the through-counts over k+1."""
+    parts = []
+    for k, through in enumerate(chain_counts_through(X, min(m, longest_chain(X)))):
+        total = sum(through)
+        if total:
+            parts.append((weight(k, total // (k + 1)), _normalized(through)))
+    return convex_combination(parts)
+
+
+def convert_chain_to_mchain(X, m: int) -> Distribution:
+    """mchain(m) realized as a convex combination of chain(k) distributions.
+
+    The weight on chain(k) is (k+1) * #{k-chains} * C(m, k); this equals
+    mchain_dist(X, m) exactly (each side counts m-multichains through p).
+    """
+    return _chain_combination(X, m, lambda k, nk: (k + 1) * nk * comb(m, k))
+
+
+def convert_chain_to_mmchain(X, m: int) -> Distribution:
+    """mmchain(m) realized as a convex combination of chain(k) distributions.
+
+    The weight on chain(k) is #{k-chains} * C(m, k): expanding, the weight of
+    p is proportional to sum_k C(m,k)/(k+1) * #{k-chains through p}, which is
+    1/(m+1) times the number of (multichain, position) pairs occupied by p.
+    """
+    return _chain_combination(X, m, lambda k, nk: nk * comb(m, k))

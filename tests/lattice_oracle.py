@@ -5,18 +5,22 @@ level-by-level enumeration must agree with: a breadth-first search that tries
 every element of P on every ideal, a sort keyed on the member lists, and one
 pass over every (ideal, element) pair for the Hasse edges, the down-degrees
 and the toggleability tables (``toggle_tables``, which the other test
-oracles read as well).  ``rank_permuted_by_toggles`` applies a rank-permuted
-rowmotion one ``toggle`` call per element, and
-``rowmotion_via_linear_extension`` applies rowmotion as the toggle word of a
-linear extension.
+oracles read as well).  ``toggle`` moves one ideal by one element, tested
+against the strict down- and up-sets of P; ``rowmotion`` maps one ideal to
+the down-closure of the minimal elements of its complement.
+``rank_permuted_by_toggles`` applies a rank-permuted rowmotion one ``toggle``
+call per element, and ``rowmotion_via_linear_extension`` applies rowmotion as
+the toggle word of a linear extension.  ``orbit_uniform`` and ``dump`` build
+the uniform distribution on an orbit and a plain listing of a lattice.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from types import SimpleNamespace
 
-from cdeposets.dynamics import apply_toggle_word
-from cdeposets.ideals import LatticeBudgetError, toggle
+from cdeposets.distributions import Distribution
+from cdeposets.ideals import LatticeBudgetError
 from cdeposets.posets import _bits, rank_info
 
 
@@ -97,3 +101,51 @@ def rank_permuted_by_toggles(L, sigma):
 def rowmotion_via_linear_extension(L, extension):
     """Rowmotion as the toggle word of a linear extension of the base poset."""
     return [apply_toggle_word(L, extension, i) for i in range(L.n)]
+
+
+def toggle(L, i: int, p: int) -> int:
+    """Index of tau_p applied to ideal i (fixed point when p is stuck)."""
+    P = L.base
+    mask = L.ideals[i]
+    if not mask >> p & 1 and P.strict_down[p] & ~mask == 0:
+        return L.index[mask | 1 << p]
+    if mask >> p & 1 and P.strict_up[p] & mask == 0:
+        return L.index[mask & ~(1 << p)]
+    return i
+
+
+def rowmotion(L, i: int) -> int:
+    """Down-closure of the minimal elements of the complement."""
+    P = L.base
+    mask = L.ideals[i]
+    new = 0
+    for p in range(P.n):
+        if not mask >> p & 1 and P.strict_down[p] & ~mask == 0:
+            new |= 1 << p | P.strict_down[p]
+    return L.index[new]
+
+
+def apply_toggle_word(L, word, i: int) -> int:
+    """Apply toggles right-to-left: the last letter acts first."""
+    for p in reversed(word):
+        i = toggle(L, i, p)
+    return i
+
+
+def orbit_uniform(L, orbit) -> Distribution:
+    """Uniform on the orbit, zero outside."""
+    w = [Fraction(0)] * L.n
+    share = Fraction(1, len(orbit))
+    for i in orbit:
+        w[i] += share
+    return Distribution(w)
+
+
+def dump(L) -> dict:
+    """Ideal member lists, edges and the ddeg array."""
+    return {
+        "n_ideals": L.n,
+        "ideals": [L.members(i) for i in range(L.n)],
+        "edges": [[i, j] for i, j, _ in L.edges()],
+        "ddeg": list(L.ddeg),
+    }

@@ -8,13 +8,27 @@ strictly between, which is the definition; ``Poset(n, relations)`` must
 agree with it.  ``rank_info_reference`` spreads ranks over one component at
 a time, checking every cover it meets as it goes and then every cover of
 the component again; ``posets.rank_info`` must return the same ``RankInfo``.
+``disjoint_union`` and ``antichain`` build the test posets that combine
+others or have no relations.
 """
 
 from __future__ import annotations
 
 import random
 
-from cdeposets.posets import RankInfo
+from cdeposets.posets import Poset, RankInfo
+
+
+def disjoint_union(P, Q) -> Poset:
+    covers = list(P.covers) + [(p + P.n, q + P.n) for p, q in Q.covers]
+    labels = None
+    if P.labels is not None and Q.labels is not None:
+        labels = P.labels + Q.labels
+    return Poset(P.n + Q.n, covers, labels)
+
+
+def antichain(a: int) -> Poset:
+    return Poset(a, [])
 
 
 def brute_order(n: int, relations):

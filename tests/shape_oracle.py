@@ -7,9 +7,18 @@ northeast end (with a west/north zigzag along the diagonal in the shifted
 case), an outward corner is a north-then-east (SE) or east-then-north (NW)
 turn of a shape's border path, and a corner lies on an ideal's border when
 both of its steps are steps of the ideal's path.
+
+It also holds what the tests of the rook lemmas use: the rook statistic
+R_ij over J(P), the rook placements of skew and shifted shapes, the stretch
+of a skew shape, and a text rendering of an ideal.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+from cdeposets import linalg
+from cdeposets.shapes import Partition, ShiftedShape, SkewShape, classify_shifted_balanced
 
 
 def _row_counts(shape, L, idx, n_rows: int) -> list[int]:
@@ -131,3 +140,123 @@ def shifted_contained_corners(shape, L, idx: int):
         for x, y in shifted_corners(shape)
         if ((x + 1, y), (x, y)) in steps and ((x, y), (x, y + 1)) in steps
     ]
+
+
+# --- the rook lemmas -------------------------------------------------------------
+
+
+def _attacks(kind: str, pt: tuple[int, int], i: int, j: int) -> bool:
+    """Corner pt is in C_ij: an NW corner strictly northwest of box [i,j]'s
+    center, an SE corner strictly southeast of it."""
+    x, y = pt
+    return (x < i and y < j) if kind == "NW" else (x >= i and y >= j)
+
+
+def rook(shape, L, i: int, j: int):
+    """The rook statistic R_ij over J(P) of a skew or shifted shape.
+
+    For a shifted shape this is R^shift_ij: the two negative sums skip the
+    main-diagonal boxes.  Each of the four sums is a popcount of the
+    ideal's addable (``up``) or removable (``down``) mask against the boxes
+    it counts.
+    """
+    if (i, j) not in shape:
+        raise ValueError(f"[{i},{j}] is not a box of {shape}")
+    plus_pos = minus_pos = minus_neg = plus_neg = 0
+    for k, (x, y) in enumerate(shape.boxes):
+        off_diagonal = (x, y) not in shape.diagonal
+        if x <= i and y <= j:
+            plus_pos |= 1 << k
+        if x >= i and y >= j:
+            minus_pos |= 1 << k
+        if x < i and y < j and off_diagonal:
+            minus_neg |= 1 << k
+        if x > i and y > j and off_diagonal:
+            plus_neg |= 1 << k
+    vals = []
+    for u, d in zip(L.up, L.down):
+        v = (u & plus_pos).bit_count() - (u & plus_neg).bit_count()
+        vals.append(Fraction(v + (d & minus_pos).bit_count() - (d & minus_neg).bit_count()))
+    return tuple(vals)
+
+
+def rook_placement(shape: SkewShape) -> dict[tuple[int, int], Fraction]:
+    """Coefficients with row sums b, column sums a, and (for balanced shapes)
+    zero aggregate over every corner's attack set; found by exact linear solve."""
+    if not shape.is_connected():
+        raise ValueError("rook placement needs a connected shape")
+    boxes = shape.boxes
+    rows_sys = [[int(x == i) for x, _ in boxes] for i in range(1, shape.a + 1)]
+    rows_sys += [[int(y == j) for _, y in boxes] for j in range(1, shape.b + 1)]
+    rhs = [shape.b] * shape.a + [shape.a] * shape.b
+    if shape.is_balanced():
+        for kind, pt in shape.corners():
+            rows_sys.append([int(_attacks(kind, pt, i, j)) for i, j in boxes])
+            rhs.append(0)
+    sol = linalg.solve(rows_sys, rhs)
+    if sol is None:
+        raise ValueError(f"no rook placement exists for {shape}")
+    return dict(zip(boxes, sol))
+
+
+def shifted_rook_placement(lam: Partition, cls=None) -> dict[tuple[int, int], Fraction]:
+    """The explicit Type1/Type2 placement; conditions (a),(b),(c) are
+    re-verified before returning."""
+    if cls is None:
+        cls = classify_shifted_balanced(lam)
+    if cls is None or cls.kind not in {"type1", "type2"}:
+        raise ValueError(f"{lam} is not shifted-balanced of Type 1 or 2")
+    shape = ShiftedShape(lam)
+    n, k = cls.n, cls.k
+    lam1 = lam.part(1)
+    r = {box: Fraction(0) for box in shape.boxes}
+    for i in range(1, k + 1):
+        r[(i, i)] = Fraction(1 + 2 * i - lam1)
+        r[(i, i + 1)] = Fraction(lam1 - 1 - 2 * i)
+    for i in range(k + 1, n):
+        r[(i, i)] = Fraction(3 + 2 * k - lam1)
+        r[(i, i + 1)] = Fraction(lam1 - 1 - 2 * k)
+    r[(n, n)] = Fraction(3 + 2 * k - lam1)
+    if cls.kind == "type2":
+        for t in range(1, n - k):
+            r[(n, n + t)] = Fraction(2)
+    for i in range(1, k + 1):
+        r[(i, lam1 + 1 - i)] = Fraction(2)
+    _check_shifted_placement(shape, r)
+    return r
+
+
+def _check_shifted_placement(shape: ShiftedShape, r) -> None:
+    for i, j in shape.boxes:
+        if i == j:
+            nw = sum(v for (x, y), v in r.items() if x <= i and y <= j)
+            se = sum(v for (x, y), v in r.items() if x >= i and y >= j)
+            if nw + se != 4:
+                raise AssertionError(f"condition (b) fails at diagonal box [{i},{i}]")
+        else:
+            col = sum(v for (x, y), v in r.items() if y == j)
+            row = sum(v for (x, y), v in r.items() if x == i)
+            if col != 2 or row != 2:
+                raise AssertionError(f"condition (a) fails at box [{i},{j}]")
+    for x, y in shape.corners():
+        if sum(r[(i, j)] for i, j in shape.boxes if x >= i and y >= j) != 0:
+            raise AssertionError(f"condition (c) fails at corner {(x, y)}")
+
+
+def stretch(shape: SkewShape, a: int, b: int) -> SkewShape:
+    """Replace each box by an a x b rectangle ((lambda/nu) o b^a)."""
+    outer = []
+    inner = []
+    for i in range(1, shape.outer.length + 1):
+        outer.extend([shape.outer.part(i) * b] * a)
+        inner.extend([shape.inner.part(i) * b] * a)
+    return SkewShape(Partition(tuple(outer)), Partition(tuple(inner)))
+
+
+def render_ideal(shape, L, idx: int) -> str:
+    """Text rendering of an ideal: '#' in-ideal, '.' rest of shape."""
+    mask = L.ideals[idx]
+    grid = [[" "] * max(shape._hi, default=0) for _ in shape._hi]
+    for k, (i, j) in enumerate(shape.boxes):
+        grid[i - 1][j - 1] = "#" if mask >> k & 1 else "."
+    return "\n".join("".join(row).rstrip() for row in grid)

@@ -5,7 +5,9 @@ with.  One backtracker places the values 1..N+1 one at a time into the
 diagram, one box doubled, under the row/column placement rule, and sums a
 leaf function over the completed fillings: 1 to count, a recorder to list
 them, and the full shifted conditions for the shifted count.  It never
-builds a poset or an ideal lattice.
+builds a poset or an ideal lattice.  ``count_linear_extensions`` is the
+other reference the formula tests use: the maximal chains of J(P) through
+its empty ideal.
 
 Primed-alphabet encoding for the shifted count: value v unprimed is 2v,
 primed is 2v+1, matching the total order 1 < 1' < 2 < 2' < ...; a skew box
@@ -14,7 +16,14 @@ holds v as v.
 
 from __future__ import annotations
 
+from cdeposets.distributions import _maxchain_weights
+from cdeposets.ideals import build_lattice
 from cdeposets.shapes import Partition, ShiftedShape, SkewShape
+
+
+def count_linear_extensions(P) -> int:
+    """Number of linear extensions: maximal chains of J(P) through the empty ideal."""
+    return _maxchain_weights(build_lattice(P))[0]
 
 
 def _sum_over_fillings(boxes, scale: int, offsets, leaf) -> int:

@@ -16,8 +16,6 @@ from cdeposets import (
     certify_tcde,
     chain,
     chain_dist,
-    convert_chain_to_mchain,
-    convert_chain_to_mmchain,
     direct_product,
     dual,
     expectation,
@@ -25,21 +23,14 @@ from cdeposets import (
     is_isomorphic,
     is_toggle_symmetric,
     maxchain_dist,
-    mchain_dist,
-    mmchain_dist,
-    rank_dist,
     rank_info,
-    rook,
     rowmotion_map,
-    shifted_rook_placement,
-    toggleability,
     uniform,
 )
 from cdeposets.dynamics import (
     antichain_cardinality,
     homomesy_report,
     orbit_decomposition,
-    orbit_uniform,
     rank_permuted_rowmotion_map,
 )
 from cdeposets.minuscule import (
@@ -52,23 +43,38 @@ from cdeposets.shapes import (
     Partition,
     ShiftedShape,
     SkewShape,
+    _skew_shapes,
     classify_shifted_balanced,
     iter_connected_skew_shapes,
     iter_partitions,
     iter_strict_partitions,
     rectangle,
     staircase,
-    stretch,
 )
 from cdeposets.tableaux import (
-    count_linear_extensions,
     f_aitken,
     f_hook,
     g_thrall,
     tableau_counts,
 )
 
-from tableau_oracle import barely_count, shifted_barely_count
+from dense_oracle import _signed_tables
+from distribution_oracle import (
+    convert_chain_to_mchain,
+    convert_chain_to_mmchain,
+    mchain_dist,
+    mmchain_dist,
+    rank_dist,
+)
+from lattice_oracle import apply_toggle_word, orbit_uniform, toggle_tables
+from shape_oracle import (
+    rook,
+    shifted_contained_corners,
+    shifted_corners_attacking,
+    shifted_rook_placement,
+    stretch,
+)
+from tableau_oracle import barely_count, count_linear_extensions, shifted_barely_count
 
 from conftest import (
     brute_mchain,
@@ -176,10 +182,10 @@ def test_criterion_04_shifted_theorem():
         L = build_lattice(ss.poset())
         for i, j in ss.boxes:
             R = rook(ss, L, i, j)
-            attacking = set(ss.corners_attacking(i, j))
+            attacking = set(shifted_corners_attacking(ss, i, j))
             for idx in range(L.n):
                 contained = sum(
-                    1 for c in ss.contained_corners(L, idx) if c in attacking
+                    1 for c in shifted_contained_corners(ss, L, idx) if c in attacking
                 )
                 assert R[idx] - contained == 1
     _passed("criterion 4 (shifted Type1/Type2 theorem and rook identities)")
@@ -336,7 +342,6 @@ def test_criterion_08_dynamics():
             assert rep["homomesic"] and Fraction(rep["constant"]) == c, (P, sigma)
 
     # negative control: a promotion-style word on the 3-element V poset
-    from cdeposets.dynamics import apply_toggle_word, signed_toggleability
     from cdeposets.posets import Poset
 
     V = Poset(3, [(0, 2), (1, 2)])
@@ -346,7 +351,7 @@ def test_criterion_08_dynamics():
     as_sets = [{tuple(sorted(LV.members(i))) for i in o} for o in orbits]
     assert {(), (0, 1)} in as_sets
     bad = orbits[as_sets.index({(), (0, 1)})]
-    t_c = signed_toggleability(LV, 2)
+    t_c = _signed_tables(LV)[2]
     assert sum(t_c[i] for i in bad) != 0
     _passed("criterion 8 (orbit toggle-symmetry, rowmotion order, c-mesy)")
 
@@ -362,11 +367,9 @@ def test_criterion_09_tableaux_oracles():
     # barely formula vs split-box count vs the backtracker for skew shapes
     # <= 7 boxes; shapes with the same connected-component multiset have
     # equal counts, so dedupe by that key
-    from cdeposets.shapes import iter_skew_shapes
-
     seen = set()
     checked = 0
-    for shape in iter_skew_shapes(7):
+    for shape in _skew_shapes(7, False):
         if shape.n_boxes == 0:
             continue
         key = component_key(shape)
@@ -404,7 +407,8 @@ def test_criterion_09_tableaux_oracles():
         shape = ShiftedShape(lam)
         L = build_lattice(shape.poset())
         diag = [shape.box_index[(i, i)] for i in range(1, lam.length + 1)]
-        minus = [toggleability(L, p)[1] for p in diag]
+        t_minus = toggle_tables(L.base, L.ideals)[1]
+        minus = [t_minus[p] for p in diag]
         stat = [sum(col[idx] for col in minus) for idx in range(L.n)]
         assert expectation(maxchain_dist(L), stat) == Fraction(1, 2), lam
     _passed("criterion 9 (tableau counting formulas vs brute-force oracles)")

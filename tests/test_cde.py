@@ -10,7 +10,6 @@ from cdeposets import (
     certify_tcde,
     chain,
     direct_product,
-    disjoint_union,
     dual,
     expectation,
     find_witness,
@@ -23,6 +22,7 @@ from cdeposets.cde import TcdeCertificate
 from cdeposets.shapes import Partition, ShiftedShape, SkewShape, rectangle
 
 from conftest import random_poset, random_toggle_symmetric
+from poset_oracle import disjoint_union
 
 
 def test_report_fix_a(fix_a):
@@ -55,12 +55,12 @@ def test_certificate_rectangle_2x3():
 
 
 def test_certificate_e6_kappa_scaling():
-    from cdeposets.minuscule import exceptional_kappa, exceptional_poset
+    from cdeposets.minuscule import _load_exceptional, exceptional_poset
 
     L = build_lattice(exceptional_poset("e6"))
     cert = certify_tcde(L)
     assert cert.c == Fraction(4, 3)
-    fig = exceptional_kappa("e6")
+    fig = [Fraction(k) for k in _load_exceptional("e6")["kappa"]]
     assert cert.kappa == tuple(k / 3 for k in fig)
 
 

@@ -11,23 +11,23 @@ from fractions import Fraction
 
 import pytest
 
-from cdeposets import Poset, antichain, build_lattice, cde_report, disjoint_union
+from cdeposets import Poset, build_lattice, cde_report
 from cdeposets.cde import _ddeg_stat
-from cdeposets.tableaux import count_linear_extensions
 from cdeposets.distributions import (
     chain_counts_through,
     chain_dist,
     expectation,
     longest_chain,
     maxchain_dist,
-    mchain_dist,
-    mmchain_dist,
 )
 from cdeposets.minuscule import parse_family
-from cdeposets.posets import enumerate_chains, load_poset
+from cdeposets.posets import load_poset
 from cdeposets.shapes import parse_shape
 
-from conftest import FIXTURES
+from conftest import FIXTURES, linear_extensions, maximal_chains
+from distribution_oracle import mchain_dist, mmchain_dist
+from poset_oracle import antichain, disjoint_union
+from tableau_oracle import count_linear_extensions
 
 # beyond this many ideals chain_dist is compared at a few k only, because
 # the comparable-pairs route takes O(k * |J|^2) per k
@@ -130,8 +130,8 @@ def test_multichain_moments_match_distributions_on_random_posets():
 def _maxchain_brute(X):
     """Weight of p proportional to the maximal chains that contain p."""
     through = [0] * X.n
-    for c in enumerate_chains(X, maximal_only=True):
-        for p in c.elements:
+    for c in maximal_chains(X):
+        for p in c:
             through[p] += 1
     total = sum(through)
     return [Fraction(t, total) for t in through]
@@ -159,4 +159,4 @@ def test_linear_extension_count_matches_enumeration():
     rng = random.Random(14)
     for _ in range(150):
         P = _random_poset(rng, rng.randint(0, 7))
-        assert count_linear_extensions(P) == len(list(P.linear_extensions()))
+        assert count_linear_extensions(P) == len(linear_extensions(P))

@@ -10,16 +10,10 @@ from cdeposets import (
     build_lattice,
     chain,
     chain_dist,
-    convert_chain_to_mchain,
-    convert_chain_to_mmchain,
     direct_product,
     expectation,
     is_toggle_symmetric,
     maxchain_dist,
-    mchain_dist,
-    mmchain_dist,
-    necklace_count,
-    rank_dist,
     uniform,
 )
 from cdeposets.distributions import longest_chain
@@ -33,6 +27,14 @@ from conftest import (
     load_witness_table,
     point_mass,
     random_poset,
+)
+from distribution_oracle import (
+    convert_chain_to_mchain,
+    convert_chain_to_mmchain,
+    mchain_dist,
+    mmchain_dist,
+    necklace_count,
+    rank_dist,
 )
 
 
@@ -270,7 +272,8 @@ def _projection_weights(JX, JY, k):
 
 def test_product_projection_of_chain_distributions():
     from cdeposets import build_lattice, direct_product
-    from cdeposets.distributions import convex_combination, longest_chain
+    from cdeposets.distributions import longest_chain
+    from distribution_oracle import convex_combination
 
     rng = random.Random(47)
     for _ in range(12):

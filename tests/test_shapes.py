@@ -9,10 +9,6 @@ from cdeposets import (
     direct_product,
     expectation,
     is_isomorphic,
-    rook,
-    rook_placement,
-    shifted_rook_placement,
-    toggleability,
 )
 from cdeposets.shapes import (
     Partition,
@@ -25,11 +21,22 @@ from cdeposets.shapes import (
     parse_shape,
     rectangle,
     staircase,
-    stretch,
 )
-from cdeposets.tableaux import count_linear_extensions
 
 from conftest import random_toggle_symmetric
+from lattice_oracle import toggle_tables
+from shape_oracle import (
+    render_ideal,
+    rook,
+    rook_placement,
+    shifted_contained_corners,
+    shifted_corners_attacking,
+    shifted_rook_placement,
+    skew_contained_corners,
+    skew_corners_attacking,
+    stretch,
+)
+from tableau_oracle import count_linear_extensions
 
 
 def test_partition_basics():
@@ -41,6 +48,8 @@ def test_partition_basics():
         Partition((2, 3))
     with pytest.raises(ValueError):
         Partition((2, 0, 1))
+    with pytest.raises(ValueError, match="partition parts must be nonnegative"):
+        Partition((2, -1))
     assert Partition((2, 1, 0, 0)).parts == (2, 1)
     assert (Partition((2, 1)) + Partition((1, 1))).parts == (3, 2)
 
@@ -91,14 +100,14 @@ def test_corner_positions_fixture():
     s = parse_shape("skew:4,3,3,3/2,2")
     corners = dict(s.corners())
     assert corners == {"NW": (2, 2), "SE": (1, 3)}
-    assert s.corners_attacking(3, 3) == [("NW", (2, 2))]
-    assert s.corners_attacking(1, 3) == [("SE", (1, 3))]
+    assert skew_corners_attacking(s, 3, 3) == [("NW", (2, 2))]
+    assert skew_corners_attacking(s, 1, 3) == [("SE", (1, 3))]
 
 
 def test_shifted_corners():
     ss = ShiftedShape(Partition((8, 6, 5, 2, 1)))
     assert ss.corners() == [(3, 5), (1, 7)]
-    assert ss.corners_attacking(2, 4) == [(3, 5)]
+    assert shifted_corners_attacking(ss, 2, 4) == [(3, 5)]
     # staircases have no outward corners
     assert ShiftedShape(staircase(4)).corners() == []
 
@@ -126,10 +135,10 @@ def test_rook_pointwise_identity_ordinary():
     L = build_lattice(s.poset())
     for i, j in s.boxes:
         R = rook(s, L, i, j)
-        attacking = set(s.corners_attacking(i, j))
+        attacking = set(skew_corners_attacking(s, i, j))
         for idx in range(L.n):
             contained = sum(
-                1 for c in s.contained_corners(L, idx) if c in attacking
+                1 for c in skew_contained_corners(s, L, idx) if c in attacking
             )
             assert R[idx] - contained == 1
 
@@ -141,10 +150,10 @@ def test_shifted_rook_pointwise_identity(parts):
     L = build_lattice(ss.poset())
     for i, j in ss.boxes:
         R = rook(ss, L, i, j)
-        attacking = set(ss.corners_attacking(i, j))
+        attacking = set(shifted_corners_attacking(ss, i, j))
         for idx in range(L.n):
             contained = sum(
-                1 for c in ss.contained_corners(L, idx) if c in attacking
+                1 for c in shifted_contained_corners(ss, L, idx) if c in attacking
             )
             assert R[idx] - contained == 1
 
@@ -163,11 +172,11 @@ def test_shifted_rook_reference_ideals():
                 mask |= 1 << k
         return L.index[mask]
 
-    attacking = set(ss.corners_attacking(2, 4))
+    attacking = set(shifted_corners_attacking(ss, 2, 4))
     blue = ideal_index((5, 4, 2, 1))
     red = ideal_index((8, 6, 4, 2))
-    assert R[blue] == 1 and ss.contained_corners(L, blue) == []
-    red_contained = [c for c in ss.contained_corners(L, red) if c in attacking]
+    assert R[blue] == 1 and shifted_contained_corners(ss, L, blue) == []
+    red_contained = [c for c in shifted_contained_corners(ss, L, red) if c in attacking]
     assert R[red] == 2 and red_contained == [(3, 5)]
 
 
@@ -175,6 +184,7 @@ def test_rook_attack_expectation_ordinary():
     rng = random.Random(3)
     s = parse_shape("skew:3,2/1")
     L = build_lattice(s.poset())
+    t_minus = toggle_tables(L.base, L.ideals)[1]
     for _ in range(5):
         mu = random_toggle_symmetric(L, rng)
         for i, j in s.boxes:
@@ -182,7 +192,7 @@ def test_rook_attack_expectation_ordinary():
             # row plus column sums; the rook's own box is attacked twice
             rhs = sum(
                 ((x == i) + (y == j))
-                * expectation(mu, toggleability(L, s.box_index[(x, y)])[1])
+                * expectation(mu, t_minus[s.box_index[(x, y)]])
                 for x, y in s.boxes
             )
             assert lhs == rhs
@@ -193,6 +203,7 @@ def test_shifted_rook_attack_expectation():
     lam = Partition((4, 3, 1))
     ss = ShiftedShape(lam)
     L = build_lattice(ss.poset())
+    t_minus = toggle_tables(L.base, L.ideals)[1]
     for _ in range(5):
         mu = random_toggle_symmetric(L, rng)
         for i, j in ss.boxes:
@@ -206,7 +217,7 @@ def test_shifted_rook_attack_expectation():
                     hits += 1
                 if x == y and (x < i or y > j):
                     hits += 1
-                rhs += hits * expectation(mu, toggleability(L, ss.box_index[(x, y)])[1])
+                rhs += hits * expectation(mu, t_minus[ss.box_index[(x, y)]])
             assert lhs == rhs
 
 
@@ -217,7 +228,8 @@ def test_diagonal_toggle_identity_type1():
         ss = ShiftedShape(lam)
         L = build_lattice(ss.poset())
         diag = [ss.box_index[(i, i)] for i in range(1, lam.length + 1)]
-        cols = [toggleability(L, p) for p in diag]
+        t_plus, t_minus = toggle_tables(L.base, L.ideals)
+        cols = [(t_plus[p], t_minus[p]) for p in diag]
         for idx in range(L.n):
             total = sum(plus[idx] + minus[idx] for plus, minus in cols)
             assert total == 1
@@ -243,7 +255,7 @@ def _assert_placement_conditions(s, r):
         assert sum(v for (_, y), v in r.items() if y == j) == s.a
     for corner in s.corners():
         agg = sum(
-            r[(i, j)] for i, j in s.boxes if corner in s.corners_attacking(i, j)
+            r[(i, j)] for i, j in s.boxes if corner in skew_corners_attacking(s, i, j)
         )
         assert agg == 0
 
@@ -340,9 +352,9 @@ def test_balanced_shape_counts_by_frame():
 def test_render_ideal():
     s = parse_shape("straight:2,1")
     L = build_lattice(s.poset())
-    assert s.render_ideal(L, L.n - 1).splitlines() == ["##", "#"]
-    assert s.render_ideal(L, L.index[0]).splitlines() == ["..", "."]
+    assert render_ideal(s, L, L.n - 1).splitlines() == ["##", "#"]
+    assert render_ideal(s, L, L.index[0]).splitlines() == ["..", "."]
     s = parse_shape("shifted:3,1")
     L = build_lattice(s.poset())
-    assert s.render_ideal(L, L.index[0b0011]).splitlines() == ["##.", " ."]
-    assert s.render_ideal(L, L.n - 1).splitlines() == ["###", " #"]
+    assert render_ideal(s, L, L.index[0b0011]).splitlines() == ["##.", " ."]
+    assert render_ideal(s, L, L.n - 1).splitlines() == ["###", " #"]

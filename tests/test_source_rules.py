@@ -1,6 +1,7 @@
 """Rules on the library source itself."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -59,10 +60,10 @@ def test_reports_are_written_by_the_one_emitter():
     assert not found, f"indented json.dumps outside serialize.py: {found}"
 
 
-def _identifiers(path: Path) -> set[str]:
-    """Every name a file reads, imports or looks up as an attribute."""
+def _identifiers(source: str) -> set[str]:
+    """Every name a piece of code reads, imports or looks up as an attribute."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -73,20 +74,26 @@ def _identifiers(path: Path) -> set[str]:
 
 
 def test_every_public_name_is_reached():
-    """Nothing ships that no test, demo or CLI verb reaches: every public
-    top-level function or class of the library is named somewhere besides its
-    own definition and ``__init__.py``: in library code, a test or a demo."""
+    """Nothing ships that no CLI verb, demo or README example reaches: every
+    public top-level function or class of the library is named somewhere
+    besides its own definition and ``__init__.py``: in library code (the CLI
+    included), a demo or a ``python`` block of the README.  Tests do not
+    count, so code that only tests call lives with the test oracles."""
     library = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     root = SRC.parent.parent
-    users = sorted(root.joinpath("tests").glob("*.py")) + sorted(root.joinpath("demos").glob("*.py"))
-    reached = set().union(*[_identifiers(path) for path in library + users])
+    readme = root.joinpath("README.md").read_text(encoding="utf-8")
+    demos = sorted(root.joinpath("demos").glob("*.py"))
+    users = [path.read_text(encoding="utf-8") for path in demos]
+    users += re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    sources = [path.read_text(encoding="utf-8") for path in library]
+    reached = set().union(*[_identifiers(source) for source in sources + users])
     found = [
         f"{path.name}:{node.lineno}:{node.name}"
-        for path in library
-        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+        for path, source in zip(library, sources)
+        for node in ast.parse(source).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
         and node.name not in reached
     ]
-    assert library and users
+    assert library and len(users) > 5
     assert not found, f"public names that nothing reaches: {found}"
