@@ -18,7 +18,10 @@ Both questions are answered from small integer systems rather than from the
 * Certificate.  Each column of A is a pair of bitsets over the ideals (its +1
   and -1 positions), so every entry of the Gram matrix G = A^T A is four
   popcounts, and A^T ddeg comes from the bit-planes of ddeg; the columns
-  and the planes are the ``up``/``down`` masks and ``ddeg`` transposed.  Since
+  and the planes are the ``up``/``down`` masks and ``ddeg`` transposed.  The
+  transpose writes all the masks as one string of fixed-width binary
+  numerals and reads each bit back as one strided slice; G is symmetric, so
+  only its upper triangle is counted and mirrored.  Since
   null(A^T A) = null(A), G has the same lex-first independent columns as A;
   with free variables zero, G x = A^T ddeg therefore has exactly the solution
   the |J|-row system would have whenever that system is consistent.  The
@@ -33,14 +36,19 @@ Both questions are answered from small integer systems rather than from the
   chosen column that puts e_last in their span.  The solution on that
   prefix is unique, so padded with zeros it is the free-variables-zero
   solution on all of the lex-first independent columns; v is read off the
-  same elimination and re-checked in integers.
+  same elimination and re-checked in integers.  The elimination gives
+  d * v = y in integers.  With z = sign(d) y, Y = max(-z_i) and N = |J|, the
+  witness weights 1/N + (eps/2) v_i are exactly (2Y + z_i) / (2NY), so the
+  witness keeps integer numerators over one denominator and is validated
+  and emitted without rational arithmetic per ideal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
+from operator import mul
 from typing import Optional
 
 from . import linalg
@@ -48,7 +56,6 @@ from .distributions import (
     Distribution,
     _chain_moments,
     _maxchain_weights,
-    expectation,
     is_toggle_symmetric,
     longest_chain,
 )
@@ -154,22 +161,43 @@ class TcdeCertificate:
 
 @dataclass(frozen=True)
 class TcdeWitness:
-    """Toggle-symmetric distribution whose ddeg expectation misses the density."""
+    """Toggle-symmetric distribution whose ddeg expectation misses the density.
 
-    mu: Distribution
+    The weights are ``ints[i] / den``: nonnegative integer numerators over one
+    common denominator.  ``_refute`` builds them as (2Y + z_i) / (2NY), with
+    N = |J|, z the integer perturbation and Y = max(-z_i), so validation and
+    emission run in integers.
+    """
+
+    ints: tuple[int, ...]
+    den: int
     expectation: Fraction
 
+    @property
+    def mu(self) -> Distribution:
+        return Distribution([Fraction(w, self.den) for w in self.ints])
+
     def validate(self, L: IdealLattice) -> bool:
-        if not is_toggle_symmetric(L, self.mu):
+        ints, den = self.ints, self.den
+        if len(ints) != L.n or den <= 0 or min(ints) < 0 or sum(ints) != den:
             return False
-        got = expectation(self.mu, L.ddeg)
-        density = Fraction(L.edge_count(), L.n)
-        return got == self.expectation and got != density
+        if not is_toggle_symmetric(L, ints):
+            return False
+        total = sum(map(mul, ints, L.ddeg))
+        return (
+            Fraction(total, den) == self.expectation
+            and total * L.n != L.edge_count() * den
+        )
 
     def to_dict(self) -> dict:
+        den = self.den
+        weights = []
+        for w in self.ints:
+            g = gcd(w, den)
+            weights.append(f"{w // g}/{den // g}")
         return {
             "kind": "tcde_witness",
-            "weights": [rat_str(w) for w in self.mu],
+            "weights": weights,
             "expectation": rat_str(self.expectation),
         }
 
@@ -193,13 +221,14 @@ def _identity_failure(L: IdealLattice, c, kappa, scale=1, empty_full=0):
 
 
 def _transpose(masks, width: int) -> list[int]:
-    """Bit k of the i-th mask as bit i of the k-th int, for k < width."""
-    top = len(masks) - 1
-    rows = [bytearray(b"0") * (top + 1) for _ in range(width)]
-    for i, m in enumerate(masks):
-        for k in _bits(m):
-            rows[k][top - i] = 49  # ord("1")
-    return [int(r, 2) for r in rows]
+    """Bit k of the i-th mask as bit i of the k-th int, for k < width.
+
+    The masks, last first, are written as one string of width-digit binary
+    numerals; every width-th digit from position width - 1 - k is then bit k
+    of each mask, last first, so one ``int(.., 2)`` reads each row.
+    """
+    rows = "".join(map(f"{{:0{width}b}}".format, reversed(masks)))
+    return [int(rows[width - 1 - k :: width], 2) for k in range(width)]
 
 
 def _dot(u, v) -> int:
@@ -226,7 +255,10 @@ def _gram_solve(L: IdealLattice, empty_full: bool):
         # [I = empty] - [I = full]; a single ideal counts as full
         cols.append((int(L.n > 1), 1 << (L.n - 1)))
     planes = [(b, 0) for b in _transpose(L.ddeg, max(L.ddeg).bit_length())]
-    gram = [[_dot(u, v) for v in cols] for u in cols]
+    gram = [[0] * len(cols) for _ in cols]
+    for a, u in enumerate(cols):  # G is symmetric: fill the upper triangle
+        for b in range(a, len(cols)):
+            gram[a][b] = gram[b][a] = _dot(u, cols[b])
     rhs = [sum(_dot(u, plane) << k for k, plane in enumerate(planes)) for u in cols]
     return _solve_consistent(gram, rhs)
 
@@ -296,14 +328,16 @@ def _refute(L: IdealLattice) -> TcdeWitness:
         sum([col[r] * x for (_, col), x in zip(chosen, y)]) for r in range(nP + 2)
     ] != [0] * (nP + 1) + [d]:
         raise ArithmeticError("exact elimination failed on a consistent system")
-    base = Fraction(1, L.n)
-    v = [Fraction(x, d) for x in y]
-    eps = min(base / -x for x in v if x < 0)
-    weights = [base] * L.n
-    for (i, _), x in zip(chosen, v):
-        weights[i] = base + (eps / 2) * x
-    mu = Distribution(weights)
-    witness = TcdeWitness(mu=mu, expectation=expectation(mu, L.ddeg))
+    # v = y / d; with z = sign(d) y and Y = max(-z_i), the classical weights
+    # 1/N + (eps/2) v_i, eps = min over v_i < 0 of (1/N) / -v_i, are exactly
+    # (2Y + z_i) / (2NY), and an unchosen ideal gets 2Y / (2NY) = 1/N
+    z = y if d > 0 else [-x for x in y]
+    top = max([-x for x in z])
+    ints = [2 * top] * L.n
+    for (i, _), x in zip(chosen, z):
+        ints[i] += x
+    den = 2 * L.n * top
+    witness = TcdeWitness(tuple(ints), den, Fraction(sum(map(mul, ints, L.ddeg)), den))
     if not witness.validate(L):
         raise ArithmeticError("computed tCDE witness failed validation")
     return witness

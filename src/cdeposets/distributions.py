@@ -222,9 +222,13 @@ def maxchain_dist(X) -> Distribution:
 # --- toggle-symmetry ----------------------------------------------------------
 
 
-def is_toggle_symmetric(L: IdealLattice, mu: Distribution) -> bool:
+def is_toggle_symmetric(L: IdealLattice, mu) -> bool:
     """True iff E(mu; T+_p) = E(mu; T-_p) exactly, for every p: each weight
-    adds to the balance of the bits of ``up[i]`` and subtracts from ``down[i]``'s."""
+    adds to the balance of the bits of ``up[i]`` and subtracts from ``down[i]``'s.
+
+    ``mu`` may be any sequence of nonnegative weights, one per ideal, such as a
+    Distribution or integer numerators: the test is scale-invariant, so the
+    weights need not sum to one."""
     if len(mu) != L.n:
         raise ValueError("distribution length does not match the lattice")
     balance = [0] * L.base.n

@@ -16,6 +16,7 @@ none.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -28,7 +29,10 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple([int(p) for p in self.parts])
+        try:
+            parts = tuple([operator.index(p) for p in self.parts])
+        except TypeError:
+            raise ValueError(f"partition parts must be integers, got {self.parts!r}") from None
         if any(p < 0 for p in parts):
             raise ValueError("partition parts must be nonnegative")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):

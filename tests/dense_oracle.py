@@ -8,17 +8,31 @@ ideal.  Both use Gauss-Jordan elimination over Fraction with the first
 nonzero entry of each column as pivot and free variables set to zero, so the
 solution is supported on the lex-first independent columns.  The T_p rows
 and columns come from ``lattice_oracle.toggle_tables``, not from the
-lattice's label masks.
+lattice's label masks.  ``transpose_bits`` is the per-bit reference for
+the library's strided-string bit transpose.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from cdeposets import Distribution, expectation
 from cdeposets.cde import TcdeCertificate, TcdeWitness
+from cdeposets.posets import _bits
 
 from lattice_oracle import toggle_tables
+
+
+def transpose_bits(masks, width):
+    """Bit k of the i-th mask as bit i of the k-th int, for k < width: one
+    bytearray numeral per bit, filled from each mask's set bits."""
+    top = len(masks) - 1
+    rows = [bytearray(b"0") * (top + 1) for _ in range(width)]
+    for i, m in enumerate(masks):
+        for k in _bits(m):
+            rows[k][top - i] = 49  # ord("1")
+    return [int(r, 2) for r in rows]
 
 
 def _echelon(rows):
@@ -109,4 +123,6 @@ def find_witness_dense(L):
     base = Fraction(1, L.n)
     eps = min(base / -x for x in v if x < 0)
     mu = Distribution([base + (eps / 2) * x for x in v])
-    return TcdeWitness(mu=mu, expectation=expectation(mu, L.ddeg))
+    den = lcm(*[w.denominator for w in mu])
+    ints = tuple([w.numerator * (den // w.denominator) for w in mu])
+    return TcdeWitness(ints, den, expectation(mu, L.ddeg))

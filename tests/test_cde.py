@@ -18,7 +18,7 @@ from cdeposets import (
     scan_family,
     uniform,
 )
-from cdeposets.cde import TcdeCertificate
+from cdeposets.cde import TcdeCertificate, TcdeWitness
 from cdeposets.shapes import Partition, ShiftedShape, SkewShape, rectangle
 
 from conftest import random_poset, random_toggle_symmetric
@@ -187,6 +187,41 @@ def test_invalid_certificate_fails_validation(fix_a):
     assert not bad.validate(L)
 
 
+def test_invalid_witness_fails_validation():
+    L = build_lattice(ShiftedShape(Partition((4, 2))).poset())
+    w = find_witness(L)
+    ints, den, value = list(w.ints), w.den, w.expectation
+    assert w.validate(L)
+    # toggle-symmetry is scale-invariant
+    assert TcdeWitness(tuple([3 * x for x in ints]), 3 * den, value).validate(L)
+
+    def tampered(i, j, amount):
+        out = list(ints)
+        out[i] -= amount
+        out[j] += amount
+        return tuple(out)
+
+    # two ideals with equal ddeg but different signed toggle vectors: moving
+    # weight between them keeps the expectation and breaks the toggle balance
+    i, j = next(
+        (i, j)
+        for i in range(L.n)
+        for j in range(i)
+        if L.ddeg[i] == L.ddeg[j] and (L.up[i], L.down[i]) != (L.up[j], L.down[j])
+    )
+    bad = [
+        # one unit moved: sum and expectation kept, toggle balance broken
+        TcdeWitness(tampered(i, j, 1), den, value),
+        TcdeWitness(tuple(ints), den, value + Fraction(1, den)),
+        # a negative numerator, sum kept
+        TcdeWitness(tampered(0, 1, ints[0] + 1), den, value),
+        TcdeWitness(tuple(ints), den + 1, value),
+        # uniform: toggle-symmetric, but its expectation is the density
+        TcdeWitness((1,) * L.n, L.n, Fraction(L.edge_count(), L.n)),
+    ]
+    assert [x.validate(L) for x in bad] == [False] * len(bad)
+
+
 def test_scan_family():
     assert list(scan_family([], "cde")) == []
     rows = list(
@@ -258,6 +293,21 @@ for fn in (_refute, find_witness):
     except ArithmeticError:
         print(fn.__name__, "shifted:4,2", "rejected")
 print("exit", cli.main(["cert-tcde", "--shape", "shifted:4,2"]))
+
+# a valid witness with one unit of weight moved between two ideals of equal
+# ddeg: only the toggle balance can reject it
+cde.linalg = linalg
+w = _refute(L)
+i, j = next(
+    (i, j)
+    for i in range(L.n)
+    for j in range(i)
+    if L.ddeg[i] == L.ddeg[j] and (L.up[i], L.down[i]) != (L.up[j], L.down[j])
+)
+ints = list(w.ints)
+ints[i] -= 1
+ints[j] += 1
+print("validate", w.validate(L), cde.TcdeWitness(tuple(ints), w.den, w.expectation).validate(L))
 """
 
 
@@ -292,3 +342,4 @@ def test_corrupted_solves_are_rejected_under_python_O():
         "find_witness shifted:4,2 rejected",
     ]
     assert '"error": "internal error: ArithmeticError' in "\n".join(tail)
+    assert out[-1] == "validate True False"

@@ -51,6 +51,11 @@ def test_partition_basics():
     with pytest.raises(ValueError, match="partition parts must be nonnegative"):
         Partition((2, -1))
     assert Partition((2, 1, 0, 0)).parts == (2, 1)
+    for parts in ((2.7, "1"), (2.7,), ("1",), (2.0, 1)):
+        with pytest.raises(ValueError, match="partition parts must be integers"):
+            Partition(parts)
+    with pytest.raises(ValueError, match="partition parts must be integers"):
+        SkewShape(Partition((2.7,)))
     assert (Partition((2, 1)) + Partition((1, 1))).parts == (3, 2)
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cdeposets import Poset, build_lattice, certify_tcde, find_witness, linalg
-from cdeposets.cde import _refute
+from cdeposets.cde import _refute, _transpose
 from cdeposets.minuscule import parse_family
 from cdeposets.shapes import parse_shape
 
@@ -16,7 +16,25 @@ from dense_oracle import (
     _signed_tables,
     certify_tcde_dense,
     find_witness_dense,
+    transpose_bits,
 )
+
+NAMED = [
+    "minuscule:E6",
+    "minuscule:E7",
+    "minuscule:axb:5x6",
+    "shifted:4,2",
+    "shifted:6,4,2",
+    "shifted:8,6,4,2",
+    "straight:7,5,3,1",
+    "skew:7,6,5,4/3,1",
+]
+
+
+def _named_lattice(literal):
+    if literal.startswith("minuscule:"):
+        return build_lattice(parse_family(literal).realized)
+    return build_lattice(parse_shape(literal).poset())
 
 
 def _dict(x):
@@ -35,25 +53,31 @@ def _assert_same(L):
     assert _dict(find_witness(L)) == witness
 
 
-@pytest.mark.parametrize(
-    "literal",
-    [
-        "minuscule:E6",
-        "minuscule:E7",
-        "minuscule:axb:5x6",
-        "shifted:4,2",
-        "shifted:6,4,2",
-        "shifted:8,6,4,2",
-        "straight:7,5,3,1",
-        "skew:7,6,5,4/3,1",
-    ],
-)
+@pytest.mark.parametrize("literal", NAMED)
 def test_named_lattices_match_dense_route(literal):
-    if literal.startswith("minuscule:"):
-        P = parse_family(literal).realized
-    else:
-        P = parse_shape(literal).poset()
-    _assert_same(build_lattice(P))
+    _assert_same(_named_lattice(literal))
+
+
+@pytest.mark.parametrize("literal", NAMED)
+def test_transpose_matches_reference_on_named_lattices(literal):
+    L = _named_lattice(literal)
+    for masks, width in (
+        (L.up, L.base.n),
+        (L.down, L.base.n),
+        (L.ddeg, max(L.ddeg).bit_length()),
+    ):
+        assert _transpose(masks, width) == transpose_bits(masks, width)
+
+
+def test_transpose_matches_reference_on_random_masks():
+    rng = random.Random(1606)
+    for width in range(41):
+        assert _transpose([0], width) == transpose_bits([0], width)
+        for count in (1, 2, 9, 64):
+            masks = [rng.getrandbits(width) for _ in range(count)]
+            if width:
+                masks[rng.randrange(count)] |= 1 << (width - 1)  # top bit set
+            assert _transpose(masks, width) == transpose_bits(masks, width)
 
 
 def test_empty_poset_matches_dense_route():
