@@ -57,9 +57,8 @@ from .distributions import (
     _chain_moments,
     _maxchain_weights,
     is_toggle_symmetric,
-    longest_chain,
 )
-from .ideals import DEFAULT_IDEAL_BUDGET, IdealLattice, build_lattice
+from .ideals import DEFAULT_IDEAL_BUDGET, IdealLattice, LatticeBudgetError, build_lattice
 from .posets import _bits
 from .serialize import rat_str
 
@@ -112,9 +111,11 @@ def _ddeg_stat(X):
 def cde_report(X) -> CdeReport:
     """Edge density, maxchain and all k-chain expectations, CDE/mCDE flags.
 
-    Every chain statistic comes from one downward walk, ``_chain_moments``,
-    which carries, per element, the number of chains topped there and their
-    ddeg totals; the report keeps its rows for the multichain expectations.
+    Every chain statistic comes from one pass, ``_chain_moments``, which
+    carries, per element, the polynomials counting the chains topped there
+    and their ddeg totals, packed into one int, and reads A_k and B_k for
+    every k off their sum; the report keeps them for the multichain
+    expectations.
     On J(P) every maximal chain is an |P|-chain, so the maxchain expectation
     is the last k-chain one; a raw poset need not be graded and weights ddeg
     by the number of maximal chains through each element.
@@ -123,7 +124,7 @@ def cde_report(X) -> CdeReport:
         raise ValueError("the empty poset has no elements to average over")
     ddeg = _ddeg_stat(X)
     density = Fraction(X.edge_count(), X.n)
-    moments = tuple(_chain_moments(X, ddeg, longest_chain(X)))
+    moments = tuple(_chain_moments(X, ddeg))
     chains = tuple([Fraction(b, (k + 1) * a) for k, (a, b) in enumerate(moments)])
     if isinstance(X, IdealLattice):
         maxexp = chains[-1]
@@ -347,13 +348,20 @@ def scan_family(items, predicate: str, budget: int = DEFAULT_IDEAL_BUDGET):
     """Run a CDE/mCDE/tCDE classification over a stream of (name, poset) pairs.
 
     Yields dicts; ``predicate`` picks which property drives ``holds``.  The
-    posets are the *base* posets; analysis happens on J(P).
+    posets are the *base* posets; analysis happens on J(P).  ``budget``
+    bounds the ideals of all the lattices together, so it also bounds how
+    many lattices the scan builds.
     """
     predicate = predicate.lower()
     if predicate not in {"cde", "mcde", "tcde"}:
         raise ValueError(f"unknown predicate {predicate!r}")
+    left = budget
     for name, P in items:
-        L = build_lattice(P, budget=budget)
+        try:
+            L = build_lattice(P, budget=left)
+        except LatticeBudgetError:
+            raise LatticeBudgetError(f"J(P) exceeds the ideal budget of {budget}") from None
+        left -= L.n
         entry = {
             "input": name,
             "predicate": predicate,

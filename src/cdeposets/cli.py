@@ -8,7 +8,8 @@ exists when certifying, or no witness exists when one was requested),
 has no edge density, and a ``--budget`` or ``scan`` bound below 1), 3 budget
 exceeded (also by a poset file of n >= budget elements or a shape of
 n >= budget boxes, refused before P is built, as J(P) has at least n + 1
-ideals), 4 internal error (any other exception, such as a failed
+ideals, and by a ``scan`` whose lattices together hold more ideals than the
+budget), 4 internal error (any other exception, such as a failed
 self-check).  Codes 2-4 write the object {"error": ...} as JSON, or, for
 ``scan --format csv``, as a one-column CSV (the header ``error``, then the
 message).  Malformed flags are the exception: argparse reports them on

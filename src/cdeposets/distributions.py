@@ -5,24 +5,20 @@ rational weight vectors, computed by counting rather than enumeration.
 Every function takes a raw Poset or an IdealLattice J(P); a lattice is never
 turned into a Poset on its ideals.
 
-Chains are counted by walks of the strict steps, which map a vector g to,
-for each x, the sum of g over the elements strictly below x (or above x,
-for the up step); ``_steps`` returns the pair:
-
-* on a raw poset, the sums over the strict down-set (up-set) lists;
-* on J(P), the subset-sum zeta transform trimmed to the ideals, run over one
-  list of the Hasse edges (``edges()``) grouped by the element they add, with
-  the elements of P in a linear extension, minus the input; the up step runs
-  the list in reverse.  That is O(#Hasse edges) per step instead of
-  O(#comparable pairs of ideals).
-
-``_chain_moments`` is the one walk behind ``cde.cde_report``: a downward
-walk carrying, per element p, the count a(p) of k-chains topped by p and the
-total b(p) of stat over them, a' = step(a), b' = step(b) + stat * a'.  Their
-sums A_k, B_k give the k-chain expectation B_k / ((k+1) A_k) and, weighted
-by C(m, k) or C(m+1, k+1), the multichain ones (``CdeReport``).  The
-k-chain distribution glues a walk down from p to one up from p in
-``chain_counts_through``.
+Chains are counted in one pass over the order (``_chain_polys``): each
+element carries the polynomials in t that count the chains topped there by
+length and sum a statistic over them, packed into one int, so one sum over
+the elements below each element gives every chain length at once.  On J(P)
+that sum is an online zeta transform over the ideals, one add per Hasse
+edge.  ``_width`` bounds the coefficients so that none carries into the
+next.  ``_chain_moments``, behind ``cde.cde_report``, reads off the sum of
+every element's polynomials the number A_k of k-chains and the sum B_k of
+the statistic over them, which give the k-chain expectation
+B_k / ((k+1) A_k) and, weighted by C(m, k) or C(m+1, k+1), the multichain
+ones (``CdeReport``).  ``chain_counts_through`` runs the pass down and up
+and multiplies the two polynomials of each element.  Both check the decoded
+digits against what is known without them and raise ArithmeticError when
+the width was too narrow.
 
 Maximal chains come from a saturated-chain sweep over one cover list, run
 forward and in reverse: on a poset the covers in a linear extension, on J(P)
@@ -34,9 +30,10 @@ lattice notion and takes an IdealLattice.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, prod
 
 from .ideals import IdealLattice
-from .posets import _bits, longest_chain_length
+from .posets import _bits, _heights, longest_chain_length
 
 
 class Distribution:
@@ -84,90 +81,200 @@ def uniform(X) -> Distribution:
     return Distribution([Fraction(1, n)] * n)
 
 
-# --- chain counts: strict walks, one saturated-chain sweep -----------------
+# --- chain counts: packed chain polynomials, one saturated-chain sweep -----
 
 
-def _steps(X):
-    """(down, up): g -> for each x, the sum of g over the elements strictly
-    below x (up: above x), on a poset or on the ideals of a lattice.
+def _levels(X) -> list[int]:
+    """N_h, the number of elements of height h, for h = 0..r; a chain climbs
+    at least one level per step.  On J(P) the height of an ideal is its size."""
+    if isinstance(X, IdealLattice):
+        hs = [m.bit_count() for m in X.ideals]
+    else:
+        hs = _heights(X)
+    levels = [0] * (max(hs, default=0) + 1)
+    for h in hs:
+        levels[h] += 1
+    return levels
 
-    On J(P), taking the elements of P in a linear extension, add g along
-    every Hasse edge that adds p.  An ideal J below I is reached from I by
-    removing the elements of I - J from the latest to the earliest, each
-    maximal in what remains, so every such J is summed exactly once.  The up
-    step runs the edges in reverse, adding g of the larger ideal to the
-    smaller one.
+
+def _chain_lengths(P) -> list[int]:
+    """The sizes of the chains of a partition of P into chains, first fit
+    in topological order."""
+    tops, lengths = [], []
+    for x in P.topological_order():
+        below = P.strict_down[x]
+        for i, top in enumerate(tops):
+            if below >> top & 1:
+                tops[i] = x
+                lengths[i] += 1
+                break
+        else:
+            tops.append(x)
+            lengths.append(1)
+    return lengths
+
+
+def _width(X, top: int) -> tuple[int, int]:
+    """(width, r): the bits per coefficient that hold every A_k and B_k, for
+    k = 0..r, of a statistic with values in 0..top (top = 0 counts chains
+    only), and the length r of a longest chain.
+
+    A k-chain takes its k + 1 elements from distinct levels, so A_k is at
+    most e_{k+1}(N_0, .., N_r), the elementary symmetric polynomial of the
+    level sizes.  On J(P) a k-chain I_0 < .. < I_k is also fixed by the
+    order-preserving map sending p in P to the first i with p in I_i (k + 1
+    when there is none).  On a chain of c elements of P that map is one of
+    the C(k + 1 + c, c) weakly increasing maps into 0..k+1, so over a
+    partition of P into chains A_k <= prod C(k + 1 + c, c), which is at most
+    (k + 2)^|P|.  Each k-chain adds at most (k + 1) * top to B_k.  Every
+    coefficient that ``_chain_polys`` or a product of its outputs forms is a
+    sum of nonnegative terms of one A_k or B_k, so none of them reaches
+    2^width and no digit carries into the next.
     """
+    levels = _levels(X)
+    e = [1] + [0] * len(levels)  # e[j] = e_j of the levels read so far
+    for h, size in enumerate(levels):
+        for j in range(h + 1, 0, -1):
+            e[j] += size * e[j - 1]
+    lengths = _chain_lengths(X.base) if isinstance(X, IdealLattice) else None
+    bound = 0
+    for k in range(len(levels)):
+        count = e[k + 1]
+        if lengths is not None:
+            count = min(count, prod([comb(k + 1 + c, c) for c in lengths]))
+        bound = max(bound, count, (k + 1) * top * count)
+    return bound.bit_length(), len(levels) - 1
+
+
+def _chain_polys(X, width: int, r: int, stat=None, up: bool = False):
+    """Yield (x, c(x)) for every element x, after every element below x
+    (above x when ``up``), with x's chain polynomials packed into c(x).
+
+    a(x) = 1 + t * sum_{y < x} a(y) counts by t^k the k-chains topped by x
+    (with bottom x when ``up``), and b(x) = stat(x) a(x) + t sum_{y < x} b(y)
+    sums over them the statistic summed along the chain.  Both have degree
+    at most r, and c(x) = a(x) + 2^width b(x) at t = 2^(2 width): the digit
+    pairs (a_k, b_k) sit side by side, so an element of height h needs only
+    h + 1 pairs.  Without a statistic c(x) = a(x) at t = 2^width.  Given the
+    packed sum R of c(y) over y < x, c(x) = 1 + t R + 2^width stat(x) a(x),
+    where a(x) = 1 + t R_a is read off the a digits of t R.
+
+    On a raw poset R is one sum over the strict down-set.  On J(P) it is an
+    online subset-sum zeta transform.  With the elements of P numbered in a
+    linear extension (renumbered when their ids are not one), h_j(I) sums c
+    over the ideals J <= I with I - J among the elements numbered below j,
+    so that h_{j+1}(I) = h_j(I) + h_j(I - j) when j is removable from I.
+    h_j(I) changes only at the removable elements of I, so I keeps the
+    prefix list h(I)[m], its value after the first m of them, and R(I) is
+    the sum, over each removable q, of h(I - q)[m] with m the number of
+    removable elements of I - q numbered below q: one add per Hasse edge.  The ideals run level by level, and
+    only the previous level's lists are kept.  The up pass is the same on
+    J(P)^op = J(P^op), with the addable elements and the extension reversed.
+    """
+    if stat is None:
+        stat, step = [0] * X.n, width
+    else:
+        step = 2 * width
+    # the a digits: the low width bits of each step
+    low = int("0" + ("0" * (step - width) + "1" * width) * (r + 1), 2)
+
+    def packed(below, s):
+        c = 1 + (below << step)
+        if s:
+            c += s * (1 + ((below & low) << step)) << width
+        return c
+
     if not isinstance(X, IdealLattice):
-        below = [_bits(m) for m in X.strict_down]
-        above = [_bits(m) for m in X.strict_up]
-        return (
-            lambda g: [sum([g[q] for q in s]) for s in below],
-            lambda g: [sum([g[q] for q in s]) for s in above],
-        )
-    by_element = [[] for _ in range(X.base.n)]
-    for i, j, p in X.edges():
-        by_element[p].append((i, j))
-    pairs = [e for p in X.base.topological_order() for e in by_element[p]]
+        order = X.topological_order()
+        below = X.strict_up if up else X.strict_down
+        c = [0] * X.n
+        for x in reversed(order) if up else order:
+            c[x] = packed(sum([c[y] for y in _bits(below[x])]), stat[x])
+            yield x, c[x]
+        return
+    P = X.base
+    masks, covers = X.ideals, X.up if up else X.down
+    if up or any(p > q for p, q in P.covers):
+        order = P.topological_order()
+        if up:
+            order.reverse()
+        place = [0] * P.n
+        for i, q in enumerate(order):
+            place[q] = 1 << i
+        masks = [sum([place[p] for p in _bits(m)]) for m in masks]
+        covers = [sum([place[p] for p in _bits(m)]) for m in covers]
+    prev, level, size = {}, {}, -1
+    for i in range(X.n - 1, -1, -1) if up else range(X.n):
+        mask, cover = masks[i], covers[i]
+        if mask.bit_count() != size:
+            prev, level, size = level, {}, mask.bit_count()
+        below, sums = 0, []
+        rest = cover
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            other, prefix = prev[mask ^ bit]
+            below += prefix[(other & bit - 1).bit_count()]
+            sums.append(below)
+        c = packed(below, stat[i])
+        level[mask] = (cover, [c, *[c + x for x in sums]])
+        yield i, c
 
-    def down(g):
-        h = list(g)
-        for i, j in pairs:
-            h[j] += h[i]
-        return [a - b for a, b in zip(h, g)]
 
-    def up(g):
-        h = list(g)
-        for i, j in reversed(pairs):
-            h[i] += h[j]
-        return [a - b for a, b in zip(h, g)]
-
-    return down, up
-
-
-def _glue(down, up, k: int) -> list[int]:
-    """Number of k-chains through each p: a strict walk of t steps down from
-    p glued to one of k - t steps up from p."""
-    return [
-        sum([down[t][p] * up[k - t][p] for t in range(k + 1)]) for p in range(len(down[0]))
-    ]
-
-
-def _walks(X, k_max: int):
-    """The downward and upward walk tables of X, rows 0..k_max: row i of the
-    downward table counts, for each p, the strict walks x_0 < ... < x_i = p
-    (the upward table, x_0 > ... > x_i = p)."""
-    tables = []
-    for step in _steps(X):
-        table = [[1] * X.n]
-        for _ in range(k_max):
-            table.append(step(table[-1]))
-        tables.append(table)
-    return tables
+def _digits(value: int, width: int, count: int) -> list[int]:
+    mask = (1 << width) - 1
+    return [value >> width * k & mask for k in range(count)]
 
 
 def chain_counts_through(X, k_max: int):
-    """rows[k][p] = number of k-chains passing through p, for k = 0..k_max."""
-    down, up = _walks(X, k_max)
-    return [_glue(down, up, k) for k in range(k_max + 1)]
+    """rows[k][p] = number of k-chains passing through p, for k = 0..k_max:
+    the coefficients of down(p) * up(p), the polynomials counting the chains
+    topped by p and those with bottom p, multiplied packed.
+
+    The rows are checked against the chain counts A_k of the down pass: each
+    k-chain passes through k + 1 elements, so row k sums to (k + 1) A_k."""
+    width, r = _width(X, 0)
+    down = [0] * X.n
+    total = 0
+    for x, c in _chain_polys(X, width, r):
+        down[x] = c
+        total += c
+    through = [0] * X.n
+    for x, c in _chain_polys(X, width, r, up=True):
+        through[x] = down[x] * c
+    counts = _digits(total, width, r + 1)
+    mask = (1 << width) - 1
+    rows = [[t >> width * k & mask for t in through] for k in range(r + 1)]
+    if (
+        counts[0] != X.n
+        or total >> width * (r + 1)
+        or any([t >> width * (r + 1) for t in through])
+        or any([sum(row) != (k + 1) * a for k, (row, a) in enumerate(zip(rows, counts))])
+    ):
+        raise ArithmeticError("packed chain counts overflowed their width")
+    return rows[: k_max + 1] + [[0] * X.n for _ in range(k_max - r)]
 
 
-def _chain_moments(X, stat, k_max: int):
+def _chain_moments(X, stat):
     """[(number of k-chains, sum over the k-chains of stat summed over the
-    chain's elements) for k = 0..k_max], from one downward walk.
+    chain's elements) for k = 0..r], for a statistic of nonnegative
+    integers: the digits of the sum of every element's packed chain
+    polynomials.
 
-    a[p] counts the k-chains with top p and b[p] sums stat over them:
-    a' = step(a) and b' = step(b) + stat * a'.
+    The width of ``_width`` holds every digit by the bound proved there.
+    The decoded digits are still checked against what is known without
+    them: one 0-chain per element, stat summed once over those, and nothing
+    above degree r; a failure raises ArithmeticError, also under -O.  A
+    carry out of a digit after B_0 that stays at or below B_r would pass
+    that check: the bound, not the check, rules it out.
     """
-    step = _steps(X)[0]
-    a = [1] * X.n
-    b = list(stat)
-    out = [(sum(a), sum(b))]
-    for _ in range(k_max):
-        a = step(a)
-        b = [x + s * y for x, s, y in zip(step(b), stat, a)]
-        out.append((sum(a), sum(b)))
-    return out
+    width, r = _width(X, max(stat, default=0))
+    total = sum(c for _, c in _chain_polys(X, width, r, stat))
+    digits = _digits(total, width, 2 * (r + 1))
+    counts, sums = digits[0::2], digits[1::2]
+    if counts[0] != X.n or sums[0] != sum(stat) or total >> width * 2 * (r + 1):
+        raise ArithmeticError("packed chain moments overflowed their width")
+    return list(zip(counts, sums))
 
 
 def longest_chain(X) -> int:

@@ -268,15 +268,17 @@ def rank_info(P: Poset) -> RankInfo:
     return RankInfo(True, graded, ranks, max(ranks) if n else 0)
 
 
-def longest_chain_length(P: Poset) -> int:
-    if P.n == 0:
-        return 0
-    order = P.topological_order()
-    d = [0] * P.n
-    for x in order:
+def _heights(P: Poset) -> list[int]:
+    """The length of a longest chain topped by each element."""
+    h = [0] * P.n
+    for x in P.topological_order():
         for y in P.up_covers[x]:
-            d[y] = max(d[y], d[x] + 1)
-    return max(d)
+            h[y] = max(h[y], h[x] + 1)
+    return h
+
+
+def longest_chain_length(P: Poset) -> int:
+    return max(_heights(P), default=0)
 
 
 # --- isomorphism (exact backtracking; fine for the <= ~60 element posets here)

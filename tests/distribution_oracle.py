@@ -9,6 +9,10 @@ of ``chain_counts_through``: an m-multichain whose support is a k-chain can
 be formed in C(m, k) ways, so the mchain weight of p is
 sum_k C(m, k) * #{k-chains through p}, and the mmchain weight (positions)
 sum_k C(m+1, k+1) * #{k-chains through p}.
+
+The k-step walk that the library counted chains with before its packed
+one-pass polynomials is kept here as their oracle: ``walk_moments`` and
+``walk_counts_through`` take one strict step per chain length.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from cdeposets.distributions import (
     chain_counts_through,
     longest_chain,
 )
-from cdeposets.posets import rank_info
+from cdeposets.ideals import IdealLattice
+from cdeposets.posets import _bits, rank_info
 
 
 def convex_combination(parts) -> Distribution:
@@ -151,3 +156,89 @@ def convert_chain_to_mmchain(X, m: int) -> Distribution:
     1/(m+1) times the number of (multichain, position) pairs occupied by p.
     """
     return _chain_combination(X, m, lambda k, nk: nk * comb(m, k))
+
+
+# --- the k-step walk -------------------------------------------------------
+
+
+def _steps(X):
+    """(down, up): g -> for each x, the sum of g over the elements strictly
+    below x (up: above x), on a poset or on the ideals of a lattice.
+
+    On J(P), taking the elements of P in a linear extension, add g along
+    every Hasse edge that adds p.  An ideal J below I is reached from I by
+    removing the elements of I - J from the latest to the earliest, each
+    maximal in what remains, so every such J is summed exactly once.  The up
+    step runs the edges in reverse, adding g of the larger ideal to the
+    smaller one.
+    """
+    if not isinstance(X, IdealLattice):
+        below = [_bits(m) for m in X.strict_down]
+        above = [_bits(m) for m in X.strict_up]
+        return (
+            lambda g: [sum([g[q] for q in s]) for s in below],
+            lambda g: [sum([g[q] for q in s]) for s in above],
+        )
+    by_element = [[] for _ in range(X.base.n)]
+    for i, j, p in X.edges():
+        by_element[p].append((i, j))
+    pairs = [e for p in X.base.topological_order() for e in by_element[p]]
+
+    def down(g):
+        h = list(g)
+        for i, j in pairs:
+            h[j] += h[i]
+        return [a - b for a, b in zip(h, g)]
+
+    def up(g):
+        h = list(g)
+        for i, j in reversed(pairs):
+            h[i] += h[j]
+        return [a - b for a, b in zip(h, g)]
+
+    return down, up
+
+
+def _glue(down, up, k: int) -> list[int]:
+    """Number of k-chains through each p: a strict walk of t steps down from
+    p glued to one of k - t steps up from p."""
+    return [
+        sum([down[t][p] * up[k - t][p] for t in range(k + 1)]) for p in range(len(down[0]))
+    ]
+
+
+def _walks(X, k_max: int):
+    """The downward and upward walk tables of X, rows 0..k_max: row i of the
+    downward table counts, for each p, the strict walks x_0 < ... < x_i = p
+    (the upward table, x_0 > ... > x_i = p)."""
+    tables = []
+    for step in _steps(X):
+        table = [[1] * X.n]
+        for _ in range(k_max):
+            table.append(step(table[-1]))
+        tables.append(table)
+    return tables
+
+
+def walk_counts_through(X, k_max: int):
+    """rows[k][p] = number of k-chains passing through p, for k = 0..k_max."""
+    down, up = _walks(X, k_max)
+    return [_glue(down, up, k) for k in range(k_max + 1)]
+
+
+def walk_moments(X, stat, k_max: int):
+    """[(number of k-chains, sum over the k-chains of stat summed over the
+    chain's elements) for k = 0..k_max], from one downward walk.
+
+    a[p] counts the k-chains with top p and b[p] sums stat over them:
+    a' = step(a) and b' = step(b) + stat * a'.
+    """
+    step = _steps(X)[0]
+    a = [1] * X.n
+    b = list(stat)
+    out = [(sum(a), sum(b))]
+    for _ in range(k_max):
+        a = step(a)
+        b = [x + s * y for x, s, y in zip(step(b), stat, a)]
+        out.append((sum(a), sum(b)))
+    return out

@@ -237,6 +237,11 @@ def test_scan_family():
     assert len(list(scan_family([("chain3", chain(3))], "cde", budget=4))) == 1
     with pytest.raises(LatticeBudgetError):
         list(scan_family([("chain3", chain(3))], "cde", budget=3))
+    # one budget for the whole scan: two J(chain(3)) need 8 ideals
+    items = [("a", chain(3)), ("b", chain(3))]
+    assert len(list(scan_family(items, "tcde", budget=8))) == 2
+    with pytest.raises(LatticeBudgetError, match="the ideal budget of 7$"):
+        list(scan_family(items, "tcde", budget=7))
 
 
 OPTIMIZED_CHECKS = """
@@ -244,7 +249,7 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from cdeposets import build_lattice, cde, certify_tcde, cli, find_witness, linalg
+from cdeposets import build_lattice, cde, certify_tcde, cli, distributions, find_witness, linalg
 from cdeposets.cde import _refute
 from cdeposets.shapes import parse_shape
 from cdeposets.tableaux import f_aitken
@@ -308,10 +313,15 @@ ints = list(w.ints)
 ints[i] -= 1
 ints[j] += 1
 print("validate", w.validate(L), cde.TcdeWitness(tuple(ints), w.den, w.expectation).validate(L))
+
+# a chain-polynomial width too narrow for the chain counts
+distributions._width = lambda X, top: (2, X.base.n)
+print("exit", cli.main(["analyze", "--shape", "straight:3,2"]))
 """
 
 
 def test_corrupted_solves_are_rejected_under_python_O():
+    import json
     import os
     import subprocess
     import sys
@@ -334,7 +344,7 @@ def test_corrupted_solves_are_rejected_under_python_O():
         "find_witness shifted:4,2 rejected",
         "f_aitken rejected",
     ]
-    assert [line for line in out if line.startswith("exit")] == ["exit 4", "exit 4"]
+    assert [line for line in out if line.startswith("exit")] == ["exit 4"] * 3
     tail = out[out.index("exit 4") + 1 :]
     assert tail[:3] == [
         "certify_tcde shifted:4,2 None",
@@ -342,4 +352,8 @@ def test_corrupted_solves_are_rejected_under_python_O():
         "find_witness shifted:4,2 rejected",
     ]
     assert '"error": "internal error: ArithmeticError' in "\n".join(tail)
-    assert out[-1] == "validate True False"
+    rest = out[out.index("validate True False") + 1 :]
+    assert rest[-1] == "exit 4"
+    assert json.loads("\n".join(rest[:-1])) == {
+        "error": "internal error: ArithmeticError: packed chain moments overflowed their width"
+    }

@@ -1,6 +1,7 @@
-"""Chain statistics of J(P) from the zeta walk over the Hasse edges against
-the same functions run on L.as_poset(), which walk the comparable pairs of
-ideals: every Fraction equal.  The multichain expectations read off
+"""Chain statistics of J(P) from the packed one-pass polynomials against
+the same functions run on L.as_poset(), which sum over the comparable pairs
+of ideals, and against the k-step walk of ``distribution_oracle``: every
+count and every Fraction equal.  The multichain expectations read off
 ``cde_report``'s chain moments are checked against the expectations of the
 per-element mchain/mmchain distributions.  The maxchain distribution and the
 linear extension count share one saturated-chain sweep on both routes, so
@@ -11,9 +12,10 @@ from fractions import Fraction
 
 import pytest
 
-from cdeposets import Poset, build_lattice, cde_report
+from cdeposets import Poset, build_lattice, cde_report, cli, distributions
 from cdeposets.cde import _ddeg_stat
 from cdeposets.distributions import (
+    _chain_moments,
     chain_counts_through,
     chain_dist,
     expectation,
@@ -21,11 +23,11 @@ from cdeposets.distributions import (
     maxchain_dist,
 )
 from cdeposets.minuscule import parse_family
-from cdeposets.posets import load_poset
+from cdeposets.posets import chain, load_poset
 from cdeposets.shapes import parse_shape
 
 from conftest import FIXTURES, linear_extensions, maximal_chains
-from distribution_oracle import mchain_dist, mmchain_dist
+from distribution_oracle import mchain_dist, mmchain_dist, walk_counts_through, walk_moments
 from poset_oracle import antichain, disjoint_union
 from tableau_oracle import count_linear_extensions
 
@@ -70,6 +72,12 @@ def _assert_same(L):
     _assert_moments_route(L, report, range(4))
 
 
+def _poset(literal):
+    if literal.startswith("minuscule:"):
+        return parse_family(literal).realized
+    return parse_shape(literal).poset()
+
+
 @pytest.mark.parametrize(
     "literal",
     [
@@ -84,11 +92,7 @@ def _assert_same(L):
     ],
 )
 def test_named_lattices_match_poset_route(literal):
-    if literal.startswith("minuscule:"):
-        P = parse_family(literal).realized
-    else:
-        P = parse_shape(literal).poset()
-    _assert_same(build_lattice(P))
+    _assert_same(build_lattice(_poset(literal)))
 
 
 @pytest.mark.parametrize("name", ["fix-a", "fix-b", "fix-c", "fix-d"])
@@ -160,3 +164,75 @@ def test_linear_extension_count_matches_enumeration():
     for _ in range(150):
         P = _random_poset(rng, rng.randint(0, 7))
         assert count_linear_extensions(P) == len(linear_extensions(P))
+
+
+def _assert_walk(X):
+    """The one-pass moments, of ddeg and of a statistic of huge values, and
+    the through-counts equal the k-step walk's."""
+    r = longest_chain(X)
+    for stat in (list(_ddeg_stat(X)), [10**40 + 7 * (x % 5) for x in range(X.n)]):
+        assert _chain_moments(X, stat) == walk_moments(X, stat, r)
+    assert chain_counts_through(X, r + 1) == walk_counts_through(X, r + 1)
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        "minuscule:E6",
+        "minuscule:E7",
+        "minuscule:axb:1x1",
+        "minuscule:axb:2x5",
+        "minuscule:axb:3x4",
+        "minuscule:axb:4x5",
+        "minuscule:axb:5x6",
+        "minuscule:axb:6x6",
+        "minuscule:b2:5",
+        "shifted:3,2,1",
+        "shifted:5,4,3,2,1",
+        "shifted:6,4,2",
+        "shifted:10,8,6,4,2",
+        "skew:6,5,4/2",
+        "skew:4,3,2/2,1",
+        "skew:5,3,1/2",
+    ],
+)
+def test_one_pass_matches_walk_on_named_lattices(literal):
+    L = build_lattice(_poset(literal))
+    _assert_walk(L)
+    if L.n <= 100:
+        _assert_walk(L.as_poset())
+
+
+def test_one_pass_matches_walk_on_random_posets():
+    # _random_poset shuffles the ids, so they need not be a linear extension
+    rng = random.Random(20)
+    for _ in range(200):
+        P = _random_poset(rng, rng.randint(0, 9))
+        _assert_walk(P)
+        _assert_walk(build_lattice(P))
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        antichain(10),
+        disjoint_union(chain(3), disjoint_union(chain(3), chain(2))),
+        disjoint_union(antichain(4), chain(5)),
+    ],
+    ids=["antichain-10", "chains-3-3-2", "antichain-4-chain-5"],
+)
+def test_one_pass_matches_walk_on_wide_posets(P):
+    _assert_walk(P)
+    _assert_walk(build_lattice(P))
+
+
+def test_too_narrow_width_raises(monkeypatch, capsys):
+    L = build_lattice(parse_shape("straight:3,2").poset())
+    for width in (1, 2):
+        monkeypatch.setattr(distributions, "_width", lambda X, top: (width, X.base.n))
+        with pytest.raises(ArithmeticError, match="overflowed their width"):
+            cde_report(L)
+        with pytest.raises(ArithmeticError, match="overflowed their width"):
+            chain_counts_through(L, 5)
+    assert cli.main(["analyze", "--shape", "straight:3,2"]) == 4
+    assert "overflowed their width" in capsys.readouterr().out

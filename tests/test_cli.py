@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -332,7 +333,7 @@ def test_analyze_multichain_expectations(capsys):
 def test_analyze_runs_one_chain_walk(capsys, monkeypatch):
     from cdeposets import distributions
 
-    calls = {"_steps": 0, "chain_counts_through": 0, "edges": 0}
+    calls = {"_chain_polys": 0, "chain_counts_through": 0, "edges": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -341,14 +342,14 @@ def test_analyze_runs_one_chain_walk(capsys, monkeypatch):
 
         return wrapper
 
-    for name in ("_steps", "chain_counts_through"):
+    for name in ("_chain_polys", "chain_counts_through"):
         monkeypatch.setattr(distributions, name, counted(name, getattr(distributions, name)))
     monkeypatch.setattr(IdealLattice, "edges", counted("edges", IdealLattice.edges))
     code, out = run(capsys, "analyze", "--family", "minuscule:axb:3x6", "--m", "2")
     assert code == 0
     doc = json.loads(out)
     assert {"mchain_expectation", "mmchain_expectation"} <= set(doc)
-    assert calls == {"_steps": 1, "chain_counts_through": 0, "edges": 1}
+    assert calls == {"_chain_polys": 1, "chain_counts_through": 0, "edges": 0}
 
 
 def test_analyze_negative_m_is_an_input_error(capsys):
@@ -415,6 +416,23 @@ def test_large_shape_over_the_budget_exits_3_quickly(argv):
     )
     assert proc.returncode == 3, proc.stderr
     assert json.loads(proc.stdout) == {"error": "J(P) exceeds the ideal budget of 5"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_scan_budget_bounds_the_whole_scan(capsys, fmt):
+    # every lattice of the scan is charged against one budget; with one
+    # budget per lattice this scan ran for about 15 s
+    start = time.perf_counter()
+    code, out = run(
+        capsys, "scan", "--family", "straight-shapes:55", "--budget", "720", "--format", fmt
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    error = "J(P) exceeds the ideal budget of 720"
+    if fmt == "json":
+        assert json.loads(out) == {"error": error}
+    else:
+        assert out == f"error\n{error}\n"
 
 
 def test_huge_poset_file_exits_3_in_a_capped_process(tmp_path):

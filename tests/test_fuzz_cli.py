@@ -35,7 +35,8 @@ FAMILIES = (
     "minuscule:E6",
 )
 SCAN_FAMILIES = ("straight-shapes", "strict-partitions")
-# a scan's run time grows with its bound, which --budget does not limit
+# --budget bounds the ideals of a whole scan, all of its lattices together,
+# so a scan's run time is bounded by the budget as well as by these bounds
 SCAN_BOUNDS = ("0", "1", "3", "6", "8", "-2", "x", "", "2.5")
 POSETS = (
     {"n": 5, "relations": [[0, 2], [0, 3], [1, 2], [1, 3], [2, 4]]},
