@@ -15,8 +15,9 @@ next.  ``_chain_moments``, behind ``cde.cde_report``, reads off the sum of
 every element's polynomials the number A_k of k-chains and the sum B_k of
 the statistic over them, which give the k-chain expectation
 B_k / ((k+1) A_k) and, weighted by C(m, k) or C(m+1, k+1), the multichain
-ones (``CdeReport``).  ``chain_counts_through`` runs the pass down and up
-and multiplies the two polynomials of each element.  Both check the decoded
+ones (``CdeReport``).  ``chain_counts_through`` runs the pass down and up,
+cut off above the largest k asked for, and multiplies the two polynomials
+of each element.  Both check the decoded
 digits against what is known without them and raise ArithmeticError when
 the width was too narrow.
 
@@ -114,10 +115,10 @@ def _chain_lengths(P) -> list[int]:
     return lengths
 
 
-def _width(X, top: int) -> tuple[int, int]:
+def _width(X, top: int, k_max: int) -> tuple[int, int]:
     """(width, r): the bits per coefficient that hold every A_k and B_k, for
-    k = 0..r, of a statistic with values in 0..top (top = 0 counts chains
-    only), and the length r of a longest chain.
+    k = 0..min(k_max, r), of a statistic with values in 0..top (top = 0
+    counts chains only), and the length r of a longest chain.
 
     A k-chain takes its k + 1 elements from distinct levels, so A_k is at
     most e_{k+1}(N_0, .., N_r), the elementary symmetric polynomial of the
@@ -127,33 +128,37 @@ def _width(X, top: int) -> tuple[int, int]:
     the C(k + 1 + c, c) weakly increasing maps into 0..k+1, so over a
     partition of P into chains A_k <= prod C(k + 1 + c, c), which is at most
     (k + 2)^|P|.  Each k-chain adds at most (k + 1) * top to B_k.  Every
-    coefficient that ``_chain_polys`` or a product of its outputs forms is a
-    sum of nonnegative terms of one A_k or B_k, so none of them reaches
-    2^width and no digit carries into the next.
+    coefficient of degree at most k_max that ``_chain_polys`` or a product
+    of its outputs forms is a sum of nonnegative terms of one A_k or B_k, so
+    none of them reaches 2^width and no digit carries into the next; a carry
+    out of a higher degree only moves bits further up.
     """
     levels = _levels(X)
-    e = [1] + [0] * len(levels)  # e[j] = e_j of the levels read so far
+    r = len(levels) - 1
+    degree = min(k_max, r)
+    e = [1] + [0] * (degree + 1)  # e[j] = e_j of the levels read so far
     for h, size in enumerate(levels):
-        for j in range(h + 1, 0, -1):
+        for j in range(min(h, degree) + 1, 0, -1):
             e[j] += size * e[j - 1]
     lengths = _chain_lengths(X.base) if isinstance(X, IdealLattice) else None
     bound = 0
-    for k in range(len(levels)):
+    for k in range(degree + 1):
         count = e[k + 1]
         if lengths is not None:
             count = min(count, prod([comb(k + 1 + c, c) for c in lengths]))
         bound = max(bound, count, (k + 1) * top * count)
-    return bound.bit_length(), len(levels) - 1
+    return bound.bit_length(), r
 
 
-def _chain_polys(X, width: int, r: int, stat=None, up: bool = False):
+def _chain_polys(X, width: int, degree: int, stat=None, up: bool = False):
     """Yield (x, c(x)) for every element x, after every element below x
     (above x when ``up``), with x's chain polynomials packed into c(x).
 
     a(x) = 1 + t * sum_{y < x} a(y) counts by t^k the k-chains topped by x
     (with bottom x when ``up``), and b(x) = stat(x) a(x) + t sum_{y < x} b(y)
-    sums over them the statistic summed along the chain.  Both have degree
-    at most r, and c(x) = a(x) + 2^width b(x) at t = 2^(2 width): the digit
+    sums over them the statistic summed along the chain.  Both are cut off
+    above ``degree`` (nothing is cut when that is the length of a longest
+    chain), and c(x) = a(x) + 2^width b(x) at t = 2^(2 width): the digit
     pairs (a_k, b_k) sit side by side, so an element of height h needs only
     h + 1 pairs.  Without a statistic c(x) = a(x) at t = 2^width.  Given the
     packed sum R of c(y) over y < x, c(x) = 1 + t R + 2^width stat(x) a(x),
@@ -167,18 +172,22 @@ def _chain_polys(X, width: int, r: int, stat=None, up: bool = False):
     h_j(I) changes only at the removable elements of I, so I keeps the
     prefix list h(I)[m], its value after the first m of them, and R(I) is
     the sum, over each removable q, of h(I - q)[m] with m the number of
-    removable elements of I - q numbered below q: one add per Hasse edge.  The ideals run level by level, and
-    only the previous level's lists are kept.  The up pass is the same on
-    J(P)^op = J(P^op), with the addable elements and the extension reversed.
+    removable elements of I - q numbered below q: one add per Hasse edge.
+    The ideals run level by level, and only the previous level's lists are
+    kept.  The up pass is the same on J(P)^op = J(P^op), with the addable
+    elements and the extension reversed: highest number first.
     """
     if stat is None:
         stat, step = [0] * X.n, width
     else:
         step = 2 * width
     # the a digits: the low width bits of each step
-    low = int("0" + ("0" * (step - width) + "1" * width) * (r + 1), 2)
+    low = int("0" + ("0" * (step - width) + "1" * width) * (degree + 1), 2)
+    cut = step * degree
 
     def packed(below, s):
+        if below >> cut:  # the terms that t R would lift above degree
+            below &= (1 << cut) - 1
         c = 1 + (below << step)
         if s:
             c += s * (1 + ((below & low) << step)) << width
@@ -194,12 +203,9 @@ def _chain_polys(X, width: int, r: int, stat=None, up: bool = False):
         return
     P = X.base
     masks, covers = X.ideals, X.up if up else X.down
-    if up or any(p > q for p, q in P.covers):
-        order = P.topological_order()
-        if up:
-            order.reverse()
+    if any(p > q for p, q in P.covers):
         place = [0] * P.n
-        for i, q in enumerate(order):
+        for i, q in enumerate(P.topological_order()):
             place[q] = 1 << i
         masks = [sum([place[p] for p in _bits(m)]) for m in masks]
         covers = [sum([place[p] for p in _bits(m)]) for m in covers]
@@ -210,12 +216,20 @@ def _chain_polys(X, width: int, r: int, stat=None, up: bool = False):
             prev, level, size = level, {}, mask.bit_count()
         below, sums = 0, []
         rest = cover
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            other, prefix = prev[mask ^ bit]
-            below += prefix[(other & bit - 1).bit_count()]
-            sums.append(below)
+        if up:
+            while rest:
+                bit = 1 << rest.bit_length() - 1
+                rest ^= bit
+                other, prefix = prev[mask ^ bit]
+                below += prefix[(other & -bit).bit_count()]
+                sums.append(below)
+        else:
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                other, prefix = prev[mask ^ bit]
+                below += prefix[(other & bit - 1).bit_count()]
+                sums.append(below)
         c = packed(below, stat[i])
         level[mask] = (cover, [c, *[c + x for x in sums]])
         yield i, c
@@ -229,30 +243,31 @@ def _digits(value: int, width: int, count: int) -> list[int]:
 def chain_counts_through(X, k_max: int):
     """rows[k][p] = number of k-chains passing through p, for k = 0..k_max:
     the coefficients of down(p) * up(p), the polynomials counting the chains
-    topped by p and those with bottom p, multiplied packed.
+    topped by p and those with bottom p, multiplied packed.  Both are cut
+    off above degree k_max, which leaves the product exact up to there.
 
     The rows are checked against the chain counts A_k of the down pass: each
     k-chain passes through k + 1 elements, so row k sums to (k + 1) A_k."""
-    width, r = _width(X, 0)
+    width, r = _width(X, 0, k_max)
+    degree = min(k_max, r)
     down = [0] * X.n
     total = 0
-    for x, c in _chain_polys(X, width, r):
+    for x, c in _chain_polys(X, width, degree):
         down[x] = c
         total += c
     through = [0] * X.n
-    for x, c in _chain_polys(X, width, r, up=True):
+    for x, c in _chain_polys(X, width, degree, up=True):
         through[x] = down[x] * c
-    counts = _digits(total, width, r + 1)
+    counts = _digits(total, width, degree + 1)
     mask = (1 << width) - 1
-    rows = [[t >> width * k & mask for t in through] for k in range(r + 1)]
+    rows = [[t >> width * k & mask for t in through] for k in range(degree + 1)]
     if (
         counts[0] != X.n
-        or total >> width * (r + 1)
-        or any([t >> width * (r + 1) for t in through])
+        or total >> width * (degree + 1)
         or any([sum(row) != (k + 1) * a for k, (row, a) in enumerate(zip(rows, counts))])
     ):
         raise ArithmeticError("packed chain counts overflowed their width")
-    return rows[: k_max + 1] + [[0] * X.n for _ in range(k_max - r)]
+    return rows + [[0] * X.n for _ in range(k_max - r)]
 
 
 def _chain_moments(X, stat):
@@ -268,7 +283,7 @@ def _chain_moments(X, stat):
     carry out of a digit after B_0 that stays at or below B_r would pass
     that check: the bound, not the check, rules it out.
     """
-    width, r = _width(X, max(stat, default=0))
+    width, r = _width(X, max(stat, default=0), X.n)
     total = sum(c for _, c in _chain_polys(X, width, r, stat))
     digits = _digits(total, width, 2 * (r + 1))
     counts, sums = digits[0::2], digits[1::2]

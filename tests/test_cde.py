@@ -315,7 +315,7 @@ ints[j] += 1
 print("validate", w.validate(L), cde.TcdeWitness(tuple(ints), w.den, w.expectation).validate(L))
 
 # a chain-polynomial width too narrow for the chain counts
-distributions._width = lambda X, top: (2, X.base.n)
+distributions._width = lambda X, top, k_max: (2, X.base.n)
 print("exit", cli.main(["analyze", "--shape", "straight:3,2"]))
 """
 
@@ -345,15 +345,21 @@ def test_corrupted_solves_are_rejected_under_python_O():
         "f_aitken rejected",
     ]
     assert [line for line in out if line.startswith("exit")] == ["exit 4"] * 3
-    tail = out[out.index("exit 4") + 1 :]
-    assert tail[:3] == [
+    first = out.index("exit 4")
+    second = out.index("exit 4", first + 1)
+    assert json.loads("\n".join(out[6:first])) == {
+        "error": "internal error: ArithmeticError: exact solve failed on a consistent system"
+    }
+    assert out[first + 1 : first + 4] == [
         "certify_tcde shifted:4,2 None",
         "_refute shifted:4,2 rejected",
         "find_witness shifted:4,2 rejected",
     ]
-    assert '"error": "internal error: ArithmeticError' in "\n".join(tail)
-    rest = out[out.index("validate True False") + 1 :]
-    assert rest[-1] == "exit 4"
-    assert json.loads("\n".join(rest[:-1])) == {
+    assert json.loads("\n".join(out[first + 4 : second])) == {
+        "error": "internal error: ArithmeticError: exact elimination failed on a consistent system"
+    }
+    assert out[second + 1] == "validate True False"
+    assert out[-1] == "exit 4"
+    assert json.loads("\n".join(out[second + 2 : -1])) == {
         "error": "internal error: ArithmeticError: packed chain moments overflowed their width"
     }

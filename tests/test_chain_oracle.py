@@ -168,11 +168,15 @@ def test_linear_extension_count_matches_enumeration():
 
 def _assert_walk(X):
     """The one-pass moments, of ddeg and of a statistic of huge values, and
-    the through-counts equal the k-step walk's."""
+    the through-counts, whole and cut off at every k, equal the k-step
+    walk's."""
     r = longest_chain(X)
     for stat in (list(_ddeg_stat(X)), [10**40 + 7 * (x % 5) for x in range(X.n)]):
         assert _chain_moments(X, stat) == walk_moments(X, stat, r)
-    assert chain_counts_through(X, r + 1) == walk_counts_through(X, r + 1)
+    through = chain_counts_through(X, r + 1)
+    assert through == walk_counts_through(X, r + 1)
+    for k in range(r):
+        assert chain_counts_through(X, k) == through[: k + 1]
 
 
 @pytest.mark.parametrize(
@@ -229,10 +233,11 @@ def test_one_pass_matches_walk_on_wide_posets(P):
 def test_too_narrow_width_raises(monkeypatch, capsys):
     L = build_lattice(parse_shape("straight:3,2").poset())
     for width in (1, 2):
-        monkeypatch.setattr(distributions, "_width", lambda X, top: (width, X.base.n))
+        monkeypatch.setattr(distributions, "_width", lambda X, top, k_max: (width, X.base.n))
         with pytest.raises(ArithmeticError, match="overflowed their width"):
             cde_report(L)
-        with pytest.raises(ArithmeticError, match="overflowed their width"):
-            chain_counts_through(L, 5)
+        for k_max in (1, 5):
+            with pytest.raises(ArithmeticError, match="overflowed their width"):
+                chain_counts_through(L, k_max)
     assert cli.main(["analyze", "--shape", "straight:3,2"]) == 4
     assert "overflowed their width" in capsys.readouterr().out
