@@ -51,7 +51,7 @@ from .shapes import (
     rectangle,
     staircase,
 )
-from .tableaux import f_aitken, f_hook, g_thrall, tableau_counts
+from .tableaux import f_hook, g_thrall, tableau_counts
 
 from types import ModuleType as _ModuleType
 

@@ -24,10 +24,11 @@ Both questions are answered from small integer systems rather than from the
   only its upper triangle is counted and mirrored.  Since
   null(A^T A) = null(A), G has the same lex-first independent columns as A;
   with free variables zero, G x = A^T ddeg therefore has exactly the solution
-  the |J|-row system would have whenever that system is consistent.  The
-  candidate is then checked against ddeg on every ideal in integers by
-  ``_identity_failure``; a nonzero residual means ddeg is not in the span,
-  i.e. not tCDE.
+  the |J|-row system would have whenever that system is consistent.
+  ``linalg.solve`` gives the candidate as integers (d, x) with
+  d (c, kappa) = x, and ``_identity_failure`` checks x against d * ddeg on
+  every ideal; a nonzero residual means ddeg is not in the span, i.e. not
+  tCDE.  Only the certificate's c and kappa become Fractions.
 * Witness.  The perturbation v solving [1; T_p; ddeg] v = e_last with free
   variables zero is supported on the lex-first independent columns of that
   (n+2) x |J| matrix, one column per ideal in canonical order.
@@ -47,17 +48,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import mul
 from typing import Optional
 
 from . import linalg
-from .distributions import (
-    Distribution,
-    _chain_moments,
-    _maxchain_weights,
-    is_toggle_symmetric,
-)
+from .distributions import _chain_moments, _maxchain_weights, is_toggle_symmetric
 from .ideals import DEFAULT_IDEAL_BUDGET, IdealLattice, LatticeBudgetError, build_lattice
 from .posets import _bits
 from .serialize import rat_str
@@ -174,10 +170,6 @@ class TcdeWitness:
     den: int
     expectation: Fraction
 
-    @property
-    def mu(self) -> Distribution:
-        return Distribution([Fraction(w, self.den) for w in self.ints])
-
     def validate(self, L: IdealLattice) -> bool:
         ints, den = self.ints, self.den
         if len(ints) != L.n or den <= 0 or min(ints) < 0 or sum(ints) != den:
@@ -245,7 +237,8 @@ def _dot(u, v) -> int:
 
 
 def _gram_solve(L: IdealLattice, empty_full: bool):
-    """The free-variables-zero solution of G x = A^T ddeg, G = A^T A.
+    """(d, d x) for the free-variables-zero solution x of G x = A^T ddeg,
+    G = A^T A.
 
     A is [1 | T_p], plus the empty/full column when asked.
     """
@@ -264,29 +257,14 @@ def _gram_solve(L: IdealLattice, empty_full: bool):
     return _solve_consistent(gram, rhs)
 
 
-def _clear_denominators(sol) -> tuple[int, list[int]]:
-    """(d, d * sol) with d the lcm of the denominators."""
-    d = lcm(*[x.denominator for x in sol])
-    return d, [x.numerator * (d // x.denominator) for x in sol]
-
-
 def _solve_consistent(matrix, rhs):
     """linalg.solve on a system known to be consistent, re-checked exactly."""
     sol = linalg.solve(matrix, rhs)
     if sol is not None:
-        d, scaled = _clear_denominators(sol)
-        if all(
-            sum(a * x for a, x in zip(row, scaled)) == d * b
-            for row, b in zip(matrix, rhs)
-        ):
+        d, x = sol
+        if all(sum(map(mul, row, x)) == d * b for row, b in zip(matrix, rhs)):
             return sol
     raise ArithmeticError("exact solve failed on a consistent system")
-
-
-def _fits(L: IdealLattice, sol, empty_full: bool) -> bool:
-    """True iff ddeg = A sol on every ideal, checked in integers."""
-    d, x = _clear_denominators(sol)
-    return _identity_failure(L, x[0], x[1:], d, x[-1] if empty_full else 0) is None
 
 
 def certify_tcde(
@@ -299,10 +277,12 @@ def certify_tcde(
     smaller class of toggle-symmetric distributions that put equal weight on
     the empty and full ideals (the trapezoid trick).
     """
-    sol = _gram_solve(L, empty_full_constraint)
-    if not _fits(L, sol, empty_full_constraint):
+    d, x = _gram_solve(L, empty_full_constraint)
+    empty_full = x[-1] if empty_full_constraint else 0
+    if _identity_failure(L, x[0], x[1:], d, empty_full) is not None:
         return None
-    return TcdeCertificate(c=sol[0], kappa=tuple(sol[1 : L.base.n + 1]))
+    kappa = tuple([Fraction(k, d) for k in x[1 : L.base.n + 1]])
+    return TcdeCertificate(c=Fraction(x[0], d), kappa=kappa)
 
 
 def find_witness(L: IdealLattice) -> Optional[TcdeWitness]:
@@ -323,7 +303,7 @@ def _refute(L: IdealLattice) -> TcdeWitness:
         for u, d, dd in zip(L.up, L.down, L.ddeg)
     )
     e_last = [0] * (nP + 1) + [1]
-    chosen, d, y, _ = linalg._eliminate(columns, e_last)
+    chosen, d, y = linalg._eliminate(columns, e_last)
     # sum_i y_i col_i = d e_last, checked in integers
     if y is None or [
         sum([col[r] * x for (_, col), x in zip(chosen, y)]) for r in range(nP + 2)

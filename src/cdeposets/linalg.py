@@ -1,29 +1,18 @@
-"""Exact linear algebra by fraction-free integer elimination: solve, det.
+"""Exact linear algebra over the integers by fraction-free elimination.
 
-Entries may be ints or Fractions.  Each row is first scaled to integers by
-the lcm of its denominators.  One routine, ``_eliminate``, then does all the
-work: Bareiss's (1968) one-step fraction-free elimination, run column by
-column.  After k pivots every entry below the pivot rows is a (k+1)-minor of
-the scaled matrix, so each update divides exactly by the previous pivot and
-no rational arithmetic or gcds are needed.  A column is a pivot when it has
-a nonzero entry at or below the next pivot row; the pivot columns are
+Entries are ints.  One routine, ``_eliminate``, does all the work:
+Bareiss's (1968) one-step fraction-free elimination, run column by column.
+After k pivots every entry below the pivot rows is a (k+1)-minor of the
+matrix, so each update divides exactly by the previous pivot and no
+rational arithmetic or gcds are needed.  A column is a pivot when it has a
+nonzero entry at or below the next pivot row; the pivot columns are
 therefore the lex-first independent columns, whatever the row order.
+Solutions come back as (d, y): one integer d and an integer vector y with
+d * x = y, so callers check and use them without rational arithmetic.
 Matrices are lists of row lists.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import lcm, prod
-
-
-def _integer_rows(matrix):
-    """Copy of the matrix with each row scaled to integers."""
-    rows = []
-    for row in matrix:
-        d = lcm(*[x.denominator for x in row])
-        rows.append([x.numerator * (d // x.denominator) for x in row])
-    return rows
 
 
 def _eliminate(columns, target=None):
@@ -37,18 +26,16 @@ def _eliminate(columns, target=None):
     the chosen ones; a zero target stops before any column is read.
     Without a target every column is read until the rows run out.
 
-    Returns (chosen, d, y, sign).  ``chosen`` lists the (index, column)
-    pairs of the pivot columns read; d is the last pivot, the determinant of
-    the chosen block on the pivot rows (1 if none); y holds the integers
-    with d * x = y for the unique x such that the chosen columns times x
-    give the target, or is None when there is no target or it is out of
-    reach; sign is the sign of the row permutation.
+    Returns (chosen, d, y).  ``chosen`` lists the (index, column) pairs of
+    the pivot columns read; d is the last pivot, the determinant of the
+    chosen block on the pivot rows (1 if none); y holds the integers with
+    d * x = y for the unique x such that the chosen columns times x give
+    the target, or is None when there is no target or it is out of reach.
     """
     t = None if target is None else list(target)
     pivots = []  # (reduced column, pivot), rows in the current order
     chosen = []
     perm = None  # perm[r] is the input row now at row r
-    sign = 1
     reached = t is not None and not any(t)
     for i, col in enumerate([] if reached else columns):
         if perm is None:
@@ -70,7 +57,6 @@ def _eliminate(columns, target=None):
         if prev != last:
             x[k:] = [u * last // prev for u in x[k:]]
         if r != k:
-            sign = -sign
             for v in [perm, x, *[f for f, _ in pivots]] + ([] if t is None else [t]):
                 v[k], v[r] = v[r], v[k]
         pivots.append((x, x[k]))
@@ -83,45 +69,30 @@ def _eliminate(columns, target=None):
             break
     d = pivots[-1][1] if pivots else 1
     if not reached:
-        return chosen, d, None, sign
+        return chosen, d, None
     # back substitution: d * x is an integer vector (Cramer's rule on the
     # pivot block), so every division is exact
     y = [0] * len(pivots)
     for r in range(len(pivots) - 1, -1, -1):
         acc = d * t[r] - sum([pivots[j][0][r] * y[j] for j in range(r + 1, len(y))])
         y[r] = acc // pivots[r][1]
-    return chosen, d, y, sign
+    return chosen, d, y
 
 
 def solve(matrix, rhs):
-    """One solution of A x = b over the rationals, or None if inconsistent.
+    """(d, y) with x = y / d one solution of A x = b, or None if inconsistent.
 
+    A and b are integer; d is a nonzero integer and y an integer vector.
     Free variables are zero, so the solution is supported on the lex-first
     independent columns of A.  Columns are read only until b lies in their
     span: the solution on that prefix is unique, so the rest stay zero.
     """
     if not matrix:
-        return []
-    n_cols = len(matrix[0])
-    aug = _integer_rows([list(row) + [b] for row, b in zip(matrix, rhs)])
-    columns = list(zip(*aug))
-    chosen, d, y, _ = _eliminate(columns[:n_cols], columns[n_cols])
+        return 1, []
+    chosen, d, y = _eliminate(zip(*matrix), rhs)
     if y is None:
         return None
-    sol = [Fraction(0)] * n_cols
+    x = [0] * len(matrix[0])
     for (c, _), v in zip(chosen, y):
-        sol[c] = Fraction(v, d)
-    return sol
-
-
-def det(matrix) -> Fraction:
-    """Determinant of a square matrix."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    rows = _integer_rows(matrix)
-    scale = prod(lcm(*[x.denominator for x in row]) for row in matrix)
-    chosen, d, _, sign = _eliminate(zip(*rows))
-    if len(chosen) < n:
-        return Fraction(0)
-    return Fraction(sign * d, scale)
+        x[c] = v
+    return d, x

@@ -142,10 +142,9 @@ def exceptional_identity_report(name: str) -> dict:
     """
     d = _load_exceptional(name.lower())
     P = exceptional_poset(name)
-    kappa = [Fraction(k) for k in d["kappa"]]
     m, t = d["ddeg_multiplier"], d["target"]
     L = build_lattice(P)
-    i = _identity_failure(L, t, kappa, m)
+    i = _identity_failure(L, t, d["kappa"], m)
     if i is not None:
         return {
             "case": d["name"],

@@ -1,5 +1,5 @@
-"""Standard tableau counting: determinant, hook-length, and Thrall formulas,
-and every count of a ``count-tableaux`` report, from one J(P) per shape.
+"""Standard tableau counting: hook-length and Thrall formulas, and every
+count of a ``count-tableaux`` report, from one J(P) per shape.
 
 `tableau_counts` builds the box poset P of a skew or shifted shape and J(P)
 once.  One integer sweep gives w_I, the number of maximal chains of J(P)
@@ -7,17 +7,18 @@ through each ideal I.  At the empty ideal that is the standard count f, and
 as every chain has N+1 ideals, sum_I w_I = (N+1) f.  So a barely family
 (2^k, stat) has 2^k sum_I w_I stat(I) = (N+1) 2^k f E(maxchain; stat)
 tableaux, counted in integers.  The split-box route counts them again as
-the linear extensions of the posets P_x that split a box x into a 2-chain;
-the two routes share only J(P) and check each other.  The hook-length and
-Thrall formulas check f; `f_aitken` is a test oracle off the report path.
+the linear extensions of the posets P_x that split a box x into a 2-chain.
+Both are sums over the one J(P) and are equal by a bijection, so the
+split-box sweep is a second algorithm for the same sum, not an independent
+check; a mismatch raises ArithmeticError.  The independent check is the
+backtracker over fillings in ``tests/tableau_oracle.py``.  The hook-length
+and Thrall formulas check f.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
-from . import linalg
 from .distributions import _maxchain_weights
 from .ideals import DEFAULT_IDEAL_BUDGET, IdealLattice, build_lattice
 from .posets import _bits
@@ -26,26 +27,6 @@ from .shapes import Partition, ShiftedShape, SkewShape
 # largest shapes that get the split-box counts
 SKEW_BOX_BUDGET = 9
 SHIFTED_BOX_BUDGET = 6
-
-
-def f_aitken(shape: SkewShape) -> int:
-    """Standard tableaux of a skew shape by the factorial determinant."""
-    lam, nu = shape.outer, shape.inner
-    k = lam.length
-    if k == 0:
-        return 1
-    size = lam.size - nu.size
-    rows = []
-    for i in range(1, k + 1):
-        row = []
-        for j in range(1, k + 1):
-            m = lam.part(i) - i - nu.part(j) + j
-            row.append(Fraction(0) if m < 0 else Fraction(1, factorial(m)))
-        rows.append(row)
-    result = factorial(size) * linalg.det(rows)
-    if result.denominator != 1:
-        raise ArithmeticError(f"Aitken determinant gave a non-integer count {result}")
-    return int(result)
 
 
 def hook_lengths(lam: Partition) -> dict[tuple[int, int], int]:
@@ -147,7 +128,9 @@ def tableau_counts(
 
     ``budget`` bounds the ideals of J(P) (``LatticeBudgetError`` beyond it).
     The split-box counts are left out above ``SKEW_BOX_BUDGET`` boxes for a
-    skew shape and ``SHIFTED_BOX_BUDGET`` for a shifted one.
+    skew shape and ``SHIFTED_BOX_BUDGET`` for a shifted one; where they are
+    made, a split-box count that differs from its formula count raises
+    ``ArithmeticError``, as does f against the hook-length or Thrall product.
     """
     n = shape.n_boxes
     L = build_lattice(shape.poset(), budget=budget)
@@ -170,7 +153,9 @@ def tableau_counts(
         raise ArithmeticError(f"J(P) has {w[0]} maximal chains, the product formula {product}")
     for name, power, weight in families:
         stat = [sum([weight[x] for x in _bits(d)]) for d in L.down]
-        counts[f"{name}_formula"] = 2**power * sum([c * s for c, s in zip(w, stat)])
+        formula = counts[f"{name}_formula"] = 2**power * sum([c * s for c, s in zip(w, stat)])
         if split:
-            counts[f"{name}_brute_force"] = 2**power * _split_box_count(L, weight)
+            brute = counts[f"{name}_brute_force"] = 2**power * _split_box_count(L, weight)
+            if brute != formula:
+                raise ArithmeticError(f"split-box count {brute}, the {name} formula {formula}")
     return counts

@@ -196,7 +196,8 @@ def rook_placement(shape: SkewShape) -> dict[tuple[int, int], Fraction]:
     sol = linalg.solve(rows_sys, rhs)
     if sol is None:
         raise ValueError(f"no rook placement exists for {shape}")
-    return dict(zip(boxes, sol))
+    d, x = sol
+    return {box: Fraction(v, d) for box, v in zip(boxes, x)}
 
 
 def shifted_rook_placement(lam: Partition, cls=None) -> dict[tuple[int, int], Fraction]:

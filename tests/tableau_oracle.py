@@ -7,7 +7,9 @@ leaf function over the completed fillings: 1 to count, a recorder to list
 them, and the full shifted conditions for the shifted count.  It never
 builds a poset or an ideal lattice.  ``count_linear_extensions`` is the
 other reference the formula tests use: the maximal chains of J(P) through
-its empty ideal.
+its empty ideal.  ``f_aitken`` counts standard skew tableaux by the Aitken
+determinant, with its own dense Fraction determinant, so it shares no code
+with the library's integer elimination.
 
 Primed-alphabet encoding for the shifted count: value v unprimed is 2v,
 primed is 2v+1, matching the total order 1 < 1' < 2 < 2' < ...; a skew box
@@ -15,6 +17,9 @@ holds v as v.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import factorial
 
 from cdeposets.distributions import _maxchain_weights
 from cdeposets.ideals import build_lattice
@@ -24,6 +29,45 @@ from cdeposets.shapes import Partition, ShiftedShape, SkewShape
 def count_linear_extensions(P) -> int:
     """Number of linear extensions: maximal chains of J(P) through the empty ideal."""
     return _maxchain_weights(build_lattice(P))[0]
+
+
+def dense_det(matrix) -> Fraction:
+    """Determinant by Gaussian elimination over Fraction, row swaps signed."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        r = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if r is None:
+            return Fraction(0)
+        if r != c:
+            rows[c], rows[r] = rows[r], rows[c]
+            det = -det
+        pv = rows[c][c]
+        det *= pv
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] / pv
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return det
+
+
+def f_aitken(shape: SkewShape) -> int:
+    """Standard tableaux of a skew shape by the factorial determinant
+    N! det[1 / (lam_i - i - nu_j + j)!], with 1/m! = 0 for m < 0."""
+    lam, nu = shape.outer, shape.inner
+    k = lam.length
+    size = lam.size - nu.size
+    rows = [
+        [
+            Fraction(0) if m < 0 else Fraction(1, factorial(m))
+            for m in [lam.part(i) - i - nu.part(j) + j for j in range(1, k + 1)]
+        ]
+        for i in range(1, k + 1)
+    ]
+    result = factorial(size) * dense_det(rows)
+    if result.denominator != 1:
+        raise ArithmeticError(f"Aitken determinant gave a non-integer count {result}")
+    return int(result)
 
 
 def _sum_over_fillings(boxes, scale: int, offsets, leaf) -> int:

@@ -52,7 +52,6 @@ from cdeposets.shapes import (
     staircase,
 )
 from cdeposets.tableaux import (
-    f_aitken,
     f_hook,
     g_thrall,
     tableau_counts,
@@ -74,7 +73,7 @@ from shape_oracle import (
     shifted_rook_placement,
     stretch,
 )
-from tableau_oracle import barely_count, count_linear_extensions, shifted_barely_count
+from tableau_oracle import barely_count, count_linear_extensions, f_aitken, shifted_barely_count
 
 from conftest import (
     brute_mchain,

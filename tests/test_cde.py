@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cdeposets import (
+    Distribution,
     LatticeBudgetError,
     build_lattice,
     cde_report,
@@ -93,7 +94,8 @@ def test_witness_for_shifted_42():
     assert witness.validate(L)
     assert witness.expectation != Fraction(6, 5)
     # the half-step keeps the witness strictly positive
-    assert all(w > 0 for w in witness.mu)
+    mu = Distribution([Fraction(w, witness.den) for w in witness.ints])
+    assert all(w > 0 for w in mu)
 
 
 def test_witness_absent_on_tcde_lattices(fix_a):
@@ -246,25 +248,26 @@ def test_scan_family():
 
 OPTIMIZED_CHECKS = """
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from cdeposets import build_lattice, cde, certify_tcde, cli, distributions, find_witness, linalg
+from cdeposets import tableaux
 from cdeposets.cde import _refute
 from cdeposets.shapes import parse_shape
-from cdeposets.tableaux import f_aitken
 
 print("optimize", sys.flags.optimize)
-real_solve, real_det = linalg.solve, linalg.det
+real_solve = linalg.solve
 
 
 def corrupt_solve(matrix, rhs):
-    x = real_solve(matrix, rhs)
-    return None if x is None else [x[0] + 1] + x[1:]
+    sol = real_solve(matrix, rhs)
+    if sol is None:
+        return None
+    d, x = sol
+    return d, [x[0] + 1] + x[1:]
 
 
 linalg.solve = corrupt_solve
-linalg.det = lambda rows: real_det(rows) + Fraction(1, 7)
 for literal in ("shifted:3,2,1", "shifted:4,2"):
     L = build_lattice(parse_shape(literal).poset())
     for fn in (certify_tcde, find_witness):
@@ -272,21 +275,23 @@ for literal in ("shifted:3,2,1", "shifted:4,2"):
             print(fn.__name__, literal, fn(L))
         except ArithmeticError:
             print(fn.__name__, literal, "rejected")
-try:
-    print("f_aitken", f_aitken(parse_shape("skew:3,2/1")))
-except ArithmeticError:
-    print("f_aitken rejected")
 print("exit", cli.main(["cert-tcde", "--shape", "shifted:3,2,1"]))
+
+# a split-box sweep one off its formula count
+real_split = tableaux._split_box_count
+tableaux._split_box_count = lambda L, weight: real_split(L, weight) + 1
+print("exit", cli.main(["count-tableaux", "--shape", "straight:3,2"]))
+tableaux._split_box_count = real_split
 
 # exact solves again, but the witness elimination that cde calls returns a
 # solution off by one in its first entry
-linalg.solve, linalg.det = real_solve, real_det
+linalg.solve = real_solve
 real_eliminate = linalg._eliminate
 
 
 def corrupt_eliminate(columns, target=None):
-    chosen, d, y, sign = real_eliminate(columns, target)
-    return chosen, d, None if y is None else [y[0] + 1] + y[1:], sign
+    chosen, d, y = real_eliminate(columns, target)
+    return chosen, d, None if y is None else [y[0] + 1] + y[1:]
 
 
 cde.linalg = SimpleNamespace(solve=real_solve, _eliminate=corrupt_eliminate)
@@ -337,25 +342,28 @@ def test_corrupted_solves_are_rejected_under_python_O():
         check=True,
     ).stdout.splitlines()
     assert out[0] == "optimize 1"
-    assert out[1:6] == [
+    assert out[1:5] == [
         "certify_tcde shifted:3,2,1 rejected",
         "find_witness shifted:3,2,1 rejected",
         "certify_tcde shifted:4,2 rejected",
         "find_witness shifted:4,2 rejected",
-        "f_aitken rejected",
     ]
-    assert [line for line in out if line.startswith("exit")] == ["exit 4"] * 3
+    assert [line for line in out if line.startswith("exit")] == ["exit 4"] * 4
     first = out.index("exit 4")
-    second = out.index("exit 4", first + 1)
-    assert json.loads("\n".join(out[6:first])) == {
+    split = out.index("exit 4", first + 1)
+    second = out.index("exit 4", split + 1)
+    assert json.loads("\n".join(out[5:first])) == {
         "error": "internal error: ArithmeticError: exact solve failed on a consistent system"
     }
-    assert out[first + 1 : first + 4] == [
+    assert json.loads("\n".join(out[first + 1 : split])) == {
+        "error": "internal error: ArithmeticError: split-box count 38, the barely formula 37"
+    }
+    assert out[split + 1 : split + 4] == [
         "certify_tcde shifted:4,2 None",
         "_refute shifted:4,2 rejected",
         "find_witness shifted:4,2 rejected",
     ]
-    assert json.loads("\n".join(out[first + 4 : second])) == {
+    assert json.loads("\n".join(out[split + 4 : second])) == {
         "error": "internal error: ArithmeticError: exact elimination failed on a consistent system"
     }
     assert out[second + 1] == "validate True False"

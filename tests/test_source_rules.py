@@ -97,3 +97,27 @@ def test_every_public_name_is_reached():
     ]
     assert library and len(users) > 5
     assert not found, f"public names that nothing reaches: {found}"
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The modules a source file imports, relative ones without their dots."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add(node.module or "")
+            if node.module is None:  # from . import name
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_exact_core_is_integer_only():
+    """The eliminator and the tableau counts work in integers: neither
+    ``linalg.py`` nor ``tableaux.py`` imports or names ``fractions`` or
+    ``Fraction``, and the tableau counts run no elimination."""
+    for name in ("linalg.py", "tableaux.py"):
+        path = SRC / name
+        assert "fractions" not in _imported_modules(path), name
+        assert "Fraction" not in _identifiers(path.read_text(encoding="utf-8")), name
+    assert "linalg" not in _imported_modules(SRC / "tableaux.py")

@@ -8,7 +8,6 @@ from cdeposets import (
     Poset,
     build_lattice,
     expectation,
-    f_aitken,
     f_hook,
     g_thrall,
     maxchain_dist,
@@ -30,6 +29,7 @@ from tableau_oracle import (
     barely_count,
     barely_fillings,
     count_linear_extensions,
+    f_aitken,
     shifted_barely_count,
 )
 
@@ -254,10 +254,9 @@ def test_tableau_counts_checks_the_budget_before_the_standard_counts(monkeypatch
 def test_tableau_counts_runs_no_determinant(monkeypatch):
     # on a column of k boxes the Aitken determinant is k x k
     def no_det(*args, **kwargs):
-        raise AssertionError("a determinant ran on the report path")
+        raise AssertionError("an elimination ran on the report path")
 
-    monkeypatch.setattr("cdeposets.linalg.det", no_det)
-    monkeypatch.setattr("cdeposets.tableaux.f_aitken", no_det)
+    monkeypatch.setattr("cdeposets.linalg._eliminate", no_det)
     for k in (80, 150):
         counts = tableau_counts(parse_shape("straight:" + ",".join(["1"] * k)))
         assert counts["standard"] == 1
@@ -278,4 +277,15 @@ def test_product_formula_mismatch_raises(literal, formula, monkeypatch):
     # the product formula checks the standard count of the maxchain sweep
     monkeypatch.setattr(f"cdeposets.tableaux.{formula.__name__}", lambda lam: formula(lam) + 1)
     with pytest.raises(ArithmeticError):
+        tableau_counts(parse_shape(literal))
+
+
+@pytest.mark.parametrize("literal", ["straight:3,2", "shifted:3,2,1"])
+def test_split_box_mismatch_raises(literal, monkeypatch):
+    # the split-box sweep is checked against the formula on every report
+    real = _split_box_count
+    monkeypatch.setattr(
+        "cdeposets.tableaux._split_box_count", lambda L, weight: real(L, weight) + 1
+    )
+    with pytest.raises(ArithmeticError, match="split-box count"):
         tableau_counts(parse_shape(literal))
