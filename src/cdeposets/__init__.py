@@ -1,7 +1,7 @@
 """Exact-arithmetic combinatorics of finite posets and their ideal lattices:
-chain/maxchain distributions, CDE/mCDE decisions, tCDE certificates and
-witnesses, rowmotion/gyration homomesy, and standard (barely) set-valued
-tableau counting."""
+chain, maxchain and multichain expectations, CDE/mCDE decisions, tCDE
+certificates and witnesses, rowmotion/gyration homomesy, and standard
+(barely) set-valued tableau counting."""
 
 from .cde import (
     CdeReport,
@@ -14,10 +14,8 @@ from .cde import (
 )
 from .distributions import (
     Distribution,
-    chain_dist,
     expectation,
     is_toggle_symmetric,
-    maxchain_dist,
     uniform,
 )
 from .dynamics import (

@@ -28,7 +28,7 @@ Both questions are answered from small integer systems rather than from the
   ``linalg.solve`` gives the candidate as integers (d, x) with
   d (c, kappa) = x, and ``_identity_failure`` checks x against d * ddeg on
   every ideal; a nonzero residual means ddeg is not in the span, i.e. not
-  tCDE.  Only the certificate's c and kappa become Fractions.
+  tCDE.  Only the certificate's coefficients become Fractions.
 * Witness.  The perturbation v solving [1; T_p; ddeg] v = e_last with free
   variables zero is supported on the lex-first independent columns of that
   (n+2) x |J| matrix, one column per ideal in canonical order.
@@ -140,20 +140,26 @@ def cde_report(X) -> CdeReport:
 
 @dataclass(frozen=True)
 class TcdeCertificate:
-    """Pointwise identity ddeg(I) = c + sum_p kappa_p * (T+_p(I) - T-_p(I))."""
+    """Pointwise identity ddeg(I) = c + sum_p kappa_p * (T+_p(I) - T-_p(I)),
+    plus empty_full * ([I = empty] - [I = full]) under the empty/full
+    constraint."""
 
     c: Fraction
     kappa: tuple[Fraction, ...]
+    empty_full: Fraction = Fraction(0)
 
     def validate(self, L: IdealLattice) -> bool:
-        return _identity_failure(L, self.c, self.kappa) is None
+        return _identity_failure(L, self.c, self.kappa, 1, self.empty_full) is None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "kind": "tcde_certificate",
             "c": rat_str(self.c),
             "kappa": [rat_str(k) for k in self.kappa],
         }
+        if self.empty_full:
+            out["empty_full"] = rat_str(self.empty_full)
+        return out
 
 
 @dataclass(frozen=True)
@@ -275,14 +281,15 @@ def certify_tcde(
     With empty_full_constraint the span is enlarged by the indicator
     difference [I = empty] - [I = full], which certifies constancy over the
     smaller class of toggle-symmetric distributions that put equal weight on
-    the empty and full ideals (the trapezoid trick).
+    the empty and full ideals (the trapezoid trick); the certificate keeps
+    that column's coefficient as ``empty_full``.
     """
     d, x = _gram_solve(L, empty_full_constraint)
     empty_full = x[-1] if empty_full_constraint else 0
     if _identity_failure(L, x[0], x[1:], d, empty_full) is not None:
         return None
     kappa = tuple([Fraction(k, d) for k in x[1 : L.base.n + 1]])
-    return TcdeCertificate(c=Fraction(x[0], d), kappa=kappa)
+    return TcdeCertificate(Fraction(x[0], d), kappa, Fraction(empty_full, d))
 
 
 def find_witness(L: IdealLattice) -> Optional[TcdeWitness]:

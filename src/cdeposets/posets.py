@@ -277,10 +277,6 @@ def _heights(P: Poset) -> list[int]:
     return h
 
 
-def longest_chain_length(P: Poset) -> int:
-    return max(_heights(P), default=0)
-
-
 # --- isomorphism (exact backtracking; fine for the <= ~60 element posets here)
 
 

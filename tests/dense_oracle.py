@@ -112,7 +112,8 @@ def certify_tcde_dense(L, empty_full_constraint=False):
     sol = dense_solve(matrix, L.ddeg)
     if sol is None:
         return None
-    return TcdeCertificate(c=sol[0], kappa=tuple(sol[1 : nP + 1]))
+    empty_full = sol[-1] if empty_full_constraint else Fraction(0)
+    return TcdeCertificate(sol[0], tuple(sol[1 : nP + 1]), empty_full)
 
 
 def find_witness_dense(L):

@@ -1,18 +1,17 @@
 """Per-element distributions and identities that the tests check the library
-against: the rank and multichain distributions, the conversion identities
-between the chain and multichain families, and necklace counts.
+against: the k-chain, rank and multichain distributions, the conversion
+identities between the chain and multichain families, and necklace counts.
 
-The library answers the multichain questions from the chain moments of one
-walk (``CdeReport.multichain_expectations``).  Here the mchain and mmchain
-distributions are built element by element from the k-chain through-counts
-of ``chain_counts_through``: an m-multichain whose support is a k-chain can
-be formed in C(m, k) ways, so the mchain weight of p is
+The library answers every chain question from the chain moments of one
+packed down pass (``cde_report``).  The k-step walk that it counted chains
+with before is kept here as that pass's oracle: ``walk_moments`` and
+``walk_counts_through`` take one strict step per chain length.  Every
+per-element distribution is built from the walk's k-chain through-counts,
+never from the library's pass: the k-chain weight of p is the number of
+k-chains through p; an m-multichain whose support is a k-chain can be
+formed in C(m, k) ways, so the mchain weight of p is
 sum_k C(m, k) * #{k-chains through p}, and the mmchain weight (positions)
 sum_k C(m+1, k+1) * #{k-chains through p}.
-
-The k-step walk that the library counted chains with before its packed
-one-pass polynomials is kept here as their oracle: ``walk_moments`` and
-``walk_counts_through`` take one strict step per chain length.
 """
 
 from __future__ import annotations
@@ -21,14 +20,21 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from cdeposets.distributions import (
-    Distribution,
-    _normalized,
-    chain_counts_through,
-    longest_chain,
-)
+from cdeposets.distributions import Distribution
 from cdeposets.ideals import IdealLattice
 from cdeposets.posets import _bits, rank_info
+
+
+def normalized(weights) -> Distribution:
+    """Nonnegative integer weights scaled to sum to one."""
+    total = sum(weights)
+    return Distribution([Fraction(w, total) for w in weights])
+
+
+def chain_dist(X, k: int) -> Distribution:
+    """The k-chain distribution: weight proportional to the k-chains through
+    p; X needs a k-chain."""
+    return normalized(walk_counts_through(X, k)[k])
 
 
 def convex_combination(parts) -> Distribution:
@@ -69,9 +75,9 @@ def _multichain_dist(X, m: int, per_chain) -> Distribution:
     """Weight of p proportional to sum_k per_chain(k) * #{k-chains through p}."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    rows = chain_counts_through(X, min(m, longest_chain(X)))
+    rows = walk_counts_through(X, m)
     coeffs = [per_chain(k) for k in range(len(rows))]
-    return _normalized([sum([c * row[p] for c, row in zip(coeffs, rows)]) for p in range(X.n)])
+    return normalized([sum([c * row[p] for c, row in zip(coeffs, rows)]) for p in range(X.n)])
 
 
 def mchain_dist(X, m: int) -> Distribution:
@@ -128,14 +134,14 @@ def necklace_count(n: int, k: int) -> int:
 
 
 def _chain_combination(X, m: int, weight) -> Distribution:
-    """sum_k weight(k, #{k-chains}) * chain(k) over k = 0..min(m, longest
-    chain), normalized; every k-chain has k+1 elements, so the k-chain count
+    """sum_k weight(k, #{k-chains}) * chain(k) over the k <= m with a
+    k-chain, normalized; every k-chain has k+1 elements, so the k-chain count
     is the row sum of the through-counts over k+1."""
     parts = []
-    for k, through in enumerate(chain_counts_through(X, min(m, longest_chain(X)))):
+    for k, through in enumerate(walk_counts_through(X, m)):
         total = sum(through)
         if total:
-            parts.append((weight(k, total // (k + 1)), _normalized(through)))
+            parts.append((weight(k, total // (k + 1)), normalized(through)))
     return convex_combination(parts)
 
 

@@ -15,18 +15,17 @@ from cdeposets import (
     cde_report,
     certify_tcde,
     chain,
-    chain_dist,
     direct_product,
     dual,
     expectation,
     find_witness,
     is_isomorphic,
     is_toggle_symmetric,
-    maxchain_dist,
     rank_info,
     rowmotion_map,
     uniform,
 )
+from cdeposets.distributions import _maxchain_weights
 from cdeposets.dynamics import (
     antichain_cardinality,
     homomesy_report,
@@ -59,10 +58,12 @@ from cdeposets.tableaux import (
 
 from dense_oracle import _signed_tables
 from distribution_oracle import (
+    chain_dist,
     convert_chain_to_mchain,
     convert_chain_to_mmchain,
     mchain_dist,
     mmchain_dist,
+    normalized,
     rank_dist,
 )
 from lattice_oracle import apply_toggle_word, orbit_uniform, toggle_tables
@@ -89,20 +90,19 @@ def _passed(name: str) -> None:
 
 
 def test_criterion_01_counterexample_regressions(fix_a, fix_b, fix_c, fix_d):
-    ddeg_a = tuple(fix_a.ddeg(p) for p in range(fix_a.n))
-    assert expectation(chain_dist(fix_a, 1), ddeg_a) == Fraction(13, 14)
+    assert cde_report(fix_a).chain_expectations[1] == Fraction(13, 14)
 
-    ddeg_b = tuple(fix_b.ddeg(p) for p in range(fix_b.n))
-    assert expectation(maxchain_dist(fix_b), ddeg_b) == Fraction(17, 16)
+    assert cde_report(fix_b).maxchain_expectation == Fraction(17, 16)
 
     L = build_lattice(fix_c)
-    assert expectation(chain_dist(L, 1), L.ddeg) == Fraction(83, 52)
+    chains = cde_report(L).chain_expectations
+    assert chains[1] == Fraction(83, 52)
     assert expectation(uniform(L), L.ddeg) == Fraction(8, 5)
-    assert expectation(chain_dist(L, 6), L.ddeg) == Fraction(8, 5)
+    assert chains[6] == Fraction(8, 5)
 
     Pd = dual(fix_d)
     ddeg_d = tuple(Pd.ddeg(p) for p in range(Pd.n))
-    assert expectation(chain_dist(Pd, 2), ddeg_d) == Fraction(7, 6)
+    assert cde_report(Pd).chain_expectations[2] == Fraction(7, 6)
     assert expectation(uniform(Pd), ddeg_d) == 1
     _passed("criterion 1 (counterexample regressions)")
 
@@ -110,7 +110,7 @@ def test_criterion_01_counterexample_regressions(fix_a, fix_b, fix_c, fix_d):
 def test_criterion_02_motivating_example():
     L = build_lattice(direct_product(chain(2), chain(2)))
     assert expectation(uniform(L), L.ddeg) == 1
-    mu = maxchain_dist(L)
+    mu = normalized(_maxchain_weights(L))
     assert expectation(mu, L.ddeg) == 1
     assert list(mu) == [
         Fraction(2, 10),
@@ -151,7 +151,7 @@ def test_criterion_03_balanced_shape_theorem():
         L = build_lattice(SkewShape(Partition(parts)).poset())
         assert certify_tcde(L) is None
         assert expectation(uniform(L), L.ddeg) == density
-        assert expectation(maxchain_dist(L), L.ddeg) == maxexp
+        assert cde_report(L).maxchain_expectation == maxexp
     _passed("criterion 3 (balanced skew shapes tCDE, ab/(a+b))")
 
 
@@ -409,7 +409,7 @@ def test_criterion_09_tableaux_oracles():
         t_minus = toggle_tables(L.base, L.ideals)[1]
         minus = [t_minus[p] for p in diag]
         stat = [sum(col[idx] for col in minus) for idx in range(L.n)]
-        assert expectation(maxchain_dist(L), stat) == Fraction(1, 2), lam
+        assert expectation(normalized(_maxchain_weights(L)), stat) == Fraction(1, 2), lam
     _passed("criterion 9 (tableau counting formulas vs brute-force oracles)")
 
 

@@ -172,6 +172,13 @@ def test_empty_full_constraint_flag():
     L = build_lattice(ShiftedShape(Partition((4, 2))).poset())
     cert = certify_tcde(L, empty_full_constraint=True)
     assert cert is not None and cert.c == Fraction(6, 5)
+    # the identity needs the coefficient on [I = empty] - [I = full]
+    assert cert.empty_full == Fraction(-1, 5) and cert.validate(L)
+    assert not TcdeCertificate(cert.c, cert.kappa).validate(L)
+    assert cert.to_dict()["empty_full"] == "-1/5"
+    # a zero coefficient is left out of the report
+    staircase = build_lattice(ShiftedShape(Partition((3, 2, 1))).poset())
+    assert "empty_full" not in certify_tcde(staircase, True).to_dict()
 
 
 def test_propeller_lattices_density_one():
@@ -320,7 +327,7 @@ ints[j] += 1
 print("validate", w.validate(L), cde.TcdeWitness(tuple(ints), w.den, w.expectation).validate(L))
 
 # a chain-polynomial width too narrow for the chain counts
-distributions._width = lambda X, top, k_max: (2, X.base.n)
+distributions._width = lambda X, top: (2, X.base.n)
 print("exit", cli.main(["analyze", "--shape", "straight:3,2"]))
 """
 

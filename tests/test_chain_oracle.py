@@ -3,25 +3,18 @@ the same functions run on L.as_poset(), which sum over the comparable pairs
 of ideals, and against the k-step walk of ``distribution_oracle``: every
 count and every Fraction equal.  The multichain expectations read off
 ``cde_report``'s chain moments are checked against the expectations of the
-per-element mchain/mmchain distributions.  The maxchain distribution and the
-linear extension count share one saturated-chain sweep on both routes, so
-they are also checked against brute-force enumeration."""
+per-element mchain/mmchain distributions, which the oracle builds from the
+walk.  The maxchain weights and the linear extension count share one
+saturated-chain sweep on both routes, so they are also checked against
+brute-force enumeration."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from cdeposets import Poset, build_lattice, cde_report, cli, distributions
 from cdeposets.cde import _ddeg_stat
-from cdeposets.distributions import (
-    _chain_moments,
-    chain_counts_through,
-    chain_dist,
-    expectation,
-    longest_chain,
-    maxchain_dist,
-)
+from cdeposets.distributions import _chain_moments, _maxchain_weights, expectation
 from cdeposets.minuscule import parse_family
 from cdeposets.posets import chain, load_poset
 from cdeposets.shapes import parse_shape
@@ -30,10 +23,6 @@ from conftest import FIXTURES, linear_extensions, maximal_chains
 from distribution_oracle import mchain_dist, mmchain_dist, walk_counts_through, walk_moments
 from poset_oracle import antichain, disjoint_union
 from tableau_oracle import count_linear_extensions
-
-# beyond this many ideals chain_dist is compared at a few k only, because
-# the comparable-pairs route takes O(k * |J|^2) per k
-ALL_K_MAX_IDEALS = 200
 
 
 def _assert_moments_route(X, report, ms):
@@ -53,19 +42,12 @@ def _assert_same(L):
     P = L.as_poset()
     assert report == cde_report(P)
     n = L.base.n
-    through = chain_counts_through(L, n + 1)
-    assert through == chain_counts_through(P, n + 1)
+    through = walk_counts_through(L, n + 1)
+    assert through == walk_counts_through(P, n + 1)
     # the k-chain counts of the moments, from the through-counts
     counts = [sum(row) // (k + 1) for k, row in enumerate(through)]
     assert [a for a, _ in report.chain_moments] + [0] == counts
-    if L.n <= ALL_K_MAX_IDEALS:
-        ks = range(n + 1)
-    else:
-        ks = sorted({0, 1, 2, n // 2, n - 1, n})
-    for k in ks:
-        assert chain_counts_through(L, k) == chain_counts_through(P, k)
-        assert chain_dist(L, k) == chain_dist(P, k)
-    assert maxchain_dist(L) == maxchain_dist(P)
+    assert _maxchain_weights(L) == _maxchain_weights(P)
     for m in range(4):
         assert mchain_dist(L, m) == mchain_dist(P, m)
         assert mmchain_dist(L, m) == mmchain_dist(P, m)
@@ -125,20 +107,20 @@ def test_multichain_moments_match_distributions_on_random_posets():
     raw += [_random_poset(rng, rng.randint(1, 7)) for _ in range(60)]
     for P in raw:
         for X in (P, build_lattice(P)):
-            r = longest_chain(X)
-            _assert_moments_route(X, cde_report(X), [*range(6), r + 1, r + 3])
+            report = cde_report(X)
+            r = len(report.chain_expectations) - 1
+            _assert_moments_route(X, report, [*range(6), r + 1, r + 3])
     with pytest.raises(ValueError, match="m must be >= 0"):
         cde_report(P).multichain_expectations(-1)
 
 
 def _maxchain_brute(X):
-    """Weight of p proportional to the maximal chains that contain p."""
+    """The number of maximal chains that contain each p."""
     through = [0] * X.n
     for c in maximal_chains(X):
         for p in c:
             through[p] += 1
-    total = sum(through)
-    return [Fraction(t, total) for t in through]
+    return through
 
 
 def test_maxchain_dist_matches_brute_force_on_raw_posets():
@@ -149,14 +131,14 @@ def test_maxchain_dist_matches_brute_force_on_raw_posets():
             P = disjoint_union(P, _random_poset(rng, rng.randint(1, 5)))
         if rng.random() < 0.3:
             P = disjoint_union(P, antichain(rng.randint(1, 3)))
-        assert list(maxchain_dist(P)) == _maxchain_brute(P)
+        assert _maxchain_weights(P) == _maxchain_brute(P)
 
 
 def test_maxchain_dist_matches_brute_force_on_lattices():
     rng = random.Random(13)
     for _ in range(40):
         L = build_lattice(_random_poset(rng, rng.randint(0, 6)))
-        assert list(maxchain_dist(L)) == _maxchain_brute(L.as_poset())
+        assert _maxchain_weights(L) == _maxchain_brute(L.as_poset())
 
 
 def test_linear_extension_count_matches_enumeration():
@@ -167,16 +149,11 @@ def test_linear_extension_count_matches_enumeration():
 
 
 def _assert_walk(X):
-    """The one-pass moments, of ddeg and of a statistic of huge values, and
-    the through-counts, whole and cut off at every k, equal the k-step
-    walk's."""
-    r = longest_chain(X)
+    """The one-pass moments, of ddeg and of a statistic of huge values, equal
+    the k-step walk's, which finds no chain longer than theirs."""
     for stat in (list(_ddeg_stat(X)), [10**40 + 7 * (x % 5) for x in range(X.n)]):
-        assert _chain_moments(X, stat) == walk_moments(X, stat, r)
-    through = chain_counts_through(X, r + 1)
-    assert through == walk_counts_through(X, r + 1)
-    for k in range(r):
-        assert chain_counts_through(X, k) == through[: k + 1]
+        moments = _chain_moments(X, stat)
+        assert moments + [(0, 0)] == walk_moments(X, stat, len(moments))
 
 
 @pytest.mark.parametrize(
@@ -233,11 +210,8 @@ def test_one_pass_matches_walk_on_wide_posets(P):
 def test_too_narrow_width_raises(monkeypatch, capsys):
     L = build_lattice(parse_shape("straight:3,2").poset())
     for width in (1, 2):
-        monkeypatch.setattr(distributions, "_width", lambda X, top, k_max: (width, X.base.n))
+        monkeypatch.setattr(distributions, "_width", lambda X, top: (width, X.base.n))
         with pytest.raises(ArithmeticError, match="overflowed their width"):
             cde_report(L)
-        for k_max in (1, 5):
-            with pytest.raises(ArithmeticError, match="overflowed their width"):
-                chain_counts_through(L, k_max)
     assert cli.main(["analyze", "--shape", "straight:3,2"]) == 4
     assert "overflowed their width" in capsys.readouterr().out

@@ -319,7 +319,8 @@ def test_extra_empty_full_flag(capsys):
         capsys, "cert-tcde", "--shape", "shifted:4,2", "--extra-empty-full"
     )
     assert code == 0
-    assert json.loads(out)["c"] == "6/5"
+    doc = json.loads(out)
+    assert doc["c"] == "6/5" and doc["empty_full"] == "-1/5"
 
 
 def test_analyze_multichain_expectations(capsys):
@@ -333,7 +334,7 @@ def test_analyze_multichain_expectations(capsys):
 def test_analyze_runs_one_chain_walk(capsys, monkeypatch):
     from cdeposets import distributions
 
-    calls = {"_chain_polys": 0, "chain_counts_through": 0, "edges": 0}
+    calls = {"_chain_polys": 0, "edges": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -342,14 +343,15 @@ def test_analyze_runs_one_chain_walk(capsys, monkeypatch):
 
         return wrapper
 
-    for name in ("_chain_polys", "chain_counts_through"):
-        monkeypatch.setattr(distributions, name, counted(name, getattr(distributions, name)))
+    monkeypatch.setattr(
+        distributions, "_chain_polys", counted("_chain_polys", distributions._chain_polys)
+    )
     monkeypatch.setattr(IdealLattice, "edges", counted("edges", IdealLattice.edges))
     code, out = run(capsys, "analyze", "--family", "minuscule:axb:3x6", "--m", "2")
     assert code == 0
     doc = json.loads(out)
     assert {"mchain_expectation", "mmchain_expectation"} <= set(doc)
-    assert calls == {"_chain_polys": 1, "chain_counts_through": 0, "edges": 0}
+    assert calls == {"_chain_polys": 1, "edges": 0}
 
 
 def test_analyze_negative_m_is_an_input_error(capsys):

@@ -12,10 +12,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 README = (ROOT / "README.md").read_text(encoding="utf-8")
-# each block by the README line its fence opens on
+# each block by its ordinal, so that editing the text around it keeps its id
 README_BLOCKS = {
-    f"line-{README.count(chr(10), 0, m.start()) + 1}": m.group(1)
-    for m in re.finditer(r"^```python\n(.*?)^```", README, re.M | re.S)
+    f"block-{i}": m.group(1)
+    for i, m in enumerate(re.finditer(r"^```python\n(.*?)^```", README, re.M | re.S), 1)
 }
 
 

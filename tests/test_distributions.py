@@ -8,15 +8,14 @@ from cdeposets import (
     Distribution,
     Poset,
     build_lattice,
+    cde_report,
     chain,
-    chain_dist,
     direct_product,
     expectation,
     is_toggle_symmetric,
-    maxchain_dist,
     uniform,
 )
-from cdeposets.distributions import longest_chain
+from cdeposets.distributions import _chain_moments, _maxchain_weights
 from cdeposets.shapes import Partition, ShiftedShape, SkewShape
 
 from conftest import (
@@ -29,12 +28,15 @@ from conftest import (
     random_poset,
 )
 from distribution_oracle import (
+    chain_dist,
     convert_chain_to_mchain,
     convert_chain_to_mmchain,
     mchain_dist,
     mmchain_dist,
     necklace_count,
+    normalized,
     rank_dist,
+    walk_counts_through,
 )
 
 
@@ -67,45 +69,47 @@ def test_rank_dist_rejects_ungraded_base(fix_a):
 
 def test_chain_dist_on_fix_a_poset(fix_a):
     ddeg = tuple(fix_a.ddeg(p) for p in range(fix_a.n))
+    chains = cde_report(fix_a).chain_expectations
+    assert chains[1] == Fraction(13, 14)
     assert expectation(chain_dist(fix_a, 1), ddeg) == Fraction(13, 14)
     assert chain_dist(fix_a, 0) == uniform(fix_a)
-    with pytest.raises(ValueError):
-        chain_dist(fix_a, 3)
+    # a longest chain of fix-a has length 2: no 3-chain expectation
+    assert len(chains) == 3
 
 
 def test_chain_dist_on_j_fix_c(fix_c):
     L = build_lattice(fix_c)
-    assert expectation(chain_dist(L, 1), L.ddeg) == Fraction(83, 52)
-    assert expectation(chain_dist(L, 0), L.ddeg) == Fraction(8, 5)
-    assert expectation(chain_dist(L, 6), L.ddeg) == Fraction(8, 5)
+    chains = cde_report(L).chain_expectations
+    assert chains[1] == Fraction(83, 52)
+    assert chains[0] == Fraction(8, 5)
+    assert chains[6] == Fraction(8, 5)
 
 
 def test_chain_counts_match_enumeration():
+    """The moments of the pass and the walk's through-counts, against every
+    k-chain listed."""
     rng = random.Random(2)
     for _ in range(10):
         P = random_poset(rng, 5)
-        r = longest_chain(P)
-        for k in range(r + 1):
-            mu = chain_dist(P, k)
+        ddeg = [P.ddeg(p) for p in range(P.n)]
+        moments = _chain_moments(P, ddeg)
+        r = len(moments) - 1
+        assert not brute_kchains(P, r + 1)
+        for k, through in enumerate(walk_counts_through(P, r)):
             chains = brute_kchains(P, k)
-            total = (k + 1) * len(chains)
-            expected = [
-                Fraction(sum(1 for c in chains if p in c), total)
-                for p in range(P.n)
-            ]
-            assert list(mu) == expected
+            assert moments[k] == (len(chains), sum([ddeg[p] for c in chains for p in c]))
+            assert through == [sum(1 for c in chains if p in c) for p in range(P.n)]
 
 
 def test_maxchain_2x2_lattice_and_point():
     L = build_lattice(direct_product(chain(2), chain(2)))
-    mu = maxchain_dist(L)
+    mu = normalized(_maxchain_weights(L))
     assert expectation(mu, L.ddeg) == 1
-    assert maxchain_dist(chain(1)) == point_mass(chain(1), 0)
+    assert normalized(_maxchain_weights(chain(1))) == point_mass(chain(1), 0)
 
 
 def test_maxchain_fix_b(fix_b):
-    ddeg = tuple(fix_b.ddeg(p) for p in range(fix_b.n))
-    assert expectation(maxchain_dist(fix_b), ddeg) == Fraction(17, 16)
+    assert cde_report(fix_b).maxchain_expectation == Fraction(17, 16)
 
 
 def test_maxchain_equals_top_chain_on_graded_lattices():
@@ -113,7 +117,7 @@ def test_maxchain_equals_top_chain_on_graded_lattices():
     for _ in range(10):
         P = random_poset(rng, 5)
         L = build_lattice(P)
-        assert maxchain_dist(L) == chain_dist(L, P.n)
+        assert normalized(_maxchain_weights(L)) == chain_dist(L, P.n)
 
 
 def test_mchain_zero_is_uniform():
@@ -161,7 +165,7 @@ def test_interval_31_and_32_expectations():
     ):
         L = build_lattice(SkewShape(Partition(parts)).poset())
         assert expectation(uniform(L), L.ddeg) == density
-        assert expectation(maxchain_dist(L), L.ddeg) == maxexp
+        assert cde_report(L).maxchain_expectation == maxexp
 
 
 def test_fixture_witness_table_is_toggle_symmetric():
@@ -182,8 +186,8 @@ def test_chain_dists_toggle_symmetric():
     for _ in range(10):
         P = random_poset(rng, 5)
         L = build_lattice(P)
-        for k in range(P.n + 1):
-            assert is_toggle_symmetric(L, chain_dist(L, k))
+        for through in walk_counts_through(L, P.n):
+            assert is_toggle_symmetric(L, through)
 
 
 def test_necklace_counts():
@@ -252,19 +256,18 @@ def _projection_weights(JX, JY, k):
     """
     from math import comb
 
-    from cdeposets.distributions import chain_counts_through, longest_chain
+    def chain_counts(X):
+        return [a for a, _ in _chain_moments(X, [0] * X.n)]
 
-    def chain_count(X, k):
-        return sum(chain_counts_through(X, k)[k]) // (k + 1)
-
+    counts_x, counts_y = chain_counts(JX), chain_counts(JY)
     weights = {}
-    for i in range(min(k, longest_chain(JX)) + 1):
+    for i in range(min(k, len(counts_x) - 1) + 1):
         inner = 0
-        for j in range(max(0, k - i), min(k, longest_chain(JY)) + 1):
+        for j in range(max(0, k - i), min(k, len(counts_y) - 1) + 1):
             d = i + j - k
             if 0 <= d <= i:
-                inner += comb(i, d) * chain_count(JY, j)
-        w = comb(k, i) * chain_count(JX, i) * inner
+                inner += comb(i, d) * counts_y[j]
+        w = comb(k, i) * counts_x[i] * inner
         if w:
             weights[i] = w
     return weights
@@ -272,7 +275,6 @@ def _projection_weights(JX, JY, k):
 
 def test_product_projection_of_chain_distributions():
     from cdeposets import build_lattice, direct_product
-    from cdeposets.distributions import longest_chain
     from distribution_oracle import convex_combination
 
     rng = random.Random(47)
@@ -282,14 +284,16 @@ def test_product_projection_of_chain_distributions():
         JP = build_lattice(P).as_poset()
         JQ = build_lattice(Q).as_poset()
         prod = direct_product(JP, JQ)
-        for k in range(longest_chain(JP) + longest_chain(JQ) + 1):
-            mu = chain_dist(prod, k)
+        # a longest chain of J(P) has length |P|
+        rows_p = walk_counts_through(JP, P.n)
+        for k, through in enumerate(walk_counts_through(prod, P.n + Q.n)):
+            mu = normalized(through)
             marginal = [
                 sum(mu[p * JQ.n + q] for q in range(JQ.n)) for p in range(JP.n)
             ]
             weights = _projection_weights(JP, JQ, k)
             combo = convex_combination(
-                [(w, chain_dist(JP, i)) for i, w in weights.items()]
+                [(w, normalized(rows_p[i])) for i, w in weights.items()]
             )
             assert list(combo) == marginal
 

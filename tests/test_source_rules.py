@@ -1,11 +1,13 @@
 """Rules on the library source itself."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cdeposets"
+TESTS = Path(__file__).resolve().parent
 
 
 def test_library_has_no_assert():
@@ -60,24 +62,26 @@ def test_reports_are_written_by_the_one_emitter():
     assert not found, f"indented json.dumps outside serialize.py: {found}"
 
 
-def _identifiers(source: str) -> set[str]:
-    """Every name a piece of code reads, imports or looks up as an attribute."""
+def _identifiers(source: str, imports: bool = True) -> set[str]:
+    """Every name a piece of code reads or looks up as an attribute, and,
+    with ``imports``, every name it imports."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.alias):
+        elif imports and isinstance(node, ast.alias):
             names.add(node.name.rpartition(".")[2])
     return names
 
 
 def test_every_public_name_is_reached():
     """Nothing ships that no CLI verb, demo or README example reaches: every
-    public top-level function or class of the library is named somewhere
+    public top-level function or class of the library is used somewhere
     besides its own definition and ``__init__.py``: in library code (the CLI
-    included), a demo or a ``python`` block of the README.  Tests do not
+    included), a demo or a ``python`` block of the README.  A use is a name
+    or an attribute lookup; an import alone does not count.  Tests do not
     count, so code that only tests call lives with the test oracles."""
     library = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     root = SRC.parent.parent
@@ -86,7 +90,7 @@ def test_every_public_name_is_reached():
     users = [path.read_text(encoding="utf-8") for path in demos]
     users += re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
     sources = [path.read_text(encoding="utf-8") for path in library]
-    reached = set().union(*[_identifiers(source) for source in sources + users])
+    reached = set().union(*[_identifiers(source, False) for source in sources + users])
     found = [
         f"{path.name}:{node.lineno}:{node.name}"
         for path, source in zip(library, sources)
@@ -121,3 +125,26 @@ def test_exact_core_is_integer_only():
         assert "fractions" not in _imported_modules(path), name
         assert "Fraction" not in _identifiers(path.read_text(encoding="utf-8")), name
     assert "linalg" not in _imported_modules(SRC / "tableaux.py")
+
+
+def test_distribution_oracle_is_independent_of_the_chain_pass():
+    """``tests/distribution_oracle.py`` builds its chain counts from its own
+    k-step walk: of ``cdeposets.distributions`` it imports ``Distribution``
+    and nothing else, by any route."""
+    from cdeposets import distributions
+
+    path = TESTS / "distribution_oracle.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith(distributions.__name__)]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cdeposets"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                value = getattr(module, alias.name)
+                home = getattr(value, "__module__", None)
+                if value is distributions or (
+                    home == distributions.__name__ and value is not distributions.Distribution
+                ):
+                    found.append(f"{node.module}.{alias.name}")
+    assert not found, f"distribution_oracle.py imports the library's chain code: {found}"

@@ -10,9 +10,9 @@ from cdeposets import (
     expectation,
     f_hook,
     g_thrall,
-    maxchain_dist,
     tableau_counts,
 )
+from cdeposets.distributions import _maxchain_weights
 from cdeposets.shapes import (
     Partition,
     ShiftedShape,
@@ -24,6 +24,7 @@ from cdeposets.shapes import (
 )
 from cdeposets.tableaux import _split_box_count, hook_lengths, shifted_hook_lengths
 
+from distribution_oracle import normalized
 from lattice_oracle import toggle_tables
 from tableau_oracle import (
     barely_count,
@@ -167,7 +168,7 @@ def test_type1_diagonal_expectation_half():
         t_minus = toggle_tables(L.base, L.ideals)[1]
         minus = [t_minus[p] for p in diag]
         stat = [sum(col[idx] for col in minus) for idx in range(L.n)]
-        assert expectation(maxchain_dist(L), stat) == Fraction(1, 2)
+        assert expectation(normalized(_maxchain_weights(L)), stat) == Fraction(1, 2)
 
 
 def test_balanced_barely_product_formula():

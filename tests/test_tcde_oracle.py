@@ -1,5 +1,7 @@
 """The Gram route for tCDE certificates and witnesses against the dense
-Fraction route in dense_oracle.py: equal to_dict() output, bit for bit."""
+Fraction route in dense_oracle.py: equal to_dict() output, bit for bit.
+Every certificate, with and without the empty/full column, also validates:
+its identity holds on every ideal."""
 
 import random
 from fractions import Fraction
@@ -46,6 +48,7 @@ def _assert_same(L):
     for empty_full in (False, True):
         cert = certify_tcde(L, empty_full)
         assert _dict(cert) == _dict(certify_tcde_dense(L, empty_full))
+        assert cert is None or cert.validate(L)
         # the CLI's cert-tcde route: refuted with the extra column means
         # refuted without it
         if cert is None:
