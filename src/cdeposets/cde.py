@@ -26,9 +26,14 @@ Both questions are answered from small integer systems rather than from the
   with free variables zero, G x = A^T ddeg therefore has exactly the solution
   the |J|-row system would have whenever that system is consistent.
   ``linalg.solve`` gives the candidate as integers (d, x) with
-  d (c, kappa) = x, and ``_identity_failure`` checks x against d * ddeg on
-  every ideal; a nonzero residual means ddeg is not in the span, i.e. not
-  tCDE.  Only the certificate's coefficients become Fractions.
+  d (c, kappa) = x.  A solution of the normal equations leaves a residual
+  r = ddeg - A x / d orthogonal to every column of A, so
+  d ||r||^2 = d <ddeg, ddeg> - x^T A^T ddeg: one sum of squares and one
+  dot product decide, with no pass over the ideals.  The lattice is tCDE
+  exactly when that integer is 0.  Summed over J(P) the identity reads
+  c |J| = sum ddeg, since every T_p and the empty/full column sum to 0, so
+  a certified c must be the edge density; that is checked too.  Only the
+  certificate's coefficients become Fractions.
 * Witness.  The perturbation v solving [1; T_p; ddeg] v = e_last with free
   variables zero is supported on the lex-first independent columns of that
   (n+2) x |J| matrix, one column per ideal in canonical order.
@@ -243,10 +248,12 @@ def _dot(u, v) -> int:
 
 
 def _gram_solve(L: IdealLattice, empty_full: bool):
-    """(d, d x) for the free-variables-zero solution x of G x = A^T ddeg,
-    G = A^T A.
+    """(d, d x, d ||ddeg - A x||^2) for the free-variables-zero solution x of
+    G x = A^T ddeg, G = A^T A.
 
-    A is [1 | T_p], plus the empty/full column when asked.
+    A is [1 | T_p], plus the empty/full column when asked.  x solves the
+    normal equations, so the residual is orthogonal to A's columns and its
+    squared norm is <ddeg, ddeg> - x^T A^T ddeg.
     """
     nP = L.base.n
     cols = [((1 << L.n) - 1, 0)]
@@ -260,7 +267,8 @@ def _gram_solve(L: IdealLattice, empty_full: bool):
         for b in range(a, len(cols)):
             gram[a][b] = gram[b][a] = _dot(u, cols[b])
     rhs = [sum(_dot(u, plane) << k for k, plane in enumerate(planes)) for u in cols]
-    return _solve_consistent(gram, rhs)
+    d, y = _solve_consistent(gram, rhs)
+    return d, y, d * sum(map(mul, L.ddeg, L.ddeg)) - sum(map(mul, y, rhs))
 
 
 def _solve_consistent(matrix, rhs):
@@ -278,16 +286,33 @@ def certify_tcde(
 ) -> Optional[TcdeCertificate]:
     """Solve for (c, kappa) making the pointwise identity hold on every ideal.
 
+    The least-squares solution of the Gram system is the candidate, and the
+    identity holds on every ideal exactly when its residual is 0, which
+    ``_gram_solve`` reads off in integers.  A negative squared residual, or
+    a certified c other than the edge density #edges / |J| (the identity
+    summed over J(P)), means the arithmetic went wrong and raises
+    ``ArithmeticError``.
+
     With empty_full_constraint the span is enlarged by the indicator
     difference [I = empty] - [I = full], which certifies constancy over the
     smaller class of toggle-symmetric distributions that put equal weight on
     the empty and full ideals (the trapezoid trick); the certificate keeps
     that column's coefficient as ``empty_full``.
     """
-    d, x = _gram_solve(L, empty_full_constraint)
-    empty_full = x[-1] if empty_full_constraint else 0
-    if _identity_failure(L, x[0], x[1:], d, empty_full) is not None:
+    d, x, residual = _gram_solve(L, empty_full_constraint)
+    if d * residual < 0:
+        raise ArithmeticError("least-squares residual came out negative")
+    if residual:
         return None
+    # summed over J(P) the identity reads c |J| = sum ddeg: every T_p sums to
+    # 0, and so does the empty/full column unless J(P) is one ideal, where
+    # ddeg, and so x, is 0
+    if x[0] * L.n != d * L.edge_count():
+        raise ArithmeticError(
+            f"certified c = {Fraction(x[0], d)} is not the edge density "
+            f"{Fraction(L.edge_count(), L.n)}"
+        )
+    empty_full = x[-1] if empty_full_constraint else 0
     kappa = tuple([Fraction(k, d) for k in x[1 : L.base.n + 1]])
     return TcdeCertificate(Fraction(x[0], d), kappa, Fraction(empty_full, d))
 
@@ -302,15 +327,35 @@ def find_witness(L: IdealLattice) -> Optional[TcdeWitness]:
     return None if certify_tcde(L) is not None else _refute(L)
 
 
+def _ideal_columns(L: IdealLattice):
+    """The columns [1; T_p; ddeg] of the ideals in canonical order, lazily.
+
+    Each starts from a zero column and gets +1 at the bits of its ideal's up
+    mask and -1 at those of its down mask, disjoint antichains of P; element
+    p sits at row p + 1, the bit length of its bit."""
+    blank = [1] + [0] * (L.base.n + 1)
+
+    def column(u, d, dd):
+        col = blank.copy()
+        col[-1] = dd
+        while u:
+            low = u & -u
+            col[low.bit_length()] = 1
+            u ^= low
+        while d:
+            low = d & -d
+            col[low.bit_length()] = -1
+            d ^= low
+        return col
+
+    return map(column, L.up, L.down, L.ddeg)
+
+
 def _refute(L: IdealLattice) -> TcdeWitness:
     """The witness of find_witness for a lattice known not to be tCDE."""
     nP = L.base.n
-    columns = (  # [1; T_p; ddeg] at each ideal, from its label masks
-        [1] + [(u >> p & 1) - (d >> p & 1) for p in range(nP)] + [dd]
-        for u, d, dd in zip(L.up, L.down, L.ddeg)
-    )
     e_last = [0] * (nP + 1) + [1]
-    chosen, d, y = linalg._eliminate(columns, e_last)
+    chosen, d, y = linalg._eliminate(_ideal_columns(L), e_last)
     # sum_i y_i col_i = d e_last, checked in integers
     if y is None or [
         sum([col[r] * x for (_, col), x in zip(chosen, y)]) for r in range(nP + 2)

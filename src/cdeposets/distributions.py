@@ -271,11 +271,15 @@ def is_toggle_symmetric(L: IdealLattice, mu) -> bool:
     weights need not sum to one."""
     if len(mu) != L.n:
         raise ValueError("distribution length does not match the lattice")
-    balance = [0] * L.base.n
+    balance = [0] * (L.base.n + 1)  # element p at index p + 1
     for w, u, d in zip(mu, L.up, L.down):
         if w:
-            for p in _bits(u):
-                balance[p] += w
-            for p in _bits(d):
-                balance[p] -= w
+            while u:
+                low = u & -u
+                balance[low.bit_length()] += w
+                u ^= low
+            while d:
+                low = d & -d
+                balance[low.bit_length()] -= w
+                d ^= low
     return not any(balance)

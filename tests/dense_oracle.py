@@ -97,6 +97,12 @@ def _signed_tables(L):
     return [[a - b for a, b in zip(tp, tm)] for tp, tm in zip(t_plus, t_minus)]
 
 
+def _dense_columns(L):
+    """The columns of [1; T_p; ddeg], one per ideal, and e_last."""
+    rows = [[1] * L.n, *_signed_tables(L), list(L.ddeg)]
+    return list(zip(*rows)), [0] * (len(rows) - 1) + [1]
+
+
 def certify_tcde_dense(L, empty_full_constraint=False):
     nP = L.base.n
     signed = _signed_tables(L)

@@ -326,6 +326,26 @@ ints[i] -= 1
 ints[j] += 1
 print("validate", w.validate(L), cde.TcdeWitness(tuple(ints), w.den, w.expectation).validate(L))
 
+# a Gram route that reads the all-ones column as twice itself: the identity
+# still holds, with c halved, so only the edge-density guard can reject it
+real_dot, real_transpose = cde._dot, cde._transpose
+L = build_lattice(parse_shape("shifted:3,2,1").poset())
+ones = ((1 << L.n) - 1, 0)
+cde._dot = lambda u, v: real_dot(u, v) << (u == ones) + (v == ones)
+for fn in (certify_tcde, find_witness):
+    try:
+        print(fn.__name__, "shifted:3,2,1", fn(L))
+    except ArithmeticError:
+        print(fn.__name__, "shifted:3,2,1", "rejected")
+print("exit", cli.main(["cert-tcde", "--shape", "shifted:3,2,1"]))
+cde._dot = real_dot
+
+# a transpose with a zero row in front reads every ddeg as twice itself,
+# which leaves a negative squared residual
+cde._transpose = lambda masks, width: [0] + real_transpose(masks, width)
+print("exit", cli.main(["cert-tcde", "--shape", "shifted:4,2"]))
+cde._transpose = real_transpose
+
 # a chain-polynomial width too narrow for the chain counts
 distributions._width = lambda X, top: (2, X.base.n)
 print("exit", cli.main(["analyze", "--shape", "straight:3,2"]))
@@ -355,10 +375,12 @@ def test_corrupted_solves_are_rejected_under_python_O():
         "certify_tcde shifted:4,2 rejected",
         "find_witness shifted:4,2 rejected",
     ]
-    assert [line for line in out if line.startswith("exit")] == ["exit 4"] * 4
+    assert [line for line in out if line.startswith("exit")] == ["exit 4"] * 6
     first = out.index("exit 4")
     split = out.index("exit 4", first + 1)
     second = out.index("exit 4", split + 1)
+    guard = out.index("exit 4", second + 1)
+    residual = out.index("exit 4", guard + 1)
     assert json.loads("\n".join(out[5:first])) == {
         "error": "internal error: ArithmeticError: exact solve failed on a consistent system"
     }
@@ -374,7 +396,18 @@ def test_corrupted_solves_are_rejected_under_python_O():
         "error": "internal error: ArithmeticError: exact elimination failed on a consistent system"
     }
     assert out[second + 1] == "validate True False"
+    assert out[second + 2 : second + 4] == [
+        "certify_tcde shifted:3,2,1 rejected",
+        "find_witness shifted:3,2,1 rejected",
+    ]
+    assert json.loads("\n".join(out[second + 4 : guard])) == {
+        "error": "internal error: ArithmeticError: "
+        "certified c = 1/2 is not the edge density 1"
+    }
+    assert json.loads("\n".join(out[guard + 1 : residual])) == {
+        "error": "internal error: ArithmeticError: least-squares residual came out negative"
+    }
     assert out[-1] == "exit 4"
-    assert json.loads("\n".join(out[second + 2 : -1])) == {
+    assert json.loads("\n".join(out[residual + 1 : -1])) == {
         "error": "internal error: ArithmeticError: packed chain moments overflowed their width"
     }

@@ -18,7 +18,11 @@ from pathlib import Path
 
 import pytest
 
+from cdeposets import build_lattice, certify_tcde, find_witness
 from cdeposets.cli import main
+from cdeposets.minuscule import parse_family
+from cdeposets.posets import load_poset
+from cdeposets.shapes import parse_shape
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -112,6 +116,47 @@ def test_golden_report(name, exit_codes):
     code, out = _run(CASES[name])
     assert code == exit_codes[name]
     assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def _lattice(args):
+    flag, value = args
+    if flag == "--family":
+        return build_lattice(parse_family(value).realized)
+    if flag == "--shape":
+        return build_lattice(parse_shape(value).poset())
+    return build_lattice(load_poset(ROOT / value))
+
+
+def test_tcde_path_runs_no_per_ideal_check(monkeypatch, exit_codes):
+    """certify_tcde decides from the Gram residual: with the per-ideal
+    identity check made to raise, cert-tcde, witness and scan --predicate
+    tcde, and the library calls behind them, give their golden outputs."""
+
+    def no_identity_pass(*args, **kwargs):
+        raise AssertionError("the per-ideal identity check ran on the tCDE path")
+
+    monkeypatch.setattr("cdeposets.cde._identity_failure", no_identity_pass)
+    tcde = [
+        name
+        for name, argv in CASES.items()
+        if argv[0] in ("cert-tcde", "witness") or argv[0] == "scan" and "tcde" in argv
+    ]
+    assert len(tcde) == 3 * len(INPUTS) + 4
+    for name in tcde:
+        code, out = _run(CASES[name])
+        assert code == exit_codes[name], name
+        assert out == (GOLDEN / f"{name}.out").read_bytes(), name
+    for name, args in INPUTS.items():
+        L = _lattice(args)
+        for stem, empty_full in (("cert-tcde", False), ("cert-tcde-empty-full", True)):
+            golden = json.loads((GOLDEN / f"{stem}-{name}.out").read_text(encoding="utf-8"))
+            cert = certify_tcde(L, empty_full)
+            assert golden["certified"] == (cert is not None), name
+            if cert is not None:
+                assert cert.to_dict().items() <= golden.items(), name
+        witness = find_witness(L)
+        golden = json.loads((GOLDEN / f"cert-tcde-{name}.out").read_text(encoding="utf-8"))
+        assert (None if witness is None else witness.to_dict()) == golden.get("witness"), name
 
 
 if __name__ == "__main__":

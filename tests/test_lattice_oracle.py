@@ -20,7 +20,7 @@ from cdeposets import (
     uniform,
 )
 from cdeposets import tableaux
-from cdeposets.cde import _identity_failure
+from cdeposets.cde import _identity_failure, _ideal_columns
 from cdeposets.dynamics import (
     antichain_cardinality,
     gyration_map,
@@ -36,7 +36,7 @@ from cdeposets.posets import load_poset, rank_info
 from cdeposets.shapes import ShiftedShape, parse_shape
 
 from conftest import FIXTURES, point_mass, random_toggle_symmetric
-from dense_oracle import _signed_tables
+from dense_oracle import _dense_columns, _signed_tables
 from lattice_oracle import (
     build_lattice_reference,
     rank_permuted_by_toggles,
@@ -270,6 +270,24 @@ def test_random_posets_match_reference():
     rng = random.Random(5)
     for seed in range(100):
         _assert_same(_shuffled_random_poset(rng, 8), seed=seed)
+
+
+def test_bit_walks_reach_bit_79_of_a_chain():
+    """J(chain(80)): its up and down masks reach bit 79, the last row of the
+    toggle balance and of the witness columns."""
+    P = chain(80)
+    L = build_lattice(P)
+    ref = build_lattice_reference(P, budget=1 << 24)
+    assert max(L.up).bit_length() == max(L.down).bit_length() == 80
+    # on a chain lattice only equal weights balance every toggle
+    fractions, ints = [Fraction(1, 81)] * 81, [3] * 81
+    perturbed = ints.copy()
+    perturbed[-1] += 1  # the full ideal, where only element 79 is removable
+    for mu in (fractions, ints, perturbed):
+        assert is_toggle_symmetric(L, mu) == _toggle_symmetric_from_tables(ref, mu)
+    assert is_toggle_symmetric(L, fractions) and is_toggle_symmetric(L, ints)
+    assert not is_toggle_symmetric(L, perturbed)
+    assert list(_ideal_columns(L)) == [list(col) for col in _dense_columns(L)[0]]
 
 
 def test_budget_sweep_raises_exactly_below_the_ideal_count():

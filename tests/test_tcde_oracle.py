@@ -1,19 +1,23 @@
 """The Gram route for tCDE certificates and witnesses against the dense
 Fraction route in dense_oracle.py: equal to_dict() output, bit for bit.
 Every certificate, with and without the empty/full column, also validates:
-its identity holds on every ideal."""
+its identity holds on every ideal.  The residual verdict of the Gram route
+agrees with the per-ideal check, and a nonzero residual is a witness
+direction."""
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from cdeposets import Poset, build_lattice, certify_tcde, find_witness, linalg
-from cdeposets.cde import _refute, _transpose
+from cdeposets.cde import _gram_solve, _identity_failure, _ideal_columns, _refute, _transpose
 from cdeposets.minuscule import parse_family
 from cdeposets.shapes import parse_shape
 
 from dense_oracle import (
+    _dense_columns,
     _echelon,
     _signed_tables,
     certify_tcde_dense,
@@ -90,9 +94,9 @@ def test_empty_poset_matches_dense_route():
     assert certify_tcde(L, empty_full_constraint=True).c == 0
 
 
-def test_random_relabelled_posets_match_dense_route():
+def _random_posets():
+    """220 seeded random posets of 0-8 elements, relabelled at random."""
     rng = random.Random(2016)
-    refuted = 0
     for _ in range(220):
         n = rng.randint(0, 8)
         density = rng.choice((0.2, 0.35, 0.5))
@@ -104,16 +108,68 @@ def test_random_relabelled_posets_match_dense_route():
             for j in range(i + 1, n)
             if rng.random() < density
         ]
-        L = build_lattice(Poset(n, rels))
+        yield Poset(n, rels)
+
+
+def test_random_relabelled_posets_match_dense_route():
+    refuted = 0
+    for P in _random_posets():
+        L = build_lattice(P)
         _assert_same(L)
         refuted += certify_tcde(L) is None
     assert refuted > 50
 
 
-def _dense_columns(L):
-    """The columns of [1; T_p; ddeg], one per ideal, and e_last."""
-    rows = [[1] * L.n, *_signed_tables(L), list(L.ddeg)]
-    return list(zip(*rows)), [0] * (len(rows) - 1) + [1]
+def _assert_residual_verdict(L):
+    """Return how many of the two Gram solves (without and with the
+    empty/full column) were refuted.
+
+    The scaled residual d r = d ddeg - A y is built per ideal from the oracle
+    tables; it is 0 exactly when the per-ideal check passes the Gram
+    solution and certify_tcde certifies, it is orthogonal to every column of
+    A, and d times the residual integer of the Gram route is its squared
+    norm.  A refuted lattice's r is a witness direction: sum r = 0,
+    <T_p, r> = 0 and <ddeg, r> = ||r||^2 > 0."""
+    nP = L.base.n
+    ends = [0] * L.n  # [I = empty] - [I = full]; a single ideal counts as full
+    ends[0] = 1
+    ends[-1] = -1
+    refuted = 0
+    for empty_full in (False, True):
+        cols = [[1] * L.n, *_signed_tables(L)] + ([ends] if empty_full else [])
+        d, y, residual = _gram_solve(L, empty_full)
+        scaled = [
+            d * dd - sum([col[i] * x for col, x in zip(cols, y)])
+            for i, dd in enumerate(L.ddeg)
+        ]
+        cert = certify_tcde(L, empty_full)
+        per_ideal = _identity_failure(L, y[0], y[1 : nP + 1], d, y[-1] if empty_full else 0)
+        assert (per_ideal is None) == (cert is not None) == (not any(scaled))
+        assert (residual == 0) == (cert is not None)
+        norm = sum([r * r for r in scaled])
+        assert residual * d == norm
+        assert [sum(map(mul, col, scaled)) for col in cols] == [0] * len(cols)
+        if cert is None:
+            assert d * sum(map(mul, L.ddeg, scaled)) == norm > 0
+            refuted += 1
+    return refuted
+
+
+@pytest.mark.parametrize("literal", NAMED)
+def test_named_residual_verdict_matches_per_ideal_check(literal):
+    _assert_residual_verdict(_named_lattice(literal))
+
+
+def test_random_residual_verdict_matches_per_ideal_check():
+    assert _assert_residual_verdict(build_lattice(Poset(0, []))) == 0
+    refuted = sum([_assert_residual_verdict(build_lattice(P)) for P in _random_posets()])
+    assert refuted > 100
+
+
+@pytest.mark.parametrize("literal", NAMED)
+def test_ideal_columns_match_dense_columns(literal):
+    L = _named_lattice(literal)
+    assert list(_ideal_columns(L)) == [list(col) for col in _dense_columns(L)[0]]
 
 
 def test_lex_first_columns_stop_once_the_target_is_in_their_span():
