@@ -311,7 +311,7 @@ def _run(args) -> tuple[int, object]:
         return _HANDLERS[args.verb](args)
     except LatticeBudgetError as exc:
         return EXIT_BUDGET, {"error": str(exc)}
-    except (PosetError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         return EXIT_INPUT, {"error": str(exc)}
     except Exception as exc:
         import traceback

@@ -68,7 +68,6 @@ class IdealLattice:
         "ddeg",
         "up",
         "down",
-        "_poset",
     )
 
     def __init__(self, base, ideals, index, ddeg, up, down):
@@ -78,7 +77,6 @@ class IdealLattice:
         self.ddeg = ddeg
         self.up = up
         self.down = down
-        self._poset = None
 
     @property
     def n(self) -> int:
@@ -99,10 +97,8 @@ class IdealLattice:
                 yield i, index[mask | low], low.bit_length() - 1
 
     def as_poset(self) -> Poset:
-        """The lattice itself as a Poset on ideal indices."""
-        if self._poset is None:
-            self._poset = Poset(self.n, [(i, j) for i, j, _ in self.edges()])
-        return self._poset
+        """The lattice itself as a Poset on ideal indices, built on each call."""
+        return Poset(self.n, [(i, j) for i, j, _ in self.edges()])
 
     def members(self, i: int) -> list[int]:
         return _bits(self.ideals[i])

@@ -15,7 +15,7 @@ Matrices are lists of row lists.
 from __future__ import annotations
 
 
-def _eliminate(columns, target=None):
+def _eliminate(columns, target):
     """Fraction-free elimination of integer columns, read in order.
 
     Each new column gets, lazily, the Bareiss steps of the pivots found so
@@ -24,19 +24,18 @@ def _eliminate(columns, target=None):
     next step that has a nonzero one.  ``target`` is reduced alongside, and
     reading stops at the first chosen column that puts it in the span of
     the chosen ones; a zero target stops before any column is read.
-    Without a target every column is read until the rows run out.
 
     Returns (chosen, d, y).  ``chosen`` lists the (index, column) pairs of
     the pivot columns read; d is the last pivot, the determinant of the
     chosen block on the pivot rows (1 if none); y holds the integers with
     d * x = y for the unique x such that the chosen columns times x give
-    the target, or is None when there is no target or it is out of reach.
+    the target, or is None when it is out of reach.
     """
-    t = None if target is None else list(target)
+    t = list(target)
     pivots = []  # (reduced column, pivot), rows in the current order
     chosen = []
     perm = None  # perm[r] is the input row now at row r
-    reached = t is not None and not any(t)
+    reached = not any(t)
     for i, col in enumerate([] if reached else columns):
         if perm is None:
             perm = list(range(len(col)))
@@ -57,14 +56,13 @@ def _eliminate(columns, target=None):
         if prev != last:
             x[k:] = [u * last // prev for u in x[k:]]
         if r != k:
-            for v in [perm, x, *[f for f, _ in pivots]] + ([] if t is None else [t]):
+            for v in [perm, x, t, *[f for f, _ in pivots]]:
                 v[k], v[r] = v[r], v[k]
         pivots.append((x, x[k]))
         chosen.append((i, col))
-        if t is not None:
-            a = t[k]
-            t[k + 1 :] = [(x[k] * u - g * a) // last for u, g in zip(t[k + 1 :], x[k + 1 :])]
-            reached = not any(t[k + 1 :])
+        a = t[k]
+        t[k + 1 :] = [(x[k] * u - g * a) // last for u, g in zip(t[k + 1 :], x[k + 1 :])]
+        reached = not any(t[k + 1 :])
         if reached or k + 1 == len(x):
             break
     d = pivots[-1][1] if pivots else 1

@@ -121,36 +121,11 @@ class Poset:
     def less(self, p: int, q: int) -> bool:
         return bool(self.strict_up[p] >> q & 1)
 
-    def minimals(self) -> list[int]:
-        return [p for p in range(self.n) if not self.down_covers[p]]
-
     def ddeg(self, p: int) -> int:
         return len(self.down_covers[p])
 
     def edge_count(self) -> int:
         return len(self.covers)
-
-    def connected_components(self) -> list[list[int]]:
-        seen = [False] * self.n
-        comps = []
-        adj = [list(self.up_covers[p]) + list(self.down_covers[p]) for p in range(self.n)]
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp, stack = [], [s]
-            seen[s] = True
-            while stack:
-                x = stack.pop()
-                comp.append(x)
-                for y in adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        stack.append(y)
-            comps.append(sorted(comp))
-        return comps
-
-    def is_connected(self) -> bool:
-        return len(self.connected_components()) <= 1
 
     def topological_order(self) -> list[int]:
         return _topological_order(self.n, self.up_covers)
@@ -242,13 +217,17 @@ def rank_info(P: Poset) -> RankInfo:
     """Rank/gradedness flags; ranks are normalized to start at 0 per component."""
     n = P.n
     rank = [None] * n
-    # spread ranks over each component from its first element; the spread
-    # only proposes ranks, the cover check below decides
-    for comp in P.connected_components():
-        rank[comp[0]] = 0
-        stack = [comp[0]]
+    # spread ranks from each element not yet ranked, the lowest id of its
+    # component, collecting the component on the way; the spread only
+    # proposes ranks, the cover check below decides
+    for s in range(n):
+        if rank[s] is not None:
+            continue
+        rank[s] = 0
+        comp, stack = [], [s]
         while stack:
             x = stack.pop()
+            comp.append(x)
             for step, near in ((1, P.up_covers[x]), (-1, P.down_covers[x])):
                 for y in near:
                     if rank[y] is None:
@@ -264,7 +243,7 @@ def rank_info(P: Poset) -> RankInfo:
     # share one rank
     ranks = tuple(rank)
     tops = {ranks[x] for x in range(n) if not P.up_covers[x]}
-    graded = not any(ranks[x] for x in P.minimals()) and len(tops) <= 1
+    graded = not any(ranks[x] for x in range(n) if not P.down_covers[x]) and len(tops) <= 1
     return RankInfo(True, graded, ranks, max(ranks) if n else 0)
 
 

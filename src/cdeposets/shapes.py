@@ -1,5 +1,5 @@
-"""Partitions, skew and shifted shapes, outward corners, balancedness, and
-the shifted-balanced classification.
+"""Partitions, skew and shifted shapes, the outward corners and balancedness
+of skew shapes, and the shifted-balanced classification.
 
 Matrix coordinates throughout: lattice point (i, j) has i growing south and
 j growing east, the bounding box's northwest point is (0, 0), and box [i, j]
@@ -7,11 +7,10 @@ is the unit box whose southeast corner is the point (i, j).
 
 A diagram is stored as the column interval (lo_r, hi_r] of each row r: a
 skew shape's row r runs (inner_r, outer_r] after translation, and a shifted
-shape's runs (r - 1, r - 1 + lambda_r].  Outward corners are read off those
-intervals.  The southeast corners are the points (r, hi_{r+1}) with
-hi_{r+1} < hi_r.  The northwest corners of a skew shape are the points
-(r, lo_r) with lo_r > lo_{r+1}; the shifted inner border, the diagonal, has
-none.
+shape's runs (r - 1, r - 1 + lambda_r].  A skew shape's outward corners,
+which decide its balancedness, are read off those intervals: the southeast
+corners are the points (r, hi_{r+1}) with hi_{r+1} < hi_r, the northwest
+corners the points (r, lo_r) with lo_r > lo_{r+1}.
 """
 
 from __future__ import annotations
@@ -73,10 +72,6 @@ class Partition:
             )
         )
 
-    def __add__(self, other: "Partition") -> "Partition":
-        n = max(self.length, other.length)
-        return Partition(tuple([self.part(i) + other.part(i) for i in range(1, n + 1)]))
-
     def __str__(self):
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
@@ -129,18 +124,10 @@ class _Diagram:
                 rels.append((self.box_index[(i, j)], self.box_index[(i + 1, j)]))
         return Poset(self.n_boxes, rels)
 
-    def _se_corners(self) -> list[tuple[int, int]]:
-        """Points (r, hi_{r+1}) with hi_{r+1} < hi_r, from the bottom row up."""
-        hi = self._hi
-        return [(r, hi[r]) for r in range(len(hi) - 1, 0, -1) if hi[r] < hi[r - 1]]
-
 
 class SkewShape(_Diagram):
-    """Skew shape lambda/nu, normalized by translation.
-
-    ``inner_cols[i]`` / ``outer_cols[i]`` give the interval (lo, hi] of
-    columns of row i + 1 inside the normalized a x b bounding box.
-    """
+    """Skew shape lambda/nu, normalized by translation into an a x b
+    bounding box."""
 
     def __init__(self, outer: Partition, inner: Partition = EMPTY):
         if not outer.contains(inner):
@@ -159,7 +146,6 @@ class SkewShape(_Diagram):
                 for i in range(occupied[0], occupied[-1] + 1)
             ]
         super().__init__(rows)
-        self.inner_cols, self.outer_cols = self._lo, self._hi
         self.a = len(rows)
         self.b = rows[0][1] if rows else 0
 
@@ -169,11 +155,11 @@ class SkewShape(_Diagram):
 
     def corners(self) -> list[tuple[str, tuple[int, int]]]:
         """Outward corners: ("NW", pt) on the inner border, ("SE", pt) on the
-        outer, each from the bottom row up.  The NW corners are the points
-        (r, lo_r) with lo_r > lo_{r+1}."""
-        lo = self._lo
-        nw = [(r, lo[r - 1]) for r in range(len(lo) - 1, 0, -1) if lo[r] < lo[r - 1]]
-        return [("NW", pt) for pt in nw] + [("SE", pt) for pt in self._se_corners()]
+        outer, each from the bottom row up."""
+        lo, hi = self._lo, self._hi
+        rows = range(len(lo) - 1, 0, -1)
+        nw = [("NW", (r, lo[r - 1])) for r in rows if lo[r] < lo[r - 1]]
+        return nw + [("SE", (r, hi[r])) for r in rows if hi[r] < hi[r - 1]]
 
     def is_balanced(self) -> bool:
         """All outward corners on the main anti-diagonal (connected shapes only)."""
@@ -194,13 +180,8 @@ class ShiftedShape(_Diagram):
         if not strict.is_strict:
             raise ValueError(f"{strict} is not strict")
         self.strict = strict
-        self.n_rows = strict.length
         super().__init__([(i, i + p) for i, p in enumerate(strict.parts)])
-        self.diagonal = frozenset([(i, i) for i in range(1, self.n_rows + 1)])
-
-    def corners(self) -> list[tuple[int, int]]:
-        """Southeast outward corners; the diagonal inner border has none."""
-        return self._se_corners()
+        self.diagonal = frozenset([(i, i) for i in range(1, strict.length + 1)])
 
     def __repr__(self):
         return f"ShiftedShape({self.strict})"
@@ -215,14 +196,6 @@ class ShiftedClass:
     n: int
     k: int
     nu: Optional[Partition] = None
-
-    def edge_density(self) -> Fraction:
-        if self.kind == "type1":
-            return Fraction(self.n + 1 + self.k, 4)
-        if self.kind == "type2":
-            return Fraction(self.n, 2)
-        lam_size = sum(self.n - 2 * t for t in range(self.k + 1))
-        return Fraction(lam_size, self.n + 1)
 
 
 def _balanced_square(nu: Partition, k: int) -> bool:
@@ -296,21 +269,19 @@ def iter_strict_partitions(max_size: int) -> Iterator[Partition]:
     yield from _partitions(max_size, 1)
 
 
-def _skew_shapes(max_boxes: int, connected: bool) -> Iterator[SkewShape]:
-    """Skew shapes with at most max_boxes boxes, up to translation.
+def iter_connected_skew_shapes(max_boxes: int) -> Iterator[SkewShape]:
+    """Connected skew shapes with at most max_boxes boxes, up to translation.
 
     Rows are built top-down as column intervals (lo, hi] with lo and hi
-    weakly decreasing; ``connected`` prunes a row that shares no column with
-    the row above.  Since lo is weakly decreasing, a shape is canonical when
-    its last row starts at column 1.
+    weakly decreasing, each sharing a column with the row above.  Since lo
+    is weakly decreasing, a shape is canonical when its last row starts at
+    column 1.
     """
 
     def rec(rows, used):
         yield rows
         lo, hi = rows[-1]
-        for hi2 in range(hi, 0, -1):
-            if connected and hi2 <= lo:
-                break
+        for hi2 in range(hi, lo, -1):
             for lo2 in range(min(lo, hi2 - 1), -1, -1):
                 if used + hi2 - lo2 > max_boxes:
                     break
@@ -324,11 +295,6 @@ def _skew_shapes(max_boxes: int, connected: bool) -> Iterator[SkewShape]:
                 if rows[-1][0] == 0:
                     inner = Partition(tuple([r[0] for r in rows]))
                     yield SkewShape(Partition(tuple([r[1] for r in rows])), inner)
-
-
-def iter_connected_skew_shapes(max_boxes: int) -> Iterator[SkewShape]:
-    """Connected skew shapes with at most max_boxes boxes."""
-    yield from _skew_shapes(max_boxes, True)
 
 
 def parse_partition(text: str) -> Partition:

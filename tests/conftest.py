@@ -12,6 +12,7 @@ import pytest
 
 from cdeposets import Distribution, Poset
 from cdeposets.posets import load_poset
+from shape_oracle import skew_rows
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -116,7 +117,7 @@ def maximal_chains(P: Poset) -> list[tuple[int, ...]]:
         for y in P.up_covers[seq[-1]]:
             rec(seq + [y])
 
-    for s in P.minimals():
+    for s in sorted(set(range(P.n)).difference(q for _, q in P.covers)):
         rec([s])
     return out
 
@@ -135,8 +136,7 @@ def component_key(shape) -> tuple:
     same key have identical tableau counts (their constraints decouple)."""
     comps = []
     cur = []
-    for i in range(shape.a):
-        lo, hi = shape.inner_cols[i], shape.outer_cols[i]
+    for lo, hi in skew_rows(shape):
         if cur and hi <= cur[-1][0]:
             comps.append(tuple(cur))
             cur = []

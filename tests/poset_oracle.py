@@ -8,8 +8,10 @@ strictly between, which is the definition; ``Poset(n, relations)`` must
 agree with it.  ``rank_info_reference`` spreads ranks over one component at
 a time, checking every cover it meets as it goes and then every cover of
 the component again; ``posets.rank_info`` must return the same ``RankInfo``.
-``disjoint_union`` and ``antichain`` build the test posets that combine
-others or have no relations.
+Its components come from ``components``, a union-find over the covers,
+and its minimal elements from the covers too, not from the library's
+traversals.  ``disjoint_union`` and ``antichain`` build the test posets
+that combine others or have no relations.
 """
 
 from __future__ import annotations
@@ -74,11 +76,30 @@ def random_relations(rng: random.Random, n: int, acyclic: bool) -> list[tuple[in
     return rels + rng.sample(rels, min(len(rels), 2))
 
 
+def components(P) -> list[list[int]]:
+    """The connected components of the Hasse diagram, each sorted, ordered
+    by their lowest element."""
+    root = list(range(P.n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for p, q in P.covers:
+        root[find(p)] = find(q)
+    comps = {}
+    for x in range(P.n):
+        comps.setdefault(find(x), []).append(x)
+    return sorted(comps.values())
+
+
 def rank_info_reference(P) -> RankInfo:
     n = P.n
     rank = [None] * n
     ok = True
-    for comp in P.connected_components():
+    for comp in components(P):
         start = comp[0]
         rank[start] = 0
         queue = [start]
@@ -114,5 +135,6 @@ def rank_info_reference(P) -> RankInfo:
         return RankInfo(False, False, None, None)
     ranks = tuple(rank)
     tops = {ranks[x] for x in range(n) if not P.up_covers[x]}
-    graded = not any(ranks[x] for x in P.minimals()) and len(tops) <= 1
+    minimals = set(range(n)).difference(q for _, q in P.covers)
+    graded = not any(ranks[x] for x in minimals) and len(tops) <= 1
     return RankInfo(True, graded, ranks, max(ranks) if n else 0)

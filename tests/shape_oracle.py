@@ -1,7 +1,8 @@
 """Reference route for the outward corners of skew and shifted shapes.
 
-The library reads every corner straight off the rows' column intervals.
-This module keeps the lattice-path formulation it must agree with: an
+The library reads a skew shape's corners straight off the rows' column
+intervals and has no use for shifted corners.  This module keeps the
+lattice-path formulation of both, which the skew corners must agree with: an
 ideal's border is walked as a monotone path from the southwest end to the
 northeast end (with a west/north zigzag along the diagonal in the shifted
 case), an outward corner is a north-then-east (SE) or east-then-north (NW)
@@ -10,12 +11,16 @@ both of its steps are steps of the ideal's path.
 
 It also holds what the tests of the rook lemmas use: the rook statistic
 R_ij over J(P), the rook placements of skew and shifted shapes, the stretch
-of a skew shape, and a text rendering of an ideal.
+of a skew shape, and a text rendering of an ideal; the edge density c of
+each shifted-balanced class by the paper's formulas; and ``skew_shapes``,
+an enumeration of all skew shapes, connected or not, built from row
+lengths and row starts rather than from the library's generator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from cdeposets import linalg
 from cdeposets.shapes import Partition, ShiftedShape, SkewShape, classify_shifted_balanced
@@ -50,6 +55,44 @@ def _turns(pts, pattern: str) -> list[tuple[int, int]]:
 # --- skew shapes ---------------------------------------------------------------
 
 
+def skew_rows(shape) -> list[tuple[int, int]]:
+    """The column interval (lo, hi] of each row of a skew shape lambda/nu,
+    from its first nonempty row to its last, translated so that the last
+    one starts at column 0: read off the two partitions."""
+    outer, inner = shape.outer.parts, shape.inner.parts + (0,) * shape.outer.length
+    rows = [(lo, hi) for lo, hi in zip(inner, outer)]
+    while rows and rows[0][0] == rows[0][1]:
+        rows.pop(0)
+    while rows and rows[-1][0] == rows[-1][1]:
+        rows.pop()
+    shift = rows[-1][0] if rows else 0
+    return [(lo - shift, hi - shift) for lo, hi in rows]
+
+
+def skew_shapes(max_boxes: int) -> list[SkewShape]:
+    """Every skew shape with 1..max_boxes boxes, no empty row and at most
+    max_boxes columns, with its last row starting at column 0.
+
+    A shape is a composition of row lengths together with weakly decreasing
+    row starts ending at 0 whose row ends also weakly decrease."""
+    out = []
+    for size in range(1, max_boxes + 1):
+        for cuts in range(1 << size - 1):
+            lengths, run = [], 1
+            for k in range(size - 1):
+                if cuts >> k & 1:
+                    lengths.append(run)
+                    run = 0
+                run += 1
+            lengths.append(run)
+            for starts in combinations_with_replacement(range(max_boxes), len(lengths) - 1):
+                lo = sorted(starts, reverse=True) + [0]
+                hi = [s + n for s, n in zip(lo, lengths)]
+                if hi[0] <= max_boxes and all(x >= y for x, y in zip(hi, hi[1:])):
+                    out.append(SkewShape(Partition(tuple(hi)), Partition(tuple(lo))))
+    return out
+
+
 def skew_border_path(shape, cols) -> list[tuple[int, int]]:
     """Monotone path from (a,0) to (0,b) tracing the SE boundary of cols."""
     cols = list(cols)
@@ -68,8 +111,9 @@ def skew_border_path(shape, cols) -> list[tuple[int, int]]:
 
 
 def skew_corners(shape):
-    out = [("NW", pt) for pt in _turns(skew_border_path(shape, shape.inner_cols), "EN")]
-    out += [("SE", pt) for pt in _turns(skew_border_path(shape, shape.outer_cols), "NE")]
+    inner, outer = zip(*skew_rows(shape)) if shape.boxes else ((), ())
+    out = [("NW", pt) for pt in _turns(skew_border_path(shape, inner), "EN")]
+    out += [("SE", pt) for pt in _turns(skew_border_path(shape, outer), "NE")]
     return out
 
 
@@ -84,7 +128,8 @@ def skew_corners_attacking(shape, i: int, j: int):
 
 
 def skew_contained_corners(shape, L, idx: int):
-    cols = [lo + k for lo, k in zip(shape.inner_cols, _row_counts(shape, L, idx, shape.a))]
+    counts = _row_counts(shape, L, idx, shape.a)
+    cols = [lo + k for (lo, _), k in zip(skew_rows(shape), counts)]
     steps = _steps(skew_border_path(shape, cols))
     out = []
     for kind, (x, y) in skew_corners(shape):
@@ -105,7 +150,7 @@ def shifted_border_path(shape, nu_parts) -> list[tuple[int, int]]:
     diagonal from (n, n) up to (m, m) with m = len(nu), then the usual
     staircase, ending with an east run to (0, lambda_1)."""
     nu = [p for p in nu_parts if p]
-    n = shape.n_rows
+    n = shape.strict.length
     m = len(nu)
     pts = [(n, n)]
     for i in range(n, m, -1):
@@ -134,7 +179,8 @@ def shifted_corners_attacking(shape, i: int, j: int):
 
 
 def shifted_contained_corners(shape, L, idx: int):
-    steps = _steps(shifted_border_path(shape, _row_counts(shape, L, idx, shape.n_rows)))
+    counts = _row_counts(shape, L, idx, shape.strict.length)
+    steps = _steps(shifted_border_path(shape, counts))
     return [
         (x, y)
         for x, y in shifted_corners(shape)
@@ -239,9 +285,20 @@ def _check_shifted_placement(shape: ShiftedShape, r) -> None:
             row = sum(v for (x, y), v in r.items() if x == i)
             if col != 2 or row != 2:
                 raise AssertionError(f"condition (a) fails at box [{i},{j}]")
-    for x, y in shape.corners():
+    for x, y in shifted_corners(shape):
         if sum(r[(i, j)] for i, j in shape.boxes if x >= i and y >= j) != 0:
             raise AssertionError(f"condition (c) fails at corner {(x, y)}")
+
+
+def shifted_class_density(cls) -> Fraction:
+    """The edge density c of a shifted-balanced class: (n + 1 + k)/4 for
+    Type 1, n/2 for Type 2, and |lambda|/(n + 1) for the trapezoid
+    lambda = (n, n - 2, ..., n - 2k)."""
+    if cls.kind == "type1":
+        return Fraction(cls.n + 1 + cls.k, 4)
+    if cls.kind == "type2":
+        return Fraction(cls.n, 2)
+    return Fraction(sum(range(cls.n - 2 * cls.k, cls.n + 1, 2)), cls.n + 1)
 
 
 def stretch(shape: SkewShape, a: int, b: int) -> SkewShape:

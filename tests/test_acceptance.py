@@ -42,7 +42,6 @@ from cdeposets.shapes import (
     Partition,
     ShiftedShape,
     SkewShape,
-    _skew_shapes,
     classify_shifted_balanced,
     iter_connected_skew_shapes,
     iter_partitions,
@@ -69,9 +68,11 @@ from distribution_oracle import (
 from lattice_oracle import apply_toggle_word, orbit_uniform, toggle_tables
 from shape_oracle import (
     rook,
+    shifted_class_density,
     shifted_contained_corners,
     shifted_corners_attacking,
     shifted_rook_placement,
+    skew_shapes,
     stretch,
 )
 from tableau_oracle import barely_count, count_linear_extensions, f_aitken, shifted_barely_count
@@ -320,7 +321,7 @@ def test_criterion_08_dynamics():
     for lam in iter_strict_partitions(10):
         cls = classify_shifted_balanced(lam)
         if cls is not None and cls.kind in ("type1", "type2"):
-            certified.append((ShiftedShape(lam).poset(), cls.edge_density()))
+            certified.append((ShiftedShape(lam).poset(), shifted_class_density(cls)))
     for a in range(1, 5):
         for b in range(a, 5):
             certified.append(
@@ -368,7 +369,7 @@ def test_criterion_09_tableaux_oracles():
     # equal counts, so dedupe by that key
     seen = set()
     checked = 0
-    for shape in _skew_shapes(7, False):
+    for shape in skew_shapes(7):
         if shape.n_boxes == 0:
             continue
         key = component_key(shape)

@@ -296,7 +296,7 @@ linalg.solve = real_solve
 real_eliminate = linalg._eliminate
 
 
-def corrupt_eliminate(columns, target=None):
+def corrupt_eliminate(columns, target):
     chosen, d, y = real_eliminate(columns, target)
     return chosen, d, None if y is None else [y[0] + 1] + y[1:]
 

@@ -46,7 +46,7 @@ def test_rowmotion_shifted_321_steps():
     shape, L = shifted_lattice((3, 2, 1))
 
     def ideal_partition(idx):
-        return Partition(tuple(_row_counts(shape, L, idx, shape.n_rows)))
+        return Partition(tuple(_row_counts(shape, L, idx, shape.strict.length)))
 
     empty = L.index[0]
     one = rowmotion(L, empty)

@@ -70,7 +70,7 @@ def test_solve_reads_no_column_once_the_rhs_is_spanned(monkeypatch):
     real = linalg._eliminate
     read = []
 
-    def counting(columns, target=None):
+    def counting(columns, target):
         def gen():
             for i, col in enumerate(columns):
                 read.append(i)

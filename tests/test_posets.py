@@ -26,6 +26,7 @@ from conftest import brute_kchains, maximal_chains, random_poset
 from poset_oracle import (
     antichain,
     brute_order,
+    components,
     disjoint_union,
     random_relations,
     rank_info_reference,
@@ -208,6 +209,29 @@ def test_rank_info_matches_reference_route():
         ranked += info.is_ranked
         unranked += not info.is_ranked
     assert ranked > 500 and unranked > 100
+    # disjoint unions relabelled by a random permutation, so that their
+    # components interleave in id order, with ranked and non-ranked
+    # components mixed
+    interleaved = mixed = ranked_unions = 0
+    for _ in range(400):
+        parts = []
+        for _ in range(rng.randint(2, 3)):
+            k = rng.randint(1, 9)
+            parts.append(Poset(k, random_relations(rng, k, acyclic=True)))
+        U = parts[0]
+        for Q in parts[1:]:
+            U = disjoint_union(U, Q)
+        perm = list(range(U.n))
+        rng.shuffle(perm)
+        P = Poset(U.n, [(perm[p], perm[q]) for p, q in U.covers])
+        info = rank_info(P)
+        assert info == rank_info_reference(P), P
+        comps = components(P)
+        assert len(comps) >= len(parts)
+        interleaved += any(c[-1] - c[0] >= len(c) for c in comps)
+        mixed += len({rank_info(Q).is_ranked for Q in parts}) == 2
+        ranked_unions += info.is_ranked
+    assert interleaved > 300 and mixed > 80 and ranked_unions > 200
 
 
 def test_enumerate_chains_fix_a(fix_a):
@@ -309,11 +333,6 @@ def test_poset_from_dict_reads_integers():
     P = poset_from_dict({"n": 3, "relations": [[0, 1], [1, 2], [0, 2]]})
     assert P == chain(3)
     assert poset_from_dict({"n": 0, "relations": []}).n == 0
-
-
-def test_connected_components(fix_b):
-    assert fix_b.is_connected()
-    assert len(disjoint_union(chain(2), chain(3)).connected_components()) == 2
 
 
 def test_star_import_binds_no_module():

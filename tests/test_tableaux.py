@@ -17,7 +17,6 @@ from cdeposets.shapes import (
     Partition,
     ShiftedShape,
     SkewShape,
-    _skew_shapes,
     iter_partitions,
     iter_strict_partitions,
     parse_shape,
@@ -26,6 +25,7 @@ from cdeposets.tableaux import _split_box_count, hook_lengths, shifted_hook_leng
 
 from distribution_oracle import normalized
 from lattice_oracle import toggle_tables
+from shape_oracle import skew_shapes
 from tableau_oracle import (
     barely_count,
     barely_fillings,
@@ -265,7 +265,7 @@ def test_tableau_counts_runs_no_determinant(monkeypatch):
 
 
 def test_standard_counts_match_the_determinant_and_thrall():
-    for shape in _skew_shapes(7, False):
+    for shape in skew_shapes(7):
         assert tableau_counts(shape)["standard"] == f_aitken(shape), shape
     for lam in iter_strict_partitions(15):
         assert tableau_counts(ShiftedShape(lam))["standard_unprimed"] == g_thrall(lam), lam
