@@ -28,12 +28,11 @@ toggles and toggle words) live with the test oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .ideals import IdealLattice
 from .posets import rank_info
-from .serialize import rat_str
 
 
 def rowmotion_map(L: IdealLattice) -> list[int]:
@@ -109,11 +108,15 @@ class OrbitDecomposition:
 
 
 def orbit_decomposition(L: IdealLattice, mapping: Sequence[int]) -> OrbitDecomposition:
-    if sorted(mapping) != list(range(L.n)):
+    """The cycles of a permutation of the ideal indices, each from its
+    lowest index.  A map with n entries in 0..n-1 is a bijection exactly
+    when every walk from an index not yet seen closes at its start."""
+    n = L.n
+    if len(mapping) != n or min(mapping) < 0 or max(mapping) >= n:
         raise ValueError("mapping is not a bijection on the ideals")
-    seen = [False] * L.n
+    seen = [False] * n
     orbits = []
-    for s in range(L.n):
+    for s in range(n):
         if seen[s]:
             continue
         orbit = []
@@ -122,22 +125,30 @@ def orbit_decomposition(L: IdealLattice, mapping: Sequence[int]) -> OrbitDecompo
             seen[x] = True
             orbit.append(x)
             x = mapping[x]
+        if x != s:
+            raise ValueError("mapping is not a bijection on the ideals")
         orbits.append(tuple(orbit))
     return OrbitDecomposition(tuple(orbits))
 
 
 def homomesy_report(L: IdealLattice, mapping: Sequence[int], stat) -> dict:
-    """Per-orbit exact averages of a statistic; homomesic iff all agree."""
+    """Per-orbit exact averages of an integer statistic (the callers pass
+    ``ddeg``); homomesic iff all agree.  Each average is the orbit's integer
+    sum over its size, written as the reduced "p/q" of ``rat_str``."""
     dec = orbit_decomposition(L, mapping)
-    averages = [Fraction(sum([stat[i] for i in orbit]), len(orbit)) for orbit in dec.orbits]
+    averages = []
+    for orbit in dec.orbits:
+        t, s = sum([stat[i] for i in orbit]), len(orbit)
+        g = gcd(t, s)
+        averages.append(f"{t // g}/{s // g}")
     homomesic = len(set(averages)) <= 1
     report = {
         "orbit_sizes": dec.sizes,
-        "orbit_averages": [rat_str(a) for a in averages],
+        "orbit_averages": averages,
         "homomesic": homomesic,
     }
     if homomesic and averages:
-        report["constant"] = rat_str(averages[0])
+        report["constant"] = averages[0]
     return report
 
 

@@ -1,41 +1,44 @@
 """The distributive lattice J(P) of order ideals, toggles, and down-degrees.
 
 Ideals are bitmask ints over the base poset's elements.  The lattice is
-enumerated once, one cardinality level at a time from the empty ideal, and
-indexed in a canonical order (cardinality, then lexicographic on the member
-set) so that every report derived from it is byte-stable.
+enumerated once and indexed in a canonical order (cardinality, then
+lexicographic on the member set) so that every report derived from it is
+byte-stable.
 
 Each ideal carries two label masks: ``up`` (the addable elements, the
 minimal elements of the complement) and ``down`` (the removable elements,
-the maximal elements of the ideal).  The child I + p of I has the addable
-set of I minus p, plus those upper covers q of p whose strict down-set now
-lies inside I + p: any q that becomes addable sits above p with nothing in
-between, since p was not in I.  So the enumeration costs O(#Hasse edges *
-cover degree), not O(|P| * |J|).
+the maximal elements of the ideal).
 
-The removable set of I + p is that of I minus the elements below p, plus
-p: an element of I below p that is maximal in I is covered by p, since
-everything below p lies in I.  Every nonempty ideal J has one canonical
-parent, J minus its highest removable element, and the child I + p is made
-only from that parent: when the removable set of I minus the elements below
-p has no bit above p.  So each ideal is reached exactly once, with its
-``up`` and ``down`` masks, and no table of the ideals seen so far is kept;
-the ideal budget is checked as each child is stored.  If h is the highest
-removable element of I, that rule holds only for a p with a higher bit than
-h or with h below p, so the other addable elements are not tried at all.
+``build_lattice`` decides the elements depth first, lowest undecided id
+first, "in" before "out".  A node holds the undecided elements, the ideal
+decided so far, its maximal elements (``top``) and the minimal elements of
+the part decided out (``bottom``).  "In" p adds the down-set of p and makes
+p maximal, dropping the elements below it from ``top``; "out" p removes the
+up-set of p from the undecided ones and makes p minimal among the decided
+out, dropping the elements above it from ``bottom``.  No undecided element
+lies above a decided-out one or below a decided-in one, so both branches
+always lead to ideals, no path dead-ends, and a leaf is one ideal with
+``top`` and ``bottom`` as its removable and addable masks.  Elements that a
+down- or up-set fixes are never branched on.  The search keeps an explicit
+stack of at most n + 1 nodes instead of recursing, so a chain of thousands
+of elements stays clear of Python's recursion limit.
 
-Within one level every ideal has the same size, and for two member lists of
-equal length the lexicographically smaller one holds the lowest element of
-their symmetric difference.  Each ideal of a level travels with its mask
-bit-reversed over the n elements (bit p moved to bit n - 1 - p), so that
-element is the highest bit of the reversed difference: sorting the level's
-(reversed mask, mask, up, down) tuples in descending order gives the
-canonical order with no sort key.
+If two ideals first differ at element e, e was a branch point on both of
+their paths, and the one holding e is reached first: the leaves come out in
+descending lexicographic order of characteristic vectors, element 0 most
+significant.  For two member lists of equal length the smaller one holds
+the lowest element of their symmetric difference, so within one size that
+is the canonical order, and appending each leaf to its size's lists gives
+the whole order with no sort.  The leaves are counted as they are stored,
+and the one beyond the budget raises ``LatticeBudgetError`` before it is
+kept, so at most ``budget`` ideals are ever held.
 
 The masks are the only storage of the cover relation of J(P) and of the
 toggleability statistics: the Hasse edges out of ideal i add the bits of
 ``up[i]`` (``edges()`` yields them), T+_p(I) is bit p of ``up[i]`` and
 T-_p(I) is bit p of ``down[i]``.  Readers walk or mask those bits directly.
+The dict from ideal mask to index is built on its first read; rowmotion and
+the tCDE and chain passes never read it.
 """
 
 from __future__ import annotations
@@ -50,12 +53,15 @@ class LatticeBudgetError(RuntimeError):
 
 
 class IdealLattice:
-    """Explicit J(P) with down-degrees and label masks.
+    """Explicit J(P) with down-degrees and label masks, as ``build_lattice``
+    makes it: every ideal of P, at most the budget's count, in canonical
+    order.
 
     Attributes:
         base: the underlying poset P.
-        ideals: bitmask per ideal, canonical order.
-        index: ideal bitmask -> its position in ``ideals``.
+        ideals: bitmask per ideal, by size and then by member list.
+        index: ideal bitmask -> its position in ``ideals``; a dict of |J|
+            entries, built on the first read and assignable.
         ddeg: down-degree (= #max(I)) per ideal.
         up / down: per ideal, the bitmask of addable / removable elements;
             bit p of them is T+_p(I) / T-_p(I).
@@ -64,19 +70,29 @@ class IdealLattice:
     __slots__ = (
         "base",
         "ideals",
-        "index",
+        "_index",
         "ddeg",
         "up",
         "down",
     )
 
-    def __init__(self, base, ideals, index, ddeg, up, down):
+    def __init__(self, base, ideals, ddeg, up, down):
         self.base = base
         self.ideals = ideals
-        self.index = index
+        self._index = None
         self.ddeg = ddeg
         self.up = up
         self.down = down
+
+    @property
+    def index(self) -> dict[int, int]:
+        if self._index is None:
+            self._index = {m: i for i, m in enumerate(self.ideals)}
+        return self._index
+
+    @index.setter
+    def index(self, value: dict[int, int]):
+        self._index = value
 
     @property
     def n(self) -> int:
@@ -105,55 +121,37 @@ class IdealLattice:
 
 
 def build_lattice(P: Poset, budget: int = DEFAULT_IDEAL_BUDGET) -> IdealLattice:
-    """Enumerate J(P) level by level from the empty ideal, reaching each
-    ideal from its canonical parent only."""
-    if budget < 1:
-        raise LatticeBudgetError(f"J(P) exceeds the ideal budget of {budget}")
+    """Enumerate J(P) depth first, "in" before "out" on the lowest
+    undecided element, keeping each level's ideals in canonical order."""
     n = P.n
-    sd = P.strict_down
-    # bit of p -> (bit of p in the reversed mask, strict down-set of p,
-    # (bit, strict down-set) of each upper cover of p)
-    grow = {
-        1 << p: (1 << n - 1 - p, sd[p], [(1 << q, sd[q]) for q in P.up_covers[p]])
-        for p in range(n)
-    }
-    # room[h + 1], for h the highest removable element of I (room[0] when I
-    # is empty): the elements p that can be the highest removable element of
-    # I + p, those with a higher bit than h and those above h in P
-    room = [-1] + [-1 << h + 1 | P.strict_up[h] for h in range(n)]
-    ideals, ups, downs = [], [], []
-    size = 1
-    level = [(0, 0, sum([1 << p for p in range(n) if not sd[p]]), 0)]
-    while level:
-        level.sort(reverse=True)
-        nxt = []
-        for rev, mask, addable, removable in level:
-            ideals.append(mask)
-            ups.append(addable)
-            downs.append(removable)
-            rest = addable & room[removable.bit_length()]
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                rlow, below, covers = grow[low]
-                kept = removable & ~below
-                if kept > low:  # p is not the highest removable element of I + p
-                    continue
-                size += 1
-                if size > budget:
-                    raise LatticeBudgetError(f"J(P) exceeds the ideal budget of {budget}")
-                child = mask | low
-                child_up = addable ^ low
-                for bit, down_set in covers:
-                    if down_set & ~child == 0:
-                        child_up |= bit
-                nxt.append((rev | rlow, child, child_up, kept | low))
-        level = nxt
-    return IdealLattice(
-        P,
-        tuple(ideals),
-        {m: i for i, m in enumerate(ideals)},
-        tuple([d.bit_count() for d in downs]),
-        tuple(ups),
-        tuple(downs),
-    )
+    # by bit length of 1 << p: (undecided elements kept by "out" p, maximal
+    # elements kept by "in" p, down-set of p, minimal elements kept by "out" p)
+    steps = [None]
+    for p, (sd, su) in enumerate(zip(P.strict_down, P.strict_up)):
+        steps.append((~(su | 1 << p), ~sd, sd | 1 << p, ~su))
+    ideals = [[] for _ in range(n + 1)]
+    ups = [[] for _ in range(n + 1)]
+    downs = [[] for _ in range(n + 1)]
+    count = 0
+    stack = [((1 << n) - 1, 0, 0, 0)]
+    while stack:
+        free, inside, top, bottom = stack.pop()
+        while free:
+            low = free & -free
+            out, keep_top, below, keep_bottom = steps[low.bit_length()]
+            stack.append((free & out, inside, top, bottom & keep_bottom | low))
+            free &= ~below
+            inside |= below
+            top = top & keep_top | low
+        count += 1
+        if count > budget:
+            raise LatticeBudgetError(f"J(P) exceeds the ideal budget of {budget}")
+        size = inside.bit_count()
+        ideals[size].append(inside)
+        ups[size].append(bottom)
+        downs[size].append(top)
+    # each flattening drops its per-size lists before the next one starts
+    ideals = tuple([m for level in ideals for m in level])
+    ups = tuple([u for level in ups for u in level])
+    downs = tuple([d for level in downs for d in level])
+    return IdealLattice(P, ideals, tuple([d.bit_count() for d in downs]), ups, downs)

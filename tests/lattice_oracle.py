@@ -1,7 +1,7 @@
 """Reference route for J(P): the element-by-element enumeration.
 
 ``build_lattice_reference`` is the straightforward formulation the library's
-level-by-level enumeration must agree with: a breadth-first search that tries
+depth-first enumeration must agree with: a breadth-first search that tries
 every element of P on every ideal, a sort keyed on the member lists, and one
 pass over every (ideal, element) pair for the Hasse edges, the down-degrees
 and the toggleability tables (``toggle_tables``, which the other test

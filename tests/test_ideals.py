@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from cdeposets import (
     is_isomorphic,
 )
 from cdeposets.ideals import LatticeBudgetError
+from cdeposets.minuscule import parse_family
 from cdeposets.shapes import ShiftedShape, Partition
 
 from conftest import brute_ideals, random_poset
@@ -160,3 +162,31 @@ def test_lattice_graded_of_rank_n():
         )
         # edge count equals the total down-degree
         assert L.edge_count() == sum(L.ddeg)
+
+
+@pytest.mark.parametrize("literal", ["antichain:20", "antichain:40", "minuscule:axb:12x12"])
+def test_a_failed_build_holds_memory_bounded_by_the_budget(literal):
+    """Until it raises ``LatticeBudgetError``, ``build_lattice`` holds at most
+    80 KiB + 200 bytes per unit of budget (the ``tracemalloc`` peak): the
+    ideals stored before the budget runs out, plus the element tables and
+    the search stack.  At budget 4,096 the peaks were 503, 510 and 709 KB
+    (123, 125 and 173 bytes per unit, the 144-bit masks of 12x12 taking the
+    most), and the bound of 901 KB leaves 27% headroom over the largest.
+    The bound is a gate: lower it when the build gets leaner, never raise
+    it to pass."""
+    budget = 4096
+    if literal.startswith("antichain:"):
+        P = antichain(int(literal.partition(":")[2]))
+    else:
+        P = parse_family(literal).realized
+    tracemalloc.start()
+    try:
+        build_lattice(P, budget)
+    except LatticeBudgetError:
+        peak = tracemalloc.get_traced_memory()[1]
+    else:
+        peak = None
+    finally:
+        tracemalloc.stop()
+    assert peak is not None, f"J({literal}) fits in {budget} ideals"
+    assert peak <= 80 * 1024 + 200 * budget, peak

@@ -1,4 +1,4 @@
-"""J(P) from the level-by-level enumeration with addable masks, the dynamics
+"""J(P) from the depth-first enumeration with its label masks, the dynamics
 maps from the per-ideal label masks, and every reader of T+-_p from those
 masks, against the element-by-element reference routes and tables: equal
 lattices, equal maps and equal statistics."""
@@ -13,8 +13,10 @@ from cdeposets import (
     Distribution,
     Poset,
     build_lattice,
+    cde_report,
     certify_tcde,
     chain,
+    find_witness,
     is_toggle_symmetric,
     tableau_counts,
     uniform,
@@ -43,7 +45,7 @@ from lattice_oracle import (
     rowmotion,
     rowmotion_via_linear_extension,
 )
-from poset_oracle import antichain, disjoint_union
+from poset_oracle import antichain, components, disjoint_union, random_relations
 from shape_oracle import rook
 
 GOLDEN_SHAPES = [
@@ -68,14 +70,29 @@ def _budget_message(build, P, budget):
     return None
 
 
-def _assert_same(P, seed=0):
+def _assert_same_lattice(P, ref):
+    """The ideals, their index, edges, down-degrees and label masks, and the
+    budget at which the build starts to fail, against the reference."""
     L = build_lattice(P)
-    ref = build_lattice_reference(P, budget=1 << 24)
     assert L.ideals == ref.ideals
     assert L.index == ref.index
     assert tuple(L.edges()) == ref.hasse
     assert L.edge_count() == len(ref.hasse)
     assert L.ddeg == ref.ddeg
+    for masks, table in ((L.up, ref.t_plus), (L.down, ref.t_minus)):
+        assert masks == tuple(
+            [sum([col[i] << p for p, col in enumerate(table)]) for i in range(L.n)]
+        )
+    assert _budget_message(build_lattice, P, L.n) is None
+    assert _budget_message(build_lattice, P, L.n - 1) == (
+        f"J(P) exceeds the ideal budget of {L.n - 1}"
+    )
+    return L
+
+
+def _assert_same(P, seed=0):
+    ref = build_lattice_reference(P, budget=1 << 24)
+    L = _assert_same_lattice(P, ref)
 
     info = rank_info(P)
     maps = [rowmotion_map(L)]
@@ -103,8 +120,6 @@ def _assert_same(P, seed=0):
         assert _budget_message(build_lattice, P, budget) == _budget_message(
             build_lattice_reference, P, budget
         )
-    assert _budget_message(build_lattice, P, L.n) is None
-    assert _budget_message(build_lattice, P, L.n - 1) is not None
 
 
 def _toggle_symmetric_from_tables(ref, mu) -> bool:
@@ -270,6 +285,51 @@ def test_random_posets_match_reference():
     rng = random.Random(5)
     for seed in range(100):
         _assert_same(_shuffled_random_poset(rng, 8), seed=seed)
+
+
+def test_interleaved_disjoint_unions_match_reference():
+    """Disjoint unions of 2-3 random posets relabelled by a seeded
+    permutation, so that their components interleave in id order and the
+    depth-first search switches between them from one element to the next."""
+    rng = random.Random(2015)
+    interleaved = 0
+    for seed in range(50):
+        U = Poset(0, [])
+        for _ in range(rng.randint(2, 3)):
+            k = rng.randint(2, 3)
+            U = disjoint_union(U, Poset(k, random_relations(rng, k, acyclic=True)))
+        perm = list(range(U.n))
+        rng.shuffle(perm)
+        P = Poset(U.n, [(perm[p], perm[q]) for p, q in U.covers])
+        interleaved += any(c[-1] - c[0] >= len(c) for c in components(P))
+        _assert_same(P, seed=seed)
+    assert interleaved > 30  # 40 of the 50
+
+
+def test_a_deep_chain_matches_reference():
+    """J(chain(1500)): the first path takes "in" 1,500 times, past the
+    default recursion limit of 1,000, so the search must keep its own stack."""
+    P = chain(1500)
+    L = _assert_same_lattice(P, build_lattice_reference(P, budget=1 << 24))
+    assert L.n == 1501 and L.ddeg == (0,) + (1,) * 1500
+
+
+def test_paths_that_need_no_index_leave_it_unbuilt():
+    """The ideal index is built on first read, and certification, the
+    witness search, the chain pass, rowmotion and homomesy never read it."""
+    for literal in ("minuscule:axb:3x4", "shifted:4,2"):
+        if literal.startswith("minuscule:"):
+            P = parse_family(literal).realized
+        else:
+            P = parse_shape(literal).poset()
+        L = build_lattice(P)
+        certified = certify_tcde(L) is not None
+        assert (find_witness(L) is None) == certified
+        cde_report(L)
+        homomesy_report(L, rowmotion_map(L), antichain_cardinality(L))
+        assert L._index is None, literal
+        assert L.index == build_lattice_reference(P, budget=1 << 24).index
+        assert L._index is L.index
 
 
 def test_bit_walks_reach_bit_79_of_a_chain():

@@ -76,13 +76,9 @@ def _identifiers(source: str, imports: bool = True) -> set[str]:
     return names
 
 
-def test_every_public_name_is_reached():
-    """Nothing ships that no CLI verb, demo or README example reaches: every
-    public top-level function or class of the library is used somewhere
-    besides its own definition and ``__init__.py``: in library code (the CLI
-    included), a demo or a ``python`` block of the README.  A use is a name
-    or an attribute lookup; an import alone does not count.  Tests do not
-    count, so code that only tests call lives with the test oracles."""
+def _library_and_users():
+    """(library paths, their sources, the names they and the users reach):
+    the users are the demos and the ``python`` blocks of the README."""
     library = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     root = SRC.parent.parent
     readme = root.joinpath("README.md").read_text(encoding="utf-8")
@@ -91,6 +87,18 @@ def test_every_public_name_is_reached():
     users += re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
     sources = [path.read_text(encoding="utf-8") for path in library]
     reached = set().union(*[_identifiers(source, False) for source in sources + users])
+    assert library and len(users) > 5
+    return library, sources, reached
+
+
+def test_every_public_name_is_reached():
+    """Nothing ships that no CLI verb, demo or README example reaches: every
+    public top-level function or class of the library is used somewhere
+    besides its own definition and ``__init__.py``: in library code (the CLI
+    included), a demo or a ``python`` block of the README.  A use is a name
+    or an attribute lookup; an import alone does not count.  Tests do not
+    count, so code that only tests call lives with the test oracles."""
+    library, sources, reached = _library_and_users()
     found = [
         f"{path.name}:{node.lineno}:{node.name}"
         for path, source in zip(library, sources)
@@ -99,8 +107,28 @@ def test_every_public_name_is_reached():
         and not node.name.startswith("_")
         and node.name not in reached
     ]
-    assert library and len(users) > 5
     assert not found, f"public names that nothing reaches: {found}"
+
+
+def test_every_public_member_is_reached():
+    """The same rule one level down: every public method or property of a
+    top-level library class is looked up by name in library code, a demo or
+    a README ``python`` block.  The rule goes by name only, so a member
+    whose name another class shares (``validate``, ``to_dict``, ``edge_count``)
+    counts as reached when any of them is; it catches a member with a name
+    of its own, not one of two same-named members that only tests call."""
+    library, sources, reached = _library_and_users()
+    found = [
+        f"{path.name}:{member.lineno}:{node.name}.{member.name}"
+        for path, source in zip(library, sources)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef)
+        for member in node.body
+        if isinstance(member, ast.FunctionDef)
+        and not member.name.startswith("_")
+        and member.name not in reached
+    ]
+    assert not found, f"public members that nothing reaches: {found}"
 
 
 def _imported_modules(path: Path) -> set[str]:
