@@ -16,16 +16,24 @@ Both questions are answered from small integer systems rather than from the
 |J|-row system A (c, kappa) = ddeg, A = [1 | T_p], itself:
 
 * Certificate.  Each column of A is a pair of bitsets over the ideals (its +1
-  and -1 positions), so every entry of the Gram matrix G = A^T A is four
-  popcounts, and A^T ddeg comes from the bit-planes of ddeg; the columns
-  and the planes are the ``up``/``down`` masks and ``ddeg`` transposed.  The
-  transpose writes all the masks as one string of fixed-width binary
-  numerals and reads each bit back as one strided slice; G is symmetric, so
-  only its upper triangle is counted and mirrored.  Since
+  and -1 positions), so the inner product of two columns is two popcounts,
+  the +1 and -1 sets of each being disjoint.  The columns are the
+  ``up``/``down`` masks transposed, and A^T ddeg comes from the bit-planes
+  of ddeg, transposed the same way: the masks' bytes are joined into one
+  int, formatted once in binary, and each bit is read back as one strided
+  slice.  Most of the Gram matrix G = A^T A is 0 and is never counted.  The
+  toggle bijection I <-> I + {p}, from the ideals where p is addable onto
+  those where it is removable, gives <1, T_p> = 0, and it gives
+  <T_p, T_q> = sum over the I where p is addable of T_q(I) - T_q(I + {p}).
+  Adding p changes T_q only when p covers q or q covers p: for q outside I,
+  T_q asks whether every lower cover of q is in I, and for q in I, whether
+  no upper cover is.  So only |J|, the n diagonal entries, the cover pairs
+  of P and, with the empty/full column, its row are counted.  Since
   null(A^T A) = null(A), G has the same lex-first independent columns as A;
   with free variables zero, G x = A^T ddeg therefore has exactly the solution
   the |J|-row system would have whenever that system is consistent.
-  ``linalg.solve`` gives the candidate as integers (d, x) with
+  ``linalg.solve``, an elimination for symmetric positive semidefinite
+  integer matrices, gives the candidate as integers (d, x) with
   d (c, kappa) = x.  A solution of the normal equations leaves a residual
   r = ddeg - A x / d orthogonal to every column of A, so
   d ||r||^2 = d <ddeg, ddeg> - x^T A^T ddeg: one sum of squares and one
@@ -39,20 +47,25 @@ Both questions are answered from small integer systems rather than from the
   (n+2) x |J| matrix, one column per ideal in canonical order.
   ``linalg._eliminate`` reads the ideals' columns in that order, keeps
   e_last reduced against the columns chosen so far, and stops at the first
-  chosen column that puts e_last in their span.  The solution on that
-  prefix is unique, so padded with zeros it is the free-variables-zero
-  solution on all of the lex-first independent columns; v is read off the
-  same elimination and re-checked in integers.  The elimination gives
-  d * v = y in integers.  With z = sign(d) y, Y = max(-z_i) and N = |J|, the
-  witness weights 1/N + (eps/2) v_i are exactly (2Y + z_i) / (2NY), so the
-  witness keeps integer numerators over one denominator and is validated
-  and emitted without rational arithmetic per ideal.
+  chosen column that puts e_last in their span.  A column is nonzero only
+  at the 1 and ddeg rows and at the rows of its ideal's up and down masks,
+  so it is reduced as one sparse combination of the reduced unit vectors
+  of those rows, each brought up to date when a column needs it.  The
+  solution on that prefix is unique, so padded with zeros it is the
+  free-variables-zero solution on all of the lex-first independent columns;
+  v is read off the same elimination and re-checked in integers.  The
+  elimination gives d * v = y in integers.  With z = sign(d) y,
+  Y = max(-z_i) and N = |J|, the witness weights 1/N + (eps/2) v_i are
+  exactly (2Y + z_i) / (2NY), so the witness keeps integer numerators over
+  one denominator and is validated and emitted without rational arithmetic
+  per ideal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import comb, gcd
 from operator import mul
 from typing import Optional
@@ -227,48 +240,67 @@ def _identity_failure(L: IdealLattice, c, kappa, scale=1, empty_full=0):
 def _transpose(masks, width: int) -> list[int]:
     """Bit k of the i-th mask as bit i of the k-th int, for k < width.
 
-    The masks, last first, are written as one string of width-digit binary
-    numerals; every width-th digit from position width - 1 - k is then bit k
-    of each mask, last first, so one ``int(.., 2)`` reads each row.
+    The masks, last first, are written as one string of binary numerals of
+    s digits each, s the width rounded up to whole bytes: their bytes are
+    joined, and the one int those spell is formatted once.  Every s-th digit
+    from position s - 1 - k is then bit k of each mask, last first, so one
+    ``int(.., 2)`` reads each row.
     """
-    rows = "".join(map(f"{{:0{width}b}}".format, reversed(masks)))
-    return [int(rows[width - 1 - k :: width], 2) for k in range(width)]
+    size = (width + 7) // 8
+    data = b"".join(map(int.to_bytes, reversed(masks), repeat(size), repeat("big")))
+    step = 8 * size
+    rows = format(int.from_bytes(data, "big"), f"0{step * len(masks)}b")
+    return [int(rows[step - 1 - k :: step], 2) for k in range(width)]
 
 
-def _dot(u, v) -> int:
-    """Inner product of two signed columns, each a (plus, minus) bitset pair."""
-    up, um = u
-    vp, vm = v
-    return (
-        (up & vp).bit_count()
-        + (um & vm).bit_count()
-        - (up & vm).bit_count()
-        - (um & vp).bit_count()
-    )
+def _gram(L: IdealLattice, empty_full: bool):
+    """(G, A^T ddeg, <ddeg, ddeg>) for A = [1 | T_p], plus the empty/full
+    column when asked, and G = A^T A.
 
-
-def _gram_solve(L: IdealLattice, empty_full: bool):
-    """(d, d x, d ||ddeg - A x||^2) for the free-variables-zero solution x of
-    G x = A^T ddeg, G = A^T A.
-
-    A is [1 | T_p], plus the empty/full column when asked.  x solves the
-    normal equations, so the residual is orthogonal to A's columns and its
-    squared norm is <ddeg, ddeg> - x^T A^T ddeg.
+    Each column is a (plus, minus) pair of bitsets over the ideals, and two
+    columns' inner product is two popcounts, since the plus and minus sets
+    of each are disjoint.  Only |J|, the diagonal, the cover pairs of P and
+    the empty/full row are counted; the toggle bijection makes every other
+    entry 0 (see the module docstring).
     """
     nP = L.base.n
-    cols = [((1 << L.n) - 1, 0)]
-    cols += zip(_transpose(L.up, nP), _transpose(L.down, nP))
+    cols = [((1 << L.n) - 1, 0), *zip(_transpose(L.up, nP), _transpose(L.down, nP))]
     if empty_full:
         # [I = empty] - [I = full]; a single ideal counts as full
         cols.append((int(L.n > 1), 1 << (L.n - 1)))
-    planes = [(b, 0) for b in _transpose(L.ddeg, max(L.ddeg).bit_length())]
     gram = [[0] * len(cols) for _ in cols]
-    for a, u in enumerate(cols):  # G is symmetric: fill the upper triangle
-        for b in range(a, len(cols)):
-            gram[a][b] = gram[b][a] = _dot(u, cols[b])
-    rhs = [sum(_dot(u, plane) << k for k, plane in enumerate(planes)) for u in cols]
+    gram[0][0] = L.n
+    pairs = [(p, p) for p in range(1, nP + 1)]
+    pairs += [(p + 1, q + 1) for p, q in L.base.covers]
+    if empty_full:
+        pairs += [(a, nP + 1) for a in range(nP + 2)]
+    for a, b in pairs:
+        (up, um), (vp, vm) = cols[a], cols[b]
+        entry = (up & vp | um & vm).bit_count() - (up & vm | um & vp).bit_count()
+        gram[a][b] = gram[b][a] = entry
+    # A^T ddeg from the bit-planes of ddeg
+    planes = list(enumerate(_transpose(L.ddeg, max(L.ddeg).bit_length())))
+    rhs = [
+        sum([((p & b).bit_count() - (m & b).bit_count()) << k for k, b in planes])
+        for p, m in cols
+    ]
+    return gram, rhs, sum(map(mul, L.ddeg, L.ddeg))
+
+
+def _gram_solve(gram, rhs, norm):
+    """(d, d x, d ||ddeg - A x||^2) for the free-variables-zero solution x of
+    the Gram system G x = A^T ddeg, with norm = <ddeg, ddeg>.
+
+    x solves the normal equations, so the residual is orthogonal to A's
+    columns and its squared norm is <ddeg, ddeg> - x^T A^T ddeg.  A
+    negative one means the arithmetic went wrong and raises
+    ``ArithmeticError``.
+    """
     d, y = _solve_consistent(gram, rhs)
-    return d, y, d * sum(map(mul, L.ddeg, L.ddeg)) - sum(map(mul, y, rhs))
+    residual = d * norm - sum(map(mul, y, rhs))
+    if residual < 0:
+        raise ArithmeticError("least-squares residual came out negative")
+    return d, y, residual
 
 
 def _solve_consistent(matrix, rhs):
@@ -299,9 +331,7 @@ def certify_tcde(
     the empty and full ideals (the trapezoid trick); the certificate keeps
     that column's coefficient as ``empty_full``.
     """
-    d, x, residual = _gram_solve(L, empty_full_constraint)
-    if d * residual < 0:
-        raise ArithmeticError("least-squares residual came out negative")
+    d, x, residual = _gram_solve(*_gram(L, empty_full_constraint))
     if residual:
         return None
     # summed over J(P) the identity reads c |J| = sum ddeg: every T_p sums to

@@ -1,29 +1,68 @@
 """Exact linear algebra over the integers by fraction-free elimination.
 
-Entries are ints.  One routine, ``_eliminate``, does all the work:
-Bareiss's (1968) one-step fraction-free elimination, run column by column.
-After k pivots every entry below the pivot rows is a (k+1)-minor of the
-matrix, so each update divides exactly by the previous pivot and no
-rational arithmetic or gcds are needed.  A column is a pivot when it has a
-nonzero entry at or below the next pivot row; the pivot columns are
-therefore the lex-first independent columns, whatever the row order.
-Solutions come back as (d, y): one integer d and an integer vector y with
-d * x = y, so callers check and use them without rational arithmetic.
-Matrices are lists of row lists.
+Entries are ints, and both routines use Bareiss's (1968) one-step
+fraction-free elimination.  After k pivots every reduced entry is a
+(k+1)-minor of the matrix, so each update divides exactly by the previous
+pivot and no rational arithmetic or gcds are needed.  In both, a run of
+steps whose multiplier is 0 (each a pure rescale) is folded into the next
+step that has a nonzero one.  Solutions come back as (d, y): one integer d
+and an integer vector y with d * x = y, so callers check and use them
+without rational arithmetic.  Matrices are lists of row lists.
+
+* ``solve`` is for symmetric positive semidefinite (PSD) systems, the Gram
+  systems of the tCDE certificate.  It takes diagonal pivots in column
+  order and works left-looking: column c is reduced only at the earlier
+  pivot rows and at its own diagonal, since by symmetry the entries it
+  needs below the diagonal are the pivot rows' entries.  On a PSD matrix a
+  zero reduced diagonal means the whole reduced column is zero, so the
+  column depends on the earlier ones, and a negative one cannot occur.
+* ``_eliminate`` reads general integer columns one at a time, pivoting on
+  rows, until a target lies in the span of the pivot columns.  Elimination
+  is linear in the column, so a column's reduced form is the combination,
+  by its nonzero entries, of the reduced images of the unit vectors; each
+  image is brought up to date only when a column needs it.
+
+Both take the pivot columns to be the lex-first independent columns.
 """
 
 from __future__ import annotations
+
+from itertools import compress
+from operator import add, mul, sub
+
+
+def _reduce(x, pivots, start):
+    """Apply the steps of ``pivots[start:]`` to x, reduced through
+    ``pivots[:start]``, in place; x comes back reduced through all of them.
+
+    ``pivots`` holds (reduced column, pivot) pairs, rows in the current
+    order.  Entry j < k of the result is x reduced through the first j
+    pivots, the multiplier of step j.
+    """
+    prev = last = pivots[start - 1][1] if start else 1  # the divisor of the next step
+    for j in range(start, len(pivots)):
+        f, pv = pivots[j]
+        a = x[j]
+        if a:
+            if prev != last:
+                x[j] = a * last // prev
+            x[j + 1 :] = [(pv * u - g * a) // prev for u, g in zip(x[j + 1 :], f[j + 1 :])]
+            prev = pv
+        last = pv
+    if prev != last:
+        k = len(pivots)
+        x[k:] = [u * last // prev for u in x[k:]]
+    return x
 
 
 def _eliminate(columns, target):
     """Fraction-free elimination of integer columns, read in order.
 
-    Each new column gets, lazily, the Bareiss steps of the pivots found so
-    far: the arithmetic of the row-wise algorithm, except that a run of
-    steps whose multiplier is 0 (each a pure rescale) is folded into the
-    next step that has a nonzero one.  ``target`` is reduced alongside, and
-    reading stops at the first chosen column that puts it in the span of
-    the chosen ones; a zero target stops before any column is read.
+    Each column is reduced as the combination of the images of the unit
+    vectors at its nonzero rows: the arithmetic of the row-wise algorithm,
+    by linearity.  ``target`` is reduced alongside, and reading stops at the
+    first chosen column that puts it in the span of the chosen ones; a zero
+    target stops before any column is read.
 
     Returns (chosen, d, y).  ``chosen`` lists the (index, column) pairs of
     the pivot columns read; d is the last pivot, the determinant of the
@@ -34,36 +73,52 @@ def _eliminate(columns, target):
     t = list(target)
     pivots = []  # (reduced column, pivot), rows in the current order
     chosen = []
-    perm = None  # perm[r] is the input row now at row r
+    images = []  # images[r]: e_r reduced through levels[r] pivots, or None
+    levels = []
+    where = []  # where[r] is the current row of input row r
     reached = not any(t)
     for i, col in enumerate([] if reached else columns):
-        if perm is None:
-            perm = list(range(len(col)))
-        x = [col[r] for r in perm]
-        prev = last = 1  # the divisor of the next applied step; the last pivot
-        for j, (f, pv) in enumerate(pivots):
-            a = x[j]
-            if a:
-                if prev != last:
-                    x[j] = a * last // prev
-                x[j + 1 :] = [(pv * u - g * a) // prev for u, g in zip(x[j + 1 :], f[j + 1 :])]
-                prev = pv
-            last = pv
+        if not where:
+            m = len(col)
+            images, levels, where = [None] * m, [0] * m, list(range(m))
         k = len(pivots)
-        r = next((r for r in range(k, len(x)) if x[r]), None)
+        last = pivots[-1][1] if k else 1
+        x = [0] * m
+        for r in compress(range(m), col):
+            v, p = col[r], where[r]
+            if p >= k:
+                # off the pivot rows, every step so far only rescales e_r
+                x[p] += v * last
+                continue
+            img = images[r]
+            if img is None:
+                # the steps before p only rescale e_r; _reduce applies the rest
+                img = images[r] = [0] * m
+                img[p] = pivots[p - 1][1] if p else 1
+                levels[r] = p
+            if levels[r] < k:
+                _reduce(img, pivots, levels[r])
+                levels[r] = k
+            if v == 1:
+                x = list(map(add, x, img))
+            elif v == -1:
+                x = list(map(sub, x, img))
+            else:
+                x = [u + v * b for u, b in zip(x, img)]
+        r = next((r for r in range(k, m) if x[r]), None)
         if r is None:
             continue
-        if prev != last:
-            x[k:] = [u * last // prev for u in x[k:]]
         if r != k:
-            for v in [perm, x, t, *[f for f, _ in pivots]]:
+            for v in [x, t, *[f for f, _ in pivots], *filter(None, images)]:
                 v[k], v[r] = v[r], v[k]
+            a, b = where.index(k), where.index(r)
+            where[a], where[b] = r, k
         pivots.append((x, x[k]))
         chosen.append((i, col))
         a = t[k]
         t[k + 1 :] = [(x[k] * u - g * a) // last for u, g in zip(t[k + 1 :], x[k + 1 :])]
         reached = not any(t[k + 1 :])
-        if reached or k + 1 == len(x):
+        if reached or k + 1 == m:
             break
     d = pivots[-1][1] if pivots else 1
     if not reached:
@@ -78,19 +133,58 @@ def _eliminate(columns, target):
 
 
 def solve(matrix, rhs):
-    """(d, y) with x = y / d one solution of A x = b, or None if inconsistent.
+    """(d, y) with x = y / d one solution of G x = b, or None if inconsistent.
 
-    A and b are integer; d is a nonzero integer and y an integer vector.
-    Free variables are zero, so the solution is supported on the lex-first
-    independent columns of A.  Columns are read only until b lies in their
-    span: the solution on that prefix is unique, so the rest stay zero.
+    G is a symmetric positive semidefinite integer matrix and b an integer
+    vector; d is a positive integer and y an integer vector.  Free variables
+    are zero, so the solution is supported on the lex-first independent
+    columns of G.  A non-square or non-symmetric G raises ``ValueError``,
+    and a negative pivot, which no PSD matrix has, ``ArithmeticError``.
     """
-    if not matrix:
-        return 1, []
-    chosen, d, y = _eliminate(zip(*matrix), rhs)
-    if y is None:
-        return None
-    x = [0] * len(matrix[0])
-    for (c, _), v in zip(chosen, y):
+    size = len(matrix)
+    if any(len(row) != size for row in matrix):
+        raise ValueError("solve needs a square matrix")
+    if list(zip(*matrix)) != list(map(tuple, matrix)):
+        raise ValueError("solve needs a symmetric matrix")
+    chosen = []
+    rows = []  # rows[m]: pivot row m at the columns of the later pivots
+    pivots = []  # pivots[m]: the determinant of the first m + 1 chosen
+    tops = []  # tops[m]: b at pivot row m, reduced through the first m pivots
+    for c, col in enumerate(matrix):
+        x = [col[s] for s in chosen]
+        diag, t = col[c], rhs[c]
+        prev = last = 1  # the divisor of the next applied step; the last pivot
+        for m, pv in enumerate(pivots):
+            a = x[m]
+            if a:
+                if prev != last:
+                    x[m] = a * last // prev
+                g = x[m]
+                x[m + 1 :] = [(pv * u - h * a) // prev for u, h in zip(x[m + 1 :], rows[m])]
+                diag = (pv * diag - g * a) // prev
+                t = (pv * t - tops[m] * a) // prev
+                prev = pv
+            last = pv
+        if prev != last:
+            diag, t = diag * last // prev, t * last // prev
+        if diag < 0:
+            raise ArithmeticError("negative pivot: the matrix is not positive semidefinite")
+        if not diag:
+            if t:
+                return None
+            continue
+        for row, u in zip(rows, x):
+            row.append(u)
+        chosen.append(c)
+        rows.append([])
+        pivots.append(diag)
+        tops.append(t)
+    # back substitution on the chosen block, exact by Cramer's rule
+    d = pivots[-1] if pivots else 1
+    y = [0] * len(chosen)
+    for m in range(len(chosen) - 1, -1, -1):
+        y[m] = (d * tops[m] - sum(map(mul, rows[m], y[m + 1 :]))) // pivots[m]
+    x = [0] * size
+    for c, v in zip(chosen, y):
         x[c] = v
     return d, x

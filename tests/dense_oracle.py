@@ -9,13 +9,15 @@ nonzero entry of each column as pivot and free variables set to zero, so the
 solution is supported on the lex-first independent columns.  The T_p rows
 and columns come from ``lattice_oracle.toggle_tables``, not from the
 lattice's label masks.  ``transpose_bits`` is the per-bit reference for
-the library's strided-string bit transpose.
+the library's strided-string bit transpose, and ``eliminate_by_columns`` the
+column-by-column reference for the library's unit-image elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from cdeposets import Distribution, expectation
 from cdeposets.cde import TcdeCertificate, TcdeWitness
@@ -33,6 +35,59 @@ def transpose_bits(masks, width):
         for k in _bits(m):
             rows[k][top - i] = 49  # ord("1")
     return [int(r, 2) for r in rows]
+
+
+def eliminate_by_columns(columns, target):
+    """``linalg._eliminate`` the slow way: every column read gets the Bareiss
+    steps of all the pivots found so far, one full-column step each, except
+    that a run of steps whose multiplier is 0 is folded into the next one.
+
+    Returns the same (chosen, d, y): the (index, column) pairs of the pivot
+    columns read, the last pivot (1 if none), and y with d * x = y for the
+    x that puts the target in the span of the chosen columns, or None.
+    """
+    t = list(target)
+    pivots = []  # (reduced column, pivot), rows in the current order
+    chosen = []
+    perm = None  # perm[r] is the input row now at row r
+    reached = not any(t)
+    for i, col in enumerate([] if reached else columns):
+        if perm is None:
+            perm = list(range(len(col)))
+        x = [col[r] for r in perm]
+        prev = last = 1  # the divisor of the next applied step; the last pivot
+        for j, (f, pv) in enumerate(pivots):
+            a = x[j]
+            if a:
+                if prev != last:
+                    x[j] = a * last // prev
+                x[j + 1 :] = [(pv * u - g * a) // prev for u, g in zip(x[j + 1 :], f[j + 1 :])]
+                prev = pv
+            last = pv
+        k = len(pivots)
+        r = next((r for r in range(k, len(x)) if x[r]), None)
+        if r is None:
+            continue
+        if prev != last:
+            x[k:] = [u * last // prev for u in x[k:]]
+        if r != k:
+            for v in [perm, x, t, *[f for f, _ in pivots]]:
+                v[k], v[r] = v[r], v[k]
+        pivots.append((x, x[k]))
+        chosen.append((i, col))
+        a = t[k]
+        t[k + 1 :] = [(x[k] * u - g * a) // last for u, g in zip(t[k + 1 :], x[k + 1 :])]
+        reached = not any(t[k + 1 :])
+        if reached or k + 1 == len(x):
+            break
+    d = pivots[-1][1] if pivots else 1
+    if not reached:
+        return chosen, d, None
+    y = [0] * len(pivots)
+    for r in range(len(pivots) - 1, -1, -1):
+        acc = d * t[r] - sum([pivots[j][0][r] * y[j] for j in range(r + 1, len(y))])
+        y[r] = acc // pivots[r][1]
+    return chosen, d, y
 
 
 def _echelon(rows):
@@ -103,18 +158,29 @@ def _dense_columns(L):
     return list(zip(*rows)), [0] * (len(rows) - 1) + [1]
 
 
+def _tall_columns(L, empty_full_constraint):
+    """The columns of the |J|-row system: 1, each T_p, and with the
+    constraint [I = empty] - [I = full], a single ideal counting as full."""
+    cols = [[1] * L.n, *_signed_tables(L)]
+    if empty_full_constraint:
+        ends = [int(m == 0) for m in L.ideals]
+        if L.ideals[-1] == (1 << L.base.n) - 1:
+            ends[-1] = -1
+        cols.append(ends)
+    return cols
+
+
+def dense_gram(L, empty_full_constraint=False):
+    """(A^T A, A^T ddeg) for the columns of ``_tall_columns``, every entry a
+    full inner product over the ideals."""
+    cols = _tall_columns(L, empty_full_constraint)
+    gram = [[sum(map(mul, u, v)) for v in cols] for u in cols]
+    return gram, [sum(map(mul, u, L.ddeg)) for u in cols]
+
+
 def certify_tcde_dense(L, empty_full_constraint=False):
     nP = L.base.n
-    signed = _signed_tables(L)
-    matrix = []
-    for i in range(L.n):
-        row = [1] + [col[i] for col in signed]
-        if empty_full_constraint:
-            extra = 1 if L.ideals[i] == 0 else 0
-            if i == L.n - 1 and L.ideals[i] == (1 << nP) - 1:
-                extra = -1
-            row.append(extra)
-        matrix.append(row)
+    matrix = [list(row) for row in zip(*_tall_columns(L, empty_full_constraint))]
     sol = dense_solve(matrix, L.ddeg)
     if sol is None:
         return None

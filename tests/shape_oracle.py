@@ -22,8 +22,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from cdeposets import linalg
 from cdeposets.shapes import Partition, ShiftedShape, SkewShape, classify_shifted_balanced
+
+from dense_oracle import dense_solve
 
 
 def _row_counts(shape, L, idx, n_rows: int) -> list[int]:
@@ -228,7 +229,8 @@ def rook(shape, L, i: int, j: int):
 
 def rook_placement(shape: SkewShape) -> dict[tuple[int, int], Fraction]:
     """Coefficients with row sums b, column sums a, and (for balanced shapes)
-    zero aggregate over every corner's attack set; found by exact linear solve."""
+    zero aggregate over every corner's attack set; found by the dense
+    rational solve, free variables zero."""
     if not shape.is_connected():
         raise ValueError("rook placement needs a connected shape")
     boxes = shape.boxes
@@ -239,11 +241,10 @@ def rook_placement(shape: SkewShape) -> dict[tuple[int, int], Fraction]:
         for kind, pt in shape.corners():
             rows_sys.append([int(_attacks(kind, pt, i, j)) for i, j in boxes])
             rhs.append(0)
-    sol = linalg.solve(rows_sys, rhs)
+    sol = dense_solve(rows_sys, rhs)
     if sol is None:
         raise ValueError(f"no rook placement exists for {shape}")
-    d, x = sol
-    return {box: Fraction(v, d) for box, v in zip(boxes, x)}
+    return dict(zip(boxes, sol))
 
 
 def shifted_rook_placement(lam: Partition, cls=None) -> dict[tuple[int, int], Fraction]:

@@ -328,23 +328,62 @@ print("validate", w.validate(L), cde.TcdeWitness(tuple(ints), w.den, w.expectati
 
 # a Gram route that reads the all-ones column as twice itself: the identity
 # still holds, with c halved, so only the edge-density guard can reject it
-real_dot, real_transpose = cde._dot, cde._transpose
+real_gram = cde._gram
 L = build_lattice(parse_shape("shifted:3,2,1").poset())
-ones = ((1 << L.n) - 1, 0)
-cde._dot = lambda u, v: real_dot(u, v) << (u == ones) + (v == ones)
+
+
+def doubled_ones(L, empty_full):
+    gram, rhs, norm = real_gram(L, empty_full)
+    for row in gram:
+        row[0] *= 2
+    gram[0] = [2 * g for g in gram[0]]
+    rhs[0] *= 2
+    return gram, rhs, norm
+
+
+cde._gram = doubled_ones
 for fn in (certify_tcde, find_witness):
     try:
         print(fn.__name__, "shifted:3,2,1", fn(L))
     except ArithmeticError:
         print(fn.__name__, "shifted:3,2,1", "rejected")
 print("exit", cli.main(["cert-tcde", "--shape", "shifted:3,2,1"]))
-cde._dot = real_dot
+cde._gram = real_gram
 
-# a transpose with a zero row in front reads every ddeg as twice itself,
-# which leaves a negative squared residual
-cde._transpose = lambda masks, width: [0] + real_transpose(masks, width)
+# a Gram route that reads every ddeg as twice itself in A^T ddeg but not in
+# <ddeg, ddeg>, which leaves a negative squared residual
+def doubled_rhs(L, empty_full):
+    gram, rhs, norm = real_gram(L, empty_full)
+    return gram, [2 * b for b in rhs], norm
+
+
+cde._gram = doubled_rhs
 print("exit", cli.main(["cert-tcde", "--shape", "shifted:4,2"]))
-cde._transpose = real_transpose
+cde._gram = real_gram
+
+
+# a Gram with a negative diagonal entry, which no Gram has: the symmetric
+# solve meets it as a negative pivot
+def negative_diagonal(L, empty_full):
+    gram, rhs, norm = real_gram(L, empty_full)
+    gram[1][1] = -gram[1][1]
+    return gram, rhs, norm
+
+
+cde._gram = negative_diagonal
+try:
+    print("certify_tcde shifted:3,2,1", certify_tcde(L))
+except ArithmeticError:
+    print("certify_tcde shifted:3,2,1 rejected")
+print("exit", cli.main(["cert-tcde", "--shape", "shifted:3,2,1"]))
+cde._gram = real_gram
+
+# solve takes only square symmetric matrices
+for matrix in ([[1, 0]], [[1, 0], [0]], [[1, 2], [3, 4]]):
+    try:
+        print("solve", linalg.solve(matrix, [0] * len(matrix)))
+    except ValueError as e:
+        print("solve", e)
 
 # a chain-polynomial width too narrow for the chain counts
 distributions._width = lambda X, top: (2, X.base.n)
@@ -375,12 +414,13 @@ def test_corrupted_solves_are_rejected_under_python_O():
         "certify_tcde shifted:4,2 rejected",
         "find_witness shifted:4,2 rejected",
     ]
-    assert [line for line in out if line.startswith("exit")] == ["exit 4"] * 6
+    assert [line for line in out if line.startswith("exit")] == ["exit 4"] * 7
     first = out.index("exit 4")
     split = out.index("exit 4", first + 1)
     second = out.index("exit 4", split + 1)
     guard = out.index("exit 4", second + 1)
     residual = out.index("exit 4", guard + 1)
+    pivot = out.index("exit 4", residual + 1)
     assert json.loads("\n".join(out[5:first])) == {
         "error": "internal error: ArithmeticError: exact solve failed on a consistent system"
     }
@@ -407,7 +447,17 @@ def test_corrupted_solves_are_rejected_under_python_O():
     assert json.loads("\n".join(out[guard + 1 : residual])) == {
         "error": "internal error: ArithmeticError: least-squares residual came out negative"
     }
+    assert out[residual + 1] == "certify_tcde shifted:3,2,1 rejected"
+    assert json.loads("\n".join(out[residual + 2 : pivot])) == {
+        "error": "internal error: ArithmeticError: "
+        "negative pivot: the matrix is not positive semidefinite"
+    }
+    assert out[pivot + 1 : pivot + 4] == [
+        "solve solve needs a square matrix",
+        "solve solve needs a square matrix",
+        "solve solve needs a symmetric matrix",
+    ]
     assert out[-1] == "exit 4"
-    assert json.loads("\n".join(out[residual + 1 : -1])) == {
+    assert json.loads("\n".join(out[pivot + 4 : -1])) == {
         "error": "internal error: ArithmeticError: packed chain moments overflowed their width"
     }

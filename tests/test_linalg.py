@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from operator import mul
+
+import pytest
 
 from cdeposets import linalg
 
-from dense_oracle import dense_solve
+from dense_oracle import _echelon, dense_solve, eliminate_by_columns
 from tableau_oracle import dense_det
 
 
@@ -27,6 +30,18 @@ def _leibniz_det(matrix):
     return total
 
 
+def _eliminate_solve(A, b):
+    """The free-variables-zero solution of A x = b read off ``_eliminate``
+    over A's columns, as (d, x), or None."""
+    chosen, d, y = linalg._eliminate(zip(*A), b)
+    if y is None:
+        return None
+    x = [0] * len(A[0])
+    for (c, _), v in zip(chosen, y):
+        x[c] = v
+    return d, x
+
+
 def test_integer_elimination_matches_dense_fraction_route():
     rng = random.Random(1968)
     inconsistent = 0
@@ -34,7 +49,7 @@ def test_integer_elimination_matches_dense_fraction_route():
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         A = _random_matrix(rng, m, n)
         b = [rng.randint(-3, 3) for _ in range(m)]
-        got = linalg.solve(A, b)
+        got = _eliminate_solve(A, b)
         want = dense_solve(A, b)
         if got is None:
             assert want is None
@@ -44,6 +59,61 @@ def test_integer_elimination_matches_dense_fraction_route():
             assert d != 0 and all(isinstance(v, int) for v in x)
             assert [Fraction(v, d) for v in x] == want
     assert inconsistent > 100
+
+
+def test_elimination_matches_the_column_by_column_route():
+    """The unit-image elimination gives the (chosen, d, y) of the reference
+    that reduces every column it reads against every pivot."""
+    rng = random.Random(1606)
+    for _ in range(1500):
+        m, n = rng.randint(1, 7), rng.randint(1, 9)
+        A = _random_matrix(rng, m, n)
+        b = [rng.randint(-3, 3) if rng.random() < 0.7 else 0 for _ in range(m)]
+        assert linalg._eliminate(zip(*A), b) == eliminate_by_columns(zip(*A), b)
+
+
+def _gram_of(rng, m, n):
+    """A^T A for a random m x n integer A, singular when A has dependent
+    columns; one column is sometimes a copy or sum of others, or zero."""
+    A = _random_matrix(rng, m, n)
+    if n > 2 and rng.random() < 0.4:
+        j, kind = rng.randrange(2, n), rng.randrange(3)
+        for row in A:
+            row[j] = (0, row[0] + row[1], row[0])[kind]
+    cols = list(zip(*A))
+    return A, [[sum(map(mul, u, v)) for v in cols] for u in cols]
+
+
+def _rank(G):
+    return len(_echelon([[Fraction(v) for v in row] for row in G]))
+
+
+def test_symmetric_solve_matches_dense_fraction_route():
+    """On Grams of random integer matrices, consistent right-hand sides A^T b
+    give the dense route's free-variables-zero solution, which on a singular
+    Gram picks the lex-first independent columns; right-hand sides off the
+    column space give None, as they do there."""
+    rng = random.Random(2018)
+    singular = inconsistent = 0
+    for _ in range(1500):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        A, G = _gram_of(rng, m, n)
+        if rng.random() < 0.8:
+            b = [rng.randint(-4, 4) for _ in range(m)]
+            rhs = [sum(map(mul, col, b)) for col in zip(*A)]
+        else:
+            rhs = [rng.randint(-4, 4) for _ in range(n)]
+        got = linalg.solve(G, rhs)
+        want = dense_solve(G, rhs)
+        singular += _rank(G) < n
+        if got is None:
+            assert want is None
+            inconsistent += 1
+        else:
+            d, x = got
+            assert d > 0 and all(isinstance(v, int) for v in x)
+            assert [Fraction(v, d) for v in x] == want
+    assert singular > 800 and inconsistent > 120
 
 
 def test_oracle_determinant_matches_leibniz():
@@ -62,29 +132,38 @@ def test_oracle_determinant_matches_leibniz():
 
 def test_degenerate_shapes():
     assert linalg.solve([], []) == (1, [])
-    assert linalg.solve([[0, 0]], [0]) == (1, [0, 0])
-    assert linalg.solve([[0, 0]], [1]) is None
+    assert linalg.solve([[0]], [0]) == (1, [0])
+    assert linalg.solve([[0]], [1]) is None
+    assert _eliminate_solve([[0, 0]], [0]) == (1, [0, 0])
+    assert _eliminate_solve([[0, 0]], [1]) is None
 
 
-def test_solve_reads_no_column_once_the_rhs_is_spanned(monkeypatch):
-    real = linalg._eliminate
+def test_solve_refuses_what_is_not_symmetric_psd():
+    for matrix in ([[1, 0]], [[1], [0]], [[1, 0], [0]], [[1, 2], [3, 4]], [[0, 1], [0, 0]]):
+        with pytest.raises(ValueError):
+            linalg.solve(matrix, [0] * len(matrix))
+    # symmetric, with a negative eigenvalue that a pivot meets
+    for matrix in ([[-1]], [[1, 2], [2, 1]], [[4, 0, 2], [0, 1, 0], [2, 0, -3]]):
+        with pytest.raises(ArithmeticError):
+            linalg.solve(matrix, [0] * len(matrix))
+
+
+def test_elimination_reads_no_column_once_the_target_is_spanned():
     read = []
 
-    def counting(columns, target):
-        def gen():
-            for i, col in enumerate(columns):
-                read.append(i)
-                yield col
+    def counting(A):
+        for i, col in enumerate(zip(*A)):
+            read.append(i)
+            yield col
 
-        return real(gen(), target)
-
-    monkeypatch.setattr(linalg, "_eliminate", counting)
     A = [[1, 0, 2, 0], [0, 1, 3, 0], [0, 0, 0, 1]]
-    assert linalg.solve(A, [0, 2, 0]) == (1, [0, 2, 0, 0])
+    chosen, d, y = linalg._eliminate(counting(A), [0, 2, 0])
+    assert ([i for i, _ in chosen], d, y) == ([0, 1], 1, [0, 2])
     assert read == [0, 1]
     read.clear()
-    assert linalg.solve(A, [0, 0, 0]) == (1, [0, 0, 0, 0])
+    assert linalg._eliminate(counting(A), [0, 0, 0]) == ([], 1, [])
     assert read == []
     read.clear()
-    assert linalg.solve(A, [1, 1, 1]) == (1, [1, 1, 0, 1])
+    chosen, d, y = linalg._eliminate(counting(A), [1, 1, 1])
+    assert ([i for i, _ in chosen], d, y) == ([0, 1, 3], 1, [1, 1, 1])
     assert read == [0, 1, 2, 3]

@@ -258,6 +258,7 @@ def test_tableau_counts_runs_no_determinant(monkeypatch):
         raise AssertionError("an elimination ran on the report path")
 
     monkeypatch.setattr("cdeposets.linalg._eliminate", no_det)
+    monkeypatch.setattr("cdeposets.linalg.solve", no_det)
     for k in (80, 150):
         counts = tableau_counts(parse_shape("straight:" + ",".join(["1"] * k)))
         assert counts["standard"] == 1

@@ -1,9 +1,11 @@
 """The Gram route for tCDE certificates and witnesses against the dense
 Fraction route in dense_oracle.py: equal to_dict() output, bit for bit.
 Every certificate, with and without the empty/full column, also validates:
-its identity holds on every ideal.  The residual verdict of the Gram route
-agrees with the per-ideal check, and a nonzero residual is a witness
-direction."""
+its identity holds on every ideal.  The Gram counted on the cover pattern
+equals the full A^T A entry by entry, and the residual verdict of the Gram
+route agrees with the per-ideal check, a nonzero residual being a witness
+direction.  The unit-image witness scan agrees with the column-by-column
+elimination."""
 
 import random
 from fractions import Fraction
@@ -12,7 +14,14 @@ from operator import mul
 import pytest
 
 from cdeposets import Poset, build_lattice, certify_tcde, find_witness, linalg
-from cdeposets.cde import _gram_solve, _identity_failure, _ideal_columns, _refute, _transpose
+from cdeposets.cde import (
+    _gram,
+    _gram_solve,
+    _identity_failure,
+    _ideal_columns,
+    _refute,
+    _transpose,
+)
 from cdeposets.minuscule import parse_family
 from cdeposets.shapes import parse_shape
 
@@ -21,6 +30,8 @@ from dense_oracle import (
     _echelon,
     _signed_tables,
     certify_tcde_dense,
+    dense_gram,
+    eliminate_by_columns,
     find_witness_dense,
     transpose_bits,
 )
@@ -94,10 +105,10 @@ def test_empty_poset_matches_dense_route():
     assert certify_tcde(L, empty_full_constraint=True).c == 0
 
 
-def _random_posets():
-    """220 seeded random posets of 0-8 elements, relabelled at random."""
-    rng = random.Random(2016)
-    for _ in range(220):
+def _random_posets(count=220, seed=2016):
+    """``count`` seeded random posets of 0-8 elements, relabelled at random."""
+    rng = random.Random(seed)
+    for _ in range(count):
         n = rng.randint(0, 8)
         density = rng.choice((0.2, 0.35, 0.5))
         perm = list(range(n))
@@ -137,7 +148,7 @@ def _assert_residual_verdict(L):
     refuted = 0
     for empty_full in (False, True):
         cols = [[1] * L.n, *_signed_tables(L)] + ([ends] if empty_full else [])
-        d, y, residual = _gram_solve(L, empty_full)
+        d, y, residual = _gram_solve(*_gram(L, empty_full))
         scaled = [
             d * dd - sum([col[i] * x for col, x in zip(cols, y)])
             for i, dd in enumerate(L.ddeg)
@@ -163,6 +174,56 @@ def test_named_residual_verdict_matches_per_ideal_check(literal):
 def test_random_residual_verdict_matches_per_ideal_check():
     assert _assert_residual_verdict(build_lattice(Poset(0, []))) == 0
     refuted = sum([_assert_residual_verdict(build_lattice(P)) for P in _random_posets()])
+    assert refuted > 100
+
+
+def _assert_gram_on_cover_pattern(L):
+    """The full A^T A and A^T ddeg, from the oracle tables: <1, T_p> = 0,
+    <T_p, T_q> = 0 unless p = q or one covers the other, and the library's
+    Gram, counted on that pattern, equals them entry by entry."""
+    nP = L.base.n
+    pattern = {(p, p) for p in range(nP)} | set(L.base.covers)
+    for empty_full in (False, True):
+        gram, rhs = dense_gram(L, empty_full)
+        assert gram[0][1 : nP + 1] == [0] * nP
+        for p in range(nP):
+            for q in range(nP):
+                if (p, q) not in pattern and (q, p) not in pattern:
+                    assert gram[p + 1][q + 1] == 0, (p, q)
+        assert _gram(L, empty_full) == (gram, rhs, sum([x * x for x in L.ddeg]))
+
+
+@pytest.mark.parametrize("literal", NAMED)
+def test_named_gram_is_counted_on_the_cover_pattern(literal):
+    _assert_gram_on_cover_pattern(_named_lattice(literal))
+
+
+def test_random_gram_is_counted_on_the_cover_pattern():
+    _assert_gram_on_cover_pattern(build_lattice(Poset(0, [])))
+    for P in _random_posets():
+        _assert_gram_on_cover_pattern(build_lattice(P))
+
+
+def _assert_scan_matches_slow_route(L):
+    """The unit-image elimination behind the witness scan returns the
+    (chosen, d, y) of the column-by-column one; True when e_last is reached."""
+    nP = L.base.n
+    e_last = [0] * (nP + 1) + [1]
+    got = linalg._eliminate(_ideal_columns(L), e_last)
+    assert got == eliminate_by_columns(_ideal_columns(L), e_last)
+    return got[2] is not None
+
+
+@pytest.mark.parametrize("literal", NAMED)
+def test_named_witness_scan_matches_column_by_column_route(literal):
+    L = _named_lattice(literal)
+    assert _assert_scan_matches_slow_route(L) == (certify_tcde(L) is None)
+
+
+def test_random_witness_scan_matches_column_by_column_route():
+    refuted = sum(
+        [_assert_scan_matches_slow_route(build_lattice(P)) for P in _random_posets(400, 1968)]
+    )
     assert refuted > 100
 
 
