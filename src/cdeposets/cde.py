@@ -1,5 +1,14 @@
 """CDE / mCDE decisions and tCDE certificates for ideal lattices.
 
+A poset is CDE when its maxchain expectation of ddeg equals its edge
+density, and mCDE when every k-chain expectation does.  ``cde_report`` runs
+the k-chain pass of ``distributions._chain_moments`` for all of them.  The
+maxchain expectation alone comes from the cheaper saturated-chain sweep,
+``_maxchain_expectation``; on J(P) every maximal chain is a |P|-chain, so it
+is the last k-chain expectation, and a lattice that is not CDE is not mCDE
+either.  ``scan_family`` therefore decides ``cde`` rows from the sweep alone
+and runs ``cde_report`` on an ``mcde`` row only when the row is CDE.
+
 A lattice J(P) is tCDE exactly when ddeg - c*1 lies in the span of the
 signed toggleability statistics T_p = T+_p - T-_p.  Soundness is immediate:
 taking expectations of the pointwise identity against any toggle-symmetric
@@ -122,6 +131,15 @@ def _ddeg_stat(X):
     return tuple([X.ddeg(p) for p in range(X.n)])
 
 
+def _maxchain_expectation(X, ddeg) -> Fraction:
+    """E(maxchain; ddeg) from the saturated-chain sweep: sum w ddeg / sum w,
+    w the number of maximal chains through each element.  On J(P) every
+    maximal chain has |P| + 1 ideals, so this is the last k-chain
+    expectation, with no chain pass."""
+    w = _maxchain_weights(X)
+    return Fraction(sum(map(mul, w, ddeg)), sum(w))
+
+
 def cde_report(X) -> CdeReport:
     """Edge density, maxchain and all k-chain expectations, CDE/mCDE flags.
 
@@ -143,8 +161,7 @@ def cde_report(X) -> CdeReport:
     if isinstance(X, IdealLattice):
         maxexp = chains[-1]
     else:
-        w = _maxchain_weights(X)
-        maxexp = Fraction(sum([c * d for c, d in zip(w, ddeg)]), sum(w))
+        maxexp = _maxchain_expectation(X, ddeg)
     return CdeReport(
         n=X.n,
         edge_density=density,
@@ -413,6 +430,13 @@ def scan_family(items, predicate: str, budget: int = DEFAULT_IDEAL_BUDGET):
     posets are the *base* posets; analysis happens on J(P).  ``budget``
     bounds the ideals of all the lattices together, so it also bounds how
     many lattices the scan builds.
+
+    ``cde`` and ``mcde`` rows read the maxchain expectation off the
+    saturated-chain sweep (``_maxchain_expectation``).  On J(P) every maximal
+    chain is a |P|-chain, so that expectation is the last k-chain one, and a
+    row that is not CDE is not mCDE either: ``cde`` rows never run the
+    k-chain pass, and ``mcde`` rows run it (``cde_report``) only when the row
+    is CDE.  ``tcde`` rows run ``certify_tcde``.
     """
     predicate = predicate.lower()
     if predicate not in {"cde", "mcde", "tcde"}:
@@ -424,18 +448,18 @@ def scan_family(items, predicate: str, budget: int = DEFAULT_IDEAL_BUDGET):
         except LatticeBudgetError:
             raise LatticeBudgetError(f"J(P) exceeds the ideal budget of {budget}") from None
         left -= L.n
-        entry = {
-            "input": name,
-            "predicate": predicate,
-            "edge_density": rat_str(Fraction(L.edge_count(), L.n)),
-        }
+        density = Fraction(L.edge_count(), L.n)
+        entry = {"input": name, "predicate": predicate, "edge_density": rat_str(density)}
         if predicate == "tcde":
             cert = certify_tcde(L)
             entry["holds"] = cert is not None
             if cert is not None:
                 entry["c"] = rat_str(cert.c)
         else:
-            report = cde_report(L)
-            entry["holds"] = report.is_cde if predicate == "cde" else report.is_mcde
-            entry["maxchain_expectation"] = rat_str(report.maxchain_expectation)
+            maxexp = _maxchain_expectation(L, L.ddeg)
+            holds = maxexp == density
+            if holds and predicate == "mcde":
+                holds = cde_report(L).is_mcde
+            entry["holds"] = holds
+            entry["maxchain_expectation"] = rat_str(maxexp)
         yield entry

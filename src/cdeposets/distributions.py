@@ -20,10 +20,12 @@ without them and raises ArithmeticError when the width was too narrow.
 
 Maximal chains come from a saturated-chain sweep over one cover list, run
 forward and in reverse: on a poset the covers in a linear extension, on J(P)
-``edges()``, whose ideal order sorts by cardinality.  ``cde_report`` weights
-a raw poset's maxchain expectation and ``tableaux`` reads every tableau
-count off ``_maxchain_weights``.  Toggle-symmetry is a lattice notion and
-takes an IdealLattice.
+``edges()``, whose ideal order sorts by cardinality.
+``cde._maxchain_expectation`` weights ddeg by ``_maxchain_weights`` for the
+maxchain expectation of a raw poset in ``cde_report`` and of every ``cde``
+and ``mcde`` row of ``cde.scan_family``, which so skips the chain pass, and
+``tableaux`` reads every tableau count off ``_maxchain_weights``.
+Toggle-symmetry is a lattice notion and takes an IdealLattice.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from math import factorial
 
 from .distributions import _maxchain_weights
 from .ideals import DEFAULT_IDEAL_BUDGET, IdealLattice, build_lattice
-from .posets import _bits
 from .shapes import Partition, ShiftedShape, SkewShape
 
 # largest shapes that get the split-box counts
@@ -93,21 +92,26 @@ def _split_box_count(L: IdealLattice, weight) -> int:
     upper covers of x; so x stays open from I to I + p only if it is still
     maximal there.  Closing x at I moves weight[x] * h[I][x] to b[I].
     """
+    index, down = L.index, L.down
     a = [0] * L.n
     b = [0] * L.n
     h = [{} for _ in range(L.n)]
     a[0] = 1
-    for i, mask in enumerate(L.ideals):
-        opened = h[i]
-        b[i] += sum([c * weight[x] for x, c in opened.items()])
-        for p in _bits(L.up[i]):
-            j = L.index[mask | 1 << p]
-            a[j] += a[i]
-            b[j] += b[i]
+    for i, (mask, rest) in enumerate(zip(L.ideals, L.up)):
+        opened = h[i].items()
+        b[i] += sum([c * weight[x] for x, c in opened])
+        ai, bi = a[i], b[i]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            j = index[mask | bit]
+            a[j] += ai
+            b[j] += bi
             nxt = h[j]
-            nxt[p] = nxt.get(p, 0) + a[i]
-            still = L.down[j]
-            for x, c in opened.items():
+            p = bit.bit_length() - 1
+            nxt[p] = nxt.get(p, 0) + ai
+            still = down[j]
+            for x, c in opened:
                 if still >> x & 1:
                     nxt[x] = nxt.get(x, 0) + c
     return b[-1]
@@ -152,7 +156,12 @@ def tableau_counts(
     if product != w[0]:
         raise ArithmeticError(f"J(P) has {w[0]} maximal chains, the product formula {product}")
     for name, power, weight in families:
-        stat = [sum([weight[x] for x in _bits(d)]) for d in L.down]
+        # stat(I) = sum of v over the maximal boxes of I = sum_v v |down_I & B_v|,
+        # B_v the boxes of weight v
+        boxes = {}
+        for x, v in enumerate(weight):
+            boxes[v] = boxes.get(v, 0) | 1 << x
+        stat = [sum([v * (d & m).bit_count() for v, m in boxes.items()]) for d in L.down]
         formula = counts[f"{name}_formula"] = 2**power * sum([c * s for c, s in zip(w, stat)])
         if split:
             brute = counts[f"{name}_brute_force"] = 2**power * _split_box_count(L, weight)

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from cdeposets import Distribution, Poset
+from cdeposets.minuscule import parse_family
 from cdeposets.posets import load_poset
+from cdeposets.shapes import parse_shape
 from shape_oracle import skew_rows
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -51,6 +53,43 @@ def random_poset(rng: random.Random, max_n: int = 6, density: float = 0.35) -> P
         if rng.random() < density
     ]
     return Poset(n, rels)
+
+
+# lattices of every kind the fast routes are checked on: minuscule,
+# exceptional, shifted, straight and skew
+NAMED = [
+    "minuscule:E6",
+    "minuscule:E7",
+    "minuscule:axb:5x6",
+    "shifted:4,2",
+    "shifted:6,4,2",
+    "shifted:8,6,4,2",
+    "straight:7,5,3,1",
+    "skew:7,6,5,4/3,1",
+]
+
+
+def named_poset(literal: str) -> Poset:
+    if literal.startswith("minuscule:"):
+        return parse_family(literal).realized
+    return parse_shape(literal).poset()
+
+
+def relabelled_posets(count: int = 220, seed: int = 2016):
+    """``count`` seeded random posets of 0-8 elements, relabelled at random."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 8)
+        density = rng.choice((0.2, 0.35, 0.5))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        rels = [
+            (perm[i], perm[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < density
+        ]
+        yield Poset(n, rels)
 
 
 # --- brute-force oracles (independent of the library's DP routes) -------------

@@ -7,9 +7,11 @@ from cdeposets import (
     Distribution,
     LatticeBudgetError,
     build_lattice,
+    cde,
     cde_report,
     certify_tcde,
     chain,
+    cli,
     direct_product,
     dual,
     expectation,
@@ -20,9 +22,23 @@ from cdeposets import (
     uniform,
 )
 from cdeposets.cde import TcdeCertificate, TcdeWitness
-from cdeposets.shapes import Partition, ShiftedShape, SkewShape, rectangle
+from cdeposets.serialize import rat_str
+from cdeposets.shapes import (
+    Partition,
+    ShiftedShape,
+    SkewShape,
+    iter_partitions,
+    iter_strict_partitions,
+    rectangle,
+)
 
-from conftest import random_poset, random_toggle_symmetric
+from conftest import (
+    NAMED,
+    named_poset,
+    random_poset,
+    random_toggle_symmetric,
+    relabelled_posets,
+)
 from poset_oracle import disjoint_union
 
 
@@ -251,6 +267,97 @@ def test_scan_family():
     assert len(list(scan_family(items, "tcde", budget=8))) == 2
     with pytest.raises(LatticeBudgetError, match="the ideal budget of 7$"):
         list(scan_family(items, "tcde", budget=7))
+
+
+def _scan_items(family):
+    """The (name, poset) pairs of a scan family, named as ``scan`` names them."""
+    if family == "straight-shapes:8":
+        return [
+            (f"straight:{','.join(map(str, lam.parts))}", SkewShape(lam).poset())
+            for lam in iter_partitions(8)
+        ]
+    if family == "strict-partitions:10":
+        return [
+            (f"shifted:{','.join(map(str, lam.parts))}", ShiftedShape(lam).poset())
+            for lam in iter_strict_partitions(10)
+        ]
+    if family == "named":
+        return [(literal, named_poset(literal)) for literal in NAMED]
+    return [(f"random-{i}", P) for i, P in enumerate(relabelled_posets())]
+
+
+def _report_rows(items, predicate):
+    """Scan rows built from ``cde_report``, which runs the k-chain pass on
+    every lattice: the slow route the scan is checked against."""
+    rows = []
+    for name, P in items:
+        report = cde_report(build_lattice(P))
+        rows.append(
+            {
+                "input": name,
+                "predicate": predicate,
+                "edge_density": rat_str(report.edge_density),
+                "holds": report.is_cde if predicate == "cde" else report.is_mcde,
+                "maxchain_expectation": rat_str(report.maxchain_expectation),
+            }
+        )
+    return rows
+
+
+SCAN_FAMILIES = ["straight-shapes:8", "strict-partitions:10", "named", "random"]
+
+
+@pytest.mark.parametrize("family", SCAN_FAMILIES)
+@pytest.mark.parametrize("predicate", ["cde", "mcde"])
+def test_scan_rows_match_cde_report(family, predicate):
+    items = _scan_items(family)
+    expected = _report_rows(items, predicate)
+    assert list(scan_family(items, predicate)) == expected
+    # both verdicts occur in every family
+    assert {row["holds"] for row in expected} == {True, False}
+
+
+def test_mcde_scan_refutes_a_cde_row(fix_c):
+    # J(fix-c) is CDE but not mCDE, so the k-chain pass decides its mcde
+    # row; every CDE row of the SCAN_FAMILIES is also mCDE
+    items = [("fix-c", fix_c), ("chain3", chain(3))]
+    for predicate, holds in (("cde", [True, True]), ("mcde", [False, True])):
+        rows = list(scan_family(items, predicate))
+        assert rows == _report_rows(items, predicate)
+        assert [r["holds"] for r in rows] == holds
+
+
+def test_cde_scan_runs_no_chain_pass(monkeypatch, capsys):
+    def no_chain_pass(X, stat):
+        raise AssertionError("the cde scan ran the k-chain pass")
+
+    monkeypatch.setattr(cde, "_chain_moments", no_chain_pass)
+    for argv in (
+        ["--predicate", "cde"],
+        ["--format", "csv"],
+        ["--predicate", "cde", "--format", "csv"],
+    ):
+        assert cli.main(["scan", "--family", "straight-shapes:8", *argv]) == 0
+        assert len(capsys.readouterr().out.splitlines()) > 66
+    # the patch bites: an mcde scan has CDE rows and fails on them
+    assert cli.main(["scan", "--family", "straight-shapes:8", "--predicate", "mcde"]) == 4
+    assert "ran the k-chain pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("family", SCAN_FAMILIES)
+def test_mcde_scan_runs_the_chain_pass_once_per_cde_row(monkeypatch, family):
+    items = _scan_items(family)
+    cde_rows = [P for (_, P), r in zip(items, _report_rows(items, "cde")) if r["holds"]]
+    calls = []
+    real = cde._chain_moments
+
+    def counted(X, stat):
+        calls.append(X)
+        return real(X, stat)
+
+    monkeypatch.setattr(cde, "_chain_moments", counted)
+    list(scan_family(items, "mcde"))
+    assert [L.base for L in calls] == cde_rows
 
 
 OPTIMIZED_CHECKS = """

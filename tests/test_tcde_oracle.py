@@ -25,6 +25,7 @@ from cdeposets.cde import (
 from cdeposets.minuscule import parse_family
 from cdeposets.shapes import parse_shape
 
+from conftest import NAMED, named_poset, relabelled_posets
 from dense_oracle import (
     _dense_columns,
     _echelon,
@@ -36,22 +37,9 @@ from dense_oracle import (
     transpose_bits,
 )
 
-NAMED = [
-    "minuscule:E6",
-    "minuscule:E7",
-    "minuscule:axb:5x6",
-    "shifted:4,2",
-    "shifted:6,4,2",
-    "shifted:8,6,4,2",
-    "straight:7,5,3,1",
-    "skew:7,6,5,4/3,1",
-]
-
 
 def _named_lattice(literal):
-    if literal.startswith("minuscule:"):
-        return build_lattice(parse_family(literal).realized)
-    return build_lattice(parse_shape(literal).poset())
+    return build_lattice(named_poset(literal))
 
 
 def _dict(x):
@@ -105,26 +93,9 @@ def test_empty_poset_matches_dense_route():
     assert certify_tcde(L, empty_full_constraint=True).c == 0
 
 
-def _random_posets(count=220, seed=2016):
-    """``count`` seeded random posets of 0-8 elements, relabelled at random."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(0, 8)
-        density = rng.choice((0.2, 0.35, 0.5))
-        perm = list(range(n))
-        rng.shuffle(perm)
-        rels = [
-            (perm[i], perm[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < density
-        ]
-        yield Poset(n, rels)
-
-
 def test_random_relabelled_posets_match_dense_route():
     refuted = 0
-    for P in _random_posets():
+    for P in relabelled_posets():
         L = build_lattice(P)
         _assert_same(L)
         refuted += certify_tcde(L) is None
@@ -173,7 +144,7 @@ def test_named_residual_verdict_matches_per_ideal_check(literal):
 
 def test_random_residual_verdict_matches_per_ideal_check():
     assert _assert_residual_verdict(build_lattice(Poset(0, []))) == 0
-    refuted = sum([_assert_residual_verdict(build_lattice(P)) for P in _random_posets()])
+    refuted = sum([_assert_residual_verdict(build_lattice(P)) for P in relabelled_posets()])
     assert refuted > 100
 
 
@@ -200,7 +171,7 @@ def test_named_gram_is_counted_on_the_cover_pattern(literal):
 
 def test_random_gram_is_counted_on_the_cover_pattern():
     _assert_gram_on_cover_pattern(build_lattice(Poset(0, [])))
-    for P in _random_posets():
+    for P in relabelled_posets():
         _assert_gram_on_cover_pattern(build_lattice(P))
 
 
@@ -222,7 +193,7 @@ def test_named_witness_scan_matches_column_by_column_route(literal):
 
 def test_random_witness_scan_matches_column_by_column_route():
     refuted = sum(
-        [_assert_scan_matches_slow_route(build_lattice(P)) for P in _random_posets(400, 1968)]
+        [_assert_scan_matches_slow_route(build_lattice(P)) for P in relabelled_posets(400, 1968)]
     )
     assert refuted > 100
 
