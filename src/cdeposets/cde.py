@@ -50,24 +50,26 @@ Both questions are answered from small integer systems rather than from the
   exactly when that integer is 0.  Summed over J(P) the identity reads
   c |J| = sum ddeg, since every T_p and the empty/full column sum to 0, so
   a certified c must be the edge density; that is checked too.  Only the
-  certificate's coefficients become Fractions.
+  certificate's coefficients become Fractions.  ``validate`` reads the same
+  counts: scaled to integers x, a certificate holds on every ideal exactly
+  when ||A x - s ddeg||^2 = x^T G x - 2 s x^T A^T ddeg + s^2 <ddeg, ddeg> is 0.
 * Witness.  The perturbation v solving [1; T_p; ddeg] v = e_last with free
   variables zero is supported on the lex-first independent columns of that
   (n+2) x |J| matrix, one column per ideal in canonical order.
-  ``linalg._eliminate`` reads the ideals' columns in that order, keeps
-  e_last reduced against the columns chosen so far, and stops at the first
-  chosen column that puts e_last in their span.  A column is nonzero only
-  at the 1 and ddeg rows and at the rows of its ideal's up and down masks,
-  so it is reduced as one sparse combination of the reduced unit vectors
-  of those rows, each brought up to date when a column needs it.  The
-  solution on that prefix is unique, so padded with zeros it is the
-  free-variables-zero solution on all of the lex-first independent columns;
-  v is read off the same elimination and re-checked in integers.  The
-  elimination gives d * v = y in integers.  With z = sign(d) y,
-  Y = max(-z_i) and N = |J|, the witness weights 1/N + (eps/2) v_i are
-  exactly (2Y + z_i) / (2NY), so the witness keeps integer numerators over
-  one denominator and is validated and emitted without rational arithmetic
-  per ideal.
+  ``linalg._eliminate`` reads the ideals' columns in that order and stops
+  at the first chosen column that puts e_last in their span, which is the
+  first one to pivot on the ddeg row.  A column is nonzero only at the 1
+  and ddeg rows and at the rows of its ideal's up and down masks, so
+  ``_ideal_columns`` hands it over as those (row, value) pairs, and it is
+  reduced as one sparse combination of the reduced unit vectors of those
+  rows, each brought up to date when a column needs it.  The solution on
+  that prefix is unique, so padded with zeros it is the free-variables-zero
+  solution on all of the lex-first independent columns; v is read off the
+  same elimination, as d * v = y in integers, and re-checked.  With
+  z = sign(d) y, Y = max(-z_i) and N = |J|, the witness weights
+  1/N + (eps/2) v_i are exactly (2Y + z_i) / (2NY), so the witness keeps
+  integer numerators over one denominator and is validated and emitted
+  without rational arithmetic per ideal.
 """
 
 from __future__ import annotations
@@ -75,14 +77,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Optional
 
 from . import linalg
 from .distributions import _chain_moments, _maxchain_weights, is_toggle_symmetric
 from .ideals import DEFAULT_IDEAL_BUDGET, IdealLattice, LatticeBudgetError, build_lattice
-from .posets import _bits
 from .serialize import rat_str
 
 
@@ -184,7 +185,7 @@ class TcdeCertificate:
     empty_full: Fraction = Fraction(0)
 
     def validate(self, L: IdealLattice) -> bool:
-        return _identity_failure(L, self.c, self.kappa, 1, self.empty_full) is None
+        return _identity_holds(L, self.c, self.kappa, 1, self.empty_full)
 
     def to_dict(self) -> dict:
         out = {
@@ -234,24 +235,6 @@ class TcdeWitness:
             "weights": weights,
             "expectation": rat_str(self.expectation),
         }
-
-
-def _identity_failure(L: IdealLattice, c, kappa, scale=1, empty_full=0):
-    """Index of the first ideal I where the pointwise identity
-    c + sum_p kappa_p T_p(I) + empty_full ([I = empty] - [I = full])
-    = scale * ddeg(I) fails, or None when it holds on every ideal.
-
-    T_p(I) is +1 on the bits of ``up[i]`` and -1 on those of ``down[i]``.
-    J(P) runs from the empty ideal to the full one; on the empty poset they
-    coincide and the single ideal counts as full.
-    """
-    ends = {0: empty_full, L.n - 1: -empty_full}
-    for i, (u, d, dd) in enumerate(zip(L.up, L.down, L.ddeg)):
-        total = c - scale * dd + ends.get(i, 0)
-        total += sum([kappa[p] for p in _bits(u)]) - sum([kappa[p] for p in _bits(d)])
-        if total:
-            return i
-    return None
 
 
 def _transpose(masks, width: int) -> list[int]:
@@ -320,6 +303,25 @@ def _gram_solve(gram, rhs, norm):
     return d, y, residual
 
 
+def _identity_holds(L: IdealLattice, c, kappa, scale=1, empty_full=0) -> bool:
+    """Whether c + sum_p kappa_p T_p(I) + empty_full ([I = empty] - [I = full])
+    = scale * ddeg(I) on every ideal I, a kappa of other than n entries failing.
+
+    With D the common denominator, x = D (c, kappa, empty_full) and s = D scale
+    are integers, and ||A x - s ddeg||^2 = x^T G x - 2 s x^T A^T ddeg
+    + s^2 <ddeg, ddeg> is 0 exactly when the identity holds everywhere.
+    """
+    if len(kappa) != L.base.n:
+        return False
+    coeffs = [Fraction(v) for v in (c, *kappa, empty_full)]
+    gram, rhs, norm = _gram(L, True)
+    D = lcm(*[q.denominator for q in coeffs])
+    x = [q.numerator * (D // q.denominator) for q in coeffs]
+    s = D * scale
+    quad = sum([u * sum(map(mul, row, x)) for u, row in zip(x, gram)])
+    return quad - 2 * s * sum(map(mul, x, rhs)) + s * s * norm == 0
+
+
 def _solve_consistent(matrix, rhs):
     """linalg.solve on a system known to be consistent, re-checked exactly."""
     sol = linalg.solve(matrix, rhs)
@@ -375,24 +377,25 @@ def find_witness(L: IdealLattice) -> Optional[TcdeWitness]:
 
 
 def _ideal_columns(L: IdealLattice):
-    """The columns [1; T_p; ddeg] of the ideals in canonical order, lazily.
+    """The columns [1; T_p; ddeg] of the ideals in canonical order, lazily,
+    each as its (row, value) pairs.
 
-    Each starts from a zero column and gets +1 at the bits of its ideal's up
-    mask and -1 at those of its down mask, disjoint antichains of P; element
-    p sits at row p + 1, the bit length of its bit."""
-    blank = [1] + [0] * (L.base.n + 1)
+    A column is 1 at row 0, +1 at the bits of its ideal's up mask and -1 at
+    those of its down mask, disjoint antichains of P, and ddeg at the last
+    row; element p sits at row p + 1, the bit length of its bit."""
+    last = L.base.n + 1
 
     def column(u, d, dd):
-        col = blank.copy()
-        col[-1] = dd
+        col = [(0, 1)]
         while u:
             low = u & -u
-            col[low.bit_length()] = 1
+            col.append((low.bit_length(), 1))
             u ^= low
         while d:
             low = d & -d
-            col[low.bit_length()] = -1
+            col.append((low.bit_length(), -1))
             d ^= low
+        col.append((last, dd))
         return col
 
     return map(column, L.up, L.down, L.ddeg)
@@ -401,12 +404,13 @@ def _ideal_columns(L: IdealLattice):
 def _refute(L: IdealLattice) -> TcdeWitness:
     """The witness of find_witness for a lattice known not to be tCDE."""
     nP = L.base.n
-    e_last = [0] * (nP + 1) + [1]
-    chosen, d, y = linalg._eliminate(_ideal_columns(L), e_last)
+    chosen, d, y = linalg._eliminate(_ideal_columns(L), nP + 2)
     # sum_i y_i col_i = d e_last, checked in integers
-    if y is None or [
-        sum([col[r] * x for (_, col), x in zip(chosen, y)]) for r in range(nP + 2)
-    ] != [0] * (nP + 1) + [d]:
+    total = [0] * (nP + 2)
+    for (_, col), x in zip(chosen, y or ()):
+        for r, v in col:
+            total[r] += v * x
+    if y is None or total != [0] * (nP + 1) + [d]:
         raise ArithmeticError("exact elimination failed on a consistent system")
     # v = y / d; with z = sign(d) y and Y = max(-z_i), the classical weights
     # 1/N + (eps/2) v_i, eps = min over v_i < 0 of (1/N) / -v_i, are exactly

@@ -16,18 +16,19 @@ without rational arithmetic.  Matrices are lists of row lists.
   needs below the diagonal are the pivot rows' entries.  On a PSD matrix a
   zero reduced diagonal means the whole reduced column is zero, so the
   column depends on the earlier ones, and a negative one cannot occur.
-* ``_eliminate`` reads general integer columns one at a time, pivoting on
-  rows, until a target lies in the span of the pivot columns.  Elimination
-  is linear in the column, so a column's reduced form is the combination,
-  by its nonzero entries, of the reduced images of the unit vectors; each
-  image is brought up to date only when a column needs it.
+* ``_eliminate`` reads sparse integer columns, each as its (row, value)
+  pairs, one at a time, pivoting on rows, until the last unit vector lies
+  in the span of the pivot columns; that target is implicit, since it is
+  reached exactly when the last row pivots.  Elimination is linear in the
+  column, so a column's reduced form is the combination, by its pairs, of
+  the reduced images of the unit vectors; each image is brought up to date
+  only when a column needs it.
 
 Both take the pivot columns to be the lex-first independent columns.
 """
 
 from __future__ import annotations
 
-from itertools import compress
 from operator import add, mul, sub
 
 
@@ -55,37 +56,36 @@ def _reduce(x, pivots, start):
     return x
 
 
-def _eliminate(columns, target):
-    """Fraction-free elimination of integer columns, read in order.
+def _eliminate(columns, m):
+    """Fraction-free elimination of integer columns with m rows, read in
+    order, until the last unit vector e_last lies in their span.
 
-    Each column is reduced as the combination of the images of the unit
-    vectors at its nonzero rows: the arithmetic of the row-wise algorithm,
-    by linearity.  ``target`` is reduced alongside, and reading stops at the
-    first chosen column that puts it in the span of the chosen ones; a zero
-    target stops before any column is read.
+    Each column is the list of its (row, value) pairs, and is reduced as the
+    combination of the images of the unit vectors at those rows: the
+    arithmetic of the row-wise algorithm, by linearity.  The target e_last
+    is implicit.  Rows swap only to bring a pivot up, so the last row stays
+    last until it pivots, and e_last is in the span of the chosen columns
+    exactly when it does; reduced through the earlier pivots, e_last is
+    then the previous pivot times e_k, k the new pivot's row, and reading
+    stops there.
 
     Returns (chosen, d, y).  ``chosen`` lists the (index, column) pairs of
     the pivot columns read; d is the last pivot, the determinant of the
     chosen block on the pivot rows (1 if none); y holds the integers with
     d * x = y for the unique x such that the chosen columns times x give
-    the target, or is None when it is out of reach.
+    e_last, or is None when it is out of reach.
     """
-    t = list(target)
     pivots = []  # (reduced column, pivot), rows in the current order
     chosen = []
-    images = []  # images[r]: e_r reduced through levels[r] pivots, or None
-    levels = []
-    where = []  # where[r] is the current row of input row r
-    reached = not any(t)
-    for i, col in enumerate([] if reached else columns):
-        if not where:
-            m = len(col)
-            images, levels, where = [None] * m, [0] * m, list(range(m))
+    images = [None] * m  # images[r]: e_r reduced through levels[r] pivots, or None
+    levels = [0] * m
+    where = list(range(m))  # where[r] is the current row of input row r
+    for i, col in enumerate(columns):
         k = len(pivots)
         last = pivots[-1][1] if k else 1
         x = [0] * m
-        for r in compress(range(m), col):
-            v, p = col[r], where[r]
+        for r, v in col:
+            p = where[r]
             if p >= k:
                 # off the pivot rows, every step so far only rescales e_r
                 x[p] += v * last
@@ -108,28 +108,24 @@ def _eliminate(columns, target):
         r = next((r for r in range(k, m) if x[r]), None)
         if r is None:
             continue
+        chosen.append((i, col))
+        if r == m - 1:
+            # back substitution against last * e_k: d * x is an integer
+            # vector (Cramer's rule on the pivot block), so every division
+            # is exact
+            pivots.append((x, x[r]))
+            y = [0] * k + [last]
+            for s in range(k - 1, -1, -1):
+                acc = sum([f[s] * u for (f, _), u in zip(pivots[s + 1 :], y[s + 1 :])])
+                y[s] = -acc // pivots[s][1]
+            return chosen, x[r], y
         if r != k:
-            for v in [x, t, *[f for f, _ in pivots], *filter(None, images)]:
+            for v in [x, *[f for f, _ in pivots], *filter(None, images)]:
                 v[k], v[r] = v[r], v[k]
             a, b = where.index(k), where.index(r)
             where[a], where[b] = r, k
         pivots.append((x, x[k]))
-        chosen.append((i, col))
-        a = t[k]
-        t[k + 1 :] = [(x[k] * u - g * a) // last for u, g in zip(t[k + 1 :], x[k + 1 :])]
-        reached = not any(t[k + 1 :])
-        if reached or k + 1 == m:
-            break
-    d = pivots[-1][1] if pivots else 1
-    if not reached:
-        return chosen, d, None
-    # back substitution: d * x is an integer vector (Cramer's rule on the
-    # pivot block), so every division is exact
-    y = [0] * len(pivots)
-    for r in range(len(pivots) - 1, -1, -1):
-        acc = d * t[r] - sum([pivots[j][0][r] * y[j] for j in range(r + 1, len(y))])
-        y[r] = acc // pivots[r][1]
-    return chosen, d, y
+    return chosen, pivots[-1][1] if pivots else 1, None
 
 
 def solve(matrix, rhs):

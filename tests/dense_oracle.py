@@ -10,7 +10,9 @@ solution is supported on the lex-first independent columns.  The T_p rows
 and columns come from ``lattice_oracle.toggle_tables``, not from the
 lattice's label masks.  ``transpose_bits`` is the per-bit reference for
 the library's strided-string bit transpose, and ``eliminate_by_columns`` the
-column-by-column reference for the library's unit-image elimination.
+column-by-column reference, on dense columns with any target, for the
+library's unit-image elimination of sparse columns towards e_last;
+``sparse`` and ``densify`` convert between the two column forms.
 """
 
 from __future__ import annotations
@@ -35,6 +37,22 @@ def transpose_bits(masks, width):
         for k in _bits(m):
             rows[k][top - i] = 49  # ord("1")
     return [int(r, 2) for r in rows]
+
+
+def sparse(columns):
+    """Each dense column as the (row, value) pairs of its nonzero entries,
+    the form ``linalg._eliminate`` reads."""
+    return [[(r, v) for r, v in enumerate(col) if v] for col in columns]
+
+
+def densify(col, m):
+    """A column of (row, value) pairs, each row at most once, as m entries."""
+    rows = [r for r, _ in col]
+    assert len(set(rows)) == len(rows), col
+    out = [0] * m
+    for r, v in col:
+        out[r] = v
+    return out
 
 
 def eliminate_by_columns(columns, target):

@@ -8,6 +8,8 @@ and the toggleability tables (``toggle_tables``, which the other test
 oracles read as well).  ``toggle`` moves one ideal by one element, tested
 against the strict down- and up-sets of P; ``rowmotion`` maps one ideal to
 the down-closure of the minimal elements of its complement.
+``identity_failure_from_tables`` checks a tCDE identity ideal by ideal,
+the slow route for the library's quadratic-form check.
 ``rank_permuted_by_toggles`` applies a rank-permuted rowmotion one ``toggle``
 call per element, and ``rowmotion_via_linear_extension`` applies rowmotion as
 the toggle word of a linear extension.  ``orbit_uniform`` and ``dump`` build
@@ -61,6 +63,25 @@ def build_lattice_reference(P, budget: int):
         t_plus=t_plus,
         t_minus=t_minus,
     )
+
+
+def identity_failure_from_tables(ref, c, kappa, scale, empty_full):
+    """The per-ideal route for a tCDE identity: the index of the first ideal
+    I of ``ref`` (a ``build_lattice_reference`` result) where
+    c + sum_p kappa_p T_p(I) + empty_full ([I = empty] - [I = full]) differs
+    from scale * ddeg(I), T_p read off the toggle tables, or None when the
+    identity holds on every ideal.  A single ideal counts as full."""
+    n = len(ref.ideals)
+    extra = [0] * n
+    extra[0] = 1
+    extra[-1] = -1
+    for i in range(n):
+        total = c - scale * ref.ddeg[i] + empty_full * extra[i]
+        for p, (plus, minus) in enumerate(zip(ref.t_plus, ref.t_minus)):
+            total += kappa[p] * (plus[i] - minus[i])
+        if total:
+            return i
+    return None
 
 
 def toggle_tables(P, ideals):

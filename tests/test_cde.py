@@ -212,6 +212,16 @@ def test_invalid_certificate_fails_validation(fix_a):
     assert not bad.validate(L)
 
 
+def test_certificate_with_a_wrong_kappa_length_fails_validation():
+    """A kappa with an entry more or less than P has elements fails, even
+    when the entries it shares with a valid certificate are right."""
+    L = build_lattice(chain(2))
+    cert = certify_tcde(L)
+    assert cert.validate(L)
+    for kappa in (cert.kappa + (Fraction(7),), cert.kappa + (Fraction(0),), cert.kappa[:1], ()):
+        assert not TcdeCertificate(cert.c, kappa).validate(L)
+
+
 def test_invalid_witness_fails_validation():
     L = build_lattice(ShiftedShape(Partition((4, 2))).poset())
     w = find_witness(L)
@@ -403,8 +413,8 @@ linalg.solve = real_solve
 real_eliminate = linalg._eliminate
 
 
-def corrupt_eliminate(columns, target):
-    chosen, d, y = real_eliminate(columns, target)
+def corrupt_eliminate(columns, m):
+    chosen, d, y = real_eliminate(columns, m)
     return chosen, d, None if y is None else [y[0] + 1] + y[1:]
 
 

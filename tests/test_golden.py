@@ -127,15 +127,11 @@ def _lattice(args):
     return build_lattice(load_poset(ROOT / value))
 
 
-def test_tcde_path_runs_no_per_ideal_check(monkeypatch, exit_codes):
-    """certify_tcde decides from the Gram residual: with the per-ideal
-    identity check made to raise, cert-tcde, witness and scan --predicate
-    tcde, and the library calls behind them, give their golden outputs."""
-
-    def no_identity_pass(*args, **kwargs):
-        raise AssertionError("the per-ideal identity check ran on the tCDE path")
-
-    monkeypatch.setattr("cdeposets.cde._identity_failure", no_identity_pass)
+def test_tcde_path_runs_no_per_ideal_check(exit_codes):
+    """certify_tcde decides from the Gram residual, and ``cde.py`` has no
+    per-ideal member lists to walk (``test_source_rules.py`` keeps ``_bits``
+    out of it): cert-tcde, witness and scan --predicate tcde, and the
+    library calls behind them, give their golden outputs."""
     tcde = [
         name
         for name, argv in CASES.items()

@@ -22,7 +22,7 @@ from cdeposets import (
     uniform,
 )
 from cdeposets import tableaux
-from cdeposets.cde import _identity_failure, _ideal_columns
+from cdeposets.cde import _identity_holds, _ideal_columns
 from cdeposets.dynamics import (
     antichain_cardinality,
     gyration_map,
@@ -38,9 +38,10 @@ from cdeposets.posets import load_poset, rank_info
 from cdeposets.shapes import ShiftedShape, parse_shape
 
 from conftest import FIXTURES, point_mass, random_toggle_symmetric
-from dense_oracle import _dense_columns, _signed_tables
+from dense_oracle import _dense_columns, _signed_tables, densify
 from lattice_oracle import (
     build_lattice_reference,
+    identity_failure_from_tables,
     rank_permuted_by_toggles,
     rowmotion,
     rowmotion_via_linear_extension,
@@ -129,20 +130,6 @@ def _toggle_symmetric_from_tables(ref, mu) -> bool:
     )
 
 
-def _identity_failure_from_tables(ref, c, kappa, scale, empty_full):
-    n = len(ref.ideals)
-    extra = [0] * n
-    extra[0] = 1
-    extra[-1] = -1
-    for i in range(n):
-        total = c - scale * ref.ddeg[i] + empty_full * extra[i]
-        for p, (plus, minus) in enumerate(zip(ref.t_plus, ref.t_minus)):
-            total += kappa[p] * (plus[i] - minus[i])
-        if total:
-            return i
-    return None
-
-
 def _assert_readers_match_tables(L, ref, rng):
     """Every reader of T+-_p from the label masks against the oracle tables."""
     nP = L.base.n
@@ -161,8 +148,7 @@ def _assert_readers_match_tables(L, ref, rng):
     for mu in dists:
         assert is_toggle_symmetric(L, mu) == _toggle_symmetric_from_tables(ref, mu)
 
-    cert = certify_tcde(L)
-    cases = [] if cert is None else [(cert.c, cert.kappa, 1, 0)]
+    cases = []
     for _ in range(4):
         kappa = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(nP)]
         scale, empty_full = rng.randint(1, 3), rng.randint(-2, 2)
@@ -170,12 +156,15 @@ def _assert_readers_match_tables(L, ref, rng):
         c = -sum(k * plus[0] for k, plus in zip(kappa, ref.t_plus))
         c -= empty_full * (-1 if L.n == 1 else 1)
         cases.append((c, kappa, scale, empty_full))
-    for c, kappa, scale, empty_full in cases:
-        assert _identity_failure(L, c, kappa, scale, empty_full) == (
-            _identity_failure_from_tables(ref, c, kappa, scale, empty_full)
-        )
-    if cert is not None:
-        assert _identity_failure(L, cert.c, cert.kappa) is None
+    # the certificates hold: the plain one as it is, the empty/full one
+    # scaled by 2, as an identity of 2 ddeg
+    for scale, cert in zip((1, 2), (certify_tcde(L), certify_tcde(L, True))):
+        if cert is not None:
+            assert cert.validate(L)
+            kappa = [scale * k for k in cert.kappa]
+            cases.append((scale * cert.c, kappa, scale, scale * cert.empty_full))
+    for case in cases:
+        assert _identity_holds(L, *case) == (identity_failure_from_tables(ref, *case) is None)
 
 
 @pytest.mark.parametrize("literal", GOLDEN_SHAPES)
@@ -347,7 +336,9 @@ def test_bit_walks_reach_bit_79_of_a_chain():
         assert is_toggle_symmetric(L, mu) == _toggle_symmetric_from_tables(ref, mu)
     assert is_toggle_symmetric(L, fractions) and is_toggle_symmetric(L, ints)
     assert not is_toggle_symmetric(L, perturbed)
-    assert list(_ideal_columns(L)) == [list(col) for col in _dense_columns(L)[0]]
+    assert [densify(col, 82) for col in _ideal_columns(L)] == [
+        list(col) for col in _dense_columns(L)[0]
+    ]
 
 
 def test_budget_sweep_raises_exactly_below_the_ideal_count():

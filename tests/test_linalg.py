@@ -7,7 +7,7 @@ import pytest
 
 from cdeposets import linalg
 
-from dense_oracle import _echelon, dense_solve, eliminate_by_columns
+from dense_oracle import _echelon, dense_solve, eliminate_by_columns, sparse
 from tableau_oracle import dense_det
 
 
@@ -30,10 +30,14 @@ def _leibniz_det(matrix):
     return total
 
 
-def _eliminate_solve(A, b):
-    """The free-variables-zero solution of A x = b read off ``_eliminate``
-    over A's columns, as (d, x), or None."""
-    chosen, d, y = linalg._eliminate(zip(*A), b)
+def _e_last(m):
+    return [0] * (m - 1) + [1]
+
+
+def _eliminate_solve(A):
+    """The free-variables-zero solution of A x = e_last read off
+    ``_eliminate`` over A's columns, given sparse, as (d, x), or None."""
+    chosen, d, y = linalg._eliminate(sparse(zip(*A)), len(A))
     if y is None:
         return None
     x = [0] * len(A[0])
@@ -42,15 +46,23 @@ def _eliminate_solve(A, b):
     return d, x
 
 
+def _random_with_last_row(rng, m, n):
+    """A random matrix whose last row is sometimes zero, so that it never
+    pivots, besides the dependent rows of ``_random_matrix``."""
+    A = _random_matrix(rng, m, n)
+    if rng.random() < 0.15:
+        A[-1] = [0] * n
+    return A
+
+
 def test_integer_elimination_matches_dense_fraction_route():
     rng = random.Random(1968)
     inconsistent = 0
     for _ in range(1500):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
-        A = _random_matrix(rng, m, n)
-        b = [rng.randint(-3, 3) for _ in range(m)]
-        got = _eliminate_solve(A, b)
-        want = dense_solve(A, b)
+        A = _random_with_last_row(rng, m, n)
+        got = _eliminate_solve(A)
+        want = dense_solve(A, _e_last(m))
         if got is None:
             assert want is None
             inconsistent += 1
@@ -58,18 +70,30 @@ def test_integer_elimination_matches_dense_fraction_route():
             d, x = got
             assert d != 0 and all(isinstance(v, int) for v in x)
             assert [Fraction(v, d) for v in x] == want
-    assert inconsistent > 100
+    assert 300 < inconsistent < 1200
 
 
 def test_elimination_matches_the_column_by_column_route():
-    """The unit-image elimination gives the (chosen, d, y) of the reference
-    that reduces every column it reads against every pivot."""
+    """The unit-image elimination of sparse columns, their pairs in any
+    order, gives the (chosen, d, y) of the reference that reduces every
+    dense column it reads against every pivot, with target e_last, and
+    hands back the chosen columns as it read them."""
     rng = random.Random(1606)
+    out_of_reach = 0
     for _ in range(1500):
         m, n = rng.randint(1, 7), rng.randint(1, 9)
-        A = _random_matrix(rng, m, n)
-        b = [rng.randint(-3, 3) if rng.random() < 0.7 else 0 for _ in range(m)]
-        assert linalg._eliminate(zip(*A), b) == eliminate_by_columns(zip(*A), b)
+        A = _random_with_last_row(rng, m, n)
+        dense = list(zip(*A))
+        columns = sparse(dense)
+        for col in columns:
+            rng.shuffle(col)
+        chosen, d, y = linalg._eliminate(columns, m)
+        assert [col for _, col in chosen] == [columns[i] for i, _ in chosen]
+        assert ([(i, dense[i]) for i, _ in chosen], d, y) == eliminate_by_columns(
+            dense, _e_last(m)
+        )
+        out_of_reach += y is None
+    assert 300 < out_of_reach < 1200
 
 
 def _gram_of(rng, m, n):
@@ -134,8 +158,10 @@ def test_degenerate_shapes():
     assert linalg.solve([], []) == (1, [])
     assert linalg.solve([[0]], [0]) == (1, [0])
     assert linalg.solve([[0]], [1]) is None
-    assert _eliminate_solve([[0, 0]], [0]) == (1, [0, 0])
-    assert _eliminate_solve([[0, 0]], [1]) is None
+    assert _eliminate_solve([[0, 0]]) is None
+    assert _eliminate_solve([[0, 3]]) == (3, [0, 1])
+    assert _eliminate_solve([[1, 2], [0, 0]]) is None
+    assert linalg._eliminate([], 2) == ([], 1, None)
 
 
 def test_solve_refuses_what_is_not_symmetric_psd():
@@ -149,21 +175,32 @@ def test_solve_refuses_what_is_not_symmetric_psd():
 
 
 def test_elimination_reads_no_column_once_the_target_is_spanned():
+    """Reading stops at the first column that pivots on the last row, which
+    puts e_last in the span; when the last row never pivots every column is
+    read and y is None."""
     read = []
 
     def counting(A):
-        for i, col in enumerate(zip(*A)):
+        for i, col in enumerate(sparse(zip(*A))):
             read.append(i)
             yield col
 
-    A = [[1, 0, 2, 0], [0, 1, 3, 0], [0, 0, 0, 1]]
-    chosen, d, y = linalg._eliminate(counting(A), [0, 2, 0])
-    assert ([i for i, _ in chosen], d, y) == ([0, 1], 1, [0, 2])
+    A = [[1, 0, 2, 0, 1], [0, 1, 3, 0, 1], [0, 0, 0, 1, 1]]
+    chosen, d, y = linalg._eliminate(counting(A), 3)
+    assert ([i for i, _ in chosen], d, y) == ([0, 1, 3], 1, [0, 0, 1])
+    assert read == [0, 1, 2, 3]
+    read.clear()
+    # the second column pivots on the last row at once: 2 v_1 = 1
+    chosen, d, y = linalg._eliminate(counting([[1, 0, 5], [0, 0, 7], [0, 2, 1]]), 3)
+    assert ([i for i, _ in chosen], d, y) == ([0, 1], 2, [0, 1])
     assert read == [0, 1]
     read.clear()
-    assert linalg._eliminate(counting(A), [0, 0, 0]) == ([], 1, [])
-    assert read == []
+    # a row swap before the last row pivots: v = (0, -1, 1)
+    chosen, d, y = linalg._eliminate(counting([[0, 1, 1, 4], [3, 0, 0, 4], [0, 2, 3, 4]]), 3)
+    assert ([i for i, _ in chosen], d, y) == ([0, 1, 2], 3, [0, -3, 3])
+    assert read == [0, 1, 2]
     read.clear()
-    chosen, d, y = linalg._eliminate(counting(A), [1, 1, 1])
-    assert ([i for i, _ in chosen], d, y) == ([0, 1, 3], 1, [1, 1, 1])
-    assert read == [0, 1, 2, 3]
+    # the last row is the sum of the others: e_last is out of reach
+    chosen, d, y = linalg._eliminate(counting([[1, 0, 1], [0, 1, 1], [1, 1, 2]]), 3)
+    assert ([i for i, _ in chosen], d, y) == ([0, 1], 1, None)
+    assert read == [0, 1, 2]

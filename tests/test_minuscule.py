@@ -59,6 +59,28 @@ def test_identity_negative_control():
     assert not holds
 
 
+def test_a_kappa_typo_fails_the_transcription_gate(monkeypatch):
+    """One kappa entry of E7 off by one: the quadratic-form check reports the
+    identity broken, and the E6/E7 verification fails."""
+    real = _load_exceptional
+
+    def typo(name):
+        data = real(name)
+        if name == "e7":
+            data["kappa"][5] += 1
+        return data
+
+    monkeypatch.setattr("cdeposets.minuscule._load_exceptional", typo)
+    rep = verify_e6_e7_certificates()
+    assert not rep["all_hold"]
+    assert rep["cases"][1] == {
+        "case": "E7",
+        "holds": False,
+        "note": "transcription bug: identity fails",
+    }
+    assert rep["cases"][0]["holds"]
+
+
 def test_parse_family_bounds_the_b2_lattice_by_the_budget():
     # J(2x200) has 20,301 ideals; the budget stops it before they are built
     with pytest.raises(LatticeBudgetError, match="ideal budget of 5"):

@@ -155,6 +155,13 @@ def test_exact_core_is_integer_only():
     assert "linalg" not in _imported_modules(SRC / "tableaux.py")
 
 
+def test_tcde_layer_walks_no_member_lists():
+    """``cde.py`` reads the label masks and the Gram counts only: it neither
+    imports nor names ``posets._bits``, so no per-ideal member list enters
+    the tCDE layer."""
+    assert "_bits" not in _identifiers((SRC / "cde.py").read_text(encoding="utf-8"))
+
+
 def test_distribution_oracle_is_independent_of_the_chain_pass():
     """``tests/distribution_oracle.py`` builds its chain counts from its own
     k-step walk: of ``cdeposets.distributions`` it imports ``Distribution``

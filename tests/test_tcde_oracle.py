@@ -3,9 +3,10 @@ Fraction route in dense_oracle.py: equal to_dict() output, bit for bit.
 Every certificate, with and without the empty/full column, also validates:
 its identity holds on every ideal.  The Gram counted on the cover pattern
 equals the full A^T A entry by entry, and the residual verdict of the Gram
-route agrees with the per-ideal check, a nonzero residual being a witness
-direction.  The unit-image witness scan agrees with the column-by-column
-elimination."""
+route, like the quadratic-form check behind ``validate``, agrees with the
+per-ideal check of lattice_oracle.py, a nonzero residual being a witness
+direction.  The unit-image witness scan of sparse columns agrees with the
+column-by-column elimination of dense ones."""
 
 import random
 from fractions import Fraction
@@ -17,7 +18,7 @@ from cdeposets import Poset, build_lattice, certify_tcde, find_witness, linalg
 from cdeposets.cde import (
     _gram,
     _gram_solve,
-    _identity_failure,
+    _identity_holds,
     _ideal_columns,
     _refute,
     _transpose,
@@ -32,10 +33,13 @@ from dense_oracle import (
     _signed_tables,
     certify_tcde_dense,
     dense_gram,
+    densify,
     eliminate_by_columns,
     find_witness_dense,
+    sparse,
     transpose_bits,
 )
+from lattice_oracle import build_lattice_reference, identity_failure_from_tables
 
 
 def _named_lattice(literal):
@@ -107,12 +111,13 @@ def _assert_residual_verdict(L):
     empty/full column) were refuted.
 
     The scaled residual d r = d ddeg - A y is built per ideal from the oracle
-    tables; it is 0 exactly when the per-ideal check passes the Gram
-    solution and certify_tcde certifies, it is orthogonal to every column of
-    A, and d times the residual integer of the Gram route is its squared
-    norm.  A refuted lattice's r is a witness direction: sum r = 0,
+    tables; it is 0 exactly when the per-ideal check and the quadratic form
+    pass the Gram solution and certify_tcde certifies, it is orthogonal to
+    every column of A, and d times the residual integer of the Gram route is
+    its squared norm.  A refuted lattice's r is a witness direction: sum r = 0,
     <T_p, r> = 0 and <ddeg, r> = ||r||^2 > 0."""
     nP = L.base.n
+    ref = build_lattice_reference(L.base, budget=1 << 24)
     ends = [0] * L.n  # [I = empty] - [I = full]; a single ideal counts as full
     ends[0] = 1
     ends[-1] = -1
@@ -125,7 +130,9 @@ def _assert_residual_verdict(L):
             for i, dd in enumerate(L.ddeg)
         ]
         cert = certify_tcde(L, empty_full)
-        per_ideal = _identity_failure(L, y[0], y[1 : nP + 1], d, y[-1] if empty_full else 0)
+        identity = (y[0], y[1 : nP + 1], d, y[-1] if empty_full else 0)
+        per_ideal = identity_failure_from_tables(ref, *identity)
+        assert (per_ideal is None) == _identity_holds(L, *identity)
         assert (per_ideal is None) == (cert is not None) == (not any(scaled))
         assert (residual == 0) == (cert is not None)
         norm = sum([r * r for r in scaled])
@@ -177,12 +184,12 @@ def test_random_gram_is_counted_on_the_cover_pattern():
 
 def _assert_scan_matches_slow_route(L):
     """The unit-image elimination behind the witness scan returns the
-    (chosen, d, y) of the column-by-column one; True when e_last is reached."""
-    nP = L.base.n
-    e_last = [0] * (nP + 1) + [1]
-    got = linalg._eliminate(_ideal_columns(L), e_last)
-    assert got == eliminate_by_columns(_ideal_columns(L), e_last)
-    return got[2] is not None
+    (chosen, d, y) of the column-by-column one on the dense columns; True
+    when e_last is reached."""
+    columns, e_last = _dense_columns(L)
+    chosen, d, y = linalg._eliminate(_ideal_columns(L), len(e_last))
+    assert ([(i, columns[i]) for i, _ in chosen], d, y) == eliminate_by_columns(columns, e_last)
+    return y is not None
 
 
 @pytest.mark.parametrize("literal", NAMED)
@@ -201,7 +208,10 @@ def test_random_witness_scan_matches_column_by_column_route():
 @pytest.mark.parametrize("literal", NAMED)
 def test_ideal_columns_match_dense_columns(literal):
     L = _named_lattice(literal)
-    assert list(_ideal_columns(L)) == [list(col) for col in _dense_columns(L)[0]]
+    m = L.base.n + 2
+    assert [densify(col, m) for col in _ideal_columns(L)] == [
+        list(col) for col in _dense_columns(L)[0]
+    ]
 
 
 def test_lex_first_columns_stop_once_the_target_is_in_their_span():
@@ -212,28 +222,30 @@ def test_lex_first_columns_stop_once_the_target_is_in_their_span():
     read = []
 
     def counting():
-        for i, col in enumerate(columns):
+        for i, col in enumerate(sparse(columns)):
             read.append(i)
             yield col
 
-    chosen, d, y = linalg._eliminate(counting(), e_last)
+    chosen, d, y = linalg._eliminate(counting(), len(e_last))
     assert y is not None
     assert len(read) < L.n
     assert chosen[-1][0] == read[-1]
     pivots = [c for _, c in _echelon([list(map(Fraction, r)) for r in zip(*columns)])]
     assert [i for i, _ in chosen] == pivots[: len(chosen)]
-    assert [col for _, col in chosen] == [columns[i] for i, _ in chosen]
-    # d * v = y solves the chosen block exactly
-    assert [sum(col[r] * x for (_, col), x in zip(chosen, y)) for r in range(len(e_last))] == [
-        d * e for e in e_last
+    assert [densify(col, len(e_last)) for _, col in chosen] == [
+        list(columns[i]) for i, _ in chosen
     ]
+    # d * v = y solves the chosen block exactly
+    assert [
+        sum(columns[i][r] * x for (i, _), x in zip(chosen, y)) for r in range(len(e_last))
+    ] == [d * e for e in e_last]
 
 
 def test_lex_first_columns_raise_when_the_target_is_out_of_reach():
     L = build_lattice(parse_family("minuscule:axb:2x3").realized)
     assert certify_tcde(L) is not None
     columns, e_last = _dense_columns(L)
-    _, _, y = linalg._eliminate(iter(columns), e_last)
+    _, _, y = linalg._eliminate(iter(sparse(columns)), len(e_last))
     assert y is None
     with pytest.raises(ArithmeticError):
         _refute(L)
