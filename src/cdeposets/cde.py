@@ -42,17 +42,17 @@ Both questions are answered from small integer systems rather than from the
   with free variables zero, G x = A^T ddeg therefore has exactly the solution
   the |J|-row system would have whenever that system is consistent.
   ``linalg.solve``, an elimination for symmetric positive semidefinite
-  integer matrices, gives the candidate as integers (d, x) with
-  d (c, kappa) = x.  A solution of the normal equations leaves a residual
-  r = ddeg - A x / d orthogonal to every column of A, so
-  d ||r||^2 = d <ddeg, ddeg> - x^T A^T ddeg: one sum of squares and one
-  dot product decide, with no pass over the ideals.  The lattice is tCDE
-  exactly when that integer is 0.  Summed over J(P) the identity reads
-  c |J| = sum ddeg, since every T_p and the empty/full column sum to 0, so
-  a certified c must be the edge density; that is checked too.  Only the
+  integer matrices, runs on G bordered by A^T ddeg and <ddeg, ddeg>, that
+  is on H = [A | ddeg]^T [A | ddeg], with ddeg as the target.  It gives the
+  candidate as integers (d, x, r) with d (c, kappa) = x and
+  r = d ||ddeg - A x / d||^2, the target's reduced diagonal, with no pass
+  over the ideals; the lattice is tCDE exactly when r is 0.  Summed over
+  J(P) the identity reads c |J| = sum ddeg, since every T_p and the
+  empty/full column sum to 0, so a certified c must be the edge density;
+  that is checked too, as are the normal equations on every row.  Only the
   certificate's coefficients become Fractions.  ``validate`` reads the same
-  counts: scaled to integers x, a certificate holds on every ideal exactly
-  when ||A x - s ddeg||^2 = x^T G x - 2 s x^T A^T ddeg + s^2 <ddeg, ddeg> is 0.
+  counts: scaled to an integer vector v = (x, -s), a certificate holds on
+  every ideal exactly when ||[A | ddeg] v||^2 = v^T H v is 0.
 * Witness.  The perturbation v solving [1; T_p; ddeg] v = e_last with free
   variables zero is supported on the lex-first independent columns of that
   (n+2) x |J| matrix, one column per ideal in canonical order.
@@ -254,21 +254,22 @@ def _transpose(masks, width: int) -> list[int]:
 
 
 def _gram(L: IdealLattice, empty_full: bool):
-    """(G, A^T ddeg, <ddeg, ddeg>) for A = [1 | T_p], plus the empty/full
-    column when asked, and G = A^T A.
+    """H = [A | ddeg]^T [A | ddeg] for A = [1 | T_p], plus the empty/full
+    column when asked: G = A^T A bordered by A^T ddeg and <ddeg, ddeg>.
 
-    Each column is a (plus, minus) pair of bitsets over the ideals, and two
-    columns' inner product is two popcounts, since the plus and minus sets
-    of each are disjoint.  Only |J|, the diagonal, the cover pairs of P and
-    the empty/full row are counted; the toggle bijection makes every other
-    entry 0 (see the module docstring).
+    Each column of A is a (plus, minus) pair of bitsets over the ideals, and
+    two columns' inner product is two popcounts, since the plus and minus
+    sets of each are disjoint.  Only |J|, the diagonal, the cover pairs of P
+    and the empty/full row are counted; the toggle bijection makes every
+    other entry of G 0 (see the module docstring).  The border comes from
+    the bit-planes of ddeg.
     """
     nP = L.base.n
     cols = [((1 << L.n) - 1, 0), *zip(_transpose(L.up, nP), _transpose(L.down, nP))]
     if empty_full:
         # [I = empty] - [I = full]; a single ideal counts as full
         cols.append((int(L.n > 1), 1 << (L.n - 1)))
-    gram = [[0] * len(cols) for _ in cols]
+    gram = [[0] * (len(cols) + 1) for _ in range(len(cols) + 1)]
     gram[0][0] = L.n
     pairs = [(p, p) for p in range(1, nP + 1)]
     pairs += [(p + 1, q + 1) for p, q in L.base.covers]
@@ -278,58 +279,28 @@ def _gram(L: IdealLattice, empty_full: bool):
         (up, um), (vp, vm) = cols[a], cols[b]
         entry = (up & vp | um & vm).bit_count() - (up & vm | um & vp).bit_count()
         gram[a][b] = gram[b][a] = entry
-    # A^T ddeg from the bit-planes of ddeg
     planes = list(enumerate(_transpose(L.ddeg, max(L.ddeg).bit_length())))
-    rhs = [
-        sum([((p & b).bit_count() - (m & b).bit_count()) << k for k, b in planes])
-        for p, m in cols
-    ]
-    return gram, rhs, sum(map(mul, L.ddeg, L.ddeg))
-
-
-def _gram_solve(gram, rhs, norm):
-    """(d, d x, d ||ddeg - A x||^2) for the free-variables-zero solution x of
-    the Gram system G x = A^T ddeg, with norm = <ddeg, ddeg>.
-
-    x solves the normal equations, so the residual is orthogonal to A's
-    columns and its squared norm is <ddeg, ddeg> - x^T A^T ddeg.  A
-    negative one means the arithmetic went wrong and raises
-    ``ArithmeticError``.
-    """
-    d, y = _solve_consistent(gram, rhs)
-    residual = d * norm - sum(map(mul, y, rhs))
-    if residual < 0:
-        raise ArithmeticError("least-squares residual came out negative")
-    return d, y, residual
+    for a, (p, m) in enumerate(cols):
+        entry = sum([((p & b).bit_count() - (m & b).bit_count()) << j for j, b in planes])
+        gram[a][-1] = gram[-1][a] = entry
+    gram[-1][-1] = sum(map(mul, L.ddeg, L.ddeg))
+    return gram
 
 
 def _identity_holds(L: IdealLattice, c, kappa, scale=1, empty_full=0) -> bool:
     """Whether c + sum_p kappa_p T_p(I) + empty_full ([I = empty] - [I = full])
     = scale * ddeg(I) on every ideal I, a kappa of other than n entries failing.
 
-    With D the common denominator, x = D (c, kappa, empty_full) and s = D scale
-    are integers, and ||A x - s ddeg||^2 = x^T G x - 2 s x^T A^T ddeg
-    + s^2 <ddeg, ddeg> is 0 exactly when the identity holds everywhere.
+    With D the common denominator, v = D (c, kappa, empty_full, -scale) is an
+    integer vector, and v^T H v = ||[A | ddeg] v||^2 is 0 exactly when the
+    identity holds everywhere.
     """
     if len(kappa) != L.base.n:
         return False
-    coeffs = [Fraction(v) for v in (c, *kappa, empty_full)]
-    gram, rhs, norm = _gram(L, True)
+    coeffs = [Fraction(v) for v in (c, *kappa, empty_full, -scale)]
     D = lcm(*[q.denominator for q in coeffs])
-    x = [q.numerator * (D // q.denominator) for q in coeffs]
-    s = D * scale
-    quad = sum([u * sum(map(mul, row, x)) for u, row in zip(x, gram)])
-    return quad - 2 * s * sum(map(mul, x, rhs)) + s * s * norm == 0
-
-
-def _solve_consistent(matrix, rhs):
-    """linalg.solve on a system known to be consistent, re-checked exactly."""
-    sol = linalg.solve(matrix, rhs)
-    if sol is not None:
-        d, x = sol
-        if all(sum(map(mul, row, x)) == d * b for row, b in zip(matrix, rhs)):
-            return sol
-    raise ArithmeticError("exact solve failed on a consistent system")
+    v = [q.numerator * (D // q.denominator) for q in coeffs]
+    return sum([u * sum(map(mul, row, v)) for u, row in zip(v, _gram(L, True))]) == 0
 
 
 def certify_tcde(
@@ -339,10 +310,10 @@ def certify_tcde(
 
     The least-squares solution of the Gram system is the candidate, and the
     identity holds on every ideal exactly when its residual is 0, which
-    ``_gram_solve`` reads off in integers.  A negative squared residual, or
-    a certified c other than the edge density #edges / |J| (the identity
-    summed over J(P)), means the arithmetic went wrong and raises
-    ``ArithmeticError``.
+    ``linalg.solve`` reads off the bordered Gram matrix in integers.  A
+    solution that fails the normal equations on some row, or a certified c
+    other than the edge density #edges / |J| (the identity summed over
+    J(P)), means the arithmetic went wrong and raises ``ArithmeticError``.
 
     With empty_full_constraint the span is enlarged by the indicator
     difference [I = empty] - [I = full], which certifies constancy over the
@@ -350,7 +321,10 @@ def certify_tcde(
     the empty and full ideals (the trapezoid trick); the certificate keeps
     that column's coefficient as ``empty_full``.
     """
-    d, x, residual = _gram_solve(*_gram(L, empty_full_constraint))
+    gram = _gram(L, empty_full_constraint)
+    d, x, residual = linalg.solve(gram)
+    if any(sum(map(mul, row, x)) != d * row[-1] for row in gram[:-1]):
+        raise ArithmeticError("exact solve failed on a consistent system")
     if residual:
         return None
     # summed over J(P) the identity reads c |J| = sum ddeg: every T_p sums to

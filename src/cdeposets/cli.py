@@ -123,7 +123,10 @@ def _resolve_input(args):
     budget = getattr(args, "budget", DEFAULT_IDEAL_BUDGET)
     if args.poset:
         with open(args.poset, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise PosetError("malformed poset document: nested too deeply") from None
         n = doc.get("n") if isinstance(doc, dict) else None
         if type(n) is int:
             _check_size(n, budget)

@@ -61,7 +61,7 @@ class IdealLattice:
         base: the underlying poset P.
         ideals: bitmask per ideal, by size and then by member list.
         index: ideal bitmask -> its position in ``ideals``; a dict of |J|
-            entries, built on the first read and assignable.
+            entries, built on the first read.
         ddeg: down-degree (= #max(I)) per ideal.
         up / down: per ideal, the bitmask of addable / removable elements;
             bit p of them is T+_p(I) / T-_p(I).
@@ -89,10 +89,6 @@ class IdealLattice:
         if self._index is None:
             self._index = {m: i for i, m in enumerate(self.ideals)}
         return self._index
-
-    @index.setter
-    def index(self, value: dict[int, int]):
-        self._index = value
 
     @property
     def n(self) -> int:

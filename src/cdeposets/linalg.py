@@ -9,13 +9,14 @@ step that has a nonzero one.  Solutions come back as (d, y): one integer d
 and an integer vector y with d * x = y, so callers check and use them
 without rational arithmetic.  Matrices are lists of row lists.
 
-* ``solve`` is for symmetric positive semidefinite (PSD) systems, the Gram
-  systems of the tCDE certificate.  It takes diagonal pivots in column
-  order and works left-looking: column c is reduced only at the earlier
-  pivot rows and at its own diagonal, since by symmetry the entries it
-  needs below the diagonal are the pivot rows' entries.  On a PSD matrix a
-  zero reduced diagonal means the whole reduced column is zero, so the
-  column depends on the earlier ones, and a negative one cannot occur.
+* ``solve`` is for symmetric positive semidefinite (PSD) matrices, the
+  bordered Gram matrices of the tCDE certificate, the last column the
+  target.  It takes diagonal pivots in column order and works left-looking:
+  column c is reduced only at the earlier pivot rows, its own diagonal and
+  the target row, since by symmetry the entries it needs below the diagonal
+  are the pivot rows' entries.  On a PSD matrix a zero reduced diagonal
+  means the whole reduced column is zero, so the column depends on the
+  earlier ones, and a negative one cannot occur.
 * ``_eliminate`` reads sparse integer columns, each as its (row, value)
   pairs, one at a time, pivoting on rows, until the last unit vector lies
   in the span of the pivot columns; that target is implicit, since it is
@@ -128,27 +129,33 @@ def _eliminate(columns, m):
     return chosen, pivots[-1][1] if pivots else 1, None
 
 
-def solve(matrix, rhs):
-    """(d, y) with x = y / d one solution of G x = b, or None if inconsistent.
+def solve(matrix):
+    """(d, x, r) for a symmetric PSD integer matrix [G b; b^T beta] whose
+    last column is the target.
 
-    G is a symmetric positive semidefinite integer matrix and b an integer
-    vector; d is a positive integer and y an integer vector.  Free variables
-    are zero, so the solution is supported on the lex-first independent
-    columns of G.  A non-square or non-symmetric G raises ``ValueError``,
-    and a negative pivot, which no PSD matrix has, ``ArithmeticError``.
+    x / d solves G x = b with free variables zero, so it is supported on the
+    lex-first independent columns of G, and r = d beta - b^T x: for the
+    bordered Gram of [A | t], r = d ||t - A x / d||^2.  d > 0, and x and r
+    are integers.  Reading stops at a pivot that leaves the target's reduced
+    diagonal r at 0, since the later columns then get 0.  Non-square,
+    non-symmetric or empty input raises ``ValueError``; a negative pivot or
+    r, or a zero pivot over a nonzero target entry, which no PSD matrix has,
+    ``ArithmeticError``.
     """
     size = len(matrix)
-    if any(len(row) != size for row in matrix):
-        raise ValueError("solve needs a square matrix")
+    if not size or any(len(row) != size for row in matrix):
+        raise ValueError("solve needs a nonempty square matrix")
     if list(zip(*matrix)) != list(map(tuple, matrix)):
         raise ValueError("solve needs a symmetric matrix")
+    r = matrix[-1][-1]  # the target's reduced diagonal
     chosen = []
     rows = []  # rows[m]: pivot row m at the columns of the later pivots
     pivots = []  # pivots[m]: the determinant of the first m + 1 chosen
-    tops = []  # tops[m]: b at pivot row m, reduced through the first m pivots
-    for c, col in enumerate(matrix):
+    tops = []  # tops[m]: the target at pivot row m, reduced through the first m pivots
+    for c in range(size - 1):
+        col = matrix[c]
         x = [col[s] for s in chosen]
-        diag, t = col[c], rhs[c]
+        diag, t = col[c], col[-1]
         prev = last = 1  # the divisor of the next applied step; the last pivot
         for m, pv in enumerate(pivots):
             a = x[m]
@@ -163,24 +170,27 @@ def solve(matrix, rhs):
             last = pv
         if prev != last:
             diag, t = diag * last // prev, t * last // prev
-        if diag < 0:
-            raise ArithmeticError("negative pivot: the matrix is not positive semidefinite")
+        if diag < 0 or not diag and t:
+            raise ArithmeticError("the matrix is not positive semidefinite")
         if not diag:
-            if t:
-                return None
             continue
+        r = (diag * r - t * t) // last
         for row, u in zip(rows, x):
             row.append(u)
         chosen.append(c)
         rows.append([])
         pivots.append(diag)
         tops.append(t)
+        if r <= 0:
+            break
+    if r < 0:
+        raise ArithmeticError("the matrix is not positive semidefinite")
     # back substitution on the chosen block, exact by Cramer's rule
     d = pivots[-1] if pivots else 1
     y = [0] * len(chosen)
     for m in range(len(chosen) - 1, -1, -1):
         y[m] = (d * tops[m] - sum(map(mul, rows[m], y[m + 1 :]))) // pivots[m]
-    x = [0] * size
+    x = [0] * (size - 1)
     for c, v in zip(chosen, y):
         x[c] = v
-    return d, x
+    return d, x, r

@@ -383,12 +383,9 @@ print("optimize", sys.flags.optimize)
 real_solve = linalg.solve
 
 
-def corrupt_solve(matrix, rhs):
-    sol = real_solve(matrix, rhs)
-    if sol is None:
-        return None
-    d, x = sol
-    return d, [x[0] + 1] + x[1:]
+def corrupt_solve(matrix):
+    d, x, r = real_solve(matrix)
+    return d, [x[0] + 1] + x[1:], r
 
 
 linalg.solve = corrupt_solve
@@ -450,12 +447,11 @@ L = build_lattice(parse_shape("shifted:3,2,1").poset())
 
 
 def doubled_ones(L, empty_full):
-    gram, rhs, norm = real_gram(L, empty_full)
+    gram = real_gram(L, empty_full)
     for row in gram:
         row[0] *= 2
     gram[0] = [2 * g for g in gram[0]]
-    rhs[0] *= 2
-    return gram, rhs, norm
+    return gram
 
 
 cde._gram = doubled_ones
@@ -467,14 +463,15 @@ for fn in (certify_tcde, find_witness):
 print("exit", cli.main(["cert-tcde", "--shape", "shifted:3,2,1"]))
 cde._gram = real_gram
 
-# a Gram route that reads every ddeg as twice itself in A^T ddeg but not in
-# <ddeg, ddeg>, which leaves a negative squared residual
-def doubled_rhs(L, empty_full):
-    gram, rhs, norm = real_gram(L, empty_full)
-    return gram, [2 * b for b in rhs], norm
+# a bordered Gram whose <ddeg, ddeg> corner is negated, which no Gram has:
+# the symmetric solve meets it as a negative squared residual
+def negative_corner(L, empty_full):
+    gram = real_gram(L, empty_full)
+    gram[-1][-1] = -gram[-1][-1]
+    return gram
 
 
-cde._gram = doubled_rhs
+cde._gram = negative_corner
 print("exit", cli.main(["cert-tcde", "--shape", "shifted:4,2"]))
 cde._gram = real_gram
 
@@ -482,9 +479,9 @@ cde._gram = real_gram
 # a Gram with a negative diagonal entry, which no Gram has: the symmetric
 # solve meets it as a negative pivot
 def negative_diagonal(L, empty_full):
-    gram, rhs, norm = real_gram(L, empty_full)
+    gram = real_gram(L, empty_full)
     gram[1][1] = -gram[1][1]
-    return gram, rhs, norm
+    return gram
 
 
 cde._gram = negative_diagonal
@@ -498,7 +495,7 @@ cde._gram = real_gram
 # solve takes only square symmetric matrices
 for matrix in ([[1, 0]], [[1, 0], [0]], [[1, 2], [3, 4]]):
     try:
-        print("solve", linalg.solve(matrix, [0] * len(matrix)))
+        print("solve", linalg.solve(matrix))
     except ValueError as e:
         print("solve", e)
 
@@ -562,16 +559,15 @@ def test_corrupted_solves_are_rejected_under_python_O():
         "certified c = 1/2 is not the edge density 1"
     }
     assert json.loads("\n".join(out[guard + 1 : residual])) == {
-        "error": "internal error: ArithmeticError: least-squares residual came out negative"
+        "error": "internal error: ArithmeticError: the matrix is not positive semidefinite"
     }
     assert out[residual + 1] == "certify_tcde shifted:3,2,1 rejected"
     assert json.loads("\n".join(out[residual + 2 : pivot])) == {
-        "error": "internal error: ArithmeticError: "
-        "negative pivot: the matrix is not positive semidefinite"
+        "error": "internal error: ArithmeticError: the matrix is not positive semidefinite"
     }
     assert out[pivot + 1 : pivot + 4] == [
-        "solve solve needs a square matrix",
-        "solve solve needs a square matrix",
+        "solve solve needs a nonempty square matrix",
+        "solve solve needs a nonempty square matrix",
         "solve solve needs a symmetric matrix",
     ]
     assert out[-1] == "exit 4"

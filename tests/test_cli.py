@@ -314,6 +314,16 @@ def test_poset_file_is_not_coerced(capsys, tmp_path, doc, message):
     assert json.loads(out) == {"error": f"malformed poset document: {message}"}
 
 
+def test_deeply_nested_poset_file_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code = main(["analyze", "--poset", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out) == {"error": "malformed poset document: nested too deeply"}
+    assert err == ""
+
+
 def test_extra_empty_full_flag(capsys):
     code, out = run(
         capsys, "cert-tcde", "--shape", "shifted:4,2", "--extra-empty-full"

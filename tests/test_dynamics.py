@@ -232,7 +232,7 @@ def test_gyration_reads_the_ranks_once_and_flips_twice(monkeypatch):
             return dict.__getitem__(self, mask)
 
     monkeypatch.setattr(dynamics, "rank_info", counting_rank_info)
-    L.index = CountingIndex(L.index)
+    monkeypatch.setattr(L, "_index", CountingIndex(L.index))
     assert gyration_map(L) == expected
     assert len(calls) == 1
     # evens, then odds: one index pass each, not one per rank

@@ -5,7 +5,9 @@ from operator import mul
 
 import pytest
 
-from cdeposets import linalg
+from cdeposets import build_lattice, certify_tcde, linalg
+from cdeposets.cde import _gram
+from cdeposets.shapes import parse_shape
 
 from dense_oracle import _echelon, dense_solve, eliminate_by_columns, sparse
 from tableau_oracle import dense_det
@@ -108,36 +110,86 @@ def _gram_of(rng, m, n):
     return A, [[sum(map(mul, u, v)) for v in cols] for u in cols]
 
 
+def _bordered_gram_of(rng, m, n):
+    """(A, b, G, H): A and its Gram G as in ``_gram_of``, a random b, in A's
+    column span about a third of the time, and the Gram H of [A | b], G
+    bordered by A^T b and <b, b>."""
+    A, G = _gram_of(rng, m, n)
+    b = [rng.randint(-4, 4) for _ in range(m)]
+    if rng.random() < 0.3:
+        z = [rng.randint(-2, 2) for _ in range(n)]
+        b = [sum(map(mul, row, z)) for row in A]
+    border = [sum(map(mul, col, b)) for col in zip(*A)]
+    H = [row + [u] for row, u in zip(G, border)]
+    return A, b, G, H + [border + [sum(map(mul, b, b))]]
+
+
 def _rank(G):
     return len(_echelon([[Fraction(v) for v in row] for row in G]))
 
 
 def test_symmetric_solve_matches_dense_fraction_route():
-    """On Grams of random integer matrices, consistent right-hand sides A^T b
-    give the dense route's free-variables-zero solution, which on a singular
-    Gram picks the lex-first independent columns; right-hand sides off the
-    column space give None, as they do there."""
+    """On the Grams of [A | b] for random integer matrices A, the right-hand
+    sides A^T b give the dense route's free-variables-zero solution, which
+    on a singular Gram picks the lex-first independent columns."""
     rng = random.Random(2018)
-    singular = inconsistent = 0
+    singular = 0
     for _ in range(1500):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
-        A, G = _gram_of(rng, m, n)
-        if rng.random() < 0.8:
-            b = [rng.randint(-4, 4) for _ in range(m)]
-            rhs = [sum(map(mul, col, b)) for col in zip(*A)]
-        else:
-            rhs = [rng.randint(-4, 4) for _ in range(n)]
-        got = linalg.solve(G, rhs)
-        want = dense_solve(G, rhs)
+        _, _, G, H = _bordered_gram_of(rng, m, n)
+        d, x, _ = linalg.solve(H)
+        want = dense_solve(G, [row[-1] for row in H[:-1]])
         singular += _rank(G) < n
-        if got is None:
-            assert want is None
-            inconsistent += 1
-        else:
-            d, x = got
-            assert d > 0 and all(isinstance(v, int) for v in x)
-            assert [Fraction(v, d) for v in x] == want
-    assert singular > 800 and inconsistent > 120
+        assert d > 0 and all(isinstance(v, int) for v in x)
+        assert [Fraction(v, d) for v in x] == want
+    assert singular > 800
+
+
+def test_symmetric_solve_returns_the_scaled_squared_residual():
+    """On the Grams of random [M | b], singular ones included, x / d is the
+    dense route's free-variables-zero solution of the normal equations and
+    r = d (beta - b^T x / d) = d ||b - M x / d||^2, which is 0 exactly when
+    M x = b is consistent."""
+    rng = random.Random(1606)
+    singular = exact = 0
+    for _ in range(1500):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        M, b, G, H = _bordered_gram_of(rng, m, n)
+        rhs = [row[-1] for row in H[:-1]]
+        d, x, r = linalg.solve(H)
+        assert d > 0 and all(isinstance(v, int) for v in [*x, r])
+        assert [Fraction(v, d) for v in x] == dense_solve(G, rhs)
+        assert r == d * (H[-1][-1] - Fraction(sum(map(mul, rhs, x)), d))
+        residual = [d * v - sum(map(mul, row, x)) for row, v in zip(M, b)]
+        assert r * d == sum([v * v for v in residual])
+        assert (r == 0) == (dense_solve(M, b) is not None)
+        singular += _rank(G) < n
+        exact += r == 0
+    assert singular > 800 and 300 < exact < 1200
+
+
+def test_symmetric_solve_reads_no_column_once_the_target_is_spanned():
+    """The rows the solve reads of a certified lattice's bordered Gram with
+    the empty/full column: the corner, then the columns only until the
+    residual is 0, so never the empty/full column; a lattice certified only
+    with that column reads it."""
+    reads = []
+
+    class Counting(list):
+        def __getitem__(self, i):
+            reads.append(i % len(self))
+            return list.__getitem__(self, i)
+
+    for literal, certified_without in (("shifted:3,2,1", True), ("shifted:4,2", False)):
+        L = build_lattice(parse_shape(literal).poset())
+        nP = L.base.n
+        assert (certify_tcde(L) is not None) == certified_without
+        assert certify_tcde(L, True) is not None
+        reads.clear()
+        d, x, r = linalg.solve(Counting(_gram(L, True)))
+        assert r == 0 and reads[0] == nP + 2
+        assert (nP + 1 in reads) != certified_without
+        assert reads[1:] == list(range(len(reads) - 1))
 
 
 def test_oracle_determinant_matches_leibniz():
@@ -155,9 +207,9 @@ def test_oracle_determinant_matches_leibniz():
 
 
 def test_degenerate_shapes():
-    assert linalg.solve([], []) == (1, [])
-    assert linalg.solve([[0]], [0]) == (1, [0])
-    assert linalg.solve([[0]], [1]) is None
+    assert linalg.solve([[0]]) == (1, [], 0)
+    assert linalg.solve([[0, 0], [0, 0]]) == (1, [0], 0)
+    assert linalg.solve([[0, 0], [0, 1]]) == (1, [0], 1)
     assert _eliminate_solve([[0, 0]]) is None
     assert _eliminate_solve([[0, 3]]) == (3, [0, 1])
     assert _eliminate_solve([[1, 2], [0, 0]]) is None
@@ -165,13 +217,21 @@ def test_degenerate_shapes():
 
 
 def test_solve_refuses_what_is_not_symmetric_psd():
-    for matrix in ([[1, 0]], [[1], [0]], [[1, 0], [0]], [[1, 2], [3, 4]], [[0, 1], [0, 0]]):
+    for matrix in ([], [[1, 0]], [[1], [0]], [[1, 0], [0]], [[1, 2], [3, 4]], [[0, 1], [0, 0]]):
         with pytest.raises(ValueError):
-            linalg.solve(matrix, [0] * len(matrix))
-    # symmetric, with a negative eigenvalue that a pivot meets
-    for matrix in ([[-1]], [[1, 2], [2, 1]], [[4, 0, 2], [0, 1, 0], [2, 0, -3]]):
+            linalg.solve(matrix)
+    # symmetric, with a negative eigenvalue that a pivot, the target's
+    # reduced diagonal or a zero pivot over a nonzero target entry meets
+    for matrix in (
+        [[-1]],
+        [[0, 1], [1, 0]],
+        [[1, 2], [2, 1]],
+        [[4, 0, 2], [0, 1, 0], [2, 0, -3]],
+        [[4, 0, 2, 1], [0, 1, 0, 0], [2, 0, -3, 0], [1, 0, 0, 5]],
+        [[0, 0, 1], [0, 0, 0], [1, 0, 1]],
+    ):
         with pytest.raises(ArithmeticError):
-            linalg.solve(matrix, [0] * len(matrix))
+            linalg.solve(matrix)
 
 
 def test_elimination_reads_no_column_once_the_target_is_spanned():

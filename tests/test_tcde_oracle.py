@@ -2,10 +2,10 @@
 Fraction route in dense_oracle.py: equal to_dict() output, bit for bit.
 Every certificate, with and without the empty/full column, also validates:
 its identity holds on every ideal.  The Gram counted on the cover pattern
-equals the full A^T A entry by entry, and the residual verdict of the Gram
-route, like the quadratic-form check behind ``validate``, agrees with the
-per-ideal check of lattice_oracle.py, a nonzero residual being a witness
-direction.  The unit-image witness scan of sparse columns agrees with the
+equals the full A^T A entry by entry, and so do its A^T ddeg border and
+<ddeg, ddeg> corner.  The residual verdict of the Gram route, like the
+quadratic-form check behind ``validate``, agrees with the per-ideal check of
+lattice_oracle.py, a nonzero residual being a witness direction.  The unit-image witness scan of sparse columns agrees with the
 column-by-column elimination of dense ones."""
 
 import random
@@ -17,7 +17,6 @@ import pytest
 from cdeposets import Poset, build_lattice, certify_tcde, find_witness, linalg
 from cdeposets.cde import (
     _gram,
-    _gram_solve,
     _identity_holds,
     _ideal_columns,
     _refute,
@@ -113,8 +112,8 @@ def _assert_residual_verdict(L):
     The scaled residual d r = d ddeg - A y is built per ideal from the oracle
     tables; it is 0 exactly when the per-ideal check and the quadratic form
     pass the Gram solution and certify_tcde certifies, it is orthogonal to
-    every column of A, and d times the residual integer of the Gram route is
-    its squared norm.  A refuted lattice's r is a witness direction: sum r = 0,
+    every column of A, and d times the residual integer of the Gram route,
+    d <ddeg, ddeg> - y^T A^T ddeg, is its squared norm.  A refuted lattice's r is a witness direction: sum r = 0,
     <T_p, r> = 0 and <ddeg, r> = ||r||^2 > 0."""
     nP = L.base.n
     ref = build_lattice_reference(L.base, budget=1 << 24)
@@ -124,7 +123,10 @@ def _assert_residual_verdict(L):
     refuted = 0
     for empty_full in (False, True):
         cols = [[1] * L.n, *_signed_tables(L)] + ([ends] if empty_full else [])
-        d, y, residual = _gram_solve(*_gram(L, empty_full))
+        gram = _gram(L, empty_full)
+        d, y, residual = linalg.solve(gram)
+        rhs, corner = [row[-1] for row in gram[:-1]], gram[-1][-1]
+        assert residual == d * corner - sum(map(mul, y, rhs))
         scaled = [
             d * dd - sum([col[i] * x for col, x in zip(cols, y)])
             for i, dd in enumerate(L.ddeg)
@@ -158,7 +160,8 @@ def test_random_residual_verdict_matches_per_ideal_check():
 def _assert_gram_on_cover_pattern(L):
     """The full A^T A and A^T ddeg, from the oracle tables: <1, T_p> = 0,
     <T_p, T_q> = 0 unless p = q or one covers the other, and the library's
-    Gram, counted on that pattern, equals them entry by entry."""
+    Gram, counted on that pattern and bordered by A^T ddeg and
+    <ddeg, ddeg>, equals them entry by entry."""
     nP = L.base.n
     pattern = {(p, p) for p in range(nP)} | set(L.base.covers)
     for empty_full in (False, True):
@@ -168,7 +171,9 @@ def _assert_gram_on_cover_pattern(L):
             for q in range(nP):
                 if (p, q) not in pattern and (q, p) not in pattern:
                     assert gram[p + 1][q + 1] == 0, (p, q)
-        assert _gram(L, empty_full) == (gram, rhs, sum([x * x for x in L.ddeg]))
+        border = [*rhs, sum([x * x for x in L.ddeg])]
+        bordered = [row + [b] for row, b in zip(gram, rhs)] + [border]
+        assert _gram(L, empty_full) == bordered
 
 
 @pytest.mark.parametrize("literal", NAMED)
