@@ -43,16 +43,16 @@ Both questions are answered from small integer systems rather than from the
   the |J|-row system would have whenever that system is consistent.
   ``linalg.solve``, an elimination for symmetric positive semidefinite
   integer matrices, runs on G bordered by A^T ddeg and <ddeg, ddeg>, that
-  is on H = [A | ddeg]^T [A | ddeg], with ddeg as the target.  It gives the
-  candidate as integers (d, x, r) with d (c, kappa) = x and
-  r = d ||ddeg - A x / d||^2, the target's reduced diagonal, with no pass
-  over the ideals; the lattice is tCDE exactly when r is 0.  Summed over
-  J(P) the identity reads c |J| = sum ddeg, since every T_p and the
-  empty/full column sum to 0, so a certified c must be the edge density;
-  that is checked too, as are the normal equations on every row.  Only the
-  certificate's coefficients become Fractions.  ``validate`` reads the same
-  counts: scaled to an integer vector v = (x, -s), a certificate holds on
-  every ideal exactly when ||[A | ddeg] v||^2 = v^T H v is 0.
+  is on H = [A | ddeg]^T [A | ddeg], with ddeg as the target, and returns
+  the candidate as integers (d, x) with d (c, kappa) = x.  One rule decides
+  every case with no pass over the ideals: v^T H v = ||[A | ddeg] v||^2 for
+  v = (x, -s), so H v = 0 exactly when A x = s ddeg on every ideal.  For
+  v = (x, -d), H v is the normal equations, 0 when the solve is right, over
+  -r, r = d ||ddeg - A x / d||^2; the lattice is tCDE exactly when r is 0.
+  Summed over J(P) the identity reads c |J| = sum ddeg, since every T_p and
+  the empty/full column sum to 0, so a certified c must be the edge
+  density; that is checked too.  Only the certificate's coefficients become
+  Fractions, and ``validate`` scales them to integers for the same rule.
 * Witness.  The perturbation v solving [1; T_p; ddeg] v = e_last with free
   variables zero is supported on the lex-first independent columns of that
   (n+2) x |J| matrix, one column per ideal in canonical order.
@@ -185,7 +185,14 @@ class TcdeCertificate:
     empty_full: Fraction = Fraction(0)
 
     def validate(self, L: IdealLattice) -> bool:
-        return _identity_holds(L, self.c, self.kappa, 1, self.empty_full)
+        """Whether H v = 0 for v = D (c, kappa, empty_full, -1), D the common
+        denominator; a kappa of other than n entries fails."""
+        if len(self.kappa) != L.base.n:
+            return False
+        coeffs = [self.c, *self.kappa, self.empty_full, -1]
+        D = lcm(*[q.denominator for q in coeffs])
+        v = [q.numerator * (D // q.denominator) for q in coeffs]
+        return not any(_gram_times(_gram(L, True), v))
 
     def to_dict(self) -> dict:
         out = {
@@ -287,20 +294,11 @@ def _gram(L: IdealLattice, empty_full: bool):
     return gram
 
 
-def _identity_holds(L: IdealLattice, c, kappa, scale=1, empty_full=0) -> bool:
-    """Whether c + sum_p kappa_p T_p(I) + empty_full ([I = empty] - [I = full])
-    = scale * ddeg(I) on every ideal I, a kappa of other than n entries failing.
-
-    With D the common denominator, v = D (c, kappa, empty_full, -scale) is an
-    integer vector, and v^T H v = ||[A | ddeg] v||^2 is 0 exactly when the
-    identity holds everywhere.
-    """
-    if len(kappa) != L.base.n:
-        return False
-    coeffs = [Fraction(v) for v in (c, *kappa, empty_full, -scale)]
-    D = lcm(*[q.denominator for q in coeffs])
-    v = [q.numerator * (D // q.denominator) for q in coeffs]
-    return sum([u * sum(map(mul, row, v)) for u, row in zip(v, _gram(L, True))]) == 0
+def _gram_times(gram, v) -> list[int]:
+    """H v for the bordered Gram H of ``_gram`` and an integer vector
+    v = (x, -s).  Since v^T H v = ||[A | ddeg] v||^2, H v = 0 exactly when
+    A x = s ddeg, that is when the identity holds on every ideal."""
+    return [sum(map(mul, row, v)) for row in gram]
 
 
 def certify_tcde(
@@ -308,12 +306,12 @@ def certify_tcde(
 ) -> Optional[TcdeCertificate]:
     """Solve for (c, kappa) making the pointwise identity hold on every ideal.
 
-    The least-squares solution of the Gram system is the candidate, and the
-    identity holds on every ideal exactly when its residual is 0, which
-    ``linalg.solve`` reads off the bordered Gram matrix in integers.  A
-    solution that fails the normal equations on some row, or a certified c
-    other than the edge density #edges / |J| (the identity summed over
-    J(P)), means the arithmetic went wrong and raises ``ArithmeticError``.
+    ``linalg.solve`` gives the least-squares candidate x / d, and H (x, -d)
+    decides it: its last entry is -r, r = d ||ddeg - A x / d||^2, 0 exactly
+    when the identity holds on every ideal.  A nonzero entry before the last
+    (the normal equations), a negative r, or a certified c other than the
+    edge density #edges / |J| means the arithmetic went wrong and raises
+    ``ArithmeticError``.
 
     With empty_full_constraint the span is enlarged by the indicator
     difference [I = empty] - [I = full], which certifies constancy over the
@@ -322,10 +320,13 @@ def certify_tcde(
     that column's coefficient as ``empty_full``.
     """
     gram = _gram(L, empty_full_constraint)
-    d, x, residual = linalg.solve(gram)
-    if any(sum(map(mul, row, x)) != d * row[-1] for row in gram[:-1]):
+    d, x = linalg.solve(gram)
+    *normal, last = _gram_times(gram, [*x, -d])
+    if any(normal):
         raise ArithmeticError("exact solve failed on a consistent system")
-    if residual:
+    if last > 0:
+        raise ArithmeticError("the matrix is not positive semidefinite")
+    if last:
         return None
     # summed over J(P) the identity reads c |J| = sum ddeg: every T_p sums to
     # 0, and so does the empty/full column unless J(P) is one ideal, where

@@ -16,7 +16,8 @@ without rational arithmetic.  Matrices are lists of row lists.
   the target row, since by symmetry the entries it needs below the diagonal
   are the pivot rows' entries.  On a PSD matrix a zero reduced diagonal
   means the whole reduced column is zero, so the column depends on the
-  earlier ones, and a negative one cannot occur.
+  earlier ones, and a negative one cannot occur.  It returns the candidate
+  only; whether it solves the system is the caller's one integer check.
 * ``_eliminate`` reads sparse integer columns, each as its (row, value)
   pairs, one at a time, pivoting on rows, until the last unit vector lies
   in the span of the pivot columns; that target is implicit, since it is
@@ -130,24 +131,21 @@ def _eliminate(columns, m):
 
 
 def solve(matrix):
-    """(d, x, r) for a symmetric PSD integer matrix [G b; b^T beta] whose
-    last column is the target.
+    """(d, x) for a symmetric PSD integer matrix [G b; b^T beta] whose last
+    column is the target.
 
     x / d solves G x = b with free variables zero, so it is supported on the
-    lex-first independent columns of G, and r = d beta - b^T x: for the
-    bordered Gram of [A | t], r = d ||t - A x / d||^2.  d > 0, and x and r
-    are integers.  Reading stops at a pivot that leaves the target's reduced
-    diagonal r at 0, since the later columns then get 0.  Non-square,
-    non-symmetric or empty input raises ``ValueError``; a negative pivot or
-    r, or a zero pivot over a nonzero target entry, which no PSD matrix has,
-    ``ArithmeticError``.
+    lex-first independent columns of G; d > 0 and x are integers.  beta is
+    never read: whether G x = b has a solution, and how far the target lies
+    from the span, is the caller's check.  Non-square, non-symmetric or
+    empty input raises ``ValueError``; a negative pivot, or a zero pivot
+    over a nonzero target entry, which no PSD matrix has, ``ArithmeticError``.
     """
     size = len(matrix)
     if not size or any(len(row) != size for row in matrix):
         raise ValueError("solve needs a nonempty square matrix")
     if list(zip(*matrix)) != list(map(tuple, matrix)):
         raise ValueError("solve needs a symmetric matrix")
-    r = matrix[-1][-1]  # the target's reduced diagonal
     chosen = []
     rows = []  # rows[m]: pivot row m at the columns of the later pivots
     pivots = []  # pivots[m]: the determinant of the first m + 1 chosen
@@ -174,17 +172,12 @@ def solve(matrix):
             raise ArithmeticError("the matrix is not positive semidefinite")
         if not diag:
             continue
-        r = (diag * r - t * t) // last
         for row, u in zip(rows, x):
             row.append(u)
         chosen.append(c)
         rows.append([])
         pivots.append(diag)
         tops.append(t)
-        if r <= 0:
-            break
-    if r < 0:
-        raise ArithmeticError("the matrix is not positive semidefinite")
     # back substitution on the chosen block, exact by Cramer's rule
     d = pivots[-1] if pivots else 1
     y = [0] * len(chosen)
@@ -193,4 +186,4 @@ def solve(matrix):
     x = [0] * (size - 1)
     for c, v in zip(chosen, y):
         x[c] = v
-    return d, x, r
+    return d, x

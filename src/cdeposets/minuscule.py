@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .cde import _identity_holds, certify_tcde
+from .cde import TcdeCertificate, certify_tcde
 from .ideals import DEFAULT_IDEAL_BUDGET, build_lattice
 from .posets import Poset, chain, direct_product, is_isomorphic
 from .serialize import rat_str
@@ -140,14 +140,16 @@ def exceptional_identity_report(name: str) -> dict:
 
     The identity is m * ddeg + sum_p kappa_p (T-_p - T+_p) = t * 1 on every
     ideal, i.e. t + sum_p kappa_p T_p = m * ddeg; it implies
-    E(mu; ddeg) = t/m for every toggle-symmetric mu.  ``_identity_holds``
-    decides it on all ideals at once, so a failure names no ideal.
+    E(mu; ddeg) = t/m for every toggle-symmetric mu.  It is validated as the
+    certificate (t/m, kappa/m), on all ideals at once, so a failure names no
+    ideal.
     """
     d = _load_exceptional(name.lower())
     P = exceptional_poset(name)
     m, t = d["ddeg_multiplier"], d["target"]
     L = build_lattice(P)
-    if not _identity_holds(L, t, d["kappa"], m):
+    kappa = tuple([Fraction(k, m) for k in d["kappa"]])
+    if not TcdeCertificate(Fraction(t, m), kappa).validate(L):
         return {"case": d["name"], "holds": False, "note": "transcription bug: identity fails"}
     return {
         "case": d["name"],

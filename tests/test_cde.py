@@ -384,8 +384,8 @@ real_solve = linalg.solve
 
 
 def corrupt_solve(matrix):
-    d, x, r = real_solve(matrix)
-    return d, [x[0] + 1] + x[1:], r
+    d, x = real_solve(matrix)
+    return d, [x[0] + 1] + x[1:]
 
 
 linalg.solve = corrupt_solve
@@ -464,7 +464,7 @@ print("exit", cli.main(["cert-tcde", "--shape", "shifted:3,2,1"]))
 cde._gram = real_gram
 
 # a bordered Gram whose <ddeg, ddeg> corner is negated, which no Gram has:
-# the symmetric solve meets it as a negative squared residual
+# H (x, -d) reads it as a negative squared residual
 def negative_corner(L, empty_full):
     gram = real_gram(L, empty_full)
     gram[-1][-1] = -gram[-1][-1]

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion and prints something, and every
+"""Every demo script runs to completion and prints, byte for byte, its
+stored output ``tests/golden/demo-NN.out`` (NN the demo's number), and every
 ``python`` block of the README runs without error."""
 
 import os
@@ -11,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden"
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 # each block by its ordinal, so that editing the text around it keeps its id
 README_BLOCKS = {
@@ -19,20 +21,26 @@ README_BLOCKS = {
 }
 
 
-def _run(argv):
+def _run(argv, text=True):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run(argv, capture_output=True, text=text, env=env, timeout=120)
+
+
+def _golden(demo):
+    return GOLDEN / f"demo-{demo.name[:2]}.out"
 
 
 def test_demos_found():
     assert len(DEMOS) == 5
+    assert sorted(GOLDEN.glob("demo-*.out")) == list(map(_golden, DEMOS))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    proc = _run([sys.executable, str(demo)])
+    proc = _run([sys.executable, str(demo)], text=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert proc.stdout == _golden(demo).read_bytes()
 
 
 def test_readme_blocks_found():

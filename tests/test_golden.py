@@ -108,7 +108,9 @@ def exit_codes():
 
 def test_corpus_covers_every_case(exit_codes):
     assert sorted(exit_codes) == sorted(CASES)
-    assert {p.stem for p in GOLDEN.glob("*.out")} == set(CASES)
+    # demo-NN.out hold the demos' output, checked in test_demos.py
+    reports = {p.stem for p in GOLDEN.glob("*.out") if not p.stem.startswith("demo-")}
+    assert reports == set(CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -22,7 +22,7 @@ from cdeposets import (
     uniform,
 )
 from cdeposets import tableaux
-from cdeposets.cde import _identity_holds, _ideal_columns
+from cdeposets.cde import TcdeCertificate, _ideal_columns
 from cdeposets.dynamics import (
     antichain_cardinality,
     gyration_map,
@@ -163,8 +163,11 @@ def _assert_readers_match_tables(L, ref, rng):
             assert cert.validate(L)
             kappa = [scale * k for k in cert.kappa]
             cases.append((scale * cert.c, kappa, scale, scale * cert.empty_full))
-    for case in cases:
-        assert _identity_holds(L, *case) == (identity_failure_from_tables(ref, *case) is None)
+    for c, kappa, scale, empty_full in cases:
+        kappa_s = tuple([Fraction(k, scale) for k in kappa])
+        cert = TcdeCertificate(Fraction(c, scale), kappa_s, Fraction(empty_full, scale))
+        holds = identity_failure_from_tables(ref, c, kappa, scale, empty_full) is None
+        assert cert.validate(L) == holds
 
 
 @pytest.mark.parametrize("literal", GOLDEN_SHAPES)

@@ -5,8 +5,7 @@ from operator import mul
 
 import pytest
 
-from cdeposets import build_lattice, certify_tcde, linalg
-from cdeposets.cde import _gram
+from cdeposets import build_lattice, cde, certify_tcde, linalg
 from cdeposets.shapes import parse_shape
 
 from dense_oracle import _echelon, dense_solve, eliminate_by_columns, sparse
@@ -137,7 +136,7 @@ def test_symmetric_solve_matches_dense_fraction_route():
     for _ in range(1500):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
         _, _, G, H = _bordered_gram_of(rng, m, n)
-        d, x, _ = linalg.solve(H)
+        d, x = linalg.solve(H)
         want = dense_solve(G, [row[-1] for row in H[:-1]])
         singular += _rank(G) < n
         assert d > 0 and all(isinstance(v, int) for v in x)
@@ -146,19 +145,23 @@ def test_symmetric_solve_matches_dense_fraction_route():
 
 
 def test_symmetric_solve_returns_the_scaled_squared_residual():
-    """On the Grams of random [M | b], singular ones included, x / d is the
-    dense route's free-variables-zero solution of the normal equations and
-    r = d (beta - b^T x / d) = d ||b - M x / d||^2, which is 0 exactly when
-    M x = b is consistent."""
+    """On the Grams H of random [M | b], singular ones included, x / d is the
+    dense route's free-variables-zero solution of the normal equations, so
+    H (x, -d) is 0 but for its last entry -r, r = d (beta - b^T x / d).
+    That r is d ||b - M x / d||^2, which is 0 exactly when M x = b is
+    consistent."""
     rng = random.Random(1606)
     singular = exact = 0
     for _ in range(1500):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
         M, b, G, H = _bordered_gram_of(rng, m, n)
         rhs = [row[-1] for row in H[:-1]]
-        d, x, r = linalg.solve(H)
-        assert d > 0 and all(isinstance(v, int) for v in [*x, r])
+        d, x = linalg.solve(H)
+        assert d > 0 and all(isinstance(v, int) for v in x)
         assert [Fraction(v, d) for v in x] == dense_solve(G, rhs)
+        *normal, last = [sum(map(mul, row, [*x, -d])) for row in H]
+        assert normal == [0] * n
+        r = -last
         assert r == d * (H[-1][-1] - Fraction(sum(map(mul, rhs, x)), d))
         residual = [d * v - sum(map(mul, row, x)) for row, v in zip(M, b)]
         assert r * d == sum([v * v for v in residual])
@@ -166,30 +169,6 @@ def test_symmetric_solve_returns_the_scaled_squared_residual():
         singular += _rank(G) < n
         exact += r == 0
     assert singular > 800 and 300 < exact < 1200
-
-
-def test_symmetric_solve_reads_no_column_once_the_target_is_spanned():
-    """The rows the solve reads of a certified lattice's bordered Gram with
-    the empty/full column: the corner, then the columns only until the
-    residual is 0, so never the empty/full column; a lattice certified only
-    with that column reads it."""
-    reads = []
-
-    class Counting(list):
-        def __getitem__(self, i):
-            reads.append(i % len(self))
-            return list.__getitem__(self, i)
-
-    for literal, certified_without in (("shifted:3,2,1", True), ("shifted:4,2", False)):
-        L = build_lattice(parse_shape(literal).poset())
-        nP = L.base.n
-        assert (certify_tcde(L) is not None) == certified_without
-        assert certify_tcde(L, True) is not None
-        reads.clear()
-        d, x, r = linalg.solve(Counting(_gram(L, True)))
-        assert r == 0 and reads[0] == nP + 2
-        assert (nP + 1 in reads) != certified_without
-        assert reads[1:] == list(range(len(reads) - 1))
 
 
 def test_oracle_determinant_matches_leibniz():
@@ -207,9 +186,9 @@ def test_oracle_determinant_matches_leibniz():
 
 
 def test_degenerate_shapes():
-    assert linalg.solve([[0]]) == (1, [], 0)
-    assert linalg.solve([[0, 0], [0, 0]]) == (1, [0], 0)
-    assert linalg.solve([[0, 0], [0, 1]]) == (1, [0], 1)
+    assert linalg.solve([[0]]) == (1, [])
+    assert linalg.solve([[0, 0], [0, 0]]) == (1, [0])
+    assert linalg.solve([[0, 0], [0, 1]]) == (1, [0])
     assert _eliminate_solve([[0, 0]]) is None
     assert _eliminate_solve([[0, 3]]) == (3, [0, 1])
     assert _eliminate_solve([[1, 2], [0, 0]]) is None
@@ -220,18 +199,30 @@ def test_solve_refuses_what_is_not_symmetric_psd():
     for matrix in ([], [[1, 0]], [[1], [0]], [[1, 0], [0]], [[1, 2], [3, 4]], [[0, 1], [0, 0]]):
         with pytest.raises(ValueError):
             linalg.solve(matrix)
-    # symmetric, with a negative eigenvalue that a pivot, the target's
-    # reduced diagonal or a zero pivot over a nonzero target entry meets
+    # symmetric, with a negative eigenvalue that a pivot or a zero pivot over
+    # a nonzero target entry meets
     for matrix in (
-        [[-1]],
         [[0, 1], [1, 0]],
-        [[1, 2], [2, 1]],
-        [[4, 0, 2], [0, 1, 0], [2, 0, -3]],
         [[4, 0, 2, 1], [0, 1, 0, 0], [2, 0, -3, 0], [1, 0, 0, 5]],
         [[0, 0, 1], [0, 0, 0], [1, 0, 1]],
     ):
         with pytest.raises(ArithmeticError):
             linalg.solve(matrix)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[-1]], [[1, 2], [2, 1]], [[4, 0, 2], [0, 1, 0], [2, 0, -3]]],
+    ids=["corner", "2x2", "3x3"],
+)
+def test_certify_tcde_refuses_a_bordered_gram_that_is_not_psd(matrix, monkeypatch):
+    """Bordered matrices whose negative eigenvalue only the target's own
+    diagonal meets: the solve returns a candidate, and H (x, -d) has a
+    positive last entry, a negative squared residual, which no Gram has."""
+    L = build_lattice(parse_shape("straight:2,1").poset())
+    monkeypatch.setattr(cde, "_gram", lambda L, empty_full: matrix)
+    with pytest.raises(ArithmeticError, match="the matrix is not positive semidefinite"):
+        certify_tcde(L)
 
 
 def test_elimination_reads_no_column_once_the_target_is_spanned():

@@ -4,7 +4,7 @@ Every certificate, with and without the empty/full column, also validates:
 its identity holds on every ideal.  The Gram counted on the cover pattern
 equals the full A^T A entry by entry, and so do its A^T ddeg border and
 <ddeg, ddeg> corner.  The residual verdict of the Gram route, like the
-quadratic-form check behind ``validate``, agrees with the per-ideal check of
+H v = 0 check behind ``validate``, agrees with the per-ideal check of
 lattice_oracle.py, a nonzero residual being a witness direction.  The unit-image witness scan of sparse columns agrees with the
 column-by-column elimination of dense ones."""
 
@@ -16,8 +16,8 @@ import pytest
 
 from cdeposets import Poset, build_lattice, certify_tcde, find_witness, linalg
 from cdeposets.cde import (
+    TcdeCertificate,
     _gram,
-    _identity_holds,
     _ideal_columns,
     _refute,
     _transpose,
@@ -109,12 +109,14 @@ def _assert_residual_verdict(L):
     """Return how many of the two Gram solves (without and with the
     empty/full column) were refuted.
 
-    The scaled residual d r = d ddeg - A y is built per ideal from the oracle
-    tables; it is 0 exactly when the per-ideal check and the quadratic form
-    pass the Gram solution and certify_tcde certifies, it is orthogonal to
-    every column of A, and d times the residual integer of the Gram route,
-    d <ddeg, ddeg> - y^T A^T ddeg, is its squared norm.  A refuted lattice's r is a witness direction: sum r = 0,
-    <T_p, r> = 0 and <ddeg, r> = ||r||^2 > 0."""
+    H (y, -d) is 0 but for its last entry, minus the residual integer of
+    the Gram route, d <ddeg, ddeg> - y^T A^T ddeg.  The scaled residual
+    d r = d ddeg - A y is built per ideal from the oracle tables; it is 0
+    exactly when the per-ideal check and ``validate`` pass the Gram
+    solution and certify_tcde certifies, it is orthogonal to every column
+    of A, and d times the residual integer is its squared norm.  A refuted
+    lattice's r is a witness direction: sum r = 0, <T_p, r> = 0 and
+    <ddeg, r> = ||r||^2 > 0."""
     nP = L.base.n
     ref = build_lattice_reference(L.base, budget=1 << 24)
     ends = [0] * L.n  # [I = empty] - [I = full]; a single ideal counts as full
@@ -124,8 +126,11 @@ def _assert_residual_verdict(L):
     for empty_full in (False, True):
         cols = [[1] * L.n, *_signed_tables(L)] + ([ends] if empty_full else [])
         gram = _gram(L, empty_full)
-        d, y, residual = linalg.solve(gram)
+        d, y = linalg.solve(gram)
+        *normal, last = [sum(map(mul, row, [*y, -d])) for row in gram]
         rhs, corner = [row[-1] for row in gram[:-1]], gram[-1][-1]
+        residual = -last
+        assert normal == [0] * len(y)
         assert residual == d * corner - sum(map(mul, y, rhs))
         scaled = [
             d * dd - sum([col[i] * x for col, x in zip(cols, y)])
@@ -134,7 +139,12 @@ def _assert_residual_verdict(L):
         cert = certify_tcde(L, empty_full)
         identity = (y[0], y[1 : nP + 1], d, y[-1] if empty_full else 0)
         per_ideal = identity_failure_from_tables(ref, *identity)
-        assert (per_ideal is None) == _identity_holds(L, *identity)
+        candidate = TcdeCertificate(
+            Fraction(y[0], d),
+            tuple([Fraction(k, d) for k in y[1 : nP + 1]]),
+            Fraction(identity[-1], d),
+        )
+        assert (per_ideal is None) == candidate.validate(L)
         assert (per_ideal is None) == (cert is not None) == (not any(scaled))
         assert (residual == 0) == (cert is not None)
         norm = sum([r * r for r in scaled])
