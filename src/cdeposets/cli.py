@@ -15,8 +15,9 @@ self-check).  Codes 2-4 write the object {"error": ...} as JSON, or, for
 message).  Malformed flags are the exception: argparse reports them on
 stderr with code 2.  An internal error also prints its traceback to stderr.
 Each verb accepts only the flags it reads (see ``_VERB_FLAGS``), spelled out
-in full.  An ``--out`` file that cannot be opened is an input error whose
-JSON goes to standard output.
+in full, and a call that starts with a verb is parsed by that verb's
+subparser alone (``_parse``).  An ``--out`` file that cannot be opened is an
+input error whose JSON goes to standard output.
 
 ``analyze --poset`` reports on the poset in the file itself (the
 counterexample fixtures are studied directly); every other lattice verb, and
@@ -91,16 +92,38 @@ _VERB_FLAGS = {
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and each verb's subparser, built on the first call."""
     p = argparse.ArgumentParser(prog="cdeposets")
     sub = p.add_subparsers(dest="verb", required=True)
+    verbs = {}
     for verb, flags in _VERB_FLAGS.items():
         # no prefix matching, or `orbits --m 2` would be read as `--map 2`
-        sp = sub.add_parser(verb, allow_abbrev=False)
+        sp = verbs[verb] = sub.add_parser(verb, allow_abbrev=False)
         sp.set_defaults(fmt="json")
         for flag in (*flags, "--out"):
             sp.add_argument(flag, **_FLAGS[flag])
-    return p
+    return p, verbs
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The full parser's ``parse_args(argv)``, with one argparse pass where
+    it can.
+
+    The full parser hands everything after the verb to the verb's subparser,
+    so a call that starts with a verb is parsed by that subparser alone.  Its
+    errors, ``-h`` text and exit codes are the ones the full parser would
+    give.  Only when the first argument is no verb, or the subparser leaves
+    arguments over, does the full parser run, and it then reports them."""
+    if argv is None:
+        argv = sys.argv[1:]
+    full, verbs = _parsers()
+    verb = verbs.get(argv[0]) if argv else None
+    if verb is not None:
+        args, rest = verb.parse_known_args(argv[1:], argparse.Namespace(verb=argv[0]))
+        if not rest:
+            return args
+    return full.parse_args(argv)
 
 
 def _check_size(n: int, budget: int) -> None:
@@ -324,7 +347,7 @@ def _run(args) -> tuple[int, object]:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     code, report = _run(args)
     text = _render(report, args.fmt)
     if not args.out:

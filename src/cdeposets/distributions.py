@@ -18,9 +18,9 @@ B_k / ((k+1) A_k) and, weighted by C(m, k) or C(m+1, k+1), the multichain
 ones (``CdeReport``).  It checks the decoded digits against what is known
 without them and raises ArithmeticError when the width was too narrow.
 
-Maximal chains come from a saturated-chain sweep over one cover list, run
-forward and in reverse: on a poset the covers in a linear extension, on J(P)
-``edges()``, whose ideal order sorts by cardinality.
+Maximal chains come from a saturated-chain sweep run upwards and downwards:
+on a poset over the covers in a linear extension, on J(P) level by level
+over the ``down`` and ``up`` masks, keeping one level's counts.
 ``cde._maxchain_expectation`` weights ddeg by ``_maxchain_weights`` for the
 maxchain expectation of a raw poset in ``cde_report`` and of every ``cde``
 and ``mcde`` row of ``cde.scan_family``, which so skips the chain pass, and
@@ -237,28 +237,48 @@ def _chain_moments(X, stat):
     return list(zip(counts, sums))
 
 
-def _saturated_chains(n: int, edges) -> list[int]:
-    """counts[x] = number of saturated chains up to x from an element with no
-    lower cover; ``edges`` lists the covers (y, x) with every edge into an
-    element before any edge out of it."""
-    counts = [1] * n
-    for _, x in edges:
-        counts[x] = 0
-    for y, x in edges:
-        counts[x] += counts[y]
-    return counts
+def _level_sweep(masks, covers, weights, at) -> None:
+    """Multiply ``weights[i]``, for i in ``at``, by the number of saturated
+    chains that reach ideal i from the first ideal of ``masks``, stepping
+    one cover at a time from the previous level: through the bits of
+    ``covers``, the ``down`` masks upwards or the ``up`` masks downwards.
+    Only the previous level's counts are kept."""
+    prev, level, size = {}, {}, -1
+    for i, mask, cover in zip(at, masks, covers):
+        if mask.bit_count() != size:
+            prev, level, size = level, {}, mask.bit_count()
+        count = 0 if cover else 1
+        while cover:
+            bit = cover & -cover
+            cover ^= bit
+            count += prev[mask ^ bit]
+        level[mask] = count
+        weights[i] *= count
 
 
 def _maxchain_weights(X) -> list[int]:
-    """Number of maximal chains through each p."""
+    """Number of maximal chains through each p: the saturated chains up to p
+    from a minimal element times those from p up to a maximal one.
+
+    On a poset both counts run over the covers in a linear extension.  On
+    J(P) they run level by level, chains from the empty ideal in through the
+    ``down`` masks and chains to the full ideal in reverse through the
+    ``up`` masks, with no ``L.index`` and no edge list."""
     if isinstance(X, IdealLattice):
-        # edges() runs in canonical ideal order, which sorts by cardinality
-        edges = [(i, j) for i, j, _ in X.edges()]
-    else:
-        edges = [(p, q) for p in X.topological_order() for q in X.up_covers[p]]
-    from_bottom = _saturated_chains(X.n, edges)
-    to_top = _saturated_chains(X.n, [(q, p) for p, q in reversed(edges)])
-    return [u * d for u, d in zip(from_bottom, to_top)]
+        n = X.n
+        weights = [1] * n
+        _level_sweep(X.ideals, X.down, weights, range(n))
+        _level_sweep(reversed(X.ideals), reversed(X.up), weights, range(n - 1, -1, -1))
+        return weights
+    order = X.topological_order()
+    below, above = [1] * X.n, [1] * X.n
+    for x in order:
+        if X.down_covers[x]:
+            below[x] = sum([below[y] for y in X.down_covers[x]])
+    for x in reversed(order):
+        if X.up_covers[x]:
+            above[x] = sum([above[y] for y in X.up_covers[x]])
+    return [u * d for u, d in zip(below, above)]
 
 
 # --- toggle-symmetry ----------------------------------------------------------

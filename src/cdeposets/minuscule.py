@@ -19,7 +19,7 @@ from typing import Optional
 
 from .cde import TcdeCertificate, certify_tcde
 from .ideals import DEFAULT_IDEAL_BUDGET, build_lattice
-from .posets import Poset, chain, direct_product, is_isomorphic
+from .posets import Poset, is_isomorphic
 from .serialize import rat_str
 from .shapes import ShiftedShape, SkewShape, rectangle, staircase
 
@@ -55,9 +55,11 @@ def propeller_poset(a: int, b: int, c: int, d: int) -> Poset:
 
 
 def chain_product_poset(a: int, b: int) -> Poset:
+    """[a] x [b], element (i, j) numbered i*b + j: the box poset of the a x b
+    rectangle, read off its row intervals."""
     if min(a, b) < 1:
         raise ValueError("chain product needs positive parameters")
-    return direct_product(chain(a), chain(b))
+    return SkewShape(rectangle(a, b)).poset()
 
 
 def rectangle_interval_poset(b: int, budget: int = DEFAULT_IDEAL_BUDGET) -> Poset:

@@ -1,9 +1,12 @@
 """Finite posets: construction, validation, combination, ranks and chains.
 
-Elements are always the integers 0..n-1.  ``Poset(n, relations)`` is the
-one constructor: it checks the ids, rejects a cycle with ``CycleError``, and
-closes and reduces arbitrary order relations to the cover relation (Hasse
-digraph) in one topological pass, so sloppy input is fine.  Order
+Elements are always the integers 0..n-1.  Every poset comes out of one
+closure step, ``Poset._close``, which closes and reduces order relations to
+the cover relation (Hasse digraph) in one pass over a linear extension.  It
+has two entries.  ``Poset(n, relations)`` checks the ids, finds a linear
+extension and rejects a cycle with ``CycleError``, so sloppy input is fine.
+``Poset._rising(up)`` trusts relations that already rise in id, as a shape's
+row intervals give them, and closes them over 0..n-1 as they stand.  Order
 comparisons are kept as bitmask ints (bit q of ``strict_up[p]`` means p < q),
 which keeps everything exact and reasonably fast for the lattice sizes this
 library targets (a few thousand elements at most).
@@ -89,6 +92,22 @@ class Poset:
         order = _topological_order(n, succ)
         if len(order) < n:
             raise CycleError(_cycle(n, succ, order))
+        self._close(order, succ)
+
+    @classmethod
+    def _rising(cls, up: Sequence[Sequence[int]]) -> "Poset":
+        """The poset whose relations are p < q for q in ``up[p]``, trusted
+        to hold ids only and to rise in id (q > p), so that 0..n-1 is a
+        linear extension: no validation, no per-element sets, no Kahn pass."""
+        P = cls.__new__(cls)
+        P.labels = None
+        P._close(range(len(up)), up)
+        return P
+
+    def _close(self, order: Sequence[int], succ: Sequence[Iterable[int]]) -> None:
+        """Close the relations ``succ`` (p < q for q in ``succ[p]``), listed in
+        the linear extension ``order``, and reduce them to covers."""
+        n = len(succ)
         up = [()] * n
         strict_up = [0] * n
         for p in reversed(order):

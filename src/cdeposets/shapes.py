@@ -115,14 +115,27 @@ class _Diagram:
         return box in self.box_index
 
     def poset(self) -> Poset:
-        """Box poset: u <= v iff v is weakly southeast of u."""
-        rels = []
-        for i, j in self.boxes:
-            if (i, j + 1) in self.box_index:
-                rels.append((self.box_index[(i, j)], self.box_index[(i, j + 1)]))
-            if (i + 1, j) in self.box_index:
-                rels.append((self.box_index[(i, j)], self.box_index[(i + 1, j)]))
-        return Poset(self.n_boxes, rels)
+        """Box poset: u <= v iff v is weakly southeast of u, on the ids of
+        ``boxes``.
+
+        It is read off the row intervals: the upper covers of box (i, j) are
+        its right neighbour (i, j + 1), the next id, and its lower neighbour
+        (i + 1, j), when row i + 1 holds column j.  Both come later in row
+        reading order, so the ids rise along every cover and the trusted
+        ``Poset._rising`` closes them with no validation and no topological
+        sort."""
+        up = []
+        rows = list(zip(self._lo, self._hi)) + [(0, 0)]
+        start = 0
+        for (lo, hi), (lo2, hi2) in zip(rows, rows[1:]):
+            below = start + hi - lo - lo2 - 1  # the id of box (i + 1, j) is below + j
+            for j in range(lo + 1, hi + 1):
+                if lo2 < j <= hi2:
+                    up.append((start + j - lo, below + j) if j < hi else (below + j,))
+                else:
+                    up.append((start + j - lo,) if j < hi else ())
+            start += hi - lo
+        return Poset._rising(up)
 
 
 class SkewShape(_Diagram):

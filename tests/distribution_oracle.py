@@ -12,6 +12,11 @@ k-chains through p; an m-multichain whose support is a k-chain can be
 formed in C(m, k) ways, so the mchain weight of p is
 sum_k C(m, k) * #{k-chains through p}, and the mmchain weight (positions)
 sum_k C(m+1, k+1) * #{k-chains through p}.
+
+``maxchain_weights_by_edges`` is the route the library's maxchain weights
+took before its level sweep: one saturated-chain sweep over an explicit
+cover list (``edges()`` on J(P), which reads ``L.index``), run forward and
+in reverse.
 """
 
 from __future__ import annotations
@@ -248,3 +253,31 @@ def walk_moments(X, stat, k_max: int):
         b = [x + s * y for x, s, y in zip(step(b), stat, a)]
         out.append((sum(a), sum(b)))
     return out
+
+
+# --- maximal chains over an explicit cover list ----------------------------
+
+
+def _saturated_chains(n: int, edges) -> list[int]:
+    """counts[x] = number of saturated chains up to x from an element with no
+    lower cover; ``edges`` lists the covers (y, x) with every edge into an
+    element before any edge out of it."""
+    counts = [1] * n
+    for _, x in edges:
+        counts[x] = 0
+    for y, x in edges:
+        counts[x] += counts[y]
+    return counts
+
+
+def maxchain_weights_by_edges(X) -> list[int]:
+    """Number of maximal chains through each element, from the cover list:
+    on J(P) ``edges()``, whose ideal order sorts by cardinality, on a poset
+    the covers in a linear extension."""
+    if isinstance(X, IdealLattice):
+        edges = [(i, j) for i, j, _ in X.edges()]
+    else:
+        edges = [(p, q) for p in X.topological_order() for q in X.up_covers[p]]
+    from_bottom = _saturated_chains(X.n, edges)
+    to_top = _saturated_chains(X.n, [(q, p) for p, q in reversed(edges)])
+    return [u * d for u, d in zip(from_bottom, to_top)]

@@ -110,15 +110,16 @@ def test_count_tableaux(capsys):
 
 @pytest.mark.parametrize("literal", ["straight:3,2", "shifted:3,2,1"])
 def test_count_tableaux_builds_one_lattice(capsys, monkeypatch, literal):
+    # every Poset, validated or trusted, comes out of the one closure step
     calls = {"IdealLattice": 0, "Poset": 0}
-    for cls in (IdealLattice, Poset):
-        init = cls.__init__
+    for cls, step in ((IdealLattice, "__init__"), (Poset, "_close")):
+        original = getattr(cls, step)
 
-        def counting(self, *args, _init=init, _name=cls.__name__, **kwargs):
+        def counting(self, *args, _step=original, _name=cls.__name__, **kwargs):
             calls[_name] += 1
-            _init(self, *args, **kwargs)
+            _step(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counting)
+        monkeypatch.setattr(cls, step, counting)
     code, _ = run(capsys, "count-tableaux", "--shape", literal)
     assert code == 0
     assert calls == {"IdealLattice": 1, "Poset": 1}
@@ -515,7 +516,7 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
 
 
 def test_back_to_back_calls_share_no_state(capsys):
-    assert cli._parser() is cli._parser()
+    assert cli._parsers() is cli._parsers()
     code, out = run(capsys, "cert-tcde", "--shape", "shifted:4,2", "--extra-empty-full")
     assert code == 0
     code, out = run(capsys, "cert-tcde", "--shape", "shifted:4,2")

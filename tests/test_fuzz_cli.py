@@ -176,3 +176,62 @@ def test_mutated_inputs_end_in_documented_exit_codes(tmp_path):
         codes.add(code)
     assert verbs == set(VERB_SOURCES)
     assert codes == {0, 1, 2, 3}
+
+
+# --- one argparse pass: cli.main parses as the full parser does -------------
+
+HAND_ARGV = (
+    ["-h"],
+    [],
+    ["bogus"],
+    ["--bogus"],
+    ["analyze", "--shape", "straight:1", "--bogus"],
+    ["orbits", "--shape", "straight:2,1", "--ma", "gyration"],
+    ["scan", "--family", "straight-shapes:3", "--predicate", "bcde"],
+    ["analyze", "-h"],
+    ["analyze", "-h", "--bogus"],
+    ["analyze", "--k", "x", "--bogus"],
+    ["analyze", "--", "--shape", "straight:1"],
+    ["analyze", "--shape", "--", "straight:1"],
+    ["count-tableaux", "--shape=straight:3,1", "--m", "2"],
+    ["scan", "--family=straight-shapes:2", "--format", "csv"],
+    ["family", "--family", "minuscule:E6", "extra"],
+    ["cert-tcde", "--shape", "shifted:3,1", "--extra-empty-full"],
+    ["homomesy", "--shape", "straight:2,2", "--map", "-1"],
+)
+
+
+def _outcome(parse, argv):
+    """The namespace a parse gives, or the exit code and the bytes it wrote."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def _assert_parses_like_the_full_parser(monkeypatch, argvs):
+    seen = []
+    monkeypatch.setattr(cli, "_run", lambda args: seen.append(args) or (0, {}))
+
+    def via_main(argv):
+        cli.main(argv)
+        return seen.pop()
+
+    for argv in argvs:
+        assert _outcome(via_main, argv) == _outcome(cli._parsers()[0].parse_args, argv), argv
+
+
+def test_main_parses_the_fuzz_corpus_like_the_full_parser(monkeypatch, tmp_path):
+    rng = random.Random(1606)
+    poset_path = tmp_path / "poset.json"
+    argvs = [_argv(rng, poset_path) for _ in range(1000)]
+    _assert_parses_like_the_full_parser(monkeypatch, argvs)
+
+
+def test_main_parses_hand_cases_like_the_full_parser(monkeypatch):
+    _assert_parses_like_the_full_parser(monkeypatch, HAND_ARGV)
+    for argv in HAND_ARGV[:3] + HAND_ARGV[6:9]:
+        monkeypatch.setattr("sys.argv", ["cdeposets", *argv])
+        _assert_parses_like_the_full_parser(monkeypatch, [None])

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cdeposets import (
+    Poset,
     build_lattice,
     chain,
     direct_product,
@@ -25,7 +26,7 @@ from cdeposets.shapes import (
 
 from conftest import random_toggle_symmetric
 from lattice_oracle import toggle_tables
-from poset_oracle import components
+from poset_oracle import brute_order, components
 from shape_oracle import (
     render_ideal,
     rook,
@@ -36,6 +37,7 @@ from shape_oracle import (
     shifted_corners_attacking,
     shifted_rook_placement,
     skew_contained_corners,
+    skew_shapes,
     skew_corners_attacking,
     stretch,
 )
@@ -78,9 +80,42 @@ def test_skew_poset_fixture():
 
 def test_rectangle_poset_is_chain_product():
     for a, b in ((2, 2), (2, 3), (3, 4)):
-        assert is_isomorphic(
-            SkewShape(rectangle(a, b)).poset(), direct_product(chain(a), chain(b))
-        )
+        P = SkewShape(rectangle(a, b)).poset()
+        assert P == direct_product(chain(a), chain(b))
+        assert is_isomorphic(P, direct_product(chain(a), chain(b)))
+
+
+_ORDER = ("n", "covers", "labels", "up_covers", "down_covers", "strict_up", "strict_down")
+
+
+def _diagram_shapes():
+    yield from (SkewShape(lam) for lam in iter_partitions(10))
+    yield from (ShiftedShape(lam) for lam in iter_strict_partitions(15))
+    yield from skew_shapes(8)
+
+
+def test_diagram_poset_matches_the_validated_and_brute_routes():
+    """The poset read off the row intervals equals Poset(n, relations) on the
+    right and lower neighbours, and the brute-force order of all pairs in
+    which one box is weakly southeast of the other."""
+    for shape in _diagram_shapes():
+        P = shape.poset()
+        boxes, index = shape.boxes, shape.box_index
+        near = [
+            (index[(i, j)], index[v])
+            for i, j in boxes
+            for v in ((i, j + 1), (i + 1, j))
+            if v in index
+        ]
+        Q = Poset(shape.n_boxes, near)
+        assert all(getattr(P, a) == getattr(Q, a) for a in _ORDER), shape
+        southeast = [
+            (index[u], index[v])
+            for u in boxes
+            for v in boxes
+            if u != v and u[0] <= v[0] and u[1] <= v[1]
+        ]
+        assert brute_order(shape.n_boxes, southeast) == (P.covers, P.strict_up, P.strict_down)
 
 
 def test_shifted_321_poset():
